@@ -21,25 +21,22 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .curves import (
-    EQ_SLACK,
     CompactnessParams,
     MembershipReport,
     ModuliPoint,
+    _leq,
     chart_position,
     in_compact_subset,
 )
 from .errors import InputError, VerificationError
-from .nets import FiniteMetricSpace
+from .nets import FiniteMetricSpace, farthest_first
 from .trees import RootedTree, Tree
 
 EPS_MAX = 0.125
 POSITION_TOL = 1e-9
-
-
-def _leq(a: float, b: float) -> bool:
-    """Closed inequality a <= b with relative slack for float boundaries."""
-    return a <= b + EQ_SLACK * max(1.0, abs(a), abs(b))
 
 
 def _check_eps(eps: float) -> float:
@@ -305,11 +302,11 @@ def cluster_select(
 ) -> tuple[tuple[int, ...], dict[int, int]]:
     """Select a net through s at the scales a(0) >= 2 a(1) >= 4 a(2) >= ...
 
-    Greedily adds the point farthest from the current net (ties by index)
-    while that distance exceeds a(current size).  Returns the selected index
-    set Zp and the retraction mapping every index to the unique net point
-    within a(|Zp|).  Pairwise distances in Zp exceed a(|Zp| - 1); the halving
-    of the scale sequence makes the retraction unambiguous.
+    Cuts nets.farthest_first from s (ties by index) before the first point
+    whose distance to the net does not exceed a(current size).  Returns the
+    selected index set Zp and the retraction mapping every index to the unique
+    net point within a(|Zp|).  Pairwise distances in Zp exceed a(|Zp| - 1);
+    the halving of the scale sequence makes the retraction unambiguous.
     """
     n = space.n
     s = int(s)
@@ -322,39 +319,30 @@ def cluster_select(
         if i + 1 <= n and avals[i + 1] > 0.5 * ai:
             raise InputError(f"a({i + 1}) exceeds a({i})/2; sequence must halve")
 
-    selected = [s]
-    chosen = {s}
-    while len(selected) < n:
-        best, bestd = -1, -1.0
-        for x in range(n):
-            if x in chosen:
-                continue
-            d = min(space.distance(x, y) for y in selected)
-            if d > bestd:
-                best, bestd = x, d
-        if bestd > avals[len(selected)]:
-            selected.append(best)
-            chosen.add(best)
-        else:
+    selected = []
+    for j, d in farthest_first(lambda i: space.dist[i], n, s):
+        if not d > avals[len(selected)]:
             break
+        selected.append(j)
 
     k = len(selected)
-    for x, y in combinations(selected, 2):
-        if space.distance(x, y) <= avals[k - 1]:
-            raise VerificationError(
-                f"net points {x}, {y} are within a({k - 1}); selection is broken"
-            )
-    retraction: dict[int, int] = {}
-    for x in range(n):
-        close = [y for y in selected if space.distance(x, y) <= avals[k]]
+    sub = space.dist[np.ix_(selected, selected)]
+    close_pairs = np.argwhere(np.triu(sub <= avals[k - 1], 1))
+    if close_pairs.size:
+        x, y = (selected[i] for i in close_pairs[0])
+        raise VerificationError(
+            f"net points {x}, {y} are within a({k - 1}); selection is broken"
+        )
+    within = space.dist[:, selected] <= avals[k]
+    for x in np.flatnonzero(within.sum(axis=1) != 1):  # the first bad row raises
+        close = [selected[i] for i in np.flatnonzero(within[x])]
         if not close:
             raise VerificationError(f"no net point within a({k}) of point {x}")
-        if len(close) > 1:
-            raise VerificationError(
-                f"ambiguous retraction: net points {close} all within a({k}) "
-                f"of point {x}"
-            )
-        retraction[x] = close[0]
+        raise VerificationError(
+            f"ambiguous retraction: net points {close} all within a({k}) "
+            f"of point {x}"
+        )
+    retraction = {x: selected[i] for x, i in enumerate(within.argmax(axis=1))}
     return tuple(sorted(selected)), retraction
 
 
@@ -375,7 +363,9 @@ def reduce(
     if not is_standard(cfg, eps):
         raise InputError("reduction requires a standard configuration")
     pts = cfg.points
-    space = FiniteMetricSpace.from_points(pts, lambda u, v: abs(u - v))
+    diff = np.subtract.outer(pts, pts)
+    # hypot of the parts is abs(u - v) bit for bit; np.abs on complex is not
+    space = FiniteMetricSpace(np.hypot(diff.real, diff.imag), labels=pts)
     base = 4.0 * eps**3
     sel, r_idx = cluster_select(space, lambda i: base**i, pts.index(0))
     k = len(sel)
@@ -436,7 +426,7 @@ def reduce_at(
     with the cluster.  Only centers with at least two points reduce.
     """
     eps = _check_eps(eps)
-    centers, retraction, rho_p, _ = reduce(cfg, eps)
+    _, retraction, rho_p, _ = reduce(cfg, eps)
     x = complex(x)
     if x not in rho_p:
         raise InputError(f"{x} is not a cluster center")
@@ -445,10 +435,17 @@ def reduce_at(
         raise InputError(
             f"cluster at {x} is a single point; reduction needs an interior center"
         )
-    gamma = max(abs(z - x) for z in cluster) / (eps * rho_p[x])
+    return _rescale_cluster(cfg, eps, x, cluster, rho_p[x])
+
+
+def _rescale_cluster(
+    cfg: BubbleConfiguration, eps: float, x: complex, cluster: list, rho_x: float
+) -> tuple[BubbleConfiguration, float, AffineMap]:
+    """reduce_at's rescaling of the cluster of center x, of two or more points."""
+    gamma = max(abs(z - x) for z in cluster) / (eps * rho_x)
     if not (gamma > 0.0 and _leq(gamma, 4.0 * eps)):
         raise VerificationError(f"gluing scale {gamma} escapes (0, 4 eps]")
-    phi = AffineMap(x, gamma * rho_p[x])
+    phi = AffineMap(x, gamma * rho_x)
     new_radius = {phi.invert(z): cfg.radius[z] / phi.scale for z in cluster}
     out = BubbleConfiguration(tuple(new_radius), new_radius)
     if not is_standard(out, eps):
@@ -514,7 +511,7 @@ def associate_tree(cfg: BubbleConfiguration, eps: float) -> TreeAssociation:
                 boundary[e] = (v,)
                 edge_to_bubble[e] = origin[x]
             else:
-                child, g, phi = reduce_at(sub, eps, x)
+                child, g, phi = _rescale_cluster(sub, eps, x, cluster, rho_p[x])
                 gamma[e] = complex(g)
                 child_origin = {phi.invert(z): origin[z] for z in cluster}
                 build(child, child_origin, v, e)

@@ -3,10 +3,11 @@
 Provides geodesic distance on the round sphere of total area 4*pi (realized
 as the projective line in homogeneous coordinates), finite metric spaces with
 validated axioms, Hausdorff distance between finite subsets, gamma-nets in
-the strict sense (d_H < gamma), greedy and exact minimal nets, an explicit
-latitude-band net for the sphere, covering-number arithmetic, scaled max
-metrics for graphs of maps, and the combinatorial cover of a family of
-Lipschitz maps over a base by cells of small diameter.
+the strict sense (d_H < gamma), greedy nets as prefixes of one farthest-point
+traversal (farthest_first, shared with bubbles.cluster_select), exact minimal
+nets, an explicit latitude-band net for the sphere, scaled max metrics for
+graphs of maps, and the combinatorial cover of a family of Lipschitz maps over
+a base by cells of small diameter.
 
 Continuous spaces enter only through finite samplings supplied by the
 caller; all Hausdorff computations here are over finite subsets.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -266,8 +267,27 @@ def _sphere_rows(points: list[ProjPoint]):
     return row
 
 
+def farthest_first(row: Callable[[int], np.ndarray], n: int, start: int):
+    """Gonzalez's farthest-point traversal of n points, from start.
+
+    row(i) holds the distances from point i to all n points.  Lazily yields
+    (index, distance to the points yielded before it; inf for start), each
+    index the farthest point not yet yielded, ties to the lowest index.  Every
+    prefix is a net at the next distance; rows are read only as it advances.
+    """
+    mind = np.full(n, math.inf)
+    j, d = int(start), math.inf
+    for _ in range(n - 1):
+        yield j, d
+        np.minimum(mind, row(j), out=mind)
+        mind[j] = -math.inf
+        j = int(np.argmax(mind))
+        d = float(mind[j])
+    yield j, d
+
+
 def greedy_net(space, gamma: float) -> Net:
-    """Farthest-point net: seed at index 0, add the worst-covered point.
+    """Farthest-point net: the farthest_first prefix from index 0 down to gamma.
 
     Accepts a FiniteMetricSpace or a finite sequence of sphere points.
     Deterministic: ties go to the lowest index.  The result is always a
@@ -288,14 +308,11 @@ def greedy_net(space, gamma: float) -> Net:
         row = _sphere_rows(pts)
         labels = pts
         base = tuple(pts)
-    chosen = [0]
-    mind = np.array(row(0), dtype=float)
-    while True:
-        j = int(np.argmax(mind))
-        if mind[j] < gamma:
+    chosen = []
+    for j, d in farthest_first(row, n, 0):
+        if d < gamma:
             break
         chosen.append(j)
-        mind = np.minimum(mind, row(j))
     return Net(
         points=tuple(labels[i] for i in chosen),
         radius=gamma,
@@ -407,21 +424,6 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
 def exact_nu(space: FiniteMetricSpace, gamma: float) -> int:
     """The covering number: minimum size of a gamma-net of the space."""
     return minimal_net(space, gamma).size
-
-
-def nu_union_bound(parts: Iterable[int]) -> int:
-    """Covering number of a finite union is at most the sum over the parts."""
-    return sum(parts)
-
-
-def nu_powerset_bound(nu: int) -> int:
-    """Nets for the space of compact subsets: nu(K(Z), gamma) <= 2^nu(Z, gamma)."""
-    return 2**nu
-
-
-def nu_subset_bound(nu_superset: int) -> int:
-    """For K inside Z, nu(K, 2 gamma) <= nu(Z, gamma)."""
-    return nu_superset
 
 
 def scaled_max_metric(

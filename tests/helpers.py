@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import random
 
 from bubbletree.bubbles import BubbleConfiguration, renormalize
 from bubbletree.curves import CompactnessParams, ModuliPoint
@@ -143,6 +144,22 @@ def oracle_count_stable_rooted(n):
 # ---------------------------------------------------------------------------
 
 
+def sunflower(phi, k):
+    """0, the modulus-one point exp(i phi), and k - 2 points on a golden-angle
+    spiral, area-uniform in the annulus 0.3 <= |z| <= 0.95 and turned by phi.
+
+    No rejection is needed: for 5 <= k <= 200 every pair is more than
+    0.55 / sqrt(k) apart, whatever phi.
+    """
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    m = k - 2
+    out = [0j, cmath.exp(1j * phi)]
+    for j in range(m):
+        r = math.sqrt(0.3**2 + (0.95**2 - 0.3**2) * (j + 0.5) / m)
+        out.append(r * cmath.exp(1j * (phi + (j + 1) * golden)))
+    return out
+
+
 def unit_cloud(rng, eps, size, head=1.0):
     """Points in the closed unit disc with 0 and a modulus-one point.
 
@@ -150,7 +167,8 @@ def unit_cloud(rng, eps, size, head=1.0):
     their center (in eps-disc units), so the recursion depth of the
     association is driven by the nesting generated here.  head tracks the
     cumulative scale; a level goes flat once nesting would sink satellite
-    offsets below float resolution.
+    offsets below float resolution, and a flat level is a sunflower, so it
+    can hold any number of points.
     """
     if size == 1:
         return [0j]
@@ -158,7 +176,10 @@ def unit_cloud(rng, eps, size, head=1.0):
     ladder = (4.0 * eps**3) ** k / eps
     if size > k and head * 0.2 * ladder < 1e-12:
         k = size
-    centers = [0j, cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))]
+    phi = rng.uniform(0.0, 2 * math.pi)
+    if k > 4:  # only a flat level has more than four centers
+        return sunflower(phi, k)
+    centers = [0j, cmath.exp(1j * phi)]
     while len(centers) < k:
         cand = rng.uniform(0.3, 0.95) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
         if all(abs(cand - c) > 0.28 for c in centers):
@@ -181,7 +202,18 @@ def unit_cloud(rng, eps, size, head=1.0):
 
 
 def random_standard(rng, eps, size):
-    pts = [eps * z for z in unit_cloud(rng, eps, size)]
+    return _standard(rng, eps, unit_cloud(rng, eps, size))
+
+
+def flat_standard(rng, eps, size):
+    """A standard configuration whose points are all centers of one level."""
+    return _standard(rng, eps, sunflower(rng.uniform(0.0, 2 * math.pi), size))
+
+
+def _standard(rng, eps, unit_pts):
+    """Scale into the eps disc, draw radii within the pairwise budget and
+    renormalize."""
+    pts = [eps * z for z in unit_pts]
     radius = {}
     for z in pts:
         gap = min(abs(z - q) for q in pts if q != z)
@@ -197,6 +229,43 @@ def random_standard(rng, eps, size):
 
 def grid_space(values):
     return FiniteMetricSpace.from_points(list(values), lambda a, b: abs(a - b))
+
+
+def farthest_first_reference(space, start):
+    """Farthest-point traversal as a plain loop over space.distance.
+
+    Returns (index, distance to the indices before it) in insertion order,
+    the first distance being inf; ties go to the lowest index.
+    """
+    order = [(start, math.inf)]
+    chosen = {start}
+    while len(order) < space.n:
+        best, bestd = -1, -1.0
+        for x in range(space.n):
+            if x in chosen:
+                continue
+            d = min(space.distance(x, y) for y, _ in order)
+            if d > bestd:
+                best, bestd = x, d
+        order.append((best, bestd))
+        chosen.add(best)
+    return order
+
+
+def traversal_cases():
+    """(space, start) pairs for traversal oracles: exact ties on a lattice,
+    a repeated point, scattered points, nonzero starts and a single point."""
+    rng = random.Random(1985)
+    lattice = [complex(x, y) for x in range(5) for y in range(4)]
+    scattered = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(30)]
+    return [
+        (grid_space(lattice), 0),
+        (grid_space(lattice), 7),
+        (grid_space(lattice + [2 + 1j]), 19),
+        (grid_space(scattered), 0),
+        (grid_space(scattered), 13),
+        (grid_space([0.5j]), 0),
+    ]
 
 
 def all_lipschitz_maps(space_z, space_w, t, lam):

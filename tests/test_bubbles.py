@@ -5,8 +5,10 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from bubbletree import bubbles
 from bubbletree.bubbles import (
     AffineMap,
     BubbleConfiguration,
@@ -27,7 +29,12 @@ from bubbletree.bubbles import (
 from bubbletree.curves import ModuliPoint
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiniteMetricSpace
-from helpers import random_standard
+from helpers import (
+    farthest_first_reference,
+    flat_standard,
+    random_standard,
+    traversal_cases,
+)
 
 EPS = 0.125
 
@@ -313,6 +320,21 @@ class TestClusterSelect:
             for y in net:
                 assert retraction[y] == y
 
+    @pytest.mark.parametrize("space, start", traversal_cases())
+    def test_matches_reference_traversal(self, space, start):
+        order = farthest_first_reference(space, start)
+        for a0, ratio in ((2.0, 0.5), (1.0, 0.5), (0.9, 0.3), (5.0, 0.25)):
+            a = lambda i: a0 * ratio**i
+            k = 0
+            while k < len(order) and order[k][1] > a(k):
+                k += 1
+            net, retraction = cluster_select(space, a, start)
+            assert net == tuple(sorted(j for j, _ in order[:k]))
+            assert retraction == {
+                x: min(net, key=lambda y: space.distance(x, y))
+                for x in range(space.n)
+            }
+
     def test_slowly_decaying_sequence_rejected(self):
         space = FiniteMetricSpace.from_points([0.0, 1.0], lambda u, v: abs(u - v))
         with pytest.raises(InputError, match="halve"):
@@ -373,6 +395,21 @@ class TestReduce:
                     overall = min(abs(w - u) for u in cfg.points)
                     within = min(abs(w - u) for u in cluster)
                     assert overall == within
+
+    def test_metric_is_exact_point_distance(self, monkeypatch):
+        seen = []
+
+        def spy(space, a, s):
+            seen.append(space)
+            return cluster_select(space, a, s)
+
+        monkeypatch.setattr(bubbles, "cluster_select", spy)
+        cfg = flat_standard(random.Random(150), EPS, 150)
+        reduce(cfg, EPS)
+        (space,) = seen
+        exact = [[abs(u - v) for v in cfg.points] for u in cfg.points]
+        assert np.array_equal(space.dist, np.array(exact))
+        assert space.labels == cfg.points
 
 
 class TestReduceAt:
@@ -473,6 +510,41 @@ class TestAssociateTree:
             assoc = associate_tree(cfg, EPS)
             assert assoc.tree.is_stable()
             assert assoc.root_vertex == assoc.tree.root_vertex == 1
+
+    def test_one_reduction_per_vertex(self, monkeypatch):
+        calls = []
+
+        def counted(cfg, eps):
+            calls.append(cfg)
+            return reduce(cfg, eps)
+
+        monkeypatch.setattr(bubbles, "reduce", counted)
+        rng = random.Random(2104)
+        nested = 0
+        for _ in range(30):
+            cfg = random_standard(rng, EPS, rng.randrange(4, 16))
+            calls.clear()
+            assoc = associate_tree(cfg, EPS)
+            assert len(calls) == len(assoc.tree.vertices)
+            nested += len(assoc.tree.vertices) > 1
+        assert nested >= 10
+
+    @pytest.mark.parametrize("size", [128, 150])
+    def test_wide_flat_configurations(self, size):
+        cfg = flat_standard(random.Random(size), EPS, size)
+        assoc = associate_tree(cfg, EPS)
+        assert assoc.tree.vertices == (1,)
+        assert set(assoc.edge_to_bubble.values()) == set(cfg.points)
+        report = verify_association(cfg, assoc, EPS)
+        assert report.ok, report.summary()
+
+    def test_nested_draw_reaches_a_wide_level(self):
+        cfg = random_standard(random.Random(154), EPS, 150)
+        assoc = associate_tree(cfg, EPS)
+        tree = assoc.tree
+        assert max(len(tree.child_edges(v)) for v in tree.vertices) > 100
+        report = verify_association(cfg, assoc, EPS)
+        assert report.ok, report.summary()
 
     def test_nonstandard_input_rejected(self):
         with pytest.raises(InputError, match="standard"):

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubbletree.errors import InputError, ResourceCapError, VerificationError
-from helpers import all_lipschitz_maps, grid_space
+from helpers import (
+    all_lipschitz_maps,
+    farthest_first_reference,
+    grid_space,
+    traversal_cases,
+)
 from bubbletree.nets import (
     EXACT_NU_CAP,
     FiberMap,
@@ -16,6 +21,7 @@ from bubbletree.nets import (
     Net,
     ProjPoint,
     exact_nu,
+    farthest_first,
     fibonacci_sphere_points,
     graph_hausdorff,
     greedy_net,
@@ -24,9 +30,6 @@ from bubbletree.nets import (
     mapspace_cover,
     mapspace_distance,
     minimal_net,
-    nu_powerset_bound,
-    nu_subset_bound,
-    nu_union_bound,
     sampled_local_lipschitz,
     scaled_max_metric,
     sphere_distance,
@@ -227,6 +230,36 @@ def test_greedy_at_least_exact():
         assert greedy_net(space, gamma).size >= exact_nu(space, gamma)
 
 
+@pytest.mark.parametrize("space, start", traversal_cases())
+def test_farthest_first_matches_reference(space, start):
+    rows = []
+
+    def row(i):
+        rows.append(i)
+        return space.dist[i]
+
+    order = farthest_first_reference(space, start)
+    assert list(farthest_first(row, space.n, start)) == order
+    # one row per point that has a successor
+    assert rows == [j for j, _ in order[:-1]]
+    if start == 0:
+        for gamma in (0.3, 1.0, math.sqrt(2.0), 2.0, 10.0):
+            prefix = itertools.takewhile(lambda jd: jd[1] >= gamma, order)
+            assert greedy_net(space, gamma).indices == tuple(j for j, _ in prefix)
+
+
+def test_farthest_first_reads_rows_lazily():
+    space = grid_space([complex(x, y) for x in range(10) for y in range(10)])
+    rows = []
+
+    def row(i):
+        rows.append(i)
+        return space.dist[i]
+
+    taken = list(itertools.islice(farthest_first(row, space.n, 0), 4))
+    assert len(taken) == 4 and len(rows) == 3
+
+
 def test_exact_nu_small_cases():
     single = FiniteMetricSpace([[0.0]])
     assert exact_nu(single, 0.5) == 1
@@ -263,12 +296,6 @@ def test_minimal_net_is_valid_net():
     assert set(net.indices) <= set(range(space.n))
 
 
-def test_nu_arithmetic_bounds():
-    assert nu_union_bound([3, 4]) == 7
-    assert nu_powerset_bound(5) == 32
-    assert nu_subset_bound(9) == 9
-
-
 def test_union_bound_against_exact():
     rng = random.Random(53)
     for _ in range(6):
@@ -277,7 +304,7 @@ def test_union_bound_against_exact():
         left = space.subspace(range(cut))
         right = space.subspace(range(cut, 12))
         gamma = rng.uniform(0.5, 3.0)
-        bound = nu_union_bound([exact_nu(left, gamma), exact_nu(right, gamma)])
+        bound = sum([exact_nu(left, gamma), exact_nu(right, gamma)])
         assert exact_nu(space, gamma) <= bound
 
 
