@@ -31,8 +31,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError, VerificationError
-from .nets import FiniteMetricSpace, ProjPoint, sphere_distance
+from .nets import (
+    FiniteMetricSpace,
+    ProjPoint,
+    sphere_coords,
+    sphere_distance,
+    sphere_distances,
+)
 from .trees import (
     Marking,
     RootedTree,
@@ -570,6 +578,14 @@ class ThickThinDecomposition:
     circles: Mapping[tuple[int, int], tuple[complex, float]]
     regions: tuple[Region, ...]
 
+    def classify(self, q: FiberPoint) -> tuple[Region, ...]:
+        """All regions containing q.
+
+        Interior points land in exactly one region; points on a boundary
+        circle land in exactly the two regions meeting there.
+        """
+        return tuple(r for r in self.regions if region_contains(self.point, r, q))
+
 
 def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecomposition:
     """Thick-thin decomposition of the fiber of a compact-subset member.
@@ -660,13 +676,9 @@ def region_contains(p: ModuliPoint, region: Region, q: FiberPoint) -> bool:
 def classify(
     p: ModuliPoint, c: CompactnessParams, q: FiberPoint
 ) -> tuple[Region, ...]:
-    """All regions of the decomposition containing q.
-
-    Interior points land in exactly one region; points on a boundary circle
-    land in exactly the two regions meeting there.
-    """
-    decomp = decomposition(p, c)
-    return tuple(r for r in decomp.regions if region_contains(p, r, q))
+    """All regions of the decomposition of p containing q; see
+    ThickThinDecomposition.classify."""
+    return decomposition(p, c).classify(q)
 
 
 def region_distance(
@@ -1198,6 +1210,10 @@ def anchor_points(p: ModuliPoint) -> list[tuple[tuple[int, int], int, FiberPoint
 FILL_SKIP_LIMIT = 64
 
 
+# rows of the final collision scan compared at once against all points
+COLLISION_BLOCK = 64
+
+
 def decorate(
     p: ModuliPoint,
     c: CompactnessParams,
@@ -1210,7 +1226,12 @@ def decorate(
     points; the remainder is taken from the ring of radius 0.9 in the root
     chart at equally spaced angles, skipping candidates that fall inside a
     child disc of the root vertex or within 1e-6 of a point already chosen.
-    Fails if m is below the anchor count or the ring skips exceed the limit.
+    Distances here are chart distances: the max over vertices of the sphere
+    distance of the plain chart values.  A pair within RESIDUAL_TOL of each
+    other in the charts is measured again by embedded_distance, which also
+    reads the disc-rescaled charts and is never smaller; the points collide
+    only when that distance is within RESIDUAL_TOL too.  Fails if m is below
+    the anchor count, the ring skips exceed the limit, or two points collide.
     """
     t = p.tree
     mu = len(t.incident_pairs())
@@ -1218,15 +1239,27 @@ def decorate(
         raise InputError(f"m = {m} is below the anchor count {3 * mu}")
     for q in marked:
         _require_on_fiber(p, q)
+    anchors = anchor_points(p)
     points: list[FiberPoint] = list(marked)
-    points.extend(q for _, _, q in anchor_points(p))
+    points.extend(q for _, _, q in anchors)
 
+    # chart coordinates of the points, one row per point, filled as accepted
     extra = m - 3 * mu
+    verts = sorted(t.vertices)
+    xs = np.empty((len(points) + extra, len(verts)), dtype=complex)
+    ys = np.empty_like(xs)
+    ns = np.empty(xs.shape)
+
+    def put(i: int, q: FiberPoint) -> None:
+        xs[i], ys[i], ns[i] = sphere_coords([q.coords[v] for v in verts])
+
+    for i, q in enumerate(points):
+        put(i, q)
+
     skips = 0
     j = 0
-    accepted = 0
     v0 = t.root_vertex
-    while accepted < extra:
+    while len(points) < len(xs):
         j += 1
         if skips > FILL_SKIP_LIMIT:
             raise VerificationError(
@@ -1239,17 +1272,51 @@ def decorate(
             skips += 1
             continue
         q = _fiber_through(p, v0, ProjPoint(val, 1.0))
-        if any(_mark_distance(q, other) < 1e-6 for other in points):
+        n = len(points)
+        put(n, q)  # row n holds the candidate until one is accepted
+        near = sphere_distances(xs[:n], ys[:n], ns[:n], xs[n], ys[n], ns[n])
+        if (near.max(axis=1) < 1e-6).any():
             skips += 1
             continue
         points.append(q)
-        accepted += 1
 
-    for i in range(len(points)):
-        for k in range(i + 1, len(points)):
-            if _mark_distance(points[i], points[k]) <= RESIDUAL_TOL:
-                raise VerificationError(f"decoration points {i} and {k} collide")
+    total = len(points)
+    for i0 in range(0, total, COLLISION_BLOCK):
+        rows = slice(i0, min(i0 + COLLISION_BLOCK, total))
+        cols = slice(i0, total)
+        chart = np.zeros((rows.stop - i0, total - i0))
+        for v in range(len(verts)):
+            np.maximum(
+                chart,
+                sphere_distances(
+                    xs[rows, v, None], ys[rows, v, None], ns[rows, v, None],
+                    xs[cols, v], ys[cols, v], ns[cols, v],
+                ),
+                out=chart,
+            )
+        for a, b in np.argwhere(np.triu(chart <= RESIDUAL_TOL, 1)):
+            i, k = i0 + int(a), i0 + int(b)
+            dist = embedded_distance(p, points[i], points[k])
+            if dist <= RESIDUAL_TOL:
+                raise VerificationError(
+                    f"decoration points {i} and {k} collide: "
+                    f"{_decoration_label(p, anchors, len(marked), i)} and "
+                    f"{_decoration_label(p, anchors, len(marked), k)} are "
+                    f"{dist:.6g} apart in the product of spheres "
+                    f"(chart distance {chart[a, b]:.6g}), within RESIDUAL_TOL = "
+                    f"{RESIDUAL_TOL}"
+                )
     return points
+
+
+def _decoration_label(p: ModuliPoint, anchors, n_marked: int, i: int) -> str:
+    """Where decoration point i came from, with its circle radius if anchored."""
+    if i < n_marked:
+        return f"marked point {i}"
+    if i - n_marked >= len(anchors):
+        return f"ring point {i - n_marked - len(anchors)}"
+    (v, e), k, _ = anchors[i - n_marked]
+    return f"anchor {k} of ({v}, {e}) on a circle of radius {_circle(p, v, e)[1]:.6g}"
 
 
 # ---------------------------------------------------------------------------

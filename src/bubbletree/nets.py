@@ -88,17 +88,25 @@ def sphere_distance(p: ProjPoint, q: ProjPoint) -> float:
     return 2.0 * math.asin(min(1.0, s))
 
 
+def sphere_coords(points: Sequence[ProjPoint]):
+    """Arrays (x, y, norm) of homogeneous coordinates, one entry per point."""
+    xs = np.array([p.x for p in points], dtype=complex)
+    ys = np.array([p.y for p in points], dtype=complex)
+    return xs, ys, np.hypot(np.abs(xs), np.abs(ys))
+
+
+def sphere_distances(ax, ay, an, bx, by, bn) -> np.ndarray:
+    """sphere_distance on broadcast arrays: a and b are (x, y, norm) triples
+    as sphere_coords returns them, or any broadcastable slices of such."""
+    cross = np.abs(ax * by - ay * bx)
+    return 2.0 * np.arcsin(np.clip(cross / (an * bn), 0.0, 1.0))
+
+
 def sphere_pairwise(a: Sequence[ProjPoint], b: Sequence[ProjPoint]) -> np.ndarray:
     """Matrix of sphere distances, rows indexing a and columns indexing b."""
-    ax = np.array([p.x for p in a], dtype=complex)
-    ay = np.array([p.y for p in a], dtype=complex)
-    bx = np.array([q.x for q in b], dtype=complex)
-    by = np.array([q.y for q in b], dtype=complex)
-    an = np.hypot(np.abs(ax), np.abs(ay))
-    bn = np.hypot(np.abs(bx), np.abs(by))
-    cross = np.abs(np.outer(ax, by) - np.outer(ay, bx))
-    s = np.clip(cross / np.outer(an, bn), 0.0, 1.0)
-    return 2.0 * np.arcsin(s)
+    ax, ay, an = sphere_coords(a)
+    bx, by, bn = sphere_coords(b)
+    return sphere_distances(ax[:, None], ay[:, None], an[:, None], bx, by, bn)
 
 
 def fibonacci_sphere_points(n: int) -> list[ProjPoint]:
@@ -256,15 +264,8 @@ class Net:
 
 
 def _sphere_rows(points: list[ProjPoint]):
-    xs = np.array([p.x for p in points], dtype=complex)
-    ys = np.array([p.y for p in points], dtype=complex)
-    norms = np.hypot(np.abs(xs), np.abs(ys))
-
-    def row(i: int) -> np.ndarray:
-        cross = np.abs(xs[i] * ys - ys[i] * xs)
-        return 2.0 * np.arcsin(np.clip(cross / (norms[i] * norms), 0.0, 1.0))
-
-    return row
+    xs, ys, norms = sphere_coords(points)
+    return lambda i: sphere_distances(xs[i], ys[i], norms[i], xs, ys, norms)
 
 
 def farthest_first(row: Callable[[int], np.ndarray], n: int, start: int):

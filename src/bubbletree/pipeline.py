@@ -29,7 +29,6 @@ from .bounds import (
 from .bubbles import TreeAssociation, associate_tree, verify_association
 from .curves import (
     ModuliPoint,
-    classify,
     decomposition,
     decorate,
     fiber_from_root,
@@ -236,7 +235,7 @@ def run_pipeline(
                 math.sqrt(rng.uniform(0.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
             )
             q = fiber_from_root(point, ProjPoint.from_affine(val))
-            hits = classify(point, params, q)
+            hits = dec.classify(q)
             if not hits:
                 raise VerificationError(f"probe at {val} escaped the decomposition")
             probes.append(

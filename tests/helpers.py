@@ -6,8 +6,17 @@ import math
 import random
 
 from bubbletree.bubbles import BubbleConfiguration, renormalize
-from bubbletree.curves import CompactnessParams, ModuliPoint
-from bubbletree.nets import FiberMap, FiniteMetricSpace
+from bubbletree.curves import (
+    FILL_SKIP_LIMIT,
+    RESIDUAL_TOL,
+    CompactnessParams,
+    ModuliPoint,
+    _fiber_through,
+    _require_on_fiber,
+    anchor_points,
+)
+from bubbletree.errors import InputError, VerificationError
+from bubbletree.nets import FiberMap, FiniteMetricSpace, ProjPoint, sphere_distance
 from bubbletree.trees import RootedTree, Tree
 
 
@@ -205,19 +214,22 @@ def random_standard(rng, eps, size):
     return _standard(rng, eps, unit_cloud(rng, eps, size))
 
 
-def flat_standard(rng, eps, size):
-    """A standard configuration whose points are all centers of one level."""
-    return _standard(rng, eps, sunflower(rng.uniform(0.0, 2 * math.pi), size))
+def flat_standard(rng, eps, size, zero_radius=False):
+    """A standard configuration whose points are all centers of one level;
+    with zero_radius every bubble has radius 0."""
+    unit_pts = sunflower(rng.uniform(0.0, 2 * math.pi), size)
+    return _standard(rng, eps, unit_pts, zero_radius)
 
 
-def _standard(rng, eps, unit_pts):
-    """Scale into the eps disc, draw radii within the pairwise budget and
-    renormalize."""
+def _standard(rng, eps, unit_pts, zero_radius=False):
+    """Scale into the eps disc, draw radii within the pairwise budget (or
+    set them to 0) and renormalize."""
     pts = [eps * z for z in unit_pts]
     radius = {}
     for z in pts:
         gap = min(abs(z - q) for q in pts if q != z)
-        radius[z] = rng.uniform(0.0, 0.999) * (eps * eps / 8.0) * gap
+        scale = 0.0 if zero_radius else rng.uniform(0.0, 0.999)
+        radius[z] = scale * (eps * eps / 8.0) * gap
     out, _, _ = renormalize(BubbleConfiguration(tuple(pts), radius), eps)
     return out
 
@@ -266,6 +278,61 @@ def traversal_cases():
         (grid_space(scattered), 13),
         (grid_space([0.5j]), 0),
     ]
+
+
+# ---------------------------------------------------------------------------
+# decoration reference: the scalar loop that curves.decorate replaced
+# ---------------------------------------------------------------------------
+
+
+def _mark_distance(q1, q2):
+    return max(sphere_distance(q1.at(v), q2.at(v)) for v in q1.coords)
+
+
+def decorate_reference(p, c, marked, m):
+    """curves.decorate as a plain loop over pairs of points.
+
+    Chart distances only: a pair within RESIDUAL_TOL raises even when the
+    disc-rescaled charts tell the points apart.
+    """
+    t = p.tree
+    mu = len(t.incident_pairs())
+    if m < 3 * mu:
+        raise InputError(f"m = {m} is below the anchor count {3 * mu}")
+    for q in marked:
+        _require_on_fiber(p, q)
+    points = list(marked)
+    points.extend(q for _, _, q in anchor_points(p))
+
+    extra = m - 3 * mu
+    skips = 0
+    j = 0
+    accepted = 0
+    v0 = t.root_vertex
+    while accepted < extra:
+        j += 1
+        if skips > FILL_SKIP_LIMIT:
+            raise VerificationError(
+                f"ring fill exhausted after {FILL_SKIP_LIMIT} skipped candidates"
+            )
+        val = 0.9 * cmath.exp(2j * math.pi * j / (extra + 1))
+        if any(
+            abs(val - p.z(v0, e)) < abs(p.rho(v0, e)) for e in t.child_edges(v0)
+        ):
+            skips += 1
+            continue
+        q = _fiber_through(p, v0, ProjPoint(val, 1.0))
+        if any(_mark_distance(q, other) < 1e-6 for other in points):
+            skips += 1
+            continue
+        points.append(q)
+        accepted += 1
+
+    for i in range(len(points)):
+        for k in range(i + 1, len(points)):
+            if _mark_distance(points[i], points[k]) <= RESIDUAL_TOL:
+                raise VerificationError(f"decoration points {i} and {k} collide")
+    return points
 
 
 def all_lipschitz_maps(space_z, space_w, t, lam):

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bubbletree import curves, jsonio, pipeline
+from bubbletree.bounds import choose_lambda, membership_scales
+from bubbletree.bubbles import associate_tree
 from bubbletree.curves import (
     CompactnessParams,
     FiberPoint,
@@ -45,7 +48,14 @@ from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiniteMetricSpace, ProjPoint, sphere_distance
 from bubbletree.trees import Marking
 
-from helpers import chain_tree, default_params, random_member, star_tree
+from helpers import (
+    chain_tree,
+    decorate_reference,
+    default_params,
+    flat_standard,
+    random_member,
+    star_tree,
+)
 
 INF = ProjPoint(1.0, 0.0)
 
@@ -67,6 +77,16 @@ def chain2_point(gamma1, z11, r11, leaf_rho=0.004):
         (2, 5): (-0.04, 0.004),
     }
     return t, ModuliPoint(t, {1: gamma1}, zr)
+
+
+EPS = 0.125
+
+
+def flat_zero_config(n, seed):
+    """A flat standard configuration of n zero-radius bubbles and its
+    pipeline config."""
+    cfg = flat_standard(random.Random(seed), EPS, n, zero_radius=True)
+    return cfg, {"bubble": jsonio.bubble_to_json(cfg, EPS), "delta": 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +509,21 @@ def test_classify_covers_every_sampled_point():
             assert len(regs) <= 2
 
 
+def test_pipeline_builds_one_decomposition(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(p, c):
+        calls.append(1)
+        return decomposition(p, c)
+
+    monkeypatch.setattr(pipeline, "decomposition", counted)
+    monkeypatch.setattr(curves, "decomposition", counted)
+    _, config = flat_zero_config(5, 0)
+    report = pipeline.run_pipeline(config, tmp_path, seed=3)
+    assert report.ok
+    assert len(calls) == 1
+
+
 def test_region_distance_thick_is_plain_sphere_distance():
     t, p = chain2_point(0.1, 0.05, 0.01)
     q1 = fiber_from_root(p, ProjPoint(0.3, 1.0))
@@ -898,6 +933,100 @@ def test_decorate_skip_limit():
     ]
     with pytest.raises(VerificationError, match="skipped"):
         decorate(p, c, blockers, 3 * mu + 1)
+
+
+def chart_bits(points):
+    return [[(q.at(v).x, q.at(v).y) for v in sorted(q.coords)] for q in points]
+
+
+def test_decorate_matches_scalar_reference():
+    rng = random.Random(2024)
+    for tree in (star_tree(4), chain_tree(2), chain_tree(3, 3)):
+        c = default_params(tree)
+        mu = len(tree.incident_pairs())
+        for _ in range(4):
+            p = random_member(tree, c, rng)
+            marks = [section(p, 0), fiber_from_root(p, ProjPoint(0.3j, 1.0))]
+            for marked in ([], marks):
+                for extra in (0, 5, 40):
+                    got = decorate(p, c, marked, 3 * mu + extra)
+                    want = decorate_reference(p, c, marked, 3 * mu + extra)
+                    assert chart_bits(got) == chart_bits(want)
+
+
+def test_decorate_ring_skips_match_reference():
+    p = star_point([(0.05, 0.01), (-0.05, 0.01)])
+    c = CompactnessParams(0.125, 0.5, {1: 1e-6})
+    mu = len(p.tree.incident_pairs())
+    # with 5 extras the third candidate is -0.9: skipped once, then 0.9 fills
+    one = [fiber_from_root(p, ProjPoint(-0.9, 1.0))]
+    got = decorate(p, c, one, 3 * mu + 5)
+    assert chart_bits(got) == chart_bits(decorate_reference(p, c, one, 3 * mu + 5))
+    assert got[-1].affine(1) == pytest.approx(0.9)
+    both = one + [fiber_from_root(p, ProjPoint(0.9, 1.0))]
+    for fn in (decorate, decorate_reference):
+        with pytest.raises(VerificationError, match="after 64 skipped"):
+            fn(p, c, both, 3 * mu + 5)
+
+
+def test_decorate_duplicate_marks_raise_like_reference():
+    rng = random.Random(5)
+    tree = chain_tree(2)
+    c = default_params(tree)
+    p = random_member(tree, c, rng)
+    mu = len(tree.incident_pairs())
+    q = fiber_from_root(p, ProjPoint(0.2 + 0.1j, 1.0))
+    twin = fiber_from_root(p, ProjPoint(0.2 + 0.1j, 1.0))
+    anchor = anchor_points(p)[4][2]
+    for marked, pair in (([q, twin], "0 and 1"), ([q, anchor], "1 and 6")):
+        for fn in (decorate, decorate_reference):
+            with pytest.raises(VerificationError, match=f"points {pair} collide"):
+                fn(p, c, marked, 3 * mu + 3)
+
+
+def test_decorate_scans_without_scalar_distances(monkeypatch):
+    # the O(m^2) scans run on the coordinate block; the scalar distance is
+    # only read for pairs that already collide in the charts
+    def scalar(*args):
+        raise AssertionError("scalar sphere_distance called")
+
+    rng = random.Random(216)
+    tree = chain_tree(8)
+    c = default_params(tree)
+    p = random_member(tree, c, rng)
+    monkeypatch.setattr(curves, "sphere_distance", scalar)
+    assert len(decorate(p, c, [], 216)) == 216
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_pipeline_decorates_flat_zero_radius_configurations(tmp_path, n):
+    # anchors on circles of radius (4 eps^3)^k / (4 eps^2) < 1e-9 coincide in
+    # the plain charts; the disc-rescaled charts tell them apart
+    for seed in range(3):
+        cfg, config = flat_zero_config(n, seed)
+        p = associate_tree(cfg, EPS).point
+        mu = len(p.tree.incident_pairs())
+        with pytest.raises(VerificationError, match="collide"):
+            decorate_reference(p, default_params(p.tree), [], 3 * mu)
+        report = pipeline.run_pipeline(config, tmp_path, seed=0)
+        assert report.ok, report.stages[-1].detail
+
+
+def test_decorate_names_anchors_that_really_coincide():
+    # at n = 9 the anchor circle is below one ulp of its centre, so its three
+    # anchors are the same floating-point point
+    cfg, _ = flat_zero_config(9, 0)
+    p = associate_tree(cfg, EPS).point
+    pair = min(p.zr, key=lambda k: abs(p.rho(*k)))
+    radius = abs(p.rho(*pair))
+    assert radius < math.ulp(abs(p.z(*pair)))
+    twins = [q for where, _, q in anchor_points(p) if where == pair]
+    assert chart_bits(twins[:1]) == chart_bits(twins[1:2])
+    c = membership_scales(p.tree, EPS, choose_lambda(EPS).value).params
+    mu = len(p.tree.incident_pairs())
+    with pytest.raises(VerificationError, match=f"radius {radius:.6g}") as err:
+        decorate(p, c, [], 3 * mu)
+    assert f"of {pair}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
