@@ -37,7 +37,6 @@ from .errors import InputError, VerificationError
 from .nets import (
     FiniteMetricSpace,
     ProjPoint,
-    sphere_coords,
     sphere_distance,
     sphere_distances,
 )
@@ -321,15 +320,22 @@ def _require_on_fiber(p: ModuliPoint, q: FiberPoint) -> None:
         raise VerificationError(f"point is off the fiber: residual {res}")
 
 
+def _node_error(t: RootedTree, w: int) -> VerificationError:
+    """The coordinate at the parent of w sits at the node of w's parent edge."""
+    e = t.parent_edge[w]
+    u = t.e_minus[e]
+    return VerificationError(
+        f"coordinate at vertex {u} sits at the node of edge {e}; "
+        "the child chart value is ambiguous"
+    )
+
+
 def _child_coord(p: ModuliPoint, parent: ProjPoint, u: int, e: int) -> ProjPoint:
     """Coordinate at e+ induced by the parent coordinate through edge e."""
     num = parent.x - p.z(u, e) * parent.y
     den = p.gamma_of(e) * p.rho(u, e) * parent.y
     if num == 0 and den == 0:
-        raise VerificationError(
-            f"coordinate at vertex {u} sits at the node of edge {e}; "
-            "the child chart value is ambiguous"
-        )
+        raise _node_error(p.tree, p.tree.e_plus[e])
     return ProjPoint(num, den).normalized()
 
 
@@ -351,8 +357,7 @@ def _complete_downward(
     if t.root_vertex not in assigned:
         raise InputError("root coordinate missing")
     coords = dict(assigned)
-    order = sorted(t.vertices, key=lambda v: (t.depth[v], v))
-    for v in order:
+    for v in t.order:
         if v in coords:
             continue
         e = t.parent_edge[v]
@@ -379,6 +384,94 @@ def _fiber_through(p: ModuliPoint, v: int, coord: ProjPoint) -> FiberPoint:
     return FiberPoint(_complete_downward(p, coords))
 
 
+# _fiber_through on a batch of points.  Coordinates are complex arrays, but
+# each step works on their real and imaginary parts, repeating CPython's
+# complex arithmetic operation by operation, so every value is bit-identical
+# to the scalar one, sign of zero included; numpy's complex division and abs
+# round differently.
+
+
+def _pack(re, im) -> np.ndarray:
+    """Complex array with these parts (re + 1j * im can flip a zero's sign)."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(a, b) -> np.ndarray:
+    """CPython's complex product."""
+    return _pack(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cdiv(a, b) -> np.ndarray:
+    """CPython's complex quotient: Smith's method, by the larger part of b."""
+    by_re = np.abs(b.real) >= np.abs(b.imag)
+    big = np.where(by_re, b.real, b.imag)
+    small = np.where(by_re, b.imag, b.real)
+    ratio = small / big
+    denom = big + small * ratio
+    ar_r, ai_r = a.real * ratio, a.imag * ratio
+    re = np.where(by_re, a.real, ar_r) + np.where(by_re, ai_r, a.imag)
+    im = np.where(by_re, a.imag, ai_r) - np.where(by_re, ar_r, a.real)
+    return _pack(re / denom, im / denom)
+
+
+def _normalize(x: np.ndarray, y: np.ndarray):
+    """ProjPoint.normalized: divide by the coordinate of larger modulus
+    (abs is hypot); [0 : 0] is not allowed."""
+    y_big = np.hypot(y.real, y.imag) >= np.hypot(x.real, x.imag)
+    q = _cdiv(np.where(y_big, x, y), np.where(y_big, y, x))
+    return np.where(y_big, q, 1.0), np.where(y_big, 1.0, q)
+
+
+def _fiber_batch(p: ModuliPoint, v: int, x: np.ndarray, y: np.ndarray):
+    """_fiber_through for the N points with chart coordinates [x : y] at v.
+
+    Returns complex (N, |V|) arrays of the coordinates _fiber_through passes
+    to FiberPoint, columns in sorted vertex order, and per point the vertex
+    whose coordinate _child_coord rejects at a node (where _fiber_through
+    raises), or -1.  A rejected point's later coordinates are meaningless.
+    """
+    t = p.tree
+    coords = {v: _normalize(x, y)}
+    cur = v
+    while cur != t.root_vertex:
+        e = t.parent_edge[cur]
+        u = t.e_minus[e]
+        z, gr = p.z(u, e), p.gamma_of(e) * p.rho(u, e)
+        cx, cy = coords[cur]
+        num = _cmul(z, cy) + _cmul(gr, cx)
+        hit = (num == 0) & (cy == 0)
+        nx, ny = _normalize(num, np.where(hit, 1.0, cy))
+        coords[u] = np.where(hit, z, nx), np.where(hit, 1.0, ny)
+        cur = u
+    node = np.full(len(x), -1)
+    for w in t.order:
+        if w in coords:
+            continue
+        e = t.parent_edge[w]
+        u = t.e_minus[e]
+        px, py = coords[u]
+        num = px - _cmul(p.z(u, e), py)
+        den = _cmul(p.gamma_of(e) * p.rho(u, e), py)
+        hit = (num == 0) & (den == 0)
+        node[hit & (node < 0)] = w
+        coords[w] = _normalize(num, np.where(hit, 1.0, den))
+    verts = sorted(t.vertices)
+    xs = np.stack([coords[w][0] for w in verts], axis=1)
+    ys = np.stack([coords[w][1] for w in verts], axis=1)
+    return xs, ys, node
+
+
+def _fiber_points(t: RootedTree, xs: np.ndarray, ys: np.ndarray) -> list[FiberPoint]:
+    """FiberPoints from rows of coordinates, columns in sorted vertex order."""
+    verts = sorted(t.vertices)
+    return [
+        FiberPoint({w: ProjPoint(a, b) for w, a, b in zip(verts, xrow, yrow)})
+        for xrow, yrow in zip(xs.tolist(), ys.tolist())
+    ]
+
+
 def fiber_from_root(p: ModuliPoint, t: ProjPoint) -> FiberPoint:
     """The fiber point with root-vertex coordinate t, for smooth fibers.
 
@@ -390,7 +483,7 @@ def fiber_from_root(p: ModuliPoint, t: ProjPoint) -> FiberPoint:
         raise InputError(
             f"gamma vanishes on edges {zero}; use split_fiber for nodal fibers"
         )
-    return FiberPoint(_complete_downward(p, {p.tree.root_vertex: t.normalized()}))
+    return _fiber_through(p, p.tree.root_vertex, t)
 
 
 def section(p: ModuliPoint, e: int) -> FiberPoint:
@@ -1191,27 +1284,71 @@ def anchor_points(p: ModuliPoint) -> list[tuple[tuple[int, int], int, FiberPoint
 
     For each (v, e) the three unit-circle anchors are pulled back through
     the chart at that pair; the results sit on the boundary circles of the
-    decomposition.  Returns (pair, anchor index, point) triples.
+    decomposition.  Returns (pair, anchor index, point) triples.  The
+    anchors of one vertex v are propagated in one batch.
     """
     t = p.tree
+    pairs = t.incident_pairs()
     out = []
-    for v, e in t.incident_pairs():
-        for k, target in enumerate(UNIT_TARGETS):
-            if t.e_plus[e] == v:
-                plain = target
-            else:
-                plain = ProjPoint(
-                    target.x * p.rho(v, e) + p.z(v, e) * target.y, target.y
-                )
-            out.append(((v, e), k, _fiber_through(p, v, plain)))
+    for v in sorted(t.vertices):
+        labels, plain = [], []
+        for e in [e for w, e in pairs if w == v]:
+            for k, target in enumerate(UNIT_TARGETS):
+                if t.e_plus[e] == v:
+                    plain.append((target.x, target.y))
+                else:
+                    x = target.x * p.rho(v, e) + p.z(v, e) * target.y
+                    plain.append((x, target.y))
+                labels.append(((v, e), k))
+        xs, ys, node = _fiber_batch(p, v, *np.array(plain, dtype=complex).T)
+        hits = np.flatnonzero(node >= 0)
+        if hits.size:
+            raise _node_error(t, int(node[hits[0]]))
+        points = _fiber_points(t, xs, ys)
+        out.extend((pair, k, q) for (pair, k), q in zip(labels, points))
     return out
 
 
 FILL_SKIP_LIMIT = 64
 
+# a ring candidate this close in the charts to a chosen point is skipped
+FILL_SEPARATION = 1e-6
 
-# rows of the final collision scan compared at once against all points
+# rows of the near-pair scan compared at once against the later rows
 COLLISION_BLOCK = 64
+
+
+def _near_pairs(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, below: float):
+    """Row pairs i < k within `below` of each other in the charts.
+
+    Rows hold (x, y, norm) per vertex as nets.sphere_coords returns them;
+    the chart distance is the max over vertices of the sphere distance.
+    Returns (i, k, distance) in row-major order.  The rows are first
+    compared as unit vectors of R^3, COLLISION_BLOCK rows at a time: their
+    chord is at most the sphere distance d, so a pair with d < below has a
+    dot product above 1 - below**2 / 2 at every vertex, and the cut at
+    1 - below**2 leaves room for rounding.  Only the pairs that pass it are
+    measured by sphere_distances.
+    """
+    n, n_verts = xs.shape
+    w = xs * ys.conj()
+    units = np.stack(
+        [2.0 * w.real, 2.0 * w.imag, np.abs(xs) ** 2 - np.abs(ys) ** 2], axis=-1
+    ) / (ns * ns)[..., None]
+    by_vertex = [np.ascontiguousarray(units[:, v]) for v in range(n_verts)]
+    rows, cols = [], []
+    for i0 in range(0, n, COLLISION_BLOCK):
+        block = slice(i0, min(i0 + COLLISION_BLOCK, n))
+        close = np.ones((block.stop - i0, n - i0), dtype=bool)
+        for u in by_vertex:
+            close &= u[block] @ u[i0:].T > 1.0 - below * below
+        a, b = np.nonzero(np.triu(close, 1))
+        rows.append(a + i0)
+        cols.append(b + i0)
+    i, k = np.concatenate(rows), np.concatenate(cols)
+    dist = sphere_distances(xs[i], ys[i], ns[i], xs[k], ys[k], ns[k]).max(axis=1)
+    keep = dist < below
+    return list(zip(i[keep].tolist(), k[keep].tolist(), dist[keep].tolist()))
 
 
 def decorate(
@@ -1240,72 +1377,76 @@ def decorate(
     for q in marked:
         _require_on_fiber(p, q)
     anchors = anchor_points(p)
-    points: list[FiberPoint] = list(marked)
-    points.extend(q for _, _, q in anchors)
 
-    # chart coordinates of the points, one row per point, filled as accepted
+    # every ring candidate the fill can reach: it stops once extra points
+    # are accepted, or at the candidate after the last allowed skip
     extra = m - 3 * mu
-    verts = sorted(t.vertices)
-    xs = np.empty((len(points) + extra, len(verts)), dtype=complex)
-    ys = np.empty_like(xs)
-    ns = np.empty(xs.shape)
-
-    def put(i: int, q: FiberPoint) -> None:
-        xs[i], ys[i], ns[i] = sphere_coords([q.coords[v] for v in verts])
-
-    for i, q in enumerate(points):
-        put(i, q)
-
-    skips = 0
-    j = 0
     v0 = t.root_vertex
-    while len(points) < len(xs):
-        j += 1
-        if skips > FILL_SKIP_LIMIT:
-            raise VerificationError(
-                f"ring fill exhausted after {FILL_SKIP_LIMIT} skipped candidates"
-            )
-        val = 0.9 * cmath.exp(2j * math.pi * j / (extra + 1))
-        if any(
-            abs(val - p.z(v0, e)) < abs(p.rho(v0, e)) for e in t.child_edges(v0)
-        ):
-            skips += 1
-            continue
-        q = _fiber_through(p, v0, ProjPoint(val, 1.0))
-        n = len(points)
-        put(n, q)  # row n holds the candidate until one is accepted
-        near = sphere_distances(xs[:n], ys[:n], ns[:n], xs[n], ys[n], ns[n])
-        if (near.max(axis=1) < 1e-6).any():
-            skips += 1
-            continue
-        points.append(q)
+    vals = np.array(
+        [
+            0.9 * cmath.exp(2j * math.pi * j / (extra + 1))
+            for j in range(1, extra + FILL_SKIP_LIMIT + 2)
+        ]
+    )
+    in_disc = np.zeros(len(vals), dtype=bool)
+    for e in t.child_edges(v0):
+        gap = vals - p.z(v0, e)
+        in_disc |= np.hypot(gap.real, gap.imag) < abs(p.rho(v0, e))
+    ring_x, ring_y, node = _fiber_batch(p, v0, vals, np.ones_like(vals))
 
-    total = len(points)
-    for i0 in range(0, total, COLLISION_BLOCK):
-        rows = slice(i0, min(i0 + COLLISION_BLOCK, total))
-        cols = slice(i0, total)
-        chart = np.zeros((rows.stop - i0, total - i0))
-        for v in range(len(verts)):
-            np.maximum(
-                chart,
-                sphere_distances(
-                    xs[rows, v, None], ys[rows, v, None], ns[rows, v, None],
-                    xs[cols, v], ys[cols, v], ns[cols, v],
-                ),
-                out=chart,
+    # the chart coordinates FiberPoint stores, one row per point
+    points = [*marked, *(q for *_, q in anchors)]
+    n_fixed = len(points)
+    verts = sorted(t.vertices)
+    fixed = [[q.coords[v] for v in verts] for q in points]
+    new_x, new_y = _normalize(ring_x, ring_y)
+    xs = np.concatenate([[[a.x for a in row] for row in fixed], new_x])
+    ys = np.concatenate([[[a.y for a in row] for row in fixed], new_y])
+    pairs = _near_pairs(xs, ys, np.hypot(np.abs(xs), np.abs(ys)), FILL_SEPARATION)
+
+    near: dict[int, list[int]] = {}
+    for i, k, _ in pairs:
+        near.setdefault(k, []).append(i)
+    kept = [True] * n_fixed + [False] * len(vals)
+    ring: list[int] = []
+    disc_skips = near_skips = 0
+    for j in range(len(vals)):
+        if len(ring) == extra:
+            break
+        if disc_skips + near_skips > FILL_SKIP_LIMIT:
+            raise VerificationError(
+                f"ring fill exhausted after {FILL_SKIP_LIMIT} skipped candidates: "
+                f"{disc_skips} fell in a child disc of the root vertex and "
+                f"{near_skips} within {FILL_SEPARATION:g} of a chosen point, with "
+                f"{len(ring)} of extra = {extra} ring points placed"
             )
-        for a, b in np.argwhere(np.triu(chart <= RESIDUAL_TOL, 1)):
-            i, k = i0 + int(a), i0 + int(b)
-            dist = embedded_distance(p, points[i], points[k])
-            if dist <= RESIDUAL_TOL:
-                raise VerificationError(
-                    f"decoration points {i} and {k} collide: "
-                    f"{_decoration_label(p, anchors, len(marked), i)} and "
-                    f"{_decoration_label(p, anchors, len(marked), k)} are "
-                    f"{dist:.6g} apart in the product of spheres "
-                    f"(chart distance {chart[a, b]:.6g}), within RESIDUAL_TOL = "
-                    f"{RESIDUAL_TOL}"
-                )
+        if in_disc[j]:
+            disc_skips += 1
+            continue
+        if node[j] >= 0:
+            raise _node_error(t, int(node[j]))
+        if any(kept[i] for i in near.get(n_fixed + j, ())):
+            near_skips += 1
+            continue
+        kept[n_fixed + j] = True
+        ring.append(j)
+    points.extend(_fiber_points(t, ring_x[ring], ring_y[ring]))
+
+    # an accepted ring point is at least FILL_SEPARATION from every earlier
+    # point, so only marked points and anchors can collide
+    for i, k, chart in pairs:
+        if k >= n_fixed or chart > RESIDUAL_TOL:
+            continue
+        dist = embedded_distance(p, points[i], points[k])
+        if dist <= RESIDUAL_TOL:
+            raise VerificationError(
+                f"decoration points {i} and {k} collide: "
+                f"{_decoration_label(p, anchors, len(marked), i)} and "
+                f"{_decoration_label(p, anchors, len(marked), k)} are "
+                f"{dist:.6g} apart in the product of spheres "
+                f"(chart distance {chart:.6g}), within RESIDUAL_TOL = "
+                f"{RESIDUAL_TOL}"
+            )
     return points
 
 
@@ -1313,8 +1454,6 @@ def _decoration_label(p: ModuliPoint, anchors, n_marked: int, i: int) -> str:
     """Where decoration point i came from, with its circle radius if anchored."""
     if i < n_marked:
         return f"marked point {i}"
-    if i - n_marked >= len(anchors):
-        return f"ring point {i - n_marked - len(anchors)}"
     (v, e), k, _ = anchors[i - n_marked]
     return f"anchor {k} of ({v}, {e}) on a circle of radius {_circle(p, v, e)[1]:.6g}"
 

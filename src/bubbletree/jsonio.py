@@ -3,8 +3,9 @@
 Formats are language-neutral and diff-friendly: complex numbers are
 [re, im] pairs, mapping keys are strings ("v,e" for incident pairs), and
 serialization is deterministic (sorted keys, fixed indentation), so equal
-inputs produce byte-identical artifacts.  Parsers validate shapes and raise
-InputError on anything malformed.
+inputs produce byte-identical artifacts.  dumps is a small recursive emitter
+that reproduces the standard json module's two-space indented output byte for
+byte.  Parsers validate shapes and raise InputError on anything malformed.
 """
 
 from __future__ import annotations
@@ -29,10 +30,95 @@ from .errors import InputError
 from .nets import FiniteMetricSpace
 from .trees import Marking, RootedTree, Tree, TreeError
 
+_quote = json.encoder.encode_basestring_ascii
+
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, newline end."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, newline end.
+
+    Writes exactly the bytes of json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\n", raising ValueError on non-finite floats and
+    TypeError on other types as it does; with an indent that call runs the
+    pure-Python encoder, which is slower than this one.  Containers must not
+    contain themselves.
+    """
+    out: list[str] = []
+    _emit(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(o: float) -> str:
+    if not math.isfinite(o):
+        raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+    return float.__repr__(o)
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _emit(o: Any, out: list[str], newline: str) -> None:
+    """Append the JSON text of o; newline starts a line at o's indent.
+
+    The isinstance tests run in the order of the standard json encoder.
+    List items that are finite floats, the bulk of every artifact, and str
+    keys skip the chain; their text is the one it would give.
+    """
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for value in o:
+            if type(value) is float and -math.inf < value < math.inf:
+                out.append(sep + float.__repr__(value))
+            else:
+                out.append(sep)
+                _emit(value, out, inner)
+            sep = comma
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, value in sorted(o.items()):
+            text = key if type(key) is str else _key_text(key)
+            out.append(sep + _quote(text) + ": ")
+            sep = comma
+            _emit(value, out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -110,7 +110,8 @@ class RootedTree:
     positive.  The root vertex is the positive endpoint of the root edge.
     Consequently each vertex is the positive endpoint of exactly one edge,
     called its parent edge, and ``children[v]`` lists the edges having v as
-    negative endpoint.
+    negative endpoint.  ``order`` lists the vertices top-down: every vertex
+    comes after its parent.
     """
 
     __slots__ = (
@@ -122,6 +123,7 @@ class RootedTree:
         "e_minus",
         "e_plus",
         "depth",
+        "order",
     )
 
     def __init__(self, tree: Tree, root_edge: int):
@@ -144,9 +146,11 @@ class RootedTree:
             for v in ends:
                 incident[v].append(e)
 
+        order = []
         stack = [self.root_vertex]
         while stack:
             v = stack.pop()
+            order.append(v)
             for e in sorted(incident[v]):
                 if e == parent_edge[v]:
                     continue
@@ -167,6 +171,7 @@ class RootedTree:
         self.e_minus = e_minus
         self.e_plus = e_plus
         self.depth = depth
+        self.order = tuple(order)
 
     # -- convenience views ----------------------------------------------
 

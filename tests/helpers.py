@@ -9,11 +9,11 @@ from bubbletree.bubbles import BubbleConfiguration, renormalize
 from bubbletree.curves import (
     FILL_SKIP_LIMIT,
     RESIDUAL_TOL,
+    UNIT_TARGETS,
     CompactnessParams,
     ModuliPoint,
     _fiber_through,
     _require_on_fiber,
-    anchor_points,
 )
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiberMap, FiniteMetricSpace, ProjPoint, sphere_distance
@@ -289,6 +289,22 @@ def _mark_distance(q1, q2):
     return max(sphere_distance(q1.at(v), q2.at(v)) for v in q1.coords)
 
 
+def anchor_points_reference(p):
+    """curves.anchor_points as a loop of scalar _fiber_through calls."""
+    t = p.tree
+    out = []
+    for v, e in t.incident_pairs():
+        for k, target in enumerate(UNIT_TARGETS):
+            if t.e_plus[e] == v:
+                plain = target
+            else:
+                plain = ProjPoint(
+                    target.x * p.rho(v, e) + p.z(v, e) * target.y, target.y
+                )
+            out.append(((v, e), k, _fiber_through(p, v, plain)))
+    return out
+
+
 def decorate_reference(p, c, marked, m):
     """curves.decorate as a plain loop over pairs of points.
 
@@ -302,7 +318,7 @@ def decorate_reference(p, c, marked, m):
     for q in marked:
         _require_on_fiber(p, q)
     points = list(marked)
-    points.extend(q for _, _, q in anchor_points(p))
+    points.extend(q for _, _, q in anchor_points_reference(p))
 
     extra = m - 3 * mu
     skips = 0

@@ -3,7 +3,9 @@
 import cmath
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,11 +51,13 @@ from bubbletree.nets import FiniteMetricSpace, ProjPoint, sphere_distance
 from bubbletree.trees import Marking
 
 from helpers import (
+    anchor_points_reference,
     chain_tree,
     decorate_reference,
     default_params,
     flat_standard,
     random_member,
+    random_standard,
     star_tree,
 )
 
@@ -936,7 +940,78 @@ def test_decorate_skip_limit():
 
 
 def chart_bits(points):
-    return [[(q.at(v).x, q.at(v).y) for v in sorted(q.coords)] for q in points]
+    """IEEE bit patterns of every coordinate, so -0.0 and 0.0 differ."""
+    return [
+        [
+            (v, struct.pack("<dddd", a.x.real, a.x.imag, a.y.real, a.y.imag))
+            for v, a in sorted(q.coords.items())
+        ]
+        for q in points
+    ]
+
+
+def test_chart_bits_tell_signed_zeros_apart():
+    plus = FiberPoint({1: ProjPoint(0.0, 1.0)})
+    minus = FiberPoint({1: ProjPoint(complex(-0.0, -0.0), 1.0)})
+    assert plus.at(1).x == minus.at(1).x
+    assert math.copysign(1.0, minus.at(1).x.real) < 0
+    assert chart_bits([plus]) != chart_bits([minus])
+
+
+def fiber_batch_bits(p, v, starts):
+    """Scalar _fiber_through and curves._fiber_batch on the same starts, as
+    chart bits, with the scalar error text in place of a rejected point."""
+    want = []
+    for q in starts:
+        try:
+            want.append(chart_bits([curves._fiber_through(p, v, q)])[0])
+        except VerificationError as exc:
+            want.append(str(exc))
+    xs, ys, node = curves._fiber_batch(
+        p, v, np.array([q.x for q in starts]), np.array([q.y for q in starts])
+    )
+    got = chart_bits(curves._fiber_points(p.tree, xs, ys))
+    for i, w in enumerate(node):
+        if w >= 0:
+            got[i] = str(curves._node_error(p.tree, int(w)))
+    return got, want
+
+
+def test_fiber_batch_matches_scalar_propagation():
+    rng = random.Random(17)
+    for tree in (star_tree(3), chain_tree(2), chain_tree(3, 3), chain_tree(5)):
+        c = default_params(tree)
+        for zero in ((), tuple(tree.full_edges[:1]), tuple(tree.full_edges)):
+            p = random_member(tree, c, rng, zero_edges=zero)
+            for v in tree.vertices:
+                starts = [
+                    ProjPoint(1.0, 0.0),
+                    ProjPoint(1.0, complex(-0.0, -0.0)),
+                    ProjPoint(0.0, 1.0),
+                    ProjPoint(complex(-0.0, -0.0), 1.0),
+                    ProjPoint(complex(-0.0, 0.0), complex(1.0, -0.0)),
+                    ProjPoint(0.7 - 0.7j, 0.7 + 0.7j),
+                ]
+                # the nodes of v's child edges and random points at all scales
+                starts += [ProjPoint(p.z(v, e), 1.0) for e in tree.child_edges(v)]
+                for scale in (1e-3, 0.1, 1.0, 10.0):
+                    for _ in range(4):
+                        z = complex(rng.gauss(0, scale), rng.gauss(0, scale))
+                        y = complex(rng.gauss(0, 1), rng.choice([0.0, -0.0, 0.3]))
+                        starts.append(ProjPoint(z, y))
+                got, want = fiber_batch_bits(p, v, starts)
+                assert got == want
+
+
+def test_fiber_batch_reports_each_node_like_scalar():
+    tree = chain_tree(3)
+    p = random_member(tree, default_params(tree), random.Random(3), zero_edges=(1, 2))
+    # on degenerate edges the coordinate [z : 1] at e- sits at the node of e
+    starts = [ProjPoint(p.z(1, 1), 1.0), ProjPoint(0.02, 1.0)]
+    got, want = fiber_batch_bits(p, 1, starts)
+    assert got == want
+    assert "vertex 1 sits at the node of edge 1" in got[0]
+    assert isinstance(got[1], list)
 
 
 def test_decorate_matches_scalar_reference():
@@ -982,6 +1057,80 @@ def test_decorate_duplicate_marks_raise_like_reference():
         for fn in (decorate, decorate_reference):
             with pytest.raises(VerificationError, match=f"points {pair} collide"):
                 fn(p, c, marked, 3 * mu + 3)
+
+
+def test_anchor_points_match_scalar_reference():
+    rng = random.Random(11)
+    for tree in (star_tree(4), chain_tree(3, 3)):
+        c = default_params(tree)
+        for zero in ((), tuple(tree.full_edges)):
+            p = random_member(tree, c, rng, zero_edges=zero)
+            got, want = anchor_points(p), anchor_points_reference(p)
+            assert [label[:2] for label in got] == [label[:2] for label in want]
+            assert chart_bits([q for *_, q in got]) == chart_bits([q for *_, q in want])
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20, 24])
+def test_decorate_matches_reference_on_nested_configurations(n):
+    # the pipeline's inputs: nested standard configurations with m = 9 n
+    p = associate_tree(random_standard(random.Random(n), EPS, n), EPS).point
+    c = membership_scales(p.tree, EPS, choose_lambda(EPS).value).params
+    marks = [section(p, 0), fiber_from_root(p, ProjPoint(0.3j, 1.0))]
+    for marked in ([], marks):
+        got = decorate(p, c, marked, 9 * n)
+        assert chart_bits(got) == chart_bits(decorate_reference(p, c, marked, 9 * n))
+
+
+def test_decorate_ring_candidate_at_a_node_raises_like_reference():
+    # gamma vanishes on the edge below vertex 2, and z there is the first
+    # ring candidate's chart value at vertex 2: that candidate sits at a node
+    tree = chain_tree(3)
+    c = default_params(tree)
+    mu = len(tree.incident_pairs())
+    base = random_member(tree, c, random.Random(8))
+    val = 0.9 * cmath.exp(2j * math.pi / 6)
+    zr = dict(base.zr)
+    zr[(1, 1)] = (0.1 * cmath.exp(2j * math.pi / 6), 0.01)
+    gamma = {1: 100.0, 2: 0.0}
+    probe = ModuliPoint(tree, gamma, zr)
+    zr[(2, 2)] = (curves._fiber_through(probe, 1, ProjPoint(val, 1.0)).affine(2), 0.01)
+    p = ModuliPoint(tree, gamma, zr)
+    anchor_points(p)  # the anchors stay clear of the node
+    for fn in (decorate, decorate_reference):
+        with pytest.raises(VerificationError, match="vertex 2 sits at the node of edge 2"):
+            fn(p, c, [], 3 * mu + 5)
+
+
+def test_decorate_exhaustion_counts_each_kind_of_skip():
+    # ring candidates at angle 0 land in the disc around 0.9, those at pi on
+    # the marked point at -0.9, and every later lap on the points chosen
+    p = star_point([(0.9, 0.05), (-0.05, 0.01)])
+    c = CompactnessParams(0.125, 0.5, {1: 1e-6})
+    mu = len(p.tree.incident_pairs())
+    marked = [fiber_from_root(p, ProjPoint(-0.9, 1.0))]
+    with pytest.raises(
+        VerificationError,
+        match=(
+            "ring fill exhausted after 64 skipped candidates: 11 fell in a child "
+            "disc of the root vertex and 54 within 1e-06 of a chosen point, with "
+            "4 of extra = 5 ring points placed"
+        ),
+    ):
+        decorate(p, c, marked, 3 * mu + 5)
+    with pytest.raises(VerificationError, match="ring fill exhausted after 64"):
+        decorate_reference(p, c, marked, 3 * mu + 5)
+
+
+def test_decorate_never_propagates_point_by_point(monkeypatch):
+    # anchors and ring candidates go through the batched propagation only
+    def scalar(*args):
+        raise AssertionError("scalar _fiber_through called")
+
+    tree = chain_tree(8)
+    c = default_params(tree)
+    p = random_member(tree, c, random.Random(216))
+    monkeypatch.setattr(curves, "_fiber_through", scalar)
+    assert len(decorate(p, c, [], 216)) == 216
 
 
 def test_decorate_scans_without_scalar_distances(monkeypatch):

@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubbletree.bounds import DEFAULT_CONSTANTS, GeometryConstants
 from bubbletree.bubbles import (
@@ -73,6 +75,66 @@ def test_dumps_rejects_non_finite():
         dumps({"x": math.nan})
     with pytest.raises(ValueError):
         dumps({"x": math.inf})
+
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    finite,
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1e16, 0.1]),
+    finite.map(np.float64),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u4e2d\U0001f600", "a\"b\\c"]),
+)
+number_keys = st.one_of(st.integers(), finite, st.booleans())
+json_values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(number_keys, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_dumps_matches_stdlib_indented_output(obj):
+    assert dumps(obj) == stdlib_dumps(obj)
+
+
+def test_dumps_matches_stdlib_on_edge_cases():
+    for obj in ([], {}, (), [[], {}, ()], {"": [()]}, -0.0, "\u2028", {1.5: 0, 1: 1, True: 2}):
+        assert dumps(obj) == stdlib_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        (math.nan, ValueError),
+        ([1.0, -math.inf], ValueError),
+        ({"x": np.float64("inf")}, ValueError),
+        ({math.nan: 1}, ValueError),
+        (np.int64(3), TypeError),
+        ({"x": [object()]}, TypeError),
+        ({(1, 2): 0}, TypeError),
+        ({1: 0, "a": 1}, TypeError),
+    ],
+)
+def test_dumps_raises_like_stdlib(obj, error):
+    with pytest.raises(error) as ours:
+        dumps(obj)
+    with pytest.raises(error) as theirs:
+        stdlib_dumps(obj)
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_complex_round_trip():

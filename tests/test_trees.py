@@ -186,6 +186,26 @@ def test_orientation_on_random_tree():
         assert len(pos) == 1 and pos[0] == t.parent_edge[v]
 
 
+def test_order_lists_every_vertex_after_its_parent():
+    samples = [one_vertex_tree(2), chain_tree()] + enumerate_stable_rooted(6)
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randrange(2, 12)
+        boundary = {0: (0,)}
+        for v in range(1, n):
+            boundary[v] = (rng.randrange(v), v)
+        for j in range(n, n + 2 * n + 1):
+            boundary[j] = (rng.randrange(n),)
+        samples.append(RootedTree(Tree(list(range(n)), boundary), 0))
+    for t in samples:
+        assert sorted(t.order) == sorted(t.vertices)
+        assert t.order[0] == t.root_vertex
+        seen = {t.root_vertex}
+        for v in t.order[1:]:
+            assert t.e_minus[t.parent_edge[v]] in seen
+            seen.add(v)
+
+
 # ---------------------------------------------------------------------------
 # ancestors and paths
 # ---------------------------------------------------------------------------
