@@ -3,10 +3,14 @@
 Everything here is closed-form arithmetic: the admissible energy scale lambda,
 the per-tree membership and Lipschitz scales, the decoration budget, and the
 covering counts for a single tree's map space and for the full moduli space.
-Counts grow doubly exponentially, so they are carried as natural logarithms
-with an exact big-integer mirror whenever the value is an integer of at most
-a million digits.  The geometric constants of the target manifold are user
-configuration with a neutral default profile; they are not computable here.
+Counts grow as towers, so each is one LogNumber with two levels: at level 1
+the natural log of the count, with an exact big-integer mirror whenever the
+value is an integer of at most a million digits; at level 2, once that log
+itself overflows a double (every decoration budget the pipeline meets), the
+log of the log.  Each count formula is written once and returns whichever
+level its value needs.  The geometric constants of the target manifold are
+user configuration with a neutral default profile; they are not computable
+here.
 """
 
 from __future__ import annotations
@@ -69,19 +73,25 @@ DEFAULT_CONSTANTS = GeometryConstants()
 
 @dataclass(frozen=True)
 class LogNumber:
-    """Positive count stored by natural log, with an optional exact mirror.
+    """Positive count N in two-level level-index form (Clenshaw & Olver 1984).
 
-    exact, when present, is the integer value itself (kept only up to
-    DIGIT_CAP digits); the log and the mirror are checked for consistency and
-    comparisons prefer the exact form.
+    At level 1, value is ln N, and exact, when present, is N itself (kept only
+    up to DIGIT_CAP digits); the log and the mirror are checked for
+    consistency and comparisons prefer the exact form.  At level 2, value is
+    ln ln N: the count's log itself is past double range, so ln and log10
+    raise and only loglog10 is defined.  A count goes to level 2 only once its
+    log overflows, so ordering compares the level first.
     """
 
-    ln: float
+    value: float
     exact: int | None = None
+    level: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.ln):
-            raise InputError(f"log value must be finite, got {self.ln}")
+        if not math.isfinite(self.value):
+            raise InputError(f"log value must be finite, got {self.value}")
+        if self.level not in (1, 2):
+            raise InputError(f"level must be 1 or 2, got {self.level}")
         if self.exact is not None:
             if self.exact < 1:
                 raise InputError("exact mirror must be a positive integer")
@@ -99,13 +109,32 @@ class LogNumber:
         return cls(math.log(n), keep)
 
     @property
+    def ln(self) -> float:
+        if self.level == 2:
+            raise InputError(
+                f"count exceeds log space: its log is e^{self.value:.6g}"
+            )
+        return self.value
+
+    @property
     def log10(self) -> float:
         return self.ln / math.log(10.0)
 
+    @property
+    def loglog10(self) -> float:
+        """log10 log10 N, defined for every count above 1."""
+        if self.level == 2:
+            return (self.value - math.log(math.log(10.0))) / math.log(10.0)
+        if self.value <= 0.0:
+            raise InputError("the count is at most 1, so its iterated log is undefined")
+        return math.log10(self.log10)
+
     def __lt__(self, other: "LogNumber") -> bool:
+        if self.level != other.level:
+            return self.level < other.level
         if self.exact is not None and other.exact is not None:
             return self.exact < other.exact
-        return self.ln < other.ln
+        return self.value < other.value
 
     def __le__(self, other: "LogNumber") -> bool:
         return not other < self
@@ -222,6 +251,20 @@ def _target_factor_log(delta: float, g: GeometryConstants, nu_k: int) -> float:
     return _log1p_exp(ln_x)
 
 
+def _tower(ln_base: float, ln_expo: float, factor_ln: float) -> LogNumber:
+    """The count whose log is ln_base + e^ln_expo * factor_ln.
+
+    Level 1 while that log fits a double; past it the count is stored at
+    level 2 by ln_expo + ln factor_ln, next to which ln_base is below
+    rounding.
+    """
+    if ln_expo <= _EXP_MAX:
+        ln_total = ln_base + math.exp(ln_expo) * factor_ln
+        if math.isfinite(ln_total):
+            return LogNumber(ln_total)
+    return LogNumber(ln_expo + math.log(factor_ln), level=2)
+
+
 def total_cover_count(
     delta: float,
     g: GeometryConstants,
@@ -234,7 +277,8 @@ def total_cover_count(
 
     (1 + sigma delta^(-2k) nu_K) raised to (8 pi Lambda^2 delta^-2) ^
     binom(m + ell, 3), with lip the Lipschitz multiplier Lambda, evaluated
-    in log space.  Raises when the exponent tower leaves double range.
+    in log space; past log range (any decoration budget above a handful of
+    points) the count is returned at level 2.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
@@ -243,27 +287,17 @@ def total_cover_count(
         raise InputError("nu_K, m and ell must be nonnegative")
     if g.sigma == 0.0 or nu_k == 0:
         return LogNumber(0.0, 1)
-    layers = math.comb(m + ell, 3)
-    ln_expo = layers * (
+    ln_expo = math.comb(m + ell, 3) * (
         math.log(8.0 * math.pi) + 2.0 * lip.ln - 2.0 * math.log(delta)
     )
-    factor_ln = _target_factor_log(delta, g, nu_k)
-    if ln_expo > _EXP_MAX:
-        raise InputError(
-            f"count exceeds log space: the exponent alone is e^{ln_expo:.6g}"
-        )
-    expo = math.exp(ln_expo)
-    ln_total = expo * factor_ln
-    if not math.isfinite(ln_total):
-        raise InputError(
-            f"count exceeds log space: log of the count is {expo:.6g} * "
-            f"{factor_ln:.6g}"
-        )
+    total = _tower(0.0, ln_expo, _target_factor_log(delta, g, nu_k))
+    if total.level == 2:
+        return total
     try:
         base = 1.0 + g.sigma * delta ** (-2.0 * g.dim_half) * nu_k
     except OverflowError:
-        return LogNumber(ln_total)
-    return LogNumber(ln_total, _mirror_power(base, expo))
+        return total
+    return LogNumber(total.value, _mirror_power(base, math.exp(ln_expo)))
 
 
 def total_cover_loglog(
@@ -274,28 +308,8 @@ def total_cover_loglog(
     m: int,
     ell: int,
 ) -> float:
-    """Base-10 log of log10 of the count from total_cover_count.
-
-    Stays finite far past the point where the count itself leaves log
-    space, which happens for any decoration budget above a handful of
-    points.  Requires a count above 1 so the iterated log is defined.
-    """
-    delta = float(delta)
-    if not 0.0 < delta <= 1.0:
-        raise InputError(f"delta must lie in (0, 1], got {delta}")
-    if nu_k < 0 or m < 0 or ell < 0:
-        raise InputError("nu_K, m and ell must be nonnegative")
-    if g.sigma == 0.0 or nu_k == 0:
-        raise InputError("the count is 1, so its iterated log is undefined")
-    layers = math.comb(m + ell, 3)
-    ln_expo = layers * (
-        math.log(8.0 * math.pi) + 2.0 * lip.ln - 2.0 * math.log(delta)
-    )
-    factor_ln = _target_factor_log(delta, g, nu_k)
-    if factor_ln <= 0.0:
-        raise InputError("the target factor underflowed to 1")
-    ln_ln = ln_expo + math.log(factor_ln)
-    return (ln_ln - math.log(math.log(10.0))) / math.log(10.0)
+    """log10 log10 of total_cover_count; kept for the benchmark's bounds sweep."""
+    return total_cover_count(delta, g, nu_k, lip, m, ell).loglog10
 
 
 @dataclass(frozen=True)
@@ -323,7 +337,7 @@ def curve_cover_count(
     nu_K) ^ ((8 pi)^mu (Lambda / delta)^(2 mu) (mu + 1)).
 
     mu is the total vertex degree of the tree and Lambda the largest region
-    Lipschitz budget.
+    Lipschitz budget.  Past log range the total is returned at level 2.
     """
     delta = float(delta)
     mu = int(mu)
@@ -341,23 +355,11 @@ def curve_cover_count(
         math.log(lam_sup) - math.log(delta)
     )
     if g.sigma == 0.0 or nu_k == 0:
-        cells = 4.0 / (delta * delta)
-        return CurveCoverCount(
-            LogNumber(ln_cells, _mirror_power(cells, mu - 1)),
-            ln_cells,
-            ln_patch,
-            mu + 1,
-        )
-    factor_ln = _target_factor_log(delta, g, nu_k)
-    ln_expo = ln_patch + math.log(mu + 1)
-    if ln_expo > _EXP_MAX:
-        raise InputError(
-            f"count exceeds log space: the exponent alone is e^{ln_expo:.6g}"
-        )
-    ln_total = ln_cells + math.exp(ln_expo) * factor_ln
-    if not math.isfinite(ln_total):
-        raise InputError("count exceeds log space")
-    return CurveCoverCount(LogNumber(ln_total), ln_cells, ln_patch, mu + 1)
+        total = LogNumber(ln_cells, _mirror_power(4.0 / (delta * delta), mu - 1))
+    else:
+        ln_expo = ln_patch + math.log(mu + 1)
+        total = _tower(ln_cells, ln_expo, _target_factor_log(delta, g, nu_k))
+    return CurveCoverCount(total, ln_cells, ln_patch, mu + 1)
 
 
 def curve_cover_loglog(
@@ -367,39 +369,8 @@ def curve_cover_loglog(
     g: GeometryConstants = DEFAULT_CONSTANTS,
     nu_k: int = 1,
 ) -> float:
-    """Base-10 log of log10 of the count from curve_cover_count.
-
-    Once the tower factor has left log space the cell factor is negligible
-    next to it, so the iterated log reduces to the tower exponent plus the
-    log of the per-layer factor.
-    """
-    delta = float(delta)
-    mu = int(mu)
-    lam_sup = float(lam_sup)
-    if not 0.0 < delta <= 1.0:
-        raise InputError(f"delta must lie in (0, 1], got {delta}")
-    if mu < 3:
-        raise InputError(f"mu must be at least 3, got {mu}")
-    if lam_sup <= 0.0:
-        raise InputError("the Lipschitz bound must be positive")
-    if nu_k < 0:
-        raise InputError("nu_K must be nonnegative")
-    ln_cells = (mu - 1) * math.log(4.0 / (delta * delta))
-    if g.sigma == 0.0 or nu_k == 0:
-        ln_ln = math.log(ln_cells)
-    else:
-        factor_ln = _target_factor_log(delta, g, nu_k)
-        if factor_ln <= 0.0:
-            raise InputError("the target factor underflowed to 1")
-        ln_patch = mu * math.log(8.0 * math.pi) + 2.0 * mu * (
-            math.log(lam_sup) - math.log(delta)
-        )
-        ln_expo = ln_patch + math.log(mu + 1)
-        if ln_expo <= _EXP_MAX:
-            ln_ln = math.log(ln_cells + math.exp(ln_expo) * factor_ln)
-        else:
-            ln_ln = ln_expo + math.log(factor_ln)
-    return (ln_ln - math.log(math.log(10.0))) / math.log(10.0)
+    """log10 log10 of curve_cover_count; kept for the benchmark's bounds sweep."""
+    return curve_cover_count(delta, mu, lam_sup, g, nu_k).total.loglog10
 
 
 def sphere_net_bound(gamma: float) -> tuple[float, float]:

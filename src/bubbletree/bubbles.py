@@ -482,11 +482,10 @@ def associate_tree(cfg: BubbleConfiguration, eps: float) -> TreeAssociation:
     and attach through a full edge whose gluing coordinate is the cluster's
     gamma.  Disc centers and radii are the cluster centers and their enlarged
     radii.  Vertices and edges are numbered in depth-first order with root
-    edge 0 and root vertex 1.
+    edge 0 and root vertex 1.  The root's reduction rejects a configuration
+    that is not standard.
     """
     eps = _check_eps(eps)
-    if not is_standard(cfg, eps):
-        raise InputError("tree association requires a standard configuration")
 
     boundary: dict[int, tuple[int, ...]] = {}
     gamma: dict[int, complex] = {}

@@ -306,21 +306,12 @@ def cmd_bounds(args) -> int:
         total = total_cover_count(
             args.delta, g, args.nu_k, LogNumber(log_lip), m, args.ell
         )
-        _emit(args, {"m": m, "logLambda": log_lip, "log10N": total.log10})
+        _emit(args, jsonio.total_cover_to_json(m, log_lip, total))
         return 0
     if args.mu is None:
         raise InputError("bounds curve requires --mu")
     out = curve_cover_count(args.delta, args.mu, args.lip, g, args.nu_k)
-    _emit(
-        args,
-        {
-            "mu": args.mu,
-            "regions": out.regions,
-            "log10_total": out.total.log10,
-            "log_cells": out.log_cells,
-            "log_patch_net": out.log_patch_net,
-        },
-    )
+    _emit(args, jsonio.curve_cover_to_json(args.mu, out))
     return 0
 
 

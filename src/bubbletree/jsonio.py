@@ -17,7 +17,12 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Any, Mapping
 
-from .bounds import DEFAULT_CONSTANTS, GeometryConstants
+from .bounds import (
+    DEFAULT_CONSTANTS,
+    CurveCoverCount,
+    GeometryConstants,
+    LogNumber,
+)
 from .bubbles import BubbleConfiguration, TreeAssociation
 from .curves import (
     CompactnessParams,
@@ -397,6 +402,28 @@ def decomposition_to_json(dec: ThickThinDecomposition) -> dict:
             {"kind": r.kind, "vertex": r.vertex, "edge": r.edge}
             for r in dec.regions
         ],
+    }
+
+
+def _log10_pair(n: LogNumber) -> tuple[float | None, float | None]:
+    """(log10 N, None) while log10 N fits a double, else (None, log10 log10 N)."""
+    return (n.log10, None) if n.level == 1 else (None, n.loglog10)
+
+
+def total_cover_to_json(m: int, log_lip: float, total: LogNumber) -> dict:
+    log10n, loglog = _log10_pair(total)
+    return {"m": m, "logLambda": log_lip, "log10N": log10n, "log10_log10N": loglog}
+
+
+def curve_cover_to_json(mu: int, curve: CurveCoverCount) -> dict:
+    log10_total, loglog = _log10_pair(curve.total)
+    return {
+        "mu": mu,
+        "regions": curve.regions,
+        "log10_total": log10_total,
+        "log10_log10_total": loglog,
+        "log_cells": curve.log_cells,
+        "log_patch_net": curve.log_patch_net,
     }
 
 

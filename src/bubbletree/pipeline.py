@@ -20,11 +20,9 @@ from .bounds import (
     LogNumber,
     choose_lambda,
     curve_cover_count,
-    curve_cover_loglog,
     decoration_budget,
     membership_scales,
     total_cover_count,
-    total_cover_loglog,
 )
 from .bubbles import TreeAssociation, associate_tree, verify_association
 from .curves import (
@@ -280,54 +278,19 @@ def run_pipeline(
 
     def stage_bounds() -> tuple[str, tuple[str, ...]]:
         # Decorating a stable tree needs m >= 9 points, which already pushes
-        # the family count past log range, so fall back to the iterated log.
-        tree = state["assoc"].point.tree
+        # the family count past log range: such a count comes back at level 2
+        # and is reported by its iterated log, log10_log10N.
         lip = LogNumber(state["log_lip"])
-        try:
-            total = total_cover_count(delta, g, nu_k, lip, state["m"], ell)
-            log10n: float | None = total.log10
-            loglog = None
-            detail = f"log10 N = {total.log10:.6g}"
-        except InputError:
-            log10n = None
-            loglog = total_cover_loglog(delta, g, nu_k, lip, state["m"], ell)
-            detail = f"log10 log10 N = {loglog:.6g}"
-        mu = len(tree.incident_pairs())
-        lam_sup = state["scales"].lambda_sup
-        try:
-            curve = curve_cover_count(delta, mu, lam_sup, g, nu_k)
-            curve_block = {
-                "mu": mu,
-                "regions": curve.regions,
-                "log10_total": curve.total.log10,
-                "log10_log10_total": None,
-                "log_cells": curve.log_cells,
-                "log_patch_net": curve.log_patch_net,
-            }
-        except InputError:
-            curve_block = {
-                "mu": mu,
-                "regions": mu + 1,
-                "log10_total": None,
-                "log10_log10_total": curve_cover_loglog(
-                    delta, mu, lam_sup, g, nu_k
-                ),
-                "log_cells": (mu - 1) * math.log(4.0 / (delta * delta)),
-                "log_patch_net": mu * math.log(8.0 * math.pi)
-                + 2.0 * mu * (math.log(lam_sup) - math.log(delta)),
-            }
+        total = total_cover_count(delta, g, nu_k, lip, state["m"], ell)
+        payload = jsonio.total_cover_to_json(state["m"], state["log_lip"], total)
+        mu = len(state["assoc"].point.tree.incident_pairs())
+        curve = curve_cover_count(delta, mu, state["scales"].lambda_sup, g, nu_k)
+        payload["curve"] = jsonio.curve_cover_to_json(mu, curve)
         name = "07-bounds.json"
-        jsonio.write_json(
-            out / name,
-            {
-                "m": state["m"],
-                "logLambda": state["log_lip"],
-                "log10N": log10n,
-                "log10_log10N": loglog,
-                "curve": curve_block,
-            },
-        )
-        return detail, (name,)
+        jsonio.write_json(out / name, payload)
+        if total.level == 1:
+            return f"log10 N = {total.log10:.6g}", (name,)
+        return f"log10 log10 N = {total.loglog10:.6g}", (name,)
 
     bodies: tuple[Callable[[], tuple[str, tuple[str, ...]]], ...] = (
         stage_associate,

@@ -2,6 +2,7 @@
 monotonicity, and cross-module consistency checks."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -24,10 +25,12 @@ from bubbletree.bounds import (
     total_cover_loglog,
 )
 from bubbletree.errors import InputError, VerificationError
+from bubbletree.jsonio import dumps
 from bubbletree.nets import FiberMap, FiniteMetricSpace, mapspace_cover, sphere_net
 from helpers import chain_tree, star_tree
 
 mpmath.mp.dps = 60
+LN_MAX = math.log(sys.float_info.max)
 
 
 class TestGeometryConstants:
@@ -98,6 +101,43 @@ class TestLogNumber:
         bare = LogNumber(lb.ln)
         if abs(la.ln - lb.ln) > 1e-12 * max(1.0, abs(lb.ln)):
             assert (la < bare) == (a < b)
+
+    @given(
+        st.floats(-1e308, 1.7e308),
+        st.floats(LN_MAX, 1e300),
+        st.floats(LN_MAX, 1e300),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_level_two_orders_above_level_one(self, ln, lnln, lnln2):
+        low, high = LogNumber(ln), LogNumber(lnln, level=2)
+        assert low < high and low <= high
+        assert not high < low and not high <= low
+        assert LogNumber.from_int(10**400) < high
+        other = LogNumber(lnln2, level=2)
+        assert (high < other) == (lnln < lnln2)
+
+    def test_level_two_has_no_log(self):
+        n = LogNumber(800.0, level=2)
+        with pytest.raises(InputError, match="log space"):
+            n.ln
+        with pytest.raises(InputError, match="log space"):
+            n.log10
+        with pytest.raises(InputError):
+            LogNumber(800.0, level=3)
+
+    @given(st.floats(1e-6, 1.7e308))
+    @settings(max_examples=80, deadline=None)
+    def test_loglog10_agrees_across_levels(self, ln):
+        n = LogNumber(ln)
+        assert n.loglog10 == pytest.approx(math.log10(n.log10), rel=1e-12)
+        # the same count written one level up
+        if ln > 10.0:
+            up = LogNumber(math.log(ln), level=2)
+            assert up.loglog10 == pytest.approx(n.loglog10, rel=1e-12)
+
+    def test_loglog10_needs_a_count_above_one(self):
+        with pytest.raises(InputError):
+            LogNumber(0.0, 1).loglog10
 
 
 class TestChooseLambda:
@@ -278,8 +318,10 @@ class TestTotalCoverCount:
 
     def test_overflow_diagnostic(self):
         g = GeometryConstants(dim_half=1)
+        n = total_cover_count(1.0, g, 1, LogNumber.from_int(10), m=100, ell=0)
+        assert n.level == 2
         with pytest.raises(InputError, match="log space"):
-            total_cover_count(1.0, g, 1, LogNumber.from_int(10), m=100, ell=0)
+            n.ln
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InputError):
@@ -299,8 +341,9 @@ class TestTotalCoverLogLog:
 
     def test_big_float_oracle_past_overflow(self):
         lip = LogNumber(18.0)
+        total = total_cover_count(0.5, DEFAULT_CONSTANTS, 1, lip, 18, 0)
         with pytest.raises(InputError):
-            total_cover_count(0.5, DEFAULT_CONSTANTS, 1, lip, 18, 0)
+            total.log10
         loglog = total_cover_loglog(0.5, DEFAULT_CONSTANTS, 1, lip, 18, 0)
         ln_expo = mpmath.binomial(18, 3) * (
             mpmath.log(8 * mpmath.pi) + 36 + 2 * mpmath.log(2)
@@ -323,8 +366,9 @@ class TestCurveCoverLogLog:
 
     def test_big_float_oracle_past_overflow(self):
         lam = 4e9
+        total = curve_cover_count(0.5, 20, lam).total
         with pytest.raises(InputError):
-            curve_cover_count(0.5, 20, lam)
+            total.log10
         loglog = curve_cover_loglog(0.5, 20, lam)
         ln_cells = 19 * mpmath.log(16)
         ln_patch = 20 * mpmath.log(8 * mpmath.pi) + 40 * (
@@ -393,6 +437,54 @@ class TestCurveCoverCount:
             curve_cover_count(0.5, 3, 0.0)
         with pytest.raises(InputError):
             curve_cover_count(0.5, 3, 1.0, DEFAULT_CONSTANTS, -1)
+
+
+class TestTwoLevelCounts:
+    def test_curve_tower_just_past_double_range(self):
+        # the tower exponent lies in (log(DBL_MAX / factor_ln), 709]: the
+        # exponential fits a double but its product with the factor does not
+        lam = math.exp(115.597)
+        out = curve_cover_count(0.5, 3, lam)
+        assert out.total.level == 2
+        d, big = mpmath.mpf(0.5), mpmath.mpf(lam)
+        ln_cells = 2 * mpmath.log(4 / d**2)
+        ln_tower = mpmath.power(8 * mpmath.pi, 3) * (big / d) ** 6 * 4 * mpmath.log(17)
+        expected = mpmath.log10(mpmath.log10(mpmath.e) * (ln_cells + ln_tower))
+        assert out.total.loglog10 == pytest.approx(float(expected), rel=1e-12)
+        assert curve_cover_loglog(0.5, 3, lam) == out.total.loglog10
+        dumps({"log10_log10_total": curve_cover_loglog(0.5, 3, lam)})
+
+    @given(
+        st.floats(1e-3, 1.0),
+        st.integers(0, 10**6),
+        st.integers(0, 20),
+        st.integers(1, 10**6),
+        st.floats(0.0, 1e6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_total_defined_and_monotone_in_m(self, delta, m, ell, nu_k, lip_ln):
+        lip = LogNumber(lip_ln)
+        here = total_cover_count(delta, DEFAULT_CONSTANTS, nu_k, lip, m, ell)
+        more = total_cover_count(delta, DEFAULT_CONSTANTS, nu_k, lip, m + 1, ell)
+        assert math.isfinite(here.loglog10)
+        assert here <= more
+        assert here.loglog10 <= more.loglog10 + 1e-12 * abs(more.loglog10)
+
+    @given(
+        st.floats(1e-3, 1.0),
+        st.integers(3, 10**5),
+        st.floats(1.0, 1e12),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_curve_defined_and_monotone_in_mu(self, delta, mu, lam_sup, nu_k):
+        # Lambda >= 1 and delta <= 1 make the per-region factor at least
+        # 8 pi, so both the cell and the tower factor grow with mu
+        here = curve_cover_count(delta, mu, lam_sup, DEFAULT_CONSTANTS, nu_k).total
+        more = curve_cover_count(delta, mu + 1, lam_sup, DEFAULT_CONSTANTS, nu_k).total
+        assert math.isfinite(here.loglog10)
+        assert here <= more
+        assert here.loglog10 <= more.loglog10 + 1e-12 * abs(more.loglog10)
 
 
 class TestSphereNetBound:

@@ -4,13 +4,16 @@ import contextlib
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from bubbletree.bounds import choose_lambda
 from bubbletree.cli import main
 from bubbletree.jsonio import dumps
 
@@ -311,7 +314,8 @@ def test_bounds_n_output():
         ]
     )
     assert code == 0
-    assert set(data) == {"m", "logLambda", "log10N"}
+    assert set(data) == {"m", "logLambda", "log10N", "log10_log10N"}
+    assert data["log10_log10N"] is None
     assert data["m"] == 7
     assert data["logLambda"] == pytest.approx(9.0 * 0.78)
     expo = math.exp(
@@ -322,12 +326,34 @@ def test_bounds_n_output():
     assert data["log10N"] == pytest.approx(expected, rel=1e-9)
 
 
-def test_bounds_n_overflow_exit_3():
-    code, out, err = invoke(
+def test_bounds_n_past_log_range_matches_pipeline(tmp_path, no_env_seed):
+    # default eps: the derived lambda is tiny and the count leaves log space
+    code, data = invoke_json(
         ["bounds", "N", "--ell", "0", "--A", "1.0", "--delta", "0.5"]
     )
-    assert code == 3
-    assert "log space" in json.loads(err)["error"]
+    assert code == 0
+    assert data["m"] == 3900060
+    assert data["log10N"] is None
+    assert math.isfinite(data["log10_log10N"])
+    # at area 1.0 the pipeline would decorate 3.9 million points, so compare
+    # at its default area, lambda^2 per bubble point
+    lam = choose_lambda(0.125).value
+    area = lam * lam * len(BASE_BUBBLE["points"])
+    cfg = write(
+        tmp_path, "pipe.json", {"bubble": BASE_BUBBLE, "area": area, "delta": 0.5}
+    )
+    code, _ = invoke_json(
+        ["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]
+    )
+    assert code == 0
+    bounds_doc = json.loads((tmp_path / "run" / "07-bounds.json").read_text())
+    code, data = invoke_json(
+        ["bounds", "N", "--ell", "0", "--A", repr(area), "--delta", "0.5"]
+    )
+    assert code == 0
+    assert bounds_doc["log10N"] is None
+    for key in ("m", "logLambda", "log10N", "log10_log10N"):
+        assert data[key] == bounds_doc[key]
 
 
 def test_bounds_n_sigma_zero(tmp_path):
@@ -349,6 +375,7 @@ def test_bounds_curve():
     )
     assert code == 0
     assert data["regions"] == 4
+    assert data["log10_log10_total"] is None
     expected = (
         2.0 * math.log(4.0)
         + math.exp(3.0 * math.log(8.0 * math.pi) + math.log(4.0)) * math.log(2.0)
@@ -357,6 +384,35 @@ def test_bounds_curve():
     code, _, err = invoke(["bounds", "curve"])
     assert code == 3
     assert "--mu" in json.loads(err)["error"]
+
+
+def test_bounds_curve_past_log_range():
+    code, data = invoke_json(
+        ["bounds", "curve", "--mu", "20", "--delta", "0.5", "--Lambda", "4e9"]
+    )
+    assert code == 0
+    assert data["log10_total"] is None
+    # ln ln N = ln of the tower exponent + ln ln 17; the cell factor is lost
+    ln_ln = data["log_patch_net"] + math.log(21.0) + math.log(math.log(17.0))
+    expected = (ln_ln - math.log(math.log(10.0))) / math.log(10.0)
+    assert data["log10_log10_total"] == pytest.approx(expected, rel=1e-12)
+    assert data["log_cells"] == pytest.approx(19.0 * math.log(16.0), rel=1e-12)
+
+
+def test_readme_bounds_examples(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [
+        line
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("bubbletree bounds ")
+    ]
+    assert len(lines) == 4
+    monkeypatch.chdir(tmp_path)  # the first example writes default.json
+    for line in lines:
+        code, data = invoke_json(shlex.split(line, comments=True)[1:])
+        assert code == 0, line
+        if line.startswith("bubbletree bounds N "):
+            assert data["m"] == 7
 
 
 def test_usage_error_exit_3():
