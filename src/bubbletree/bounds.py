@@ -8,7 +8,8 @@ the natural log of the count, with an exact big-integer mirror whenever the
 value is an integer of at most a million digits; at level 2, once that log
 itself overflows a double (every decoration budget the pipeline meets), the
 log of the log.  Each count formula is written once and returns whichever
-level its value needs.  The geometric constants of the target manifold are
+level its value needs; a count whose log log overflows too raises
+InputError.  The geometric constants of the target manifold are
 user configuration with a neutral default profile; they are not computable
 here.
 """
@@ -230,7 +231,9 @@ def decoration_budget(
     """Decoration count m and the natural log of the Lipschitz multiplier.
 
     Both come from the quantity c (ell + area / lambda^2); m is its floor and
-    the log is the quantity itself, so m <= log Lambda always.
+    the log is the quantity itself, so m <= log Lambda always.  A quantity
+    past double range (lambda^2 tiny against the area, or underflowing to 0)
+    raises InputError.
     """
     ell = int(ell)
     area = float(area)
@@ -241,7 +244,16 @@ def decoration_budget(
         raise InputError("lambda must be positive")
     if c_abs < 9.0:
         raise InputError("c_abs must be at least 9")
-    budget = c_abs * (ell + area / (lam * lam))
+    lam_sq = lam * lam
+    try:
+        budget = c_abs * (ell + area / lam_sq)
+    except (OverflowError, ZeroDivisionError):
+        budget = math.inf
+    if not math.isfinite(budget):
+        raise InputError(
+            f"decoration budget c (ell + area / lambda^2) is not a finite double: "
+            f"area = {area:.6g}, lambda^2 = {lam_sq:.6g}"
+        )
     return math.floor(budget), budget
 
 
@@ -278,7 +290,9 @@ def total_cover_count(
     (1 + sigma delta^(-2k) nu_K) raised to (8 pi Lambda^2 delta^-2) ^
     binom(m + ell, 3), with lip the Lipschitz multiplier Lambda, evaluated
     in log space; past log range (any decoration budget above a handful of
-    points) the count is returned at level 2.
+    points) the count is returned at level 2.  Once ln ln N, which is about
+    binom(m + ell, 3) log(8 pi Lambda^2 delta^-2), is itself past double
+    range, the count fits neither level and InputError names ln ln ln N.
     """
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
@@ -287,9 +301,20 @@ def total_cover_count(
         raise InputError("nu_K, m and ell must be nonnegative")
     if g.sigma == 0.0 or nu_k == 0:
         return LogNumber(0.0, 1)
-    ln_expo = math.comb(m + ell, 3) * (
-        math.log(8.0 * math.pi) + 2.0 * lip.ln - 2.0 * math.log(delta)
-    )
+    cells = math.comb(m + ell, 3)
+    per_layer = math.log(8.0 * math.pi) + 2.0 * lip.ln - 2.0 * math.log(delta)
+    try:
+        ln_expo = cells * per_layer
+    except OverflowError:  # cells itself is past double range
+        ln_expo = math.copysign(math.inf, per_layer)
+    if ln_expo == math.inf:
+        # ln ln ln N = ln cells + ln per_layer, summed from per_layer / 2,
+        # which stays finite where 2 lip.ln overflows
+        half = lip.ln + 0.5 * math.log(8.0 * math.pi) - math.log(delta)
+        raise InputError(
+            "count exceeds log-log space: its log log is e^"
+            f"{math.log(cells) + math.log(2.0) + math.log(half):.6g}"
+        )
     total = _tower(0.0, ln_expo, _target_factor_log(delta, g, nu_k))
     if total.level == 2:
         return total

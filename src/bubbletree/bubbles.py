@@ -129,11 +129,6 @@ class EnergyMeasure:
     def total_mass(self) -> float:
         return sum(m for _, m in self.atoms)
 
-    def mass_within(self, w: complex, r: float) -> float:
-        """Mass of the closed ball of radius r about w."""
-        w = complex(w)
-        return sum(m for z, m in self.atoms if abs(z - w) <= r)
-
 
 def threshold_radius(m: EnergyMeasure, w: complex, lam: float) -> float:
     """Smallest radius whose closed ball about w captures mass lambda^2.

@@ -27,7 +27,7 @@ from .bounds import (
 )
 from .bubbles import associate_tree, verify_association
 from .curves import annulus_path, decomposition, decorate, in_compact_subset
-from .errors import InputError, ResourceCapError, VerificationError
+from .errors import BubbletreeError, InputError, exit_code
 from .nets import FiberMap, greedy_net, mapspace_cover, sphere_net
 from .pipeline import run_pipeline
 from .trees import enumerate_stable_rooted, tree_count_bound
@@ -167,16 +167,7 @@ def cmd_verify_association(args) -> int:
     cfg, eps = jsonio.bubble_from_json(jsonio.load_json(args.config))
     assoc = jsonio.association_from_json(jsonio.load_json(args.assoc))
     report = verify_association(cfg, assoc, eps)
-    _emit(
-        args,
-        {
-            "ok": report.ok,
-            "summary": report.summary(),
-            "membership": jsonio.membership_to_json(report.membership),
-            "position_errors": list(report.position_errors),
-            "gamma_errors": list(report.gamma_errors),
-        },
-    )
+    _emit(args, jsonio.verification_to_json(report))
     return 0 if report.ok else 2
 
 
@@ -204,14 +195,7 @@ def cmd_decorate(args) -> int:
     point = jsonio.moduli_from_json(jsonio.load_json(args.point))
     params = jsonio.params_from_json(jsonio.load_json(args.params))
     points = decorate(point, params, (), args.m)
-    _emit(
-        args,
-        {
-            "m": args.m,
-            "count": len(points),
-            "points": [jsonio.fiber_point_to_json(q) for q in points],
-        },
-    )
+    _emit(args, jsonio.decoration_to_json(args.m, points))
     return 0
 
 
@@ -289,16 +273,7 @@ def cmd_bounds(args) -> int:
         _emit(args, jsonio.constants_to_json(g))
         return 0
     if args.what == "lambda":
-        choice = choose_lambda(args.eps, g)
-        _emit(
-            args,
-            {
-                "value": choice.value,
-                "binding": choice.binding,
-                "decay_bound": choice.decay_bound,
-                "quantum_bound": choice.quantum_bound,
-            },
-        )
+        _emit(args, jsonio.lambda_to_json(choose_lambda(args.eps, g)))
         return 0
     if args.what == "N":
         lam = args.lam if args.lam is not None else choose_lambda(args.eps, g).value
@@ -427,21 +402,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ResourceCapError as exc:
-        _fail(exc)
-        return 4
-    except VerificationError as exc:
-        _fail(exc)
-        return 2
-    except (InputError, ValueError, OSError) as exc:
-        _fail(exc)
-        return 3
-
-
-def _fail(exc: Exception) -> None:
-    sys.stderr.write(
-        jsonio.dumps({"error": str(exc), "kind": type(exc).__name__})
-    )
+    except (BubbletreeError, ValueError, OSError) as exc:
+        sys.stderr.write(jsonio.dumps({"error": str(exc), "kind": type(exc).__name__}))
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""Shared exception types.
+"""Shared exception types and the one table from errors to exit codes.
 
-The CLI maps these onto exit codes, so the split matters:
-``ValueError`` subclasses mean malformed input, ``VerificationError``
-means a well-formed instance failed a checked property, and
-``ResourceCapError`` means a deliberate size cap was exceeded.
+``exit_code`` is that table, read by every ``bubbletree`` command and by
+each pipeline stage: ``VerificationError`` means a well-formed instance
+failed a checked property (2), ``ResourceCapError`` means a deliberate size
+cap was exceeded (4), and anything else, ``ValueError`` subclasses among
+them, means malformed input (3).
 """
 
 
@@ -21,3 +22,12 @@ class VerificationError(BubbletreeError):
 
 class ResourceCapError(BubbletreeError):
     """A computation was refused because it exceeds a documented cap."""
+
+
+def exit_code(exc: BaseException) -> int:
+    """2 for a verification failure, 4 for a resource cap, 3 otherwise."""
+    if isinstance(exc, VerificationError):
+        return 2
+    if isinstance(exc, ResourceCapError):
+        return 4
+    return 3

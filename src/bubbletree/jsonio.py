@@ -21,14 +21,16 @@ from .bounds import (
     DEFAULT_CONSTANTS,
     CurveCoverCount,
     GeometryConstants,
+    LambdaChoice,
     LogNumber,
 )
-from .bubbles import BubbleConfiguration, TreeAssociation
+from .bubbles import AssociationReport, BubbleConfiguration, TreeAssociation
 from .curves import (
     CompactnessParams,
     FiberPoint,
     MembershipReport,
     ModuliPoint,
+    Region,
     ThickThinDecomposition,
 )
 from .errors import InputError
@@ -383,11 +385,42 @@ def membership_to_json(report: MembershipReport) -> dict:
     }
 
 
+def verification_to_json(report: AssociationReport) -> dict:
+    return {
+        "ok": report.ok,
+        "summary": report.summary(),
+        "membership": membership_to_json(report.membership),
+        "position_errors": list(report.position_errors),
+        "gamma_errors": list(report.gamma_errors),
+    }
+
+
+def lambda_to_json(choice: LambdaChoice) -> dict:
+    return {
+        "value": choice.value,
+        "binding": choice.binding,
+        "decay_bound": choice.decay_bound,
+        "quantum_bound": choice.quantum_bound,
+    }
+
+
 def fiber_point_to_json(q: FiberPoint) -> dict:
     return {
         str(v): [complex_to_json(pt.x), complex_to_json(pt.y)]
         for v, pt in sorted(q.coords.items())
     }
+
+
+def decoration_to_json(m: int, points: list[FiberPoint]) -> dict:
+    return {
+        "m": m,
+        "count": len(points),
+        "points": [fiber_point_to_json(q) for q in points],
+    }
+
+
+def region_to_json(r: Region) -> dict:
+    return {"kind": r.kind, "vertex": r.vertex, "edge": r.edge}
 
 
 def decomposition_to_json(dec: ThickThinDecomposition) -> dict:
@@ -398,10 +431,7 @@ def decomposition_to_json(dec: ThickThinDecomposition) -> dict:
             f"{v},{e}": {"center": complex_to_json(z), "radius": r}
             for (v, e), (z, r) in sorted(dec.circles.items())
         },
-        "regions": [
-            {"kind": r.kind, "vertex": r.vertex, "edge": r.edge}
-            for r in dec.regions
-        ],
+        "regions": [region_to_json(r) for r in dec.regions],
     }
 
 

@@ -58,10 +58,6 @@ class ProjPoint:
     def infinity(cls) -> "ProjPoint":
         return cls(1.0, 0.0)
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.y == 0
-
     def to_affine(self) -> complex:
         if self.y == 0:
             raise InputError("[1:0] has no affine coordinate")

@@ -32,7 +32,7 @@ from .curves import (
     fiber_from_root,
     in_compact_subset,
 )
-from .errors import InputError, ResourceCapError, VerificationError
+from .errors import BubbletreeError, InputError, VerificationError, exit_code
 from .nets import ProjPoint
 
 STAGES = (
@@ -54,7 +54,7 @@ class StageResult:
     verdict: str  # "pass" or "fail"
     detail: str
     artifacts: tuple[str, ...]
-    failure_kind: str = ""  # "", "verification", "input" or "resource"
+    exit_code: int = 0  # errors.exit_code of a failing stage's error
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,7 @@ class PipelineReport:
 
     @property
     def exit_code(self) -> int:
-        if self.ok:
-            return 0
-        kind = self.stages[-1].failure_kind
-        return {"verification": 2, "input": 3, "resource": 4}.get(kind, 2)
+        return 0 if self.ok else self.stages[-1].exit_code
 
     def to_json(self) -> dict:
         return {
@@ -89,14 +86,6 @@ class PipelineReport:
                 for s in self.stages
             ],
         }
-
-
-def _failure_kind(exc: Exception) -> str:
-    if isinstance(exc, VerificationError):
-        return "verification"
-    if isinstance(exc, ResourceCapError):
-        return "resource"
-    return "input"
 
 
 def run_pipeline(
@@ -176,16 +165,7 @@ def run_pipeline(
         assoc = state["assoc"]
         report = verify_association(cfg, assoc, eps)
         name = "02-verification.json"
-        jsonio.write_json(
-            out / name,
-            {
-                "ok": report.ok,
-                "summary": report.summary(),
-                "membership": jsonio.membership_to_json(report.membership),
-                "position_errors": list(report.position_errors),
-                "gamma_errors": list(report.gamma_errors),
-            },
-        )
+        jsonio.write_json(out / name, jsonio.verification_to_json(report))
         if not report.ok:
             raise VerificationError(report.summary())
         return report.summary(), (name,)
@@ -199,12 +179,7 @@ def run_pipeline(
         jsonio.write_json(
             out / name,
             {
-                "lambda": {
-                    "value": choice.value,
-                    "binding": choice.binding,
-                    "decay_bound": choice.decay_bound,
-                    "quantum_bound": choice.quantum_bound,
-                },
+                "lambda": jsonio.lambda_to_json(choice),
                 "eta": scales.eta,
                 "params": jsonio.params_to_json(scales.params),
                 "lambda_v": {str(v): x for v, x in sorted(scales.lambda_v.items())},
@@ -239,10 +214,7 @@ def run_pipeline(
             probes.append(
                 {
                     "root_value": jsonio.complex_to_json(val),
-                    "regions": [
-                        {"kind": r.kind, "vertex": r.vertex, "edge": r.edge}
-                        for r in hits
-                    ],
+                    "regions": [jsonio.region_to_json(r) for r in hits],
                 }
             )
         payload = jsonio.decomposition_to_json(dec)
@@ -265,15 +237,9 @@ def run_pipeline(
         state["m"] = m
         state["log_lip"] = log_lip
         name = "06-decoration.json"
-        jsonio.write_json(
-            out / name,
-            {
-                "m": m,
-                "log_lip": log_lip,
-                "count": len(points),
-                "points": [jsonio.fiber_point_to_json(q) for q in points],
-            },
-        )
+        payload = jsonio.decoration_to_json(m, points)
+        payload["log_lip"] = log_lip
+        jsonio.write_json(out / name, payload)
         return f"m = {m} decoration points", (name,)
 
     def stage_bounds() -> tuple[str, tuple[str, ...]]:
@@ -305,10 +271,9 @@ def run_pipeline(
     for stage_name, body in zip(STAGES, bodies):
         try:
             detail, artifacts = body()
-        except (InputError, VerificationError, ResourceCapError, ValueError) as exc:
-            results.append(
-                StageResult(stage_name, "fail", str(exc), (), _failure_kind(exc))
-            )
+        except (BubbletreeError, ValueError) as exc:
+            code = exit_code(exc)
+            results.append(StageResult(stage_name, "fail", str(exc), (), code))
             break
         results.append(StageResult(stage_name, "pass", detail, artifacts))
     return PipelineReport(tuple(results), seed)

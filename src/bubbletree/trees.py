@@ -69,9 +69,6 @@ class Tree:
     def degree(self, v: int) -> int:
         return sum(1 for ends in self.boundary.values() if v in ends)
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(e for e in self.edges if v in self.boundary[e])
-
     def is_stable(self) -> bool:
         return all(self.degree(v) >= 3 for v in self.vertices)
 

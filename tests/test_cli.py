@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from bubbletree.bounds import choose_lambda
@@ -140,6 +141,35 @@ def test_cover_rejects_bad_member(tmp_path):
     )
     assert code == 3
     assert "member" in json.loads(err)["error"]
+
+
+def test_cover_past_exact_net_cap_exit_4(tmp_path):
+    dist = [[abs(i - j) / 25.0 for j in range(26)] for i in range(26)]
+    grid = {"n": 26, "dist": dist}
+    line = {"n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]]}
+    instance = {
+        "space_t": grid,
+        "space_z": line,
+        "space_w": line,
+        "members": [{"t": 0, "fiber": [0, 1], "values": [0, 1]}],
+    }
+    code, out, err = invoke(
+        [
+            "cover",
+            "--instance",
+            write(tmp_path, "big.json", instance),
+            "--lambda",
+            "1.0",
+            "--delta",
+            "0.5",
+        ]
+    )
+    assert code == 4
+    assert not out
+    assert json.loads(err) == {
+        "error": "26 points exceeds the exact-net cap 25",
+        "kind": "ResourceCapError",
+    }
 
 
 def associate_files(tmp_path, bubble):
@@ -356,6 +386,57 @@ def test_bounds_n_past_log_range_matches_pipeline(tmp_path, no_env_seed):
         assert data[key] == bounds_doc[key]
 
 
+def _ln_ln_count(data):
+    """ln ln N of the default-profile count at delta = 1/2, from the m and
+    log Lambda that bounds N reports: binom(m, 3) ln(8 pi Lambda^2 delta^-2)
+    + ln ln 17."""
+    cells = mpmath.mpf(math.comb(data["m"], 3))
+    per_layer = mpmath.log(8 * mpmath.pi) + 2 * mpmath.mpf(data["logLambda"])
+    return cells * (per_layer + 2 * mpmath.log(2)) + mpmath.log(mpmath.log(17))
+
+
+def test_bounds_n_top_of_log_log_range():
+    code, data = invoke_json(["bounds", "N", "--lambda", "1e-38"])
+    assert code == 0
+    assert data["log10N"] is None
+    with mpmath.workdps(60):
+        ln10 = mpmath.log(10)
+        oracle = float((_ln_ln_count(data) - mpmath.log(ln10)) / ln10)
+    assert data["log10_log10N"] == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", ["1e-40", "1e-60", "1e-150"])
+def test_bounds_n_past_log_log_range_exit_3(lam):
+    # log10 log10 N is 9.5e322, 9.5e482 and 9.5e1202 here: past any double
+    code, out, err = invoke(["bounds", "N", "--lambda", lam])
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    prefix = "count exceeds log-log space: its log log is e^"
+    assert fail["error"].startswith(prefix)
+    budget = 9.0 * (1.0 / (float(lam) * float(lam)))
+    with mpmath.workdps(60):
+        count = {"m": math.floor(budget), "logLambda": budget}
+        oracle = float(mpmath.log(_ln_ln_count(count)))
+    # the message gives six significant digits
+    assert float(fail["error"][len(prefix) :]) == pytest.approx(oracle, rel=1e-5)
+
+
+@pytest.mark.parametrize("lam", ["1e-155", "1e-162"])
+def test_bounds_n_budget_past_double_range_exit_3(lam):
+    # lambda^2 is subnormal at 1e-155 and underflows to 0 at 1e-162
+    code, out, err = invoke(["bounds", "N", "--lambda", lam])
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    assert fail["error"].startswith(
+        "decoration budget c (ell + area / lambda^2) is not a finite double"
+    )
+    assert "lambda^2 = " in fail["error"]
+
+
 def test_bounds_n_sigma_zero(tmp_path):
     consts = write(
         tmp_path,
@@ -495,6 +576,81 @@ def test_pipeline_gamma_fault_stops_at_verification(tmp_path, no_env_seed):
     assert data["stages"][-1]["verdict"] == "fail"
     names = sorted(p.name for p in (tmp_path / "run").iterdir())
     assert names == list(ARTIFACTS[:2])
+
+
+def test_pipeline_non_standard_configuration_exit_3(tmp_path, no_env_seed):
+    # the point at 0.5 lies outside the disc of radius eps
+    bubble = {
+        "eps": 0.125,
+        "points": [{"z": [0.0, 0.0], "rho": 0.0}, {"z": [0.5, 0.0], "rho": 0.0}],
+    }
+    cfg = write(tmp_path, "odd.json", {"bubble": bubble})
+    code, data = invoke_json(
+        ["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]
+    )
+    assert code == 3
+    assert data["ok"] is False
+    assert data["stages"] == [
+        {
+            "name": "associate",
+            "verdict": "fail",
+            "detail": "reduction requires a standard configuration",
+            "artifacts": [],
+        }
+    ]
+
+
+def test_pipeline_sigma_zero_reports_log10n(tmp_path, no_env_seed):
+    # without the target factor the count is 1, so 07-bounds.json takes its
+    # level-1 form
+    cfg = write(
+        tmp_path,
+        "flat.json",
+        {"bubble": TWO_LEVEL_BUBBLE, "delta": 0.5, "constants": {"sigma": 0}},
+    )
+    code, data = invoke_json(
+        ["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]
+    )
+    assert code == 0
+    assert data["stages"][-1]["detail"] == "log10 N = 0"
+    bounds_doc = json.loads((tmp_path / "run" / ARTIFACTS[-1]).read_text())
+    assert bounds_doc["log10N"] == 0.0
+    assert bounds_doc["log10_log10N"] is None
+
+
+def test_cli_outputs_match_pipeline_artifacts(tmp_path, no_env_seed):
+    bubble = write(tmp_path, "bubble.json", TWO_LEVEL_BUBBLE)
+    cfg = write(tmp_path, "pipe.json", {"bubble": TWO_LEVEL_BUBBLE, "delta": 0.5})
+    run = tmp_path / "run"
+    code, _ = invoke_json(["pipeline", "--config", cfg, "--out-dir", str(run)])
+    assert code == 0
+    code, out, _ = invoke(
+        [
+            "verify-association",
+            "--config",
+            bubble,
+            "--assoc",
+            str(run / "01-association.json"),
+        ]
+    )
+    assert code == 0
+    assert out == (run / "02-verification.json").read_text()
+    params_doc = json.loads((run / "03-params.json").read_text())
+    code, out, _ = invoke(["bounds", "lambda", "--eps", "0.125"])
+    assert code == 0
+    assert out == dumps(params_doc["lambda"])
+    point = write(
+        tmp_path,
+        "point.json",
+        json.loads((run / "01-association.json").read_text())["point"],
+    )
+    params = write(tmp_path, "params.json", params_doc["params"])
+    decoration = json.loads((run / "06-decoration.json").read_text())
+    del decoration["log_lip"]
+    m = str(decoration["m"])
+    code, out, _ = invoke(["decorate", "--point", point, "--params", params, "--m", m])
+    assert code == 0
+    assert out == dumps(decoration)
 
 
 def test_pipeline_env_seed_brings_determinism(tmp_path, monkeypatch):

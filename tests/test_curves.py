@@ -613,6 +613,23 @@ def test_neck_param_errors():
         neck_param(p0, 1, 0.0, 0.0)
 
 
+def test_neck_param_below_the_root_vertex():
+    # edge 2 of the three-level chain joins vertices 2 and 3, so its parent
+    # end is not the root and neck_param walks the coordinates up to it
+    rng = random.Random(41)
+    tree = chain_tree(3)
+    c = default_params(tree)
+    assert tree.e_minus[2] != tree.root_vertex
+    for _ in range(4):
+        p = random_member(tree, c, rng)
+        big_r = -0.5 * math.log(abs(p.gamma_of(2)))
+        for _ in range(5):
+            s, ang = rng.uniform(-big_r, big_r), rng.uniform(0, 2 * math.pi)
+            q = neck_param(p, 2, s, ang)
+            assert fiber_residual(p, q) <= curves.RESIDUAL_TOL
+            assert Region("neck", edge=2) in classify(p, c, q)
+
+
 def test_round_flat_area_ratio_range():
     assert round_flat_area_ratio(0.0) == 4.0
     assert round_flat_area_ratio(1.0) == 1.0

@@ -123,6 +123,20 @@ def test_sphere_distance_triangle_inequality_bulk():
         assert dac <= dab + dbc + 1e-12
 
 
+def test_metric_space_from_sphere_matches_sphere_distance():
+    rng = random.Random(5)
+    pts = [ProjPoint(1.0, 0.0), ProjPoint(0.0, 1.0)] + [
+        ProjPoint(complex(rng.gauss(0, 1), rng.gauss(0, 1)), rng.uniform(-2, 2))
+        for _ in range(10)
+    ]
+    space = FiniteMetricSpace.from_sphere(pts)
+    assert space.n == len(pts)
+    assert space.labels == tuple(pts)
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            assert space.dist[i][j] == pytest.approx(sphere_distance(p, q), abs=1e-14)
+
+
 def test_projpoint_normalized_form():
     p = ProjPoint(3 + 4j, 1 - 2j).normalized()
     assert max(abs(p.x), abs(p.y)) == pytest.approx(1.0)
