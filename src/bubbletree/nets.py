@@ -30,6 +30,9 @@ EXACT_NU_CAP = 25
 # total (anchor, assignment) cell evaluations allowed in mapspace_cover
 MAPSPACE_CELL_CAP = 2_000_000
 
+# relative gap below which ProjPoint.normalized treats |x| and |y| as tied
+TIE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ProjPoint:
@@ -37,8 +40,9 @@ class ProjPoint:
 
     Scale equivalence [x : y] = [c*x : c*y] is respected by every operation
     in this module.  The normalized form divides by the coordinate of larger
-    modulus (preferring y on ties), so one slot is exactly 1.0 and
-    max(|x|, |y|) = 1.
+    modulus, so one slot is exactly 1.0 and max(|x|, |y|) = 1.  Moduli that
+    agree to TIE_RTOL count as a tie and y is preferred, so rounding in a
+    rescaled copy [c*x : c*y] of a tie cannot flip the chosen slot.
     """
 
     x: complex
@@ -67,7 +71,7 @@ class ProjPoint:
         return math.hypot(abs(self.x), abs(self.y))
 
     def normalized(self) -> "ProjPoint":
-        if abs(self.y) >= abs(self.x):
+        if abs(self.y) >= abs(self.x) * (1.0 - TIE_RTOL):
             return ProjPoint(self.x / self.y, 1.0)
         return ProjPoint(1.0, self.y / self.x)
 

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bubbletree.errors import InputError, ResourceCapError, VerificationError
@@ -154,6 +154,8 @@ def test_projpoint_normalized_form():
     st.complex_numbers(max_magnitude=1e3, allow_nan=False),
     st.complex_numbers(min_magnitude=1e-2, max_magnitude=1e2, allow_nan=False),
 )
+# |x| == |y| exactly; rounding in c*x, c*y must not flip the dividing slot
+@example(x=1 + 33j, y=33 + 1j, c=8 - 1.4647089725639546j)
 def test_projpoint_normalization_scale_invariant(x, y, c):
     p = ProjPoint(x, y).normalized()
     q = ProjPoint(c * x, c * y).normalized()
