@@ -17,6 +17,7 @@ here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -371,6 +372,8 @@ def curve_cover_count(
         raise InputError(f"delta must lie in (0, 1], got {delta}")
     if mu < 3:
         raise InputError(f"mu must be at least 3, got {mu}")
+    if mu > sys.float_info.max:
+        raise InputError(f"mu = 10^{math.log10(mu):.1f} is past double range")
     if lam_sup <= 0.0:
         raise InputError("the Lipschitz bound must be positive")
     if nu_k < 0:

@@ -120,18 +120,15 @@ def cmd_cover(args) -> int:
         raise InputError("cover instance needs a nonempty 'members' list")
     members = []
     for item in members_raw:
-        if not isinstance(item, dict):
-            raise InputError("cover member must be a JSON object")
-        try:
-            members.append(
-                FiberMap(
-                    t=int(item["t"]),
-                    fiber=tuple(int(i) for i in item["fiber"]),
-                    values=tuple(int(i) for i in item["values"]),
-                )
+        fiber = jsonio.require_key(item, "fiber", list, "cover member")
+        values = jsonio.require_key(item, "values", list, "cover member")
+        members.append(
+            FiberMap(
+                t=jsonio.require_key(item, "t", int, "cover member"),
+                fiber=[jsonio.int_field(i, "cover member fiber entry") for i in fiber],
+                values=[jsonio.int_field(i, "cover member value") for i in values],
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad cover member {item!r}: {exc}") from exc
+        )
     cover = mapspace_cover(
         spaces["space_t"],
         spaces["space_z"],

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 from .nets import (
+    TIE_RTOL,
     FiniteMetricSpace,
     ProjPoint,
     sphere_distance,
@@ -417,9 +418,9 @@ def _cdiv(a, b) -> np.ndarray:
 
 
 def _normalize(x: np.ndarray, y: np.ndarray):
-    """ProjPoint.normalized: divide by the coordinate of larger modulus
-    (abs is hypot); [0 : 0] is not allowed."""
-    y_big = np.hypot(y.real, y.imag) >= np.hypot(x.real, x.imag)
+    """ProjPoint.normalized: divide by the coordinate of larger modulus,
+    y on a tie within TIE_RTOL (abs is hypot); [0 : 0] is not allowed."""
+    y_big = np.hypot(y.real, y.imag) >= np.hypot(x.real, x.imag) * (1.0 - TIE_RTOL)
     q = _cdiv(np.where(y_big, x, y), np.where(y_big, y, x))
     return np.where(y_big, q, 1.0), np.where(y_big, 1.0, q)
 

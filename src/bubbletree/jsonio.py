@@ -143,12 +143,24 @@ def load_json(path: str | Path) -> Any:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def int_field(value: Any, where: str) -> int:
+    """The one reader of integer fields: a JSON integer, or a float with an
+    integral value; bools, strings and fractions raise InputError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{where} must be an integer, got {value!r}")
+
+
 def require_key(data: Mapping, key: str, kind: type, where: str) -> Any:
     if not isinstance(data, Mapping):
         raise InputError(f"{where} must be a JSON object")
     if key not in data:
         raise InputError(f"{where} is missing the key {key!r}")
     value = data[key]
+    if kind is int:
+        return int_field(value, f"{where}[{key!r}]")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -209,13 +221,15 @@ def tree_from_json(data: Any) -> tuple[RootedTree, Marking]:
         ends = require_key(item, "endpoints", list, "tree edge")
         if e in boundary:
             raise InputError(f"tree edge {e} appears twice")
-        boundary[e] = tuple(ends)
+        boundary[e] = tuple(int_field(v, f"tree edge {e} endpoint") for v in ends)
     marked = data.get("marked", []) if isinstance(data, Mapping) else []
     if not isinstance(marked, list):
         raise InputError("tree['marked'] must be a list")
+    vertices = [int_field(v, "tree vertex") for v in vertices]
+    marked = [int_field(e, "tree['marked'] entry") for e in marked]
     try:
         rooted = RootedTree(Tree(vertices, boundary), root_edge)
-        marking = Marking(frozenset(int(e) for e in marked))
+        marking = Marking(frozenset(marked))
         marking.validate(rooted.tree)
     except TreeError as exc:
         raise InputError(str(exc)) from exc
@@ -317,9 +331,12 @@ def constants_from_json(data: Any) -> GeometryConstants:
     for key, value in data.items():
         if key not in known:
             raise InputError(f"unknown constant {key!r}")
+        if key == "dim_half":
+            known[key] = int_field(value, f"constant {key!r}")
+            continue
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise InputError(f"constant {key!r} must be a number")
-        known[key] = int(value) if key == "dim_half" else float(value)
+        known[key] = float(value)
     return GeometryConstants(**known)
 
 
@@ -476,17 +493,6 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _dfs_order(t: RootedTree) -> list[int]:
-    order: list[int] = []
-    stack = [t.root_vertex]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        kids = [t.child_vertex(e) for e in t.child_edges(v)]
-        stack.extend(reversed([w for w in kids if w is not None]))
-    return order
-
-
 def _circle_el(parent, cls, cx, cy, r, **extra):
     attrs = {"class": cls, "cx": _fmt(cx), "cy": _fmt(cy), "r": _fmt(r)}
     attrs.update(extra)
@@ -507,7 +513,7 @@ def decomposition_svg(dec: ThickThinDecomposition) -> str:
     """SVG text for a decomposition: one unit disc per vertex in root-first
     DFS order, child circles, neck annuli with gluing labels, shaded ends."""
     t = dec.point.tree
-    order = _dfs_order(t)
+    order = t.order
     slot = {v: i for i, v in enumerate(order)}
     width = 2 * _MARGIN + len(order) * 2 * _DISC_R + (len(order) - 1) * _DISC_GAP
     height = 2 * _MARGIN + 2 * _DISC_R + 30.0

@@ -2,12 +2,13 @@
 
 Provides geodesic distance on the round sphere of total area 4*pi (realized
 as the projective line in homogeneous coordinates), finite metric spaces with
-validated axioms, Hausdorff distance between finite subsets, gamma-nets in
-the strict sense (d_H < gamma), greedy nets as prefixes of one farthest-point
-traversal (farthest_first, shared with bubbles.cluster_select), exact minimal
-nets, an explicit latitude-band net for the sphere, scaled max metrics for
-graphs of maps, and the combinatorial cover of a family of Lipschitz maps over
-a base by cells of small diameter.
+validated axioms, the Hausdorff distance between finite subsets read from
+their cross-distance matrix, gamma-nets in the strict sense (d_H < gamma),
+greedy nets as prefixes of one farthest-point traversal (farthest_first,
+shared with bubbles.cluster_select), exact minimal nets, an explicit
+latitude-band net for the sphere, the distance max(d_T, graph Hausdorff)
+between members of a family of maps, and the combinatorial cover of a family
+of Lipschitz maps over a base by cells of small diameter.
 
 Continuous spaces enter only through finite samplings supplied by the
 caller; all Hausdorff computations here are over finite subsets.
@@ -194,20 +195,6 @@ class FiniteMetricSpace:
     def from_sphere(cls, points: Sequence[ProjPoint]) -> "FiniteMetricSpace":
         pts = list(points)
         return cls(sphere_pairwise(pts, pts), labels=pts)
-
-
-def hausdorff(a: Sequence, b: Sequence, dist: Callable) -> float:
-    """Hausdorff distance between two nonempty finite sets.
-
-    Max of the two directed distances sup_x inf_y d(x, y).
-    """
-    a = list(a)
-    b = list(b)
-    if not a or not b:
-        raise InputError("Hausdorff distance needs nonempty sets")
-    ab = max(min(dist(x, y) for y in b) for x in a)
-    ba = max(min(dist(x, y) for x in a) for y in b)
-    return max(ab, ba)
 
 
 def hausdorff_from_matrix(d: np.ndarray) -> float:
@@ -427,49 +414,6 @@ def exact_nu(space: FiniteMetricSpace, gamma: float) -> int:
     return minimal_net(space, gamma).size
 
 
-def scaled_max_metric(
-    component_metrics: Sequence[Callable], x_metric: Callable, scale_x: float
-) -> Callable:
-    """Max of component distances with the final coordinate scaled by 1/L.
-
-    Points are tuples whose last entry lives in the scaled factor; large L
-    collapses that factor's contribution.
-    """
-    if scale_x <= 0:
-        raise InputError("scale must be positive")
-    k = len(component_metrics)
-
-    def dist(p, q) -> float:
-        vals = [m(p[i], q[i]) for i, m in enumerate(component_metrics)]
-        vals.append(x_metric(p[k], q[k]) / scale_x)
-        return max(vals)
-
-    return dist
-
-
-def graph_hausdorff(
-    graph_a: Sequence, graph_b: Sequence, dom_metric, cod_metric, scale_cod: float = 1.0
-) -> float:
-    """Hausdorff distance between graphs of maps, as subsets of dom x cod.
-
-    Graph points are (domain, value) pairs compared under
-    max(d_dom, d_cod / scale_cod).  Two empty graphs are at distance 0; an
-    empty graph is infinitely far from a nonempty one.
-    """
-    if scale_cod <= 0:
-        raise InputError("scale must be positive")
-    ga, gb = list(graph_a), list(graph_b)
-    if not ga and not gb:
-        return 0.0
-    if not ga or not gb:
-        return math.inf
-    return hausdorff(
-        ga,
-        gb,
-        lambda p, q: max(dom_metric(p[0], q[0]), cod_metric(p[1], q[1]) / scale_cod),
-    )
-
-
 @dataclass(frozen=True)
 class FiberMap:
     """One member of a family over a base: a map from a fiber into a codomain.
@@ -491,9 +435,26 @@ class FiberMap:
         if len(set(self.fiber)) != len(self.fiber):
             raise InputError("fiber points must be distinct")
 
-    @property
-    def graph(self) -> tuple:
-        return tuple(zip(self.fiber, self.values))
+
+def graph_hausdorff(
+    space_z: FiniteMetricSpace,
+    space_w: FiniteMetricSpace,
+    a: FiberMap,
+    b: FiberMap,
+) -> float:
+    """Hausdorff distance between the graphs of two members in Z x W.
+
+    Graph points (z, f(z)) are compared under max(d_Z, d_W).  Two empty
+    graphs are at distance 0; an empty graph is infinitely far from a
+    nonempty one.
+    """
+    if not a.fiber or not b.fiber:
+        return 0.0 if a.fiber == b.fiber else math.inf
+    d = np.maximum(
+        space_z.dist[np.ix_(a.fiber, b.fiber)],
+        space_w.dist[np.ix_(a.values, b.values)],
+    )
+    return hausdorff_from_matrix(d)
 
 
 def mapspace_distance(
@@ -503,18 +464,8 @@ def mapspace_distance(
     a: FiberMap,
     b: FiberMap,
 ) -> float:
-    """Distance max(d_T, graph Hausdorff) between two family members.
-
-    Graphs live in Z x W with the max of the two coordinate distances.
-    """
-    dt = space_t.dist[a.t, b.t]
-    dg = graph_hausdorff(
-        a.graph,
-        b.graph,
-        lambda i, j: space_z.dist[i, j],
-        lambda i, j: space_w.dist[i, j],
-    )
-    return max(float(dt), dg)
+    """Distance max(d_T, graph Hausdorff) between two family members."""
+    return max(float(space_t.dist[a.t, b.t]), graph_hausdorff(space_z, space_w, a, b))
 
 
 @dataclass(frozen=True, eq=False)

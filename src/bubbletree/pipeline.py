@@ -115,12 +115,15 @@ def run_pipeline(
             raise InputError(f"pipeline config {key!r} must be a number")
         return float(value)
 
-    ell = int(_num("ell", 0))
+    def _int(key: str, default: int) -> int:
+        return jsonio.int_field(config.get(key, default), f"pipeline config {key!r}")
+
+    ell = _int("ell", 0)
     delta = _num("delta", 0.5)
-    nu_k = int(_num("nu_k", 1))
+    nu_k = _int("nu_k", 1)
     g = jsonio.constants_from_json(config.get("constants"))
     if seed is None:
-        seed = int(_num("seed", 0))
+        seed = _int("seed", 0)
     overrides_raw = config.get("gamma_overrides", {})
     if not isinstance(overrides_raw, Mapping):
         raise InputError("gamma_overrides must be a JSON object")

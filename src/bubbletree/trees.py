@@ -107,8 +107,9 @@ class RootedTree:
     positive.  The root vertex is the positive endpoint of the root edge.
     Consequently each vertex is the positive endpoint of exactly one edge,
     called its parent edge, and ``children[v]`` lists the edges having v as
-    negative endpoint.  ``order`` lists the vertices top-down: every vertex
-    comes after its parent.
+    negative endpoint.  ``order`` lists the vertices in depth-first preorder,
+    children in ascending order of their parent edges, so every vertex comes
+    after its parent.
     """
 
     __slots__ = (
@@ -148,6 +149,7 @@ class RootedTree:
         while stack:
             v = stack.pop()
             order.append(v)
+            kids = []
             for e in sorted(incident[v]):
                 if e == parent_edge[v]:
                     continue
@@ -159,9 +161,10 @@ class RootedTree:
                     e_plus[e] = w
                     parent_edge[w] = e
                     depth[w] = depth[v] + 1
-                    stack.append(w)
+                    kids.append(w)
                 else:
                     e_plus[e] = None
+            stack.extend(reversed(kids))
 
         self.parent_edge = parent_edge
         self.children = {v: tuple(sorted(es)) for v, es in children.items()}

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import itertools
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -143,6 +145,40 @@ def test_cover_rejects_bad_member(tmp_path):
     assert "member" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "member, field",
+    [
+        ({"t": 0.9, "fiber": [0, 1], "values": [0, 1]}, "cover member['t']"),
+        ({"t": 0, "fiber": [True, 0.5], "values": [0, 1]}, "cover member fiber entry"),
+        ({"t": 0, "fiber": [0, 1], "values": ["1", 0]}, "cover member value"),
+    ],
+)
+def test_cover_rejects_non_integer_indices(tmp_path, member, field):
+    line = {"n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]]}
+    instance = {
+        "space_t": {"n": 1, "dist": [[0.0]]},
+        "space_z": line,
+        "space_w": line,
+        "members": [member],
+    }
+    code, out, err = invoke(
+        [
+            "cover",
+            "--instance",
+            write(tmp_path, "instance.json", instance),
+            "--lambda",
+            "1.0",
+            "--delta",
+            "0.6",
+        ]
+    )
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    assert fail["error"].startswith(f"{field} must be an integer")
+
+
 def test_cover_past_exact_net_cap_exit_4(tmp_path):
     dist = [[abs(i - j) / 25.0 for j in range(26)] for i in range(26)]
     grid = {"n": 26, "dist": dist}
@@ -224,6 +260,46 @@ def test_check_membership_pass(tmp_path):
     code, data = invoke_json(["check-membership", "--point", point, "--params", params])
     assert code == 0
     assert data["ok"] is True
+
+
+def _set_vertices(tree):
+    tree["vertices"][0] = 1.9
+
+
+def _set_endpoint(value):
+    def edit(tree):
+        edge = next(e for e in tree["edges"] if e["endpoints"] == [1])
+        edge["endpoints"] = [value]
+
+    return edit
+
+
+def _set_marked(tree):
+    tree["marked"][0] += 0.7
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set_vertices, "tree vertex"),
+        (_set_endpoint(1.2), "tree edge 0 endpoint"),
+        (_set_endpoint(True), "tree edge 0 endpoint"),
+        (_set_marked, "tree['marked'] entry"),
+    ],
+)
+def test_tree_rejects_non_integer_ids(tmp_path, edit, field):
+    # each edit truncates back to the original tree, which int() accepted
+    point, params = point_and_params(tmp_path, TWO_LEVEL_BUBBLE)
+    doc = json.loads((tmp_path / "point.json").read_text())
+    assert doc["tree"]["vertices"][0] == 1 and doc["tree"]["marked"][0] == 2
+    edit(doc["tree"])
+    bad = write(tmp_path, "bad-point.json", doc)
+    code, out, err = invoke(["check-membership", "--point", bad, "--params", params])
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    assert fail["error"].startswith(f"{field} must be an integer")
 
 
 def test_check_membership_fail_exit_2(tmp_path):
@@ -467,6 +543,16 @@ def test_bounds_curve():
     assert "--mu" in json.loads(err)["error"]
 
 
+def test_bounds_curve_mu_past_double_range_exit_3():
+    code, out, err = invoke(["bounds", "curve", "--mu", str(10**310)])
+    assert code == 3
+    assert not out
+    assert json.loads(err) == {
+        "error": "mu = 10^310.0 is past double range",
+        "kind": "InputError",
+    }
+
+
 def test_bounds_curve_past_log_range():
     code, data = invoke_json(
         ["bounds", "curve", "--mu", "20", "--delta", "0.5", "--Lambda", "4e9"]
@@ -480,20 +566,67 @@ def test_bounds_curve_past_log_range():
     assert data["log_cells"] == pytest.approx(19.0 * math.log(16.0), rel=1e-12)
 
 
-def test_readme_bounds_examples(tmp_path, monkeypatch):
+def readme_commands():
+    """The README's sh blocks that need no file from outside the README, as
+    (heredocs, command lines) per block; Install and Tests blocks hold no
+    bubbletree command and are left out."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = [
-        line
-        for line in readme.read_text(encoding="utf-8").splitlines()
-        if line.startswith("bubbletree bounds ")
-    ]
-    assert len(lines) == 4
-    monkeypatch.chdir(tmp_path)  # the first example writes default.json
-    for line in lines:
-        code, data = invoke_json(shlex.split(line, comments=True)[1:])
-        assert code == 0, line
-        if line.startswith("bubbletree bounds N "):
-            assert data["m"] == 7
+    made, runnable = set(), []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text("utf-8"), re.S):
+        lines = iter(block.splitlines())
+        heredocs, commands = {}, []
+        for line in lines:
+            target = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+            if target:
+                body = list(itertools.takewhile(lambda s: s != "EOF", lines))
+                heredocs[target.group(1)] = "\n".join(body) + "\n"
+            else:
+                commands.append(shlex.split(line, comments=True))
+        if not all(argv[:1] == ["bubbletree"] for argv in commands):
+            continue
+        tokens = [tok for argv in commands for tok in argv]
+        outputs = {b for a, b in zip(tokens, tokens[1:]) if a in ("--out", "--out-dir")}
+        inputs = {tok for tok in tokens if tok.endswith(".json")} - outputs
+        if inputs - made - set(heredocs):
+            continue  # reads a file the README does not write
+        made |= outputs | set(heredocs)
+        runnable.append((heredocs, commands))
+    return runnable
+
+
+def test_readme_bounds_examples(tmp_path, monkeypatch, no_env_seed):
+    # every README example that needs no outside file, in order, in one
+    # directory, so later blocks can read what earlier ones wrote
+    monkeypatch.chdir(tmp_path)
+    ran = Counter()
+    for heredocs, commands in readme_commands():
+        for name, text in heredocs.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        for argv in commands:
+            code, data = invoke_json(argv[1:])
+            line = shlex.join(argv)
+            assert code == 0, line
+            ran[argv[1]] += 1
+            if argv[1:3] == ["trees", "enumerate"]:
+                assert data["count"] == 5
+            elif argv[1] == "net":
+                assert data["size"] == 19
+            elif argv[1:3] == ["bounds", "N"]:
+                assert data["m"] == 7
+            elif argv[1] in ("verify-association", "pipeline"):
+                assert data["ok"] is True
+            elif argv[1] == "paths":
+                assert data["violations"] == 0
+    assert ran == {
+        "trees": 1,
+        "net": 1,
+        "associate": 1,
+        "verify-association": 1,
+        "pipeline": 1,
+        "bounds": 4,
+        "paths": 1,
+    }
+    assert len(list((tmp_path / "run1").iterdir())) == len(ARTIFACTS)
 
 
 def test_usage_error_exit_3():
@@ -598,6 +731,46 @@ def test_pipeline_non_standard_configuration_exit_3(tmp_path, no_env_seed):
             "artifacts": [],
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "knobs, field",
+    [
+        ({"ell": 1.7}, "pipeline config 'ell'"),
+        ({"nu_k": 2.9}, "pipeline config 'nu_k'"),
+        ({"seed": 1.5}, "pipeline config 'seed'"),
+        ({"seed": True}, "pipeline config 'seed'"),
+        ({"constants": {"dim_half": 2.5}}, "constant 'dim_half'"),
+    ],
+)
+def test_pipeline_rejects_non_integer_knobs(tmp_path, no_env_seed, knobs, field):
+    cfg = write(tmp_path, "pipe.json", {"bubble": BASE_BUBBLE, **knobs})
+    code, out, err = invoke(
+        ["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]
+    )
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    assert fail["error"].startswith(f"{field} must be an integer")
+    assert not (tmp_path / "run").exists()
+
+
+def test_pipeline_accepts_integral_float_knobs(tmp_path, no_env_seed):
+    reports = []
+    for name, knobs in (
+        ("int", {"ell": 1, "nu_k": 2, "seed": 11, "constants": {"dim_half": 2}}),
+        ("float", {"ell": 1.0, "nu_k": 2.0, "seed": 11.0, "constants": {"dim_half": 2.0}}),
+    ):
+        cfg = write(tmp_path, f"{name}.json", {"bubble": BASE_BUBBLE, **knobs})
+        run = str(tmp_path / name)
+        code, out, _ = invoke(["pipeline", "--config", cfg, "--out-dir", run])
+        assert code == 0
+        reports.append(out.replace(run, "RUN"))
+    assert reports[0] == reports[1]
+    for artifact in ARTIFACTS:
+        int_bytes = (tmp_path / "int" / artifact).read_bytes()
+        assert int_bytes == (tmp_path / "float" / artifact).read_bytes()
 
 
 def test_pipeline_sigma_zero_reports_log10n(tmp_path, no_env_seed):

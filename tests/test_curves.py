@@ -1016,6 +1016,13 @@ def test_fiber_batch_matches_scalar_propagation():
                         z = complex(rng.gauss(0, scale), rng.gauss(0, scale))
                         y = complex(rng.gauss(0, 1), rng.choice([0.0, -0.0, 0.3]))
                         starts.append(ProjPoint(z, y))
+                # near-ties |y| = |x| (1 - u), inside nets.TIE_RTOL, both ways
+                for _ in range(8):
+                    r = rng.uniform(1e-3, 1e3)
+                    near = r * (1.0 - rng.uniform(0.0, 1e-12))
+                    x = cmath.rect(r, rng.uniform(-math.pi, math.pi))
+                    y = cmath.rect(near, rng.uniform(-math.pi, math.pi))
+                    starts += [ProjPoint(x, y), ProjPoint(y, x)]
                 got, want = fiber_batch_bits(p, v, starts)
                 assert got == want
 

@@ -32,6 +32,7 @@ from bubbletree.jsonio import (
     decomposition_to_json,
     dumps,
     emit_svg,
+    int_field,
     load_json,
     membership_to_json,
     moduli_from_json,
@@ -146,6 +147,15 @@ def test_complex_from_json_rejects_malformed():
     for bad in ([1.0], [1.0, 2.0, 3.0], "1+2j", {"re": 1, "im": 2}, [1.0, "x"]):
         with pytest.raises(InputError):
             complex_from_json(bad, "spot")
+
+
+def test_int_field_accepts_integers_and_integral_floats():
+    for value, want in ((3, 3), (-2, -2), (0.0, 0), (7.0, 7), (1e20, 10**20)):
+        got = int_field(value, "spot")
+        assert got == want and type(got) is int
+    for bad in (True, False, "3", 2.5, -0.1, math.inf, math.nan, None, [1]):
+        with pytest.raises(InputError, match="spot must be an integer"):
+            int_field(bad, "spot")
 
 
 def test_load_json_errors(tmp_path):

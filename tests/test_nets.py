@@ -25,13 +25,11 @@ from bubbletree.nets import (
     fibonacci_sphere_points,
     graph_hausdorff,
     greedy_net,
-    hausdorff,
     hausdorff_from_matrix,
     mapspace_cover,
     mapspace_distance,
     minimal_net,
     sampled_local_lipschitz,
-    scaled_max_metric,
     sphere_distance,
     sphere_net,
     sphere_pairwise,
@@ -181,11 +179,12 @@ def test_metric_space_validation():
 
 
 def test_hausdorff_basics():
-    line = lambda a, b: abs(a - b)
-    assert hausdorff([0.0, 1.0], [0.0, 1.0], line) == 0.0
-    assert hausdorff([0.0], [0.0, 3.0], line) == 3.0
+    line = lambda a, b: np.abs(np.subtract.outer(a, b))
+    assert hausdorff_from_matrix(line([0.0, 1.0], [0.0, 1.0])) == 0.0
+    assert hausdorff_from_matrix(line([0.0], [0.0, 3.0])) == 3.0
+    assert type(hausdorff_from_matrix(line([0.0], [0.0, 3.0]))) is float
     with pytest.raises(InputError):
-        hausdorff([], [1.0], line)
+        hausdorff_from_matrix(np.zeros((0, 1)))
 
 
 def test_hausdorff_matches_bruteforce_oracle():
@@ -195,9 +194,8 @@ def test_hausdorff_matches_bruteforce_oracle():
     for _ in range(30):
         a = rng.sample(range(space.n), rng.randint(1, space.n))
         b = rng.sample(range(space.n), rng.randint(1, space.n))
-        assert hausdorff(a, b, dist) == brute_hausdorff(a, b, dist)
         d = space.dist[np.ix_(a, b)]
-        assert hausdorff_from_matrix(d) == pytest.approx(hausdorff(a, b, dist))
+        assert hausdorff_from_matrix(d) == brute_hausdorff(a, b, dist)
 
 
 @given(st.integers(0, 2**63), st.integers(2, 10), st.integers(1, 10))
@@ -205,11 +203,11 @@ def test_hausdorff_matches_bruteforce_oracle():
 def test_hausdorff_symmetry_and_identity(seed, na, nb):
     rng = random.Random(seed)
     space = random_metric_space(rng, 12)
-    dist = lambda i, j: space.dist[i, j]
     a = rng.sample(range(space.n), na)
     b = rng.sample(range(space.n), nb)
-    assert hausdorff(a, b, dist) == hausdorff(b, a, dist)
-    assert hausdorff(a, a, dist) == 0.0
+    ab = hausdorff_from_matrix(space.dist[np.ix_(a, b)])
+    assert ab == hausdorff_from_matrix(space.dist[np.ix_(b, a)])
+    assert hausdorff_from_matrix(space.dist[np.ix_(a, a)]) == 0.0
 
 
 def test_greedy_net_single_point_when_radius_huge():
@@ -349,38 +347,60 @@ def test_sphere_net_degenerate_radii():
         sphere_net(0.0)
 
 
-def test_scaled_max_metric_basics():
-    flat = lambda a, b: abs(a - b)
-    d = scaled_max_metric([flat], flat, 2.0)
-    assert d((1.0, 3.0), (1.0, 3.0)) == 0.0
-    assert d((0.0, 4.0), (0.0, 0.0)) == 2.0
-    assert d((5.0, 4.0), (0.0, 0.0)) == 5.0
-    big = scaled_max_metric([flat], flat, 1e9)
-    assert big((0.0, 7.0), (0.0, 0.0)) == pytest.approx(7e-9)
-    with pytest.raises(InputError):
-        scaled_max_metric([flat], flat, 0.0)
+def graph_hausdorff_reference(space_z, space_w, a, b):
+    ga, gb = list(zip(a.fiber, a.values)), list(zip(b.fiber, b.values))
+    return brute_hausdorff(
+        ga,
+        gb,
+        lambda p, q: max(space_z.dist[p[0], q[0]], space_w.dist[p[1], q[1]]),
+    )
 
 
 def test_graph_hausdorff_constant_offset():
-    flat = lambda a, b: abs(a - b)
     rng = random.Random(61)
-    for scale in (1.0, 2.0, 10.0):
+    for _ in range(3):
         zs = [rng.uniform(-3, 3) for _ in range(12)]
         c = rng.uniform(0.01, 0.2)  # offset small so it dominates via z' = z
-        ga = [(z, 0.0) for z in zs]
-        gb = [(z, c) for z in zs]
-        got = graph_hausdorff(ga, gb, flat, flat, scale_cod=scale)
-        brute = brute_hausdorff(
-            ga, gb, lambda p, q: max(flat(p[0], q[0]), flat(p[1], q[1]) / scale)
-        )
-        assert got == pytest.approx(brute)
-        assert got <= c / scale + 1e-12
+        space_z = grid_space(zs)
+        space_w = grid_space([0.0, c])
+        fiber = tuple(range(len(zs)))
+        a = FiberMap(t=0, fiber=fiber, values=(0,) * len(zs))
+        b = FiberMap(t=0, fiber=fiber, values=(1,) * len(zs))
+        got = graph_hausdorff(space_z, space_w, a, b)
+        assert got == graph_hausdorff_reference(space_z, space_w, a, b)
+        assert got <= c + 1e-12
 
 
 def test_graph_hausdorff_empty_graphs():
-    flat = lambda a, b: abs(a - b)
-    assert graph_hausdorff([], [], flat, flat) == 0.0
-    assert graph_hausdorff([], [(0.0, 0.0)], flat, flat) == math.inf
+    space = grid_space([0.0, 1.0])
+    empty = FiberMap(t=0, fiber=(), values=())
+    point = FiberMap(t=0, fiber=(0,), values=(0,))
+    assert graph_hausdorff(space, space, empty, empty) == 0.0
+    assert graph_hausdorff(space, space, empty, point) == math.inf
+    assert graph_hausdorff(space, space, point, empty) == math.inf
+
+
+def test_graph_hausdorff_matches_bruteforce_oracle():
+    rng = random.Random(71)
+    for _ in range(40):
+        space_z = random_metric_space(rng, rng.randint(1, 9))
+        space_w = random_metric_space(rng, rng.randint(1, 9))
+        members = []
+        for _ in range(2):
+            fiber = tuple(rng.sample(range(space_z.n), rng.randint(1, space_z.n)))
+            values = tuple(rng.randrange(space_w.n) for _ in fiber)
+            members.append(FiberMap(t=0, fiber=fiber, values=values))
+        a, b = members
+        got = graph_hausdorff(space_z, space_w, a, b)
+        assert type(got) is float
+        assert got == graph_hausdorff_reference(space_z, space_w, a, b)
+        assert got == graph_hausdorff(space_z, space_w, b, a)
+        space_t = random_metric_space(rng, 3)
+        a_t = FiberMap(t=rng.randrange(3), fiber=a.fiber, values=a.values)
+        b_t = FiberMap(t=rng.randrange(3), fiber=b.fiber, values=b.values)
+        d = mapspace_distance(space_t, space_z, space_w, a_t, b_t)
+        assert type(d) is float
+        assert d == max(space_t.dist[a_t.t, b_t.t], got)
 
 
 def test_sampled_local_lipschitz():

@@ -204,6 +204,21 @@ def test_order_lists_every_vertex_after_its_parent():
         for v in t.order[1:]:
             assert t.e_minus[t.parent_edge[v]] in seen
             seen.add(v)
+        assert list(t.order) == ascending_preorder(t)
+
+
+def ascending_preorder(t):
+    out = []
+
+    def visit(v):
+        out.append(v)
+        for e in sorted(t.child_edges(v)):
+            w = t.child_vertex(e)
+            if w is not None:
+                visit(w)
+
+    visit(t.root_vertex)
+    return out
 
 
 # ---------------------------------------------------------------------------
