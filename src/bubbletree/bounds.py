@@ -364,6 +364,8 @@ def curve_cover_count(
 
     mu is the total vertex degree of the tree and Lambda the largest region
     Lipschitz budget.  Past log range the total is returned at level 2.
+    Where the log of the cell count or of the patch net is not a finite
+    double, InputError names mu.
     """
     delta = float(delta)
     mu = int(mu)
@@ -382,6 +384,14 @@ def curve_cover_count(
     ln_patch = mu * math.log(8.0 * math.pi) + 2.0 * mu * (
         math.log(lam_sup) - math.log(delta)
     )
+    for term, value in (
+        ("(mu - 1) ln(4 / delta^2)", ln_cells),
+        ("mu ln(8 pi) + 2 mu ln(Lambda / delta)", ln_patch),
+    ):
+        if not math.isfinite(value):
+            raise InputError(
+                f"mu = {mu:.6g} is too large: {term} is not a finite double"
+            )
     if g.sigma == 0.0 or nu_k == 0:
         total = LogNumber(ln_cells, _mirror_power(4.0 / (delta * delta), mu - 1))
     else:

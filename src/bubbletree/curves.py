@@ -27,8 +27,9 @@ relative slack of 1e-12; fiber residuals must stay below 1e-9.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,6 +84,10 @@ class ModuliPoint:
     tree: RootedTree
     gamma: Mapping[int, complex]
     zr: Mapping[tuple[int, int], tuple[complex, complex]]
+    # the checked decomposition of the last params it was built for
+    _decomposition: ThickThinDecomposition | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         g = {int(e): complex(c) for e, c in self.gamma.items()}
@@ -136,10 +141,7 @@ def chart_position(p: ModuliPoint, u: int, v: int, e: int) -> complex:
 
 def _first_edge_below(t: RootedTree, u: int, v: int, e: int) -> int:
     """Edge through which the pair (v, e) hangs below u; e itself when v = u."""
-    if v == u:
-        return e
-    path = positive_path(t, u, v)
-    return t.parent_edge[path[1]]
+    return e if v == u else t.parent_edge[positive_path(t, u, v)[1]]
 
 
 def position_gaps(p: ModuliPoint):
@@ -153,6 +155,7 @@ def position_gaps(p: ModuliPoint):
     """
     t = p.tree
     coords = t.coordinate_pairs()
+    position = functools.cache(functools.partial(chart_position, p))
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             v1, e1 = coords[i]
@@ -160,7 +163,7 @@ def position_gaps(p: ModuliPoint):
             u = nearest_common_ancestor(t, v1, v2)
             if _first_edge_below(t, u, v1, e1) == _first_edge_below(t, u, v2, e2):
                 continue
-            gap = chart_position(p, u, v1, e1) - chart_position(p, u, v2, e2)
+            gap = position(u, v1, e1) - position(u, v2, e2)
             yield u, (v1, e1), (v2, e2), gap
 
 
@@ -351,20 +354,22 @@ def _parent_coord(p: ModuliPoint, child: ProjPoint, u: int, e: int) -> ProjPoint
     return ProjPoint(num, den).normalized()
 
 
-def _complete_downward(
-    p: ModuliPoint, assigned: dict[int, ProjPoint]
-) -> dict[int, ProjPoint]:
+def _complete(p: ModuliPoint, coords: dict[int, ProjPoint], v: int) -> FiberPoint:
+    """The fiber point through the given coordinates, v among them: the
+    others are propagated up the parent chain of v, then down every branch
+    still missing."""
     t = p.tree
-    if t.root_vertex not in assigned:
-        raise InputError("root coordinate missing")
-    coords = dict(assigned)
-    for v in t.order:
-        if v in coords:
-            continue
+    while v != t.root_vertex:
         e = t.parent_edge[v]
         u = t.e_minus[e]
-        coords[v] = _child_coord(p, coords[u], u, e)
-    return coords
+        coords[u] = _parent_coord(p, coords[v], u, e)
+        v = u
+    for w in t.order:
+        if w not in coords:
+            e = t.parent_edge[w]
+            u = t.e_minus[e]
+            coords[w] = _child_coord(p, coords[u], u, e)
+    return FiberPoint(coords)
 
 
 def _fiber_through(p: ModuliPoint, v: int, coord: ProjPoint) -> FiberPoint:
@@ -374,15 +379,7 @@ def _fiber_through(p: ModuliPoint, v: int, coord: ProjPoint) -> FiberPoint:
     Tolerates degenerate edges away from nodes; raises when the requested
     value sits at a node, where the chart no longer determines the point.
     """
-    t = p.tree
-    coords = {v: coord.normalized()}
-    cur = v
-    while cur != t.root_vertex:
-        e = t.parent_edge[cur]
-        u = t.e_minus[e]
-        coords[u] = _parent_coord(p, coords[cur], u, e)
-        cur = u
-    return FiberPoint(_complete_downward(p, coords))
+    return _complete(p, {v: coord.normalized()}, v)
 
 
 # _fiber_through on a batch of points.  Coordinates are complex arrays, but
@@ -503,7 +500,7 @@ def section(p: ModuliPoint, e: int) -> FiberPoint:
     u = t.e_minus[e]
     chain = positive_path(t, t.root_vertex, u)
     coords = {w: ProjPoint(chart_position(p, w, u, e), 1.0) for w in chain}
-    return FiberPoint(_complete_downward(p, coords))
+    return _complete(p, coords, t.root_vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +673,13 @@ class ThickThinDecomposition:
         """All regions containing q.
 
         Interior points land in exactly one region; points on a boundary
-        circle land in exactly the two regions meeting there.
+        circle land in exactly the two regions meeting there.  Each chart
+        value of q is read once and the discs come from circles.
         """
-        return tuple(r for r in self.regions if region_contains(self.point, r, q))
+        t = self.point.tree
+        val = {v: q.affine(v) for v in t.vertices}.__getitem__
+        disc = self.circles.__getitem__
+        return tuple(r for r in self.regions if _in_region(t, r, val, disc))
 
 
 def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecomposition:
@@ -689,7 +690,14 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
     first, then the geometric facts the regions rely on: every child disc
     stays inside the half-disc, and dilations of sibling discs by any factor
     below 1/tau remain disjoint.
+
+    The checks run once per (p, c) pair: the checked decomposition is kept
+    on p and returned for the same params object; other params are checked
+    afresh, and a failed check keeps nothing.
     """
+    cached = p._decomposition
+    if cached is not None and cached.params is c:
+        return cached
     report = in_compact_subset(p, c)
     if not report.ok:
         raise VerificationError(f"not a member: {report.first_violation}")
@@ -715,19 +723,17 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
     regions = [Region("thick", vertex=v) for v in sorted(t.vertices)]
     regions += [Region("neck", edge=e) for e in t.full_edges]
     regions += [Region("end", edge=e) for e in t.half_edges]
-    return ThickThinDecomposition(p, c, circles, tuple(regions))
+    dec = ThickThinDecomposition(p, c, circles, tuple(regions))
+    object.__setattr__(p, "_decomposition", dec)
+    return dec
 
 
 def _in_closed_disc(val: complex | None, center: complex, radius: float) -> bool:
-    if val is None:
-        return False
-    return _leq(abs(val - center), radius)
+    return val is not None and _leq(abs(val - center), radius)
 
 
 def _outside_open_disc(val: complex | None, center: complex, radius: float) -> bool:
-    if val is None:
-        return True
-    return _leq(radius, abs(val - center))
+    return val is None or _leq(radius, abs(val - center))
 
 
 def _circle(p: ModuliPoint, v: int, e: int) -> tuple[complex, float]:
@@ -746,33 +752,46 @@ def region_contains(p: ModuliPoint, region: Region, q: FiberPoint) -> bool:
     open unit disc of the root vertex; end at another external edge: inside
     the closed disc of (e-, e).
     """
-    t = p.tree
+    return _in_region(p.tree, region, q.affine, lambda pair: _circle(p, *pair))
+
+
+def _in_region(t: RootedTree, region: Region, val, disc) -> bool:
+    """region_contains on chart values val(v) and discs disc((v, e))."""
     if region.kind == "thick":
-        v = region.vertex
-        val = q.affine(v)
-        if not _in_closed_disc(val, 0.0, 1.0):
-            return False
-        return all(
-            _outside_open_disc(val, *_circle(p, v, e)) for e in t.child_edges(v)
+        v, x = region.vertex, val(region.vertex)
+        return _in_closed_disc(x, 0.0, 1.0) and all(
+            _outside_open_disc(x, *disc((v, e))) for e in t.child_edges(v)
         )
     e = region.edge
     if region.kind == "neck":
         u, v = t.e_minus[e], t.e_plus[e]
-        return _in_closed_disc(
-            q.affine(u), *_circle(p, u, e)
-        ) and _outside_open_disc(q.affine(v), 0.0, 1.0)
+        return _in_closed_disc(val(u), *disc((u, e))) and _outside_open_disc(
+            val(v), 0.0, 1.0
+        )
     if e == t.root_edge:
-        return _outside_open_disc(q.affine(t.root_vertex), 0.0, 1.0)
+        return _outside_open_disc(val(t.root_vertex), 0.0, 1.0)
     u = t.e_minus[e]
-    return _in_closed_disc(q.affine(u), *_circle(p, u, e))
+    return _in_closed_disc(val(u), *disc((u, e)))
 
 
 def classify(
     p: ModuliPoint, c: CompactnessParams, q: FiberPoint
 ) -> tuple[Region, ...]:
     """All regions of the decomposition of p containing q; see
-    ThickThinDecomposition.classify."""
+    ThickThinDecomposition.classify.  The decomposition is checked once per
+    (p, c) pair and reused, so later calls are region lookups."""
     return decomposition(p, c).classify(q)
+
+
+def _region_components(p: ModuliPoint, region: Region, q: FiberPoint) -> tuple:
+    """Sphere components region_distance compares on region, in its order."""
+    if region.kind == "thick":
+        return (q.at(region.vertex),)
+    t, e = p.tree, region.edge
+    return tuple(
+        q.at(u) if t.e_plus[e] == u else _phi_component(p, q, u, e)
+        for u in t.tree.boundary[e]
+    )
 
 
 def region_distance(
@@ -786,22 +805,8 @@ def region_distance(
     for q in (q1, q2):
         if not region_contains(p, region, q):
             raise InputError(f"point outside region {region}")
-    t = p.tree
-    if region.kind == "thick":
-        v = region.vertex
-        return sphere_distance(q1.at(v), q2.at(v))
-    e = region.edge
-    vals = []
-    for u in t.tree.boundary[e]:
-        if t.e_plus[e] == u:
-            vals.append(sphere_distance(q1.at(u), q2.at(u)))
-        else:
-            vals.append(
-                sphere_distance(
-                    _phi_component(p, q1, u, e), _phi_component(p, q2, u, e)
-                )
-            )
-    return max(vals)
+    c1, c2 = (_region_components(p, region, q) for q in (q1, q2))
+    return max(sphere_distance(a, b) for a, b in zip(c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -836,13 +841,7 @@ def neck_param(p: ModuliPoint, e: int, s: float, t_angle: float) -> FiberPoint:
         u: ProjPoint(p.z(u, e) + p.rho(u, e) * z_u, 1.0),
         v: ProjPoint(1.0, z_v),
     }
-    cur = u
-    while cur != t.root_vertex:
-        pe = t.parent_edge[cur]
-        w = t.e_minus[pe]
-        coords[w] = _parent_coord(p, coords[cur], w, pe)
-        cur = w
-    return FiberPoint(_complete_downward(p, coords))
+    return _complete(p, coords, u)
 
 
 def round_flat_area_ratio(z: complex) -> float:
@@ -1537,33 +1536,31 @@ def check_map_membership(
     """
     report = in_compact_subset(p, c)
     allowed = set(target_subset)
-    image_ok, offender = True, None
-    for idx, (q, tgt) in enumerate(smap.samples):
-        if tgt not in allowed:
-            image_ok, offender = False, idx
-            break
+    offender = next(
+        (i for i, (_, tgt) in enumerate(smap.samples) if tgt not in allowed), None
+    )
 
     rejections = []
     pairs_checked = 0
     if report.ok:
         decomp = decomposition(p, c)
-        for region in decomp.regions:
+        inside = {region: [] for region in decomp.regions}
+        for q, tgt in smap.samples:
+            for region in decomp.classify(q):
+                inside[region].append((q, tgt))
+        for region, members in inside.items():
             if region not in lam:
                 raise InputError(f"no Lipschitz budget for region {region}")
-            inside = [
-                (q, tgt)
-                for q, tgt in smap.samples
-                if region_contains(p, region, q)
-            ]
+            comps = [(_region_components(p, region, q), tgt) for q, tgt in members]
             budget = lam[region] * lambda0
             worst = 0.0
-            for i in range(len(inside)):
-                for j in range(i + 1, len(inside)):
-                    d_dom = region_distance(p, region, inside[i][0], inside[j][0])
+            for i, (ci, ti) in enumerate(comps):
+                for cj, tj in comps[i + 1 :]:
+                    d_dom = max(sphere_distance(a, b) for a, b in zip(ci, cj))
                     if d_dom <= 0.0:
                         continue
                     pairs_checked += 1
-                    d_cod = smap.target.distance(inside[i][1], inside[j][1])
+                    d_cod = smap.target.distance(ti, tj)
                     worst = max(worst, d_cod / d_dom)
             if worst > budget * (1.0 + EQ_SLACK):
                 rejections.append((region, worst, budget))
@@ -1588,10 +1585,10 @@ def check_map_membership(
 
     return MembershipVerdict(
         membership=report,
-        image_ok=image_ok,
+        image_ok=offender is None,
         image_offender=offender,
         lipschitz_rejections=tuple(rejections),
         lipschitz_pairs=pairs_checked,
         energy_status=energy_status,
-        energy_failures=failures if smap.region_energy is not None else (),
+        energy_failures=failures,
     )

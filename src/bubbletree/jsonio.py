@@ -184,10 +184,18 @@ def complex_from_json(value: Any, where: str = "value") -> complex:
 
 
 def _int_key(key: str, where: str) -> int:
+    """An integer object key, spelled only as str(int) writes it.
+
+    int() also reads "01", "1_0" and " 1 ", which would merge distinct keys
+    (or renumber one); canonical keys map one to one onto integers.
+    """
     try:
-        return int(key)
+        value = int(key)
     except (TypeError, ValueError):
-        raise InputError(f"{where} key {key!r} is not an integer") from None
+        value = None
+    if value is None or str(value) != key:
+        raise InputError(f"{where} key {key!r} is not a canonical integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +293,7 @@ def moduli_from_json(data: Any) -> ModuliPoint:
         parts = str(key).split(",")
         if len(parts) != 2:
             raise InputError(f"zr key {key!r} is not of the form 'v,e'")
-        pair = (_int_key(parts[0], "zr"), _int_key(parts[1], "zr"))
+        pair = tuple(_int_key(part, f"zr[{key!r}]") for part in parts)
         zr[pair] = (
             complex_from_json(require_key(item, "z", list, f"zr[{key!r}]"), "z"),
             complex_from_json(require_key(item, "rho", list, f"zr[{key!r}]"), "rho"),

@@ -7,17 +7,22 @@ import random
 
 from bubbletree.bubbles import BubbleConfiguration, renormalize
 from bubbletree.curves import (
+    EQ_SLACK,
     FILL_SKIP_LIMIT,
     RESIDUAL_TOL,
     UNIT_TARGETS,
     CompactnessParams,
     ModuliPoint,
+    Region,
     _fiber_through,
+    _leq,
+    _phi_component,
     _require_on_fiber,
+    chart_position,
 )
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiberMap, FiniteMetricSpace, ProjPoint, sphere_distance
-from bubbletree.trees import RootedTree, Tree
+from bubbletree.trees import RootedTree, Tree, nearest_common_ancestor, positive_path
 
 
 def star_tree(k: int) -> RootedTree:
@@ -362,3 +367,124 @@ def all_lipschitz_maps(space_z, space_w, t, lam):
         if ok:
             out.append(FiberMap(t=t, fiber=fiber, values=values))
     return out
+
+
+# ---------------------------------------------------------------------------
+# check-path references: the region scan, the sampled Lipschitz loop and the
+# discriminant loop as they were before the decomposition was reused
+# ---------------------------------------------------------------------------
+
+
+def _edge_below(t, u, v, e):
+    return e if v == u else t.parent_edge[positive_path(t, u, v)[1]]
+
+
+def fiber_discriminant_reference(p):
+    """curves.fiber_discriminant walking the path again for each side of
+    every pair."""
+    t = p.tree
+    coords = t.coordinate_pairs()
+    out = 1.0 + 0.0j
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            (v1, e1), (v2, e2) = coords[i], coords[j]
+            u = nearest_common_ancestor(t, v1, v2)
+            if _edge_below(t, u, v1, e1) == _edge_below(t, u, v2, e2):
+                continue
+            out *= chart_position(p, u, v1, e1) - chart_position(p, u, v2, e2)
+    for e in t.full_edges:
+        out *= p.rho(t.e_minus[e], e)
+    return out
+
+
+def _disc_reference(p, v, e):
+    if p.tree.e_plus[e] == v:
+        return 0.0 + 0.0j, 1.0
+    return p.z(v, e), abs(p.rho(v, e))
+
+
+def region_contains_reference(p, region, q):
+    """curves.region_contains reading q.affine and the disc data per test."""
+    t = p.tree
+
+    def inside(val, center, radius):
+        return val is not None and _leq(abs(val - center), radius)
+
+    def outside(val, center, radius):
+        return val is None or _leq(radius, abs(val - center))
+
+    if region.kind == "thick":
+        v = region.vertex
+        val = q.affine(v)
+        if not inside(val, 0.0, 1.0):
+            return False
+        return all(
+            outside(val, *_disc_reference(p, v, e)) for e in t.child_edges(v)
+        )
+    e = region.edge
+    if region.kind == "neck":
+        u, v = t.e_minus[e], t.e_plus[e]
+        return inside(q.affine(u), *_disc_reference(p, u, e)) and outside(
+            q.affine(v), 0.0, 1.0
+        )
+    if e == t.root_edge:
+        return outside(q.affine(t.root_vertex), 0.0, 1.0)
+    u = t.e_minus[e]
+    return inside(q.affine(u), *_disc_reference(p, u, e))
+
+
+def regions_reference(t):
+    return (
+        [Region("thick", vertex=v) for v in sorted(t.vertices)]
+        + [Region("neck", edge=e) for e in t.full_edges]
+        + [Region("end", edge=e) for e in t.half_edges]
+    )
+
+
+def classify_reference(p, q):
+    """Every region whose containment test holds at q, in decomposition order."""
+    regions = regions_reference(p.tree)
+    return tuple(r for r in regions if region_contains_reference(p, r, q))
+
+
+def region_distance_reference(p, region, q1, q2):
+    t = p.tree
+    if region.kind == "thick":
+        v = region.vertex
+        return sphere_distance(q1.at(v), q2.at(v))
+    e = region.edge
+    vals = []
+    for u in t.tree.boundary[e]:
+        if t.e_plus[e] == u:
+            vals.append(sphere_distance(q1.at(u), q2.at(u)))
+        else:
+            a, b = _phi_component(p, q1, u, e), _phi_component(p, q2, u, e)
+            vals.append(sphere_distance(a, b))
+    return max(vals)
+
+
+def lipschitz_reference(p, smap, lam, lambda0):
+    """check_map_membership's region loop on a member: every region tested
+    against every sample, the region distance recomputed for every pair.
+    Returns (rejections, pairs compared)."""
+    rejections = []
+    pairs = 0
+    for region in regions_reference(p.tree):
+        inside = [
+            (q, tgt)
+            for q, tgt in smap.samples
+            if region_contains_reference(p, region, q)
+        ]
+        budget = lam[region] * lambda0
+        worst = 0.0
+        for i in range(len(inside)):
+            for j in range(i + 1, len(inside)):
+                d_dom = region_distance_reference(p, region, inside[i][0], inside[j][0])
+                if d_dom <= 0.0:
+                    continue
+                pairs += 1
+                d_cod = smap.target.distance(inside[i][1], inside[j][1])
+                worst = max(worst, d_cod / d_dom)
+        if worst > budget * (1.0 + EQ_SLACK):
+            rejections.append((region, worst, budget))
+    return tuple(rejections), pairs

@@ -302,6 +302,29 @@ def test_tree_rejects_non_integer_ids(tmp_path, edit, field):
     assert fail["error"].startswith(f"{field} must be an integer")
 
 
+@pytest.mark.parametrize("key", ["01", "1_0", " 2 "])
+@pytest.mark.parametrize("field", ["alpha", "gamma", "zr"])
+def test_noncanonical_integer_keys_exit_3(tmp_path, field, key):
+    # int() reads each of these keys, so "01" would overwrite "1" and "1_0"
+    # would become vertex 10
+    files = dict(zip(["point", "params"], point_and_params(tmp_path, TWO_LEVEL_BUBBLE)))
+    which = "params" if field == "alpha" else "point"
+    doc = json.loads((tmp_path / f"{which}.json").read_text())
+    table = doc[field]
+    first = next(iter(table))
+    table[f"{key},{first.split(',')[1]}" if field == "zr" else key] = table[first]
+    files[which] = write(tmp_path, f"bad-{which}.json", doc)
+    code, out, err = invoke(
+        ["check-membership", "--point", files["point"], "--params", files["params"]]
+    )
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    assert fail["error"].startswith(field)
+    assert f"key {key!r} is not a canonical integer" in fail["error"]
+
+
 def test_check_membership_fail_exit_2(tmp_path):
     point, params = point_and_params(tmp_path, TWO_LEVEL_BUBBLE)
     loose = json.loads((tmp_path / "params.json").read_text())
@@ -551,6 +574,27 @@ def test_bounds_curve_mu_past_double_range_exit_3():
         "error": "mu = 10^310.0 is past double range",
         "kind": "InputError",
     }
+
+
+def test_bounds_curve_mu_below_double_max_exits_3_naming_mu(tmp_path):
+    code, data = invoke_json(["bounds", "curve", "--mu", str(3 * 10**307)])
+    assert code == 0
+    assert data["log10_total"] is None and data["log10_log10_total"] > 3e307
+    # with sigma = 0 the count is the cell count alone, but the patch-net log
+    # is reported too, and at 6e307 it is inf
+    flat = ["--consts", write(tmp_path, "flat.json", {"sigma": 0.0})]
+    for mu, extra, term in [
+        (6 * 10**307, [], "2 mu ln(Lambda / delta)"),
+        (6 * 10**307, flat, "2 mu ln(Lambda / delta)"),
+        (10**308, [], "(mu - 1)"),
+    ]:
+        code, out, err = invoke(["bounds", "curve", "--mu", str(mu), *extra])
+        assert code == 3
+        assert not out
+        fail = json.loads(err)
+        assert fail["kind"] == "InputError"
+        assert fail["error"].startswith(f"mu = {mu:.6g} is too large: ")
+        assert term in fail["error"] and "is not a finite double" in fail["error"]
 
 
 def test_bounds_curve_past_log_range():

@@ -41,6 +41,7 @@ from bubbletree.curves import (
     neck_param,
     neck_path,
     round_flat_area_ratio,
+    region_contains,
     region_distance,
     section,
     split_fiber,
@@ -53,9 +54,12 @@ from bubbletree.trees import Marking
 from helpers import (
     anchor_points_reference,
     chain_tree,
+    classify_reference,
     decorate_reference,
     default_params,
+    fiber_discriminant_reference,
     flat_standard,
+    lipschitz_reference,
     random_member,
     random_standard,
     star_tree,
@@ -165,6 +169,19 @@ def test_discriminant_chain_hand_formula():
     for gap in gaps:
         expected *= gap
     assert abs(fiber_discriminant(p) - expected) < 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("depth", [4, 6, 8, 10])
+def test_discriminant_bits_match_uncached_loop(depth):
+    rng = random.Random(depth)
+    tree = chain_tree(depth)
+    c = default_params(tree)
+    for _ in range(3):
+        p = random_member(tree, c, rng)
+        got, want = fiber_discriminant(p), fiber_discriminant_reference(p)
+        assert struct.pack("<dd", got.real, got.imag) == struct.pack(
+            "<dd", want.real, want.imag
+        )
 
 
 def test_discriminant_vanishes_with_zero_rho():
@@ -526,6 +543,108 @@ def test_pipeline_builds_one_decomposition(tmp_path, monkeypatch):
     report = pipeline.run_pipeline(config, tmp_path, seed=3)
     assert report.ok
     assert len(calls) == 1
+
+
+def check_path_cases():
+    """(p, c, samples) on random chain members: samples in the root chart,
+    across every neck, and on boundary circles (the root's unit circle,
+    every child disc's rim and both ends of every neck)."""
+    rng = random.Random(1985)
+    out = []
+    for depth in (2, 3, 5, 7):
+        tree = chain_tree(depth)
+        c = default_params(tree)
+        p = random_member(tree, c, rng)
+        turns = [cmath.exp(2j * math.pi * rng.random()) for _ in range(40)]
+        roots = [math.sqrt(rng.random()) * w for w in turns[:12]] + [turns[12]]
+        samples = [fiber_from_root(p, ProjPoint(z, 1.0)) for z in roots]
+        samples.append(fiber_from_root(p, INF))
+        for (v, e), w in zip(tree.coordinate_pairs(), turns[13:]):
+            z, rho = p.zr[(v, e)]
+            rim = ProjPoint(z + abs(rho) * w, 1.0)
+            samples.append(curves._fiber_through(p, v, rim))
+        for e in tree.full_edges:
+            big_r = -0.5 * math.log(abs(p.gamma_of(e)))
+            for s in (-big_r, rng.uniform(-big_r, big_r), big_r):
+                samples.append(neck_param(p, e, s, rng.uniform(0.0, 2.0 * math.pi)))
+        out.append((p, c, samples))
+    return out
+
+
+def test_classify_matches_region_scan_reference():
+    on_boundary = 0
+    for p, c, samples in check_path_cases():
+        dec = decomposition(p, c)
+        for q in samples:
+            want = classify_reference(p, q)
+            assert classify(p, c, q) == want
+            assert dec.classify(q) == want
+            assert all(region_contains(p, r, q) == (r in want) for r in dec.regions)
+            on_boundary += len(want) == 2
+    assert on_boundary >= 40
+
+
+def ieee_rejections(rejections):
+    return [(r, struct.pack("<dd", seen, allowed)) for r, seen, allowed in rejections]
+
+
+@pytest.mark.parametrize(
+    "budget, rejects", [(10.0, False), (0.5, None), (1e-3, True)]
+)
+def test_check_map_membership_matches_reference(budget, rejects):
+    for p, c, samples in check_path_cases():
+        root = p.tree.root_vertex
+        target = FiniteMetricSpace.from_sphere([q.at(root) for q in samples])
+        smap = SampledMap(target, tuple((q, i) for i, q in enumerate(samples)))
+        lam = region_budgets(p, c, budget)
+        verdict = check_map_membership(
+            p, c, smap, range(len(samples)), 1.0, lam, 2.0, Marking()
+        )
+        rejections, pairs = lipschitz_reference(p, smap, lam, 2.0)
+        assert verdict.lipschitz_pairs == pairs > 0
+        got = ieee_rejections(verdict.lipschitz_rejections)
+        assert got == ieee_rejections(rejections)
+        if rejects is not None:
+            assert bool(rejections) is rejects
+
+
+def count_membership_checks(monkeypatch):
+    calls = []
+
+    def counted(p, c):
+        calls.append(c)
+        return in_compact_subset(p, c)
+
+    monkeypatch.setattr(curves, "in_compact_subset", counted)
+    return calls
+
+
+def test_classify_checks_membership_once_per_params(monkeypatch):
+    p, c, samples = check_path_cases()[2]
+    qs = (samples * 2)[:48]
+    calls = count_membership_checks(monkeypatch)
+    hits = [classify(p, c, q) for q in qs]
+    assert len(calls) == 1
+    assert hits == [classify_reference(p, q) for q in qs]
+    # equal but distinct params are checked afresh
+    twin = CompactnessParams(c.theta, c.tau, c.alpha)
+    assert classify(p, twin, qs[0]) == hits[0]
+    assert len(calls) == 2
+
+
+def test_classify_after_member_rechecks_failing_params(monkeypatch):
+    p, c, samples = check_path_cases()[1]
+    q = samples[0]
+    ok = classify(p, c, q)
+    # an alpha above every |rho| makes p a non-member for these params
+    bad = CompactnessParams(c.theta, c.tau, {v: c.theta for v in c.alpha})
+    calls = count_membership_checks(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(VerificationError, match="not a member"):
+            classify(p, bad, q)
+    assert len(calls) == 2
+    assert classify(p, c, q) == ok
+    assert len(calls) == 2
 
 
 def test_region_distance_thick_is_plain_sphere_distance():
