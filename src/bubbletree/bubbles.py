@@ -17,7 +17,8 @@ membership checks in curves; position matching uses a 1e-9 tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -27,7 +28,10 @@ from .curves import (
     CompactnessParams,
     MembershipReport,
     ModuliPoint,
+    _first_false,
     _leq,
+    _leq_array,
+    _moduli,
     chart_position,
     in_compact_subset,
 )
@@ -61,6 +65,10 @@ class BubbleConfiguration:
 
     points: tuple[complex, ...]
     radius: Mapping[complex, float]
+    # the eps at which is_standard last accepted the configuration
+    _standard_eps: float | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         pts = tuple(sorted((complex(z) for z in self.points), key=_lex))
@@ -81,31 +89,44 @@ class BubbleConfiguration:
     def size(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Moduli |z|, radii and the distance matrix |x - y|, in point order,
+        equal to the scalar abs values.  Every pairwise check reads this
+        one matrix."""
+        pts = np.array(self.points, dtype=complex)
+        rad = np.array([self.radius[z] for z in self.points], dtype=float)
+        return _moduli(pts), rad, _moduli(np.subtract.outer(pts, pts))
+
 
 def is_type_eps(cfg: BubbleConfiguration, eps: float) -> bool:
     """All points within eps of the origin, radii at most 4 eps, and the
     pairwise bound rho(x) + rho(y) <= (eps^2/4) |x - y|."""
     eps = _check_eps(eps)
-    for z in cfg.points:
-        if not _leq(abs(z), eps):
-            return False
-        if not _leq(cfg.radius[z], 4.0 * eps):
-            return False
+    mod, rad, dist = cfg._arrays
+    if not (_leq_array(mod, eps).all() and _leq_array(rad, 4.0 * eps).all()):
+        return False
     quarter = eps * eps / 4.0
-    for x, y in combinations(cfg.points, 2):
-        if not _leq(cfg.radius[x] + cfg.radius[y], quarter * abs(x - y)):
-            return False
-    return True
+    ok = _leq_array(rad[:, None] + rad, quarter * dist)
+    # both triangles hold the same values; the diagonal is no pair
+    np.fill_diagonal(ok, True)
+    return bool(ok.all())
 
 
 def is_standard(cfg: BubbleConfiguration, eps: float) -> bool:
-    """Type eps with 0 among the points and the eps bound attained."""
+    """Type eps with 0 among the points and the eps bound attained.  The
+    configuration remembers the eps it was last accepted at, so a second
+    check at that eps is free."""
     eps = _check_eps(eps)
+    if cfg._standard_eps == eps:
+        return True
     if not is_type_eps(cfg, eps):
         return False
-    if not any(z == 0 for z in cfg.points):
+    mod = cfg._arrays[0]
+    if not (mod == 0).any() or not _leq(eps, float(mod.max())):
         return False
-    return _leq(eps, max(abs(z) for z in cfg.points))
+    object.__setattr__(cfg, "_standard_eps", eps)
+    return True
 
 
 @dataclass(frozen=True)
@@ -271,17 +292,16 @@ def renormalize(
     pts = cfg.points
     if len(pts) < 2:
         raise InputError("renormalization needs at least two bubble points")
-    maxd = max(abs(x - y) for x, y in combinations(pts, 2))
+    dist = cfg._arrays[2]
+    maxd = float(dist.max())
     kappa = maxd / eps
-    attaining = [
-        (x, y) for x in pts for y in pts if x != y and abs(x - y) == maxd
-    ]
-    pool = attaining
-    if is_standard(cfg, eps):
-        zero_first = [p for p in attaining if p[0] == 0]
-        if zero_first:
-            pool = zero_first
-    x_star, _ = min(pool, key=lambda p: _lex(p[0]) + _lex(p[1]))
+    # points are sorted by (re, im), so the least attaining ordered pair
+    # starts at the first row that attains the maximum
+    attains = (dist == maxd).any(axis=1)
+    first = int(attains.argmax())
+    if is_standard(cfg, eps) and attains[pts.index(0)]:
+        first = pts.index(0)
+    x_star = pts[first]
     new_radius = {(z - x_star) / kappa: cfg.radius[z] / kappa for z in pts}
     out = BubbleConfiguration(tuple(new_radius), new_radius)
     if not is_standard(out, eps):
@@ -358,9 +378,9 @@ def reduce(
     if not is_standard(cfg, eps):
         raise InputError("reduction requires a standard configuration")
     pts = cfg.points
-    diff = np.subtract.outer(pts, pts)
-    # hypot of the parts is abs(u - v) bit for bit; np.abs on complex is not
-    space = FiniteMetricSpace(np.hypot(diff.real, diff.imag), labels=pts)
+    n = len(pts)
+    _, rad, dist = cfg._arrays
+    space = FiniteMetricSpace(dist, labels=pts)
     base = 4.0 * eps**3
     sel, r_idx = cluster_select(space, lambda i: base**i, pts.index(0))
     k = len(sel)
@@ -369,25 +389,33 @@ def reduce(
             "a standard configuration must produce at least two centers"
         )
     centers = tuple(pts[i] for i in sel)
-    retraction = {pts[i]: pts[r_idx[i]] for i in range(len(pts))}
+    retraction = {pts[i]: pts[r_idx[i]] for i in range(n)}
     cutoff = base**k / (4.0 * eps * eps)
     rho_p = {x: max(cutoff, cfg.radius[x] / (4.0 * eps)) for x in centers}
 
-    for x, y in combinations(centers, 2):
-        if not _leq(rho_p[x] + rho_p[y], 2.0 * eps * abs(x - y)):
-            raise VerificationError(
-                f"centers {x}, {y} violate the 2 eps separation bound"
-            )
-    for z in pts:
-        x = retraction[z]
-        if not _leq(abs(z - x), 4.0 * eps * eps * rho_p[x]):
+    # the first offender named is the first failing center pair in (x, y)
+    # order, else the first failing point, with its first failing check
+    rp = np.array([rho_p[x] for x in centers])
+    ok = _leq_array(rp[:, None] + rp, 2.0 * eps * dist[np.ix_(sel, sel)])
+    bad = np.flatnonzero(np.triu(~ok, 1))
+    if bad.size:
+        i, j = divmod(int(bad[0]), k)
+        raise VerificationError(
+            f"centers {centers[i]}, {centers[j]} violate the 2 eps separation bound"
+        )
+    r = np.fromiter(r_idx.values(), dtype=np.intp, count=n)
+    rp_of = rp[np.searchsorted(sel, r)]  # rho_p at each point's center
+    own = np.arange(n)
+    in_disc = _leq_array(dist[own, r], 4.0 * eps * eps * rp_of)
+    in_budget = _leq_array(rad, 4.0 * eps * rp_of)
+    i = _first_false(in_disc & in_budget & ((r == own) | (rp_of == cutoff)))
+    if i is not None:
+        z, x = pts[i], pts[r[i]]
+        if not in_disc[i]:
             raise VerificationError(f"point {z} strays outside its cluster disc")
-        if not _leq(cfg.radius[z], 4.0 * eps * rho_p[x]):
+        if not in_budget[i]:
             raise VerificationError(f"radius at {z} exceeds its cluster budget")
-        if z != x and rho_p[x] != cutoff:
-            raise VerificationError(
-                f"center {x} has satellites but a non-cutoff radius"
-            )
+        raise VerificationError(f"center {x} has satellites but a non-cutoff radius")
     return centers, retraction, rho_p, k
 
 
@@ -497,10 +525,13 @@ def associate_tree(cfg: BubbleConfiguration, eps: float) -> TreeAssociation:
         v = fresh("vertex")
         boundary[in_edge] = (v,) if parent_vertex is None else (parent_vertex, v)
         centers, retraction, rho_p, _ = reduce(sub, eps)
+        clusters: dict[complex, list[complex]] = {x: [] for x in centers}
+        for z in sub.points:
+            clusters[retraction[z]].append(z)
         for x in centers:
             e = fresh("edge")
             zr[(v, e)] = (x, rho_p[x])
-            cluster = [z for z in sub.points if retraction[z] == x]
+            cluster = clusters[x]
             if len(cluster) == 1:
                 boundary[e] = (v,)
                 edge_to_bubble[e] = origin[x]
@@ -577,7 +608,8 @@ def verify_association(
             f"edge_to_bubble keys {sorted(mapped)} differ from the external "
             f"non-root edges {sorted(external)}"
         )
-    remaining = list(cfg.points)
+    pts = np.array(cfg.points, dtype=complex)
+    remaining = np.ones(len(pts), dtype=bool)
     for e in sorted(external):
         (v_e,) = rooted.tree.boundary[e]
         try:
@@ -585,20 +617,25 @@ def verify_association(
         except InputError as exc:
             position_errors.append(f"edge {e}: {exc}")
             continue
-        best = min(remaining, key=lambda z: abs(z - value), default=None)
+        # the nearest remaining point, ties to the first in point order
+        left = np.flatnonzero(remaining)
+        best = None
+        if left.size:
+            i = left[_moduli(pts[left] - value).argmin()]
+            best = cfg.points[i]
         if best is None or abs(best - value) > POSITION_TOL:
             position_errors.append(
                 f"edge {e}: chart position {value} matches no bubble point"
             )
             continue
-        remaining.remove(best)
+        remaining[i] = False
         target = mapped.get(e)
         if target is not None and abs(target - best) > POSITION_TOL:
             position_errors.append(
                 f"edge {e}: edge_to_bubble says {target} but the chart shows {best}"
             )
-    for z in remaining:
-        position_errors.append(f"no edge position matches bubble point {z}")
+    for i in np.flatnonzero(remaining):
+        position_errors.append(f"no edge position matches bubble point {cfg.points[i]}")
 
     gamma_errors = [
         f"gamma[{e}] = 0" for e in sorted(point.gamma) if point.gamma[e] == 0

@@ -67,6 +67,23 @@ def _leq(a: float, b: float) -> bool:
     return a <= b + EQ_SLACK * max(1.0, abs(a), abs(b))
 
 
+def _leq_array(a, b) -> np.ndarray:
+    """_leq elementwise on broadcast float arrays, bit for bit the same
+    verdicts.  Moduli of complex values must come from np.hypot of the
+    parts, which matches scalar abs exactly (np.abs on complex does not)."""
+    return a <= b + EQ_SLACK * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    """Index of the first False entry of a flat boolean array, else None."""
+    return None if ok.all() else int(ok.argmin())
+
+
+def _moduli(values: np.ndarray) -> np.ndarray:
+    """abs of each complex entry, bit for bit."""
+    return np.hypot(values.real, values.imag)
+
+
 # ---------------------------------------------------------------------------
 # coordinate data
 # ---------------------------------------------------------------------------
@@ -233,49 +250,64 @@ def in_compact_subset(p: ModuliPoint, c: CompactnessParams) -> MembershipReport:
     In order: |z_{v,e}| <= theta; alpha_v <= |rho_{v,e}| <= 2 theta; the
     sibling-separation bound |rho_{v,e}| + |rho_{v,e'}| <= tau |z_{v,e} -
     z_{v,e'}|; and |gamma_e| <= tau.  Closed inequalities carry 1e-12
-    relative slack.  Reports the first violated inequality.
+    relative slack.  Reports the first violated inequality.  Each block is
+    one array comparison over all its inequalities; the first offender's
+    message is built from the scalar values.
     """
     t = p.tree
-    checked = 0
-    for v, e in t.coordinate_pairs():
-        checked += 1
-        if not _leq(abs(p.z(v, e)), c.theta):
-            return MembershipReport(
-                False, f"|z[{v},{e}]| = {abs(p.z(v, e))} > theta = {c.theta}", checked
-            )
-    for v, e in t.coordinate_pairs():
-        checked += 1
+    theta, tau = float(c.theta), float(c.tau)
+    pairs = t.coordinate_pairs()
+    n = len(pairs)
+    zr = [p.zr[q] for q in pairs]
+    z = np.array([zc for zc, _ in zr], dtype=complex)
+    rmod = _moduli(np.array([r for _, r in zr], dtype=complex))
+
+    i = _first_false(_leq_array(_moduli(z), theta))
+    if i is not None:
+        v, e = pairs[i]
+        return MembershipReport(
+            False, f"|z[{v},{e}]| = {abs(p.z(v, e))} > theta = {c.theta}", i + 1
+        )
+    # a vertex without alpha fails here, and alpha_of raises for it below
+    alpha = np.array([c.alpha.get(v, math.nan) for v, _ in pairs])
+    i = _first_false(_leq_array(alpha, rmod) & _leq_array(rmod, 2.0 * theta))
+    if i is not None:
+        v, e = pairs[i]
         r = abs(p.rho(v, e))
         if not _leq(c.alpha_of(v), r):
             return MembershipReport(
-                False, f"|rho[{v},{e}]| = {r} < alpha[{v}] = {c.alpha_of(v)}", checked
+                False, f"|rho[{v},{e}]| = {r} < alpha[{v}] = {c.alpha_of(v)}", n + i + 1
             )
-        if not _leq(r, 2.0 * c.theta):
-            return MembershipReport(
-                False, f"|rho[{v},{e}]| = {r} > 2 theta = {2 * c.theta}", checked
-            )
-    for v in sorted(t.vertices):
-        kids = t.child_edges(v)
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                checked += 1
-                e, f = kids[i], kids[j]
-                lhs = abs(p.rho(v, e)) + abs(p.rho(v, f))
-                rhs = c.tau * abs(p.z(v, e) - p.z(v, f))
-                if not _leq(lhs, rhs):
-                    return MembershipReport(
-                        False,
-                        f"|rho[{v},{e}]| + |rho[{v},{f}]| = {lhs} > "
-                        f"tau |z[{v},{e}] - z[{v},{f}]| = {rhs}",
-                        checked,
-                    )
-    for e in t.full_edges:
-        checked += 1
-        if not _leq(abs(p.gamma_of(e)), c.tau):
-            return MembershipReport(
-                False, f"|gamma[{e}]| = {abs(p.gamma_of(e))} > tau = {c.tau}", checked
-            )
-    return MembershipReport(True, None, checked)
+        return MembershipReport(
+            False, f"|rho[{v},{e}]| = {r} > 2 theta = {2 * c.theta}", n + i + 1
+        )
+    # sibling pairs of every vertex at once: pairs is sorted by (v, e), so
+    # the row-major upper triangle lists them in ascending v, then (e, f)
+    vs = np.array([v for v, _ in pairs])
+    a, b = np.nonzero(np.triu(vs[:, None] == vs, 1))
+    sep = _leq_array(rmod[a] + rmod[b], tau * _moduli(z[a] - z[b]))
+    i = _first_false(sep)
+    if i is not None:
+        (v, e), (_, f) = pairs[a[i]], pairs[b[i]]
+        lhs = abs(p.rho(v, e)) + abs(p.rho(v, f))
+        rhs = c.tau * abs(p.z(v, e) - p.z(v, f))
+        return MembershipReport(
+            False,
+            f"|rho[{v},{e}]| + |rho[{v},{f}]| = {lhs} > "
+            f"tau |z[{v},{e}] - z[{v},{f}]| = {rhs}",
+            2 * n + i + 1,
+        )
+    full = t.full_edges
+    gmod = _moduli(np.array([p.gamma[e] for e in full], dtype=complex))
+    i = _first_false(_leq_array(gmod, tau))
+    if i is not None:
+        e = full[i]
+        return MembershipReport(
+            False,
+            f"|gamma[{e}]| = {abs(p.gamma_of(e))} > tau = {c.tau}",
+            2 * n + len(sep) + i + 1,
+        )
+    return MembershipReport(True, None, 2 * n + len(sep) + len(full))
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +727,19 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
     on p and returned for the same params object; other params are checked
     afresh, and a failed check keeps nothing.
     """
+    return _decomposition(p, c, None)
+
+
+def _decomposition(
+    p: ModuliPoint, c: CompactnessParams, report: MembershipReport | None
+) -> ThickThinDecomposition:
+    """decomposition(p, c), reading the membership report of (p, c) when the
+    caller already holds one instead of checking membership again."""
     cached = p._decomposition
     if cached is not None and cached.params is c:
         return cached
-    report = in_compact_subset(p, c)
+    if report is None:
+        report = in_compact_subset(p, c)
     if not report.ok:
         raise VerificationError(f"not a member: {report.first_violation}")
     t = p.tree
@@ -750,9 +791,17 @@ def region_contains(p: ModuliPoint, region: Region, q: FiberPoint) -> bool:
     the open unit disc of e+; on the fiber this is the annulus between the
     two boundary circles of the edge.  End at the root edge: outside the
     open unit disc of the root vertex; end at another external edge: inside
-    the closed disc of (e-, e).
+    the closed disc of (e-, e).  A region that does not fit the tree of p
+    raises InputError.
     """
-    return _in_region(p.tree, region, q.affine, lambda pair: _circle(p, *pair))
+    t = p.tree
+    if region.kind == "thick":
+        fits = region.vertex in t.vertices
+    else:
+        fits = region.edge in (t.full_edges if region.kind == "neck" else t.half_edges)
+    if not fits:
+        raise InputError(f"region {region} does not fit the tree")
+    return _in_region(t, region, q.affine, lambda pair: _circle(p, *pair))
 
 
 def _in_region(t: RootedTree, region: Region, val, disc) -> bool:
@@ -801,6 +850,8 @@ def region_distance(
 
     Thick regions compare the plain chart values at the vertex; necks and
     ends take the max of the embedding components over the edge's endpoints.
+    A point outside the region, or a region that does not fit the tree,
+    raises InputError.
     """
     for q in (q1, q2):
         if not region_contains(p, region, q):
@@ -1543,7 +1594,7 @@ def check_map_membership(
     rejections = []
     pairs_checked = 0
     if report.ok:
-        decomp = decomposition(p, c)
+        decomp = _decomposition(p, c, report)
         inside = {region: [] for region in decomp.regions}
         for q, tgt in smap.samples:
             for region in decomp.classify(q):

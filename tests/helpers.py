@@ -5,13 +5,14 @@ import itertools
 import math
 import random
 
-from bubbletree.bubbles import BubbleConfiguration, renormalize
+from bubbletree.bubbles import POSITION_TOL, BubbleConfiguration, renormalize
 from bubbletree.curves import (
     EQ_SLACK,
     FILL_SKIP_LIMIT,
     RESIDUAL_TOL,
     UNIT_TARGETS,
     CompactnessParams,
+    MembershipReport,
     ModuliPoint,
     Region,
     _fiber_through,
@@ -488,3 +489,174 @@ def lipschitz_reference(p, smap, lam, lambda0):
         if worst > budget * (1.0 + EQ_SLACK):
             rejections.append((region, worst, budget))
     return tuple(rejections), pairs
+
+
+# ---------------------------------------------------------------------------
+# scalar loops of the pairwise checks, one _leq per inequality
+# ---------------------------------------------------------------------------
+
+
+def is_type_eps_reference(cfg, eps):
+    """bubbles.is_type_eps as a loop over the points, then over the pairs."""
+    for z in cfg.points:
+        if not _leq(abs(z), eps):
+            return False
+        if not _leq(cfg.radius[z], 4.0 * eps):
+            return False
+    quarter = eps * eps / 4.0
+    for x, y in itertools.combinations(cfg.points, 2):
+        if not _leq(cfg.radius[x] + cfg.radius[y], quarter * abs(x - y)):
+            return False
+    return True
+
+
+def is_standard_reference(cfg, eps):
+    return (
+        is_type_eps_reference(cfg, eps)
+        and any(z == 0 for z in cfg.points)
+        and _leq(eps, max(abs(z) for z in cfg.points))
+    )
+
+
+def renormalize_base_reference(cfg, eps):
+    """renormalize's kappa and base point from the lexicographically least
+    attaining ordered pair, scanning every pair."""
+    pts = cfg.points
+    maxd = max(abs(x - y) for x, y in itertools.combinations(pts, 2))
+    attaining = [(x, y) for x in pts for y in pts if x != y and abs(x - y) == maxd]
+    pool = attaining
+    if is_standard_reference(cfg, eps):
+        pool = [p for p in attaining if p[0] == 0] or attaining
+    x_star, _ = min(pool, key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
+    return maxd / eps, x_star
+
+
+def reduce_checks_reference(cfg, eps, sel, r_idx):
+    """reduce's checks on the selection (sel, r_idx) of cluster_select, as
+    the pair loop over the centers and the loop over the points.  Returns
+    the first failure message, or None."""
+    pts = cfg.points
+    k = len(sel)
+    centers = tuple(pts[i] for i in sel)
+    retraction = {pts[i]: pts[r_idx[i]] for i in range(len(pts))}
+    cutoff = (4.0 * eps**3) ** k / (4.0 * eps * eps)
+    rho_p = {x: max(cutoff, cfg.radius[x] / (4.0 * eps)) for x in centers}
+    for x, y in itertools.combinations(centers, 2):
+        if not _leq(rho_p[x] + rho_p[y], 2.0 * eps * abs(x - y)):
+            return f"centers {x}, {y} violate the 2 eps separation bound"
+    for z in pts:
+        x = retraction[z]
+        if not _leq(abs(z - x), 4.0 * eps * eps * rho_p[x]):
+            return f"point {z} strays outside its cluster disc"
+        if not _leq(cfg.radius[z], 4.0 * eps * rho_p[x]):
+            return f"radius at {z} exceeds its cluster budget"
+        if z != x and rho_p[x] != cutoff:
+            return f"center {x} has satellites but a non-cutoff radius"
+    return None
+
+
+def position_errors_reference(cfg, assoc):
+    """verify_association's position errors, taking each nearest bubble
+    point with min over a shrinking list."""
+    rooted, point = assoc.tree, assoc.point
+    errors = []
+    external = [e for e in rooted.tree.half_edges if e != rooted.root_edge]
+    mapped = dict(assoc.edge_to_bubble)
+    if set(mapped) != set(external):
+        errors.append(
+            f"edge_to_bubble keys {sorted(mapped)} differ from the external "
+            f"non-root edges {sorted(external)}"
+        )
+    remaining = list(cfg.points)
+    for e in sorted(external):
+        (v_e,) = rooted.tree.boundary[e]
+        try:
+            value = chart_position(point, assoc.root_vertex, v_e, e)
+        except InputError as exc:
+            errors.append(f"edge {e}: {exc}")
+            continue
+        best = min(remaining, key=lambda z: abs(z - value), default=None)
+        if best is None or abs(best - value) > POSITION_TOL:
+            errors.append(f"edge {e}: chart position {value} matches no bubble point")
+            continue
+        remaining.remove(best)
+        target = mapped.get(e)
+        if target is not None and abs(target - best) > POSITION_TOL:
+            errors.append(
+                f"edge {e}: edge_to_bubble says {target} but the chart shows {best}"
+            )
+    errors.extend(f"no edge position matches bubble point {z}" for z in remaining)
+    return tuple(errors)
+
+
+def in_compact_subset_reference(p, c):
+    """curves.in_compact_subset as four loops of scalar _leq, counting each
+    inequality as it is tested."""
+    t = p.tree
+    checked = 0
+    for v, e in t.coordinate_pairs():
+        checked += 1
+        if not _leq(abs(p.z(v, e)), c.theta):
+            return MembershipReport(
+                False, f"|z[{v},{e}]| = {abs(p.z(v, e))} > theta = {c.theta}", checked
+            )
+    for v, e in t.coordinate_pairs():
+        checked += 1
+        r = abs(p.rho(v, e))
+        if not _leq(c.alpha_of(v), r):
+            return MembershipReport(
+                False, f"|rho[{v},{e}]| = {r} < alpha[{v}] = {c.alpha_of(v)}", checked
+            )
+        if not _leq(r, 2.0 * c.theta):
+            return MembershipReport(
+                False, f"|rho[{v},{e}]| = {r} > 2 theta = {2 * c.theta}", checked
+            )
+    for v in sorted(t.vertices):
+        kids = t.child_edges(v)
+        for i in range(len(kids)):
+            for j in range(i + 1, len(kids)):
+                checked += 1
+                e, f = kids[i], kids[j]
+                lhs = abs(p.rho(v, e)) + abs(p.rho(v, f))
+                rhs = c.tau * abs(p.z(v, e) - p.z(v, f))
+                if not _leq(lhs, rhs):
+                    return MembershipReport(
+                        False,
+                        f"|rho[{v},{e}]| + |rho[{v},{f}]| = {lhs} > "
+                        f"tau |z[{v},{e}] - z[{v},{f}]| = {rhs}",
+                        checked,
+                    )
+    for e in t.full_edges:
+        checked += 1
+        if not _leq(abs(p.gamma_of(e)), c.tau):
+            return MembershipReport(
+                False, f"|gamma[{e}]| = {abs(p.gamma_of(e))} > tau = {c.tau}", checked
+            )
+    return MembershipReport(True, None, checked)
+
+
+def slack_edges(b):
+    """Values around a closed boundary of _leq at b: b itself, b shifted by
+    the slack either way (the last value admitted on the larger side of
+    a <= b, or on the smaller side of b <= a), and one and two ulps on
+    either side of each."""
+    slack = EQ_SLACK * max(1.0, abs(b))
+    out = set()
+    for x in (b - slack, b, b + slack):
+        out.add(x)
+        lo = hi = x
+        for _ in range(2):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out |= {lo, hi}
+    return sorted(v for v in out if v >= 0.0)
+
+
+def triangle_failure_reference(d):
+    """First middle point j through which a symmetric, zero-diagonal matrix
+    breaks the triangle inequality beyond FiniteMetricSpace's tolerance, one
+    j at a time; None when there is none."""
+    tol = 1e-9 * max(1.0, float(d.max()))
+    for j in range(d.shape[0]):
+        if (d > d[:, j : j + 1] + d[j : j + 1, :] + tol).any():
+            return j
+    return None

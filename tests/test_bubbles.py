@@ -12,6 +12,7 @@ from bubbletree import bubbles
 from bubbletree.bubbles import (
     AffineMap,
     BubbleConfiguration,
+    TreeAssociation,
     ConcentrationProfile,
     EnergyMeasure,
     associate_tree,
@@ -32,7 +33,15 @@ from bubbletree.nets import FiniteMetricSpace
 from helpers import (
     farthest_first_reference,
     flat_standard,
+    in_compact_subset_reference,
+    is_standard_reference,
+    is_type_eps_reference,
+    position_errors_reference,
     random_standard,
+    reduce_checks_reference,
+    renormalize_base_reference,
+    slack_edges,
+    star_tree,
     traversal_cases,
 )
 
@@ -529,6 +538,22 @@ class TestAssociateTree:
             nested += len(assoc.tree.vertices) > 1
         assert nested >= 10
 
+    def test_one_standardness_check_per_vertex(self, monkeypatch):
+        checked = []
+
+        def counted(cfg, eps):
+            checked.append(cfg)
+            return is_type_eps(cfg, eps)
+
+        monkeypatch.setattr(bubbles, "is_type_eps", counted)
+        rng = random.Random(2105)
+        for _ in range(20):
+            cfg = random_standard(rng, EPS, rng.randrange(4, 16))
+            cfg = BubbleConfiguration(cfg.points, cfg.radius)  # nothing kept
+            checked.clear()
+            assoc = associate_tree(cfg, EPS)
+            assert len(checked) == len(assoc.tree.vertices)
+
     @pytest.mark.parametrize("size", [128, 150])
     def test_wide_flat_configurations(self, size):
         cfg = flat_standard(random.Random(size), EPS, size)
@@ -629,3 +654,141 @@ class TestVerifyAssociation:
             assoc = associate_tree(cfg, eps)
             report = verify_association(cfg, assoc, eps)
             assert report.ok, report.summary()
+
+
+# ---------------------------------------------------------------------------
+# the array checks against the scalar loops they replace
+# ---------------------------------------------------------------------------
+
+
+def boundary_variants(rng, cfg, eps):
+    """cfg with one inequality of is_type_eps moved onto its closed boundary:
+    a point at modulus eps, a radius at 4 eps, or a pair's radius sum at
+    (eps^2/4)|x - y|, each at equality, at the slack's edge and a few ulps
+    either side."""
+    pts = list(cfg.points)
+    out = []
+    for v in slack_edges(eps):
+        moved = [v + 0j if z == pts[-1] else z for z in pts]
+        if len(set(moved)) == len(moved):
+            radius = {m: cfg.radius[z] for m, z in zip(moved, pts)}
+            out.append(BubbleConfiguration(tuple(moved), radius))
+    z = rng.choice(pts)
+    for v in slack_edges(4.0 * eps):
+        out.append(BubbleConfiguration(tuple(pts), {**cfg.radius, z: v}))
+    if len(pts) >= 2:
+        x, y = rng.sample(pts, 2)
+        for v in slack_edges(eps * eps / 4.0 * abs(x - y)):
+            out.append(BubbleConfiguration(tuple(pts), {**cfg.radius, x: 0.0, y: v}))
+    return out
+
+
+class TestArrayChecksMatchScalarLoops:
+    def test_type_and_standard_verdicts(self):
+        rng = random.Random(9001)
+        seen = {True: 0, False: 0}
+        for _ in range(60):
+            size = rng.randrange(2, 24)
+            base = (random_standard if rng.random() < 0.5 else random_type_eps)(
+                rng, EPS, size
+            )
+            for cfg in [base] + boundary_variants(rng, base, EPS):
+                verdict = is_type_eps(cfg, EPS)
+                assert verdict == is_type_eps_reference(cfg, EPS)
+                assert is_standard(cfg, EPS) == is_standard_reference(cfg, EPS)
+                seen[verdict] += 1
+        assert min(seen.values()) > 100
+
+    def test_standard_verdict_is_kept_per_eps(self):
+        cfg = flat((0, EPS))
+        assert is_standard(cfg, EPS)
+        assert not is_standard(cfg, EPS / 2)
+        assert is_standard(cfg, EPS)
+
+    def test_renormalize_base_point(self):
+        rng = random.Random(9002)
+        square = [0j, EPS + 0j, -EPS + 0j, EPS * 1j, -EPS * 1j]
+        cases = [flat(square), flat([z + 0.25 * EPS for z in square])]
+        cases += [random_type_eps(rng, EPS, rng.randrange(2, 12)) for _ in range(60)]
+        cases += [random_standard(rng, EPS, rng.randrange(2, 12)) for _ in range(30)]
+        for cfg in cases:
+            _, kappa, x_star = renormalize(cfg, EPS)
+            ref_kappa, ref_x = renormalize_base_reference(cfg, EPS)
+            assert (kappa, x_star) == (ref_kappa, ref_x)
+
+    def test_reduce_checks_name_the_same_offender(self, monkeypatch):
+        """reduce with cluster_select's selection held fixed and the radii
+        (and sometimes one retraction) redrawn, so that every check can
+        fail: the verdict and message match the loops'."""
+        rng = random.Random(9003)
+        outcomes = {}
+        selection = {}
+        monkeypatch.setattr(bubbles, "cluster_select", lambda *args: selection["sel"])
+        # the redrawn radii break standardness; the checks under test follow it
+        monkeypatch.setattr(bubbles, "is_standard", lambda cfg, eps: True)
+        for _ in range(400):
+            cfg = random_standard(rng, EPS, rng.randrange(3, 14))
+            space = FiniteMetricSpace.from_points(cfg.points, lambda u, v: abs(u - v))
+            base = lambda i: (4.0 * EPS**3) ** i
+            sel, r_idx = cluster_select(space, base, cfg.points.index(0))
+            if rng.random() < 0.3:
+                r_idx[rng.randrange(cfg.size)] = rng.choice(sel)
+            selection["sel"] = (sel, r_idx)
+            k = len(sel)
+            cutoff = (4.0 * EPS**3) ** k / (4.0 * EPS * EPS)
+            radius = dict(cfg.radius)
+            for z in rng.sample(cfg.points, rng.randrange(1, 3)):
+                x = cfg.points[r_idx[cfg.points.index(z)]]
+                kind = rng.randrange(4)
+                if kind == 0:  # a large radius anywhere
+                    radius[z] = cutoff * 10 ** rng.uniform(-1.0, 6.0)
+                elif kind == 1:  # a satellite's radius at its budget
+                    radius[z] = rng.choice(slack_edges(4.0 * EPS * cutoff))
+                elif kind == 2 and z != x:  # a center's radius past the cutoff
+                    grow = rng.choice((0.0, 1e-13, 1e-3))
+                    radius[x] = 4.0 * EPS * cutoff * (1.0 + grow)
+                else:  # a center pair at the separation bound
+                    y = cfg.points[rng.choice(sel)]
+                    if y != x:
+                        gap = 2.0 * EPS * abs(x - y) - cutoff
+                        radius[x] = 4.0 * EPS * rng.choice(slack_edges(max(gap, 0.0)))
+            if k < 2:
+                continue
+            cfg = BubbleConfiguration(cfg.points, radius)
+            expected = reduce_checks_reference(cfg, EPS, sel, r_idx)
+            try:
+                reduce(cfg, EPS)
+                message = None
+            except VerificationError as exc:
+                message = str(exc)
+            assert message == expected
+            last_word = None if message is None else message.split()[-1]
+            outcomes[last_word] = outcomes.get(last_word, 0) + 1
+        # pass, separation, cluster disc, radius budget and cutoff all occur
+        assert set(outcomes) == {None, "bound", "disc", "budget", "radius"}, outcomes
+
+    def test_verify_association_position_ties(self):
+        """Chart positions on the perpendicular bisector of two bubble points,
+        on a bubble point twice, or off every point: the nearest-point scan
+        breaks ties to the first point in order like min over a list."""
+        pts = [0j, 0.1 + 0.05j, 0.1 - 0.05j, 0.05 + 1e-10j, 0.05 - 1e-10j, 0.125 + 0j]
+        cfg = flat(pts)
+        tree = star_tree(len(pts))
+        rng = random.Random(9004)
+        kinds = [
+            lambda: 0.1 + 0j,  # equidistant from 0.1 +- 0.05i, beyond tolerance
+            lambda: 0.05 + 0j,  # equidistant from 0.05 +- 1e-10i, within it
+            lambda: rng.choice(cfg.points),
+            lambda: rng.choice(cfg.points) + 1e-7,
+            lambda: rng.choice(cfg.points) + 1e-10j,
+        ]
+        for _ in range(200):
+            positions = [rng.choice(kinds)() for _ in pts]
+            zr = {(1, e): (positions[e - 1], 0.001) for e in range(1, len(pts) + 1)}
+            point = ModuliPoint(tree, {}, zr)
+            mapped = {e: rng.choice(cfg.points) for e in range(1, len(pts) + 1)}
+            assoc = TreeAssociation(tree, point, 1, mapped)
+            report = verify_association(cfg, assoc, EPS)
+            assert report.position_errors == position_errors_reference(cfg, assoc)
+            params = association_params(tree, EPS)
+            assert report.membership == in_compact_subset_reference(point, params)

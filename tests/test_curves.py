@@ -59,9 +59,11 @@ from helpers import (
     default_params,
     fiber_discriminant_reference,
     flat_standard,
+    in_compact_subset_reference,
     lipschitz_reference,
     random_member,
     random_standard,
+    slack_edges,
     star_tree,
 )
 
@@ -245,6 +247,90 @@ def test_membership_boundary_has_slack():
     c = CompactnessParams(0.125, 0.5, {1: 0.001})
     p = star_point([(0.125, 0.001), (-0.125, 0.001)])
     assert in_compact_subset(p, c).ok
+
+
+def test_leq_array_matches_scalar_elementwise():
+    rng = random.Random(12)
+    special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+    values = special + [rng.choice((-1, 1)) * 10 ** rng.uniform(-20, 20) for _ in range(40)]
+    bounds = values + [b for b in (0.3, 1.0, 7.5, 1e-5, 2e6) for b in slack_edges(b)]
+    a = np.array(values + bounds)
+    b = np.array(bounds + values)
+    with np.errstate(invalid="ignore"):  # inf - inf in the slack sum
+        grid = curves._leq_array(a[:, None], b)
+    assert grid.dtype == bool
+    assert grid.tolist() == [[curves._leq(x, y) for y in b.tolist()] for x in a.tolist()]
+    # each boundary value against its own edges: equality and the slack's
+    # last admitted value pass, one ulp beyond fails
+    for v in (0.3, 1.0, 7.5, 1e-5, 2e6):
+        edges = np.array(slack_edges(v))
+        assert curves._leq_array(edges, v).tolist() == [curves._leq(x, v) for x in edges]
+        assert curves._leq_array(edges, v).any() and not curves._leq_array(edges, v).all()
+
+
+def membership_variants(rng, p, c):
+    """p with one membership inequality moved onto its closed boundary: a
+    center at modulus theta, a radius at alpha or 2 theta, a sibling pair's
+    radius sum at tau |z - z'|, or a gluing modulus at tau, each at
+    equality, at the slack's edge and a few ulps either side."""
+    t = p.tree
+    pairs = t.coordinate_pairs()
+    out = []
+
+    def moved(zr=None, gamma=None):
+        return ModuliPoint(t, {**p.gamma, **(gamma or {})}, {**p.zr, **(zr or {})})
+
+    v, e = rng.choice(pairs)
+    z, rho = p.zr[(v, e)]
+    out += [moved(zr={(v, e): (x + 0j, rho)}) for x in slack_edges(c.theta)]
+    out += [moved(zr={(v, e): (z, x + 0j)}) for x in slack_edges(c.alpha_of(v))]
+    out += [moved(zr={(v, e): (z, x + 0j)}) for x in slack_edges(2.0 * c.theta)]
+    wide = [u for u in t.vertices if len(t.child_edges(u)) >= 2]
+    if wide:
+        u = rng.choice(wide)
+        e, f = rng.sample(t.child_edges(u), 2)
+        (ze, _), (zf, _) = p.zr[(u, e)], p.zr[(u, f)]
+        for x in slack_edges(c.tau * abs(ze - zf)):
+            half = x / 2.0 + 0j
+            out.append(moved(zr={(u, e): (ze, half), (u, f): (zf, half)}))
+    if t.full_edges:
+        e = rng.choice(t.full_edges)
+        out += [moved(gamma={e: x * 1j}) for x in slack_edges(c.tau)]
+    return out
+
+
+def test_in_compact_subset_matches_scalar_loops():
+    rng = random.Random(13)
+    trees = [star_tree(k) for k in (2, 3, 7, 20)]
+    trees += [chain_tree(n, leaves) for n, leaves in ((2, 2), (3, 3), (6, 2), (9, 3))]
+    blocks = ("> theta", "< alpha", "> 2 theta", "tau |z", "> tau")
+    seen = set()
+    for _ in range(12):
+        for tree in trees:
+            c = default_params(tree, theta=rng.choice((1 / 8, 1 / 6, 0.1)))
+            p = random_member(tree, c, rng)
+            for q in [p] + membership_variants(rng, p, c):
+                report = in_compact_subset(q, c)
+                assert report == in_compact_subset_reference(q, c)
+                why = report.first_violation or ""
+                seen.add(next((b for b in blocks if b in why), why or None))
+    # passes and a failure of every inequality occur
+    assert seen == {None, *blocks}, seen
+
+
+def test_in_compact_subset_missing_alpha_raises_like_scalar_loops():
+    rng = random.Random(14)
+    tree = chain_tree(3)
+    c = default_params(tree)
+    p = random_member(tree, c, rng)
+    partial = CompactnessParams(c.theta, c.tau, {1: c.alpha[1]})
+    with pytest.raises(InputError, match="alpha missing for vertex 2"):
+        in_compact_subset(p, partial)
+    with pytest.raises(InputError, match="alpha missing for vertex 2"):
+        in_compact_subset_reference(p, partial)
+    # a failure before the missing vertex is reported, not raised
+    far = ModuliPoint(tree, p.gamma, {**p.zr, (1, 1): (0.2 + 0j, p.rho(1, 1))})
+    assert in_compact_subset(far, partial) == in_compact_subset_reference(far, partial)
 
 
 def test_params_validation():
@@ -645,6 +731,38 @@ def test_classify_after_member_rechecks_failing_params(monkeypatch):
     assert len(calls) == 2
     assert classify(p, c, q) == ok
     assert len(calls) == 2
+
+
+def test_check_map_membership_checks_membership_once(monkeypatch):
+    p, c, samples = check_path_cases()[1]
+    fresh = ModuliPoint(p.tree, p.gamma, p.zr)
+    target = FiniteMetricSpace.from_sphere([q.at(p.tree.root_vertex) for q in samples])
+    smap = SampledMap(target, tuple((q, i) for i, q in enumerate(samples)))
+    lam = {r: 10.0 for r in decomposition(p, c).regions}
+    calls = count_membership_checks(monkeypatch)
+    for n in (1, 2):
+        verdict = check_map_membership(
+            fresh, c, smap, range(len(samples)), 1.0, lam, 1.0, Marking()
+        )
+        assert verdict.membership.ok
+        assert len(calls) == n
+
+
+@pytest.mark.parametrize(
+    "region",
+    [Region("neck", edge=0), Region("thick", vertex=99), Region("end", edge=999)],
+    ids=["neck-at-root-edge", "thick-unknown-vertex", "end-unknown-edge"],
+)
+def test_region_outside_the_tree_is_input_error(region):
+    tree = chain_tree(3)
+    assert tree.root_edge == 0  # so the first case is a neck on the root edge
+    p = random_member(tree, default_params(tree), random.Random(15))
+    q = fiber_from_root(p, ProjPoint(0.3, 1.0))
+    with pytest.raises(InputError, match="does not fit the tree") as exc:
+        region_contains(p, region, q)
+    assert str(region) in str(exc.value)
+    with pytest.raises(InputError, match="does not fit the tree"):
+        region_distance(p, region, q, q)
 
 
 def test_region_distance_thick_is_plain_sphere_distance():

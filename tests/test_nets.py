@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     farthest_first_reference,
     grid_space,
     traversal_cases,
+    triangle_failure_reference,
 )
 from bubbletree.nets import (
     EXACT_NU_CAP,
@@ -178,6 +180,35 @@ def test_metric_space_validation():
         FiniteMetricSpace(np.zeros((0, 0)))
 
 
+def test_triangle_check_names_the_first_middle_point_like_the_loop():
+    """Collinear and planar point metrics with one distance moved onto the
+    tolerance edge of some triangle, or past it: the space is rejected
+    exactly when the per-point loop fails, naming the same point."""
+    rng = random.Random(16)
+    seen = set()
+    for trial in range(150):
+        n = rng.randrange(3, 12)
+        if trial % 2:
+            pts = [complex(rng.uniform(-3.0, 3.0), 0.0) for _ in range(n)]
+        else:
+            pts = [complex(rng.gauss(0.0, 2.0), rng.gauss(0.0, 2.0)) for _ in range(n)]
+        d = np.array([[abs(u - v) for v in pts] for u in pts])
+        i, j, k = rng.sample(range(n), 3)
+        tol = 1e-9 * max(1.0, float(d.max()))
+        edge = (d[i, j] + d[j, k]) + tol
+        for _ in range(rng.randrange(-2, 3)):
+            edge = math.nextafter(edge, math.inf)
+        d[i, k] = d[k, i] = rng.choice((edge, d[i, k], 2.0 * edge))
+        expected = triangle_failure_reference(d)
+        if expected is None:
+            FiniteMetricSpace(d)
+        else:
+            with pytest.raises(InputError, match=f"through point {expected}$"):
+                FiniteMetricSpace(d)
+        seen.add(expected is None)
+    assert seen == {True, False}
+
+
 def test_hausdorff_basics():
     line = lambda a, b: np.abs(np.subtract.outer(a, b))
     assert hausdorff_from_matrix(line([0.0, 1.0], [0.0, 1.0])) == 0.0
@@ -328,6 +359,30 @@ def test_net_rejects_bad_cover():
         Net(points=(0,), radius=1.0, indices=(0,), base=space)
     with pytest.raises(InputError):
         Net(points=(0,), radius=-1.0, indices=(0,), base=space)
+
+
+@pytest.mark.parametrize("n, gamma", [(300, 0.5), (1000, 0.2), (2000, 0.1)])
+def test_covering_distance_in_blocks_matches_full_matrix(n, gamma):
+    pts = fibonacci_sphere_points(n)
+    net = greedy_net(pts, gamma)
+    full = sphere_pairwise(pts, list(net.points)).min(axis=1).max()
+    assert net.covering_distance() == float(full)
+
+
+def test_greedy_net_memory_stays_bounded():
+    """The covering check walks the net in column blocks: on 4000 Fibonacci
+    points at gamma 0.07 (1184 net points) the whole greedy_net peaked at
+    152.3 MB of traced allocations with the full (4000, 1184) complex
+    matrix, and must stay under a tenth of that."""
+    pts = fibonacci_sphere_points(4000)
+    tracemalloc.start()
+    try:
+        net = greedy_net(pts, 0.07)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.size == 1184
+    assert peak < 152.3e6 / 10
 
 
 def test_sphere_net_caps_and_coverage():
