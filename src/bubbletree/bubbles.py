@@ -556,7 +556,7 @@ def association_params(tree: RootedTree, eps: float) -> CompactnessParams:
     the per-vertex radius floor (4 eps^3)^deg(v)."""
     eps = _check_eps(eps)
     base = 4.0 * eps**3
-    alpha = {v: base ** tree.tree.degree(v) for v in tree.vertices}
+    alpha = {v: base ** tree.degree(v) for v in tree.vertices}
     return CompactnessParams(theta=eps, tau=4.0 * eps, alpha=alpha)
 
 
@@ -601,7 +601,7 @@ def verify_association(
     membership = in_compact_subset(point, association_params(rooted, eps))
 
     position_errors: list[str] = []
-    external = [e for e in rooted.tree.half_edges if e != rooted.root_edge]
+    external = [e for e in rooted.half_edges if e != rooted.root_edge]
     mapped = dict(assoc.edge_to_bubble)
     if set(mapped) != set(external):
         position_errors.append(
@@ -611,7 +611,7 @@ def verify_association(
     pts = np.array(cfg.points, dtype=complex)
     remaining = np.ones(len(pts), dtype=bool)
     for e in sorted(external):
-        (v_e,) = rooted.tree.boundary[e]
+        (v_e,) = rooted.boundary[e]
         try:
             value = chart_position(point, assoc.root_vertex, v_e, e)
         except InputError as exc:

@@ -101,10 +101,9 @@ class ModuliPoint:
     tree: RootedTree
     gamma: Mapping[int, complex]
     zr: Mapping[tuple[int, int], tuple[complex, complex]]
-    # the checked decomposition of the last params it was built for
-    _decomposition: ThickThinDecomposition | None = field(
-        default=None, init=False, repr=False
-    )
+    # (params, passing report, checked decomposition or None) of the last
+    # params this point passed the membership check for
+    _member: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         g = {int(e): complex(c) for e, c in self.gamma.items()}
@@ -307,7 +306,10 @@ def in_compact_subset(p: ModuliPoint, c: CompactnessParams) -> MembershipReport:
             f"|gamma[{e}]| = {abs(p.gamma_of(e))} > tau = {c.tau}",
             2 * n + len(sep) + i + 1,
         )
-    return MembershipReport(True, None, 2 * n + len(sep) + len(full))
+    report = MembershipReport(True, None, 2 * n + len(sep) + len(full))
+    if p._member is None or p._member[0] is not c:
+        object.__setattr__(p, "_member", (c, report, None))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -723,25 +725,19 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
     stays inside the half-disc, and dilations of sibling discs by any factor
     below 1/tau remain disjoint.
 
-    The checks run once per (p, c) pair: the checked decomposition is kept
-    on p and returned for the same params object; other params are checked
-    afresh, and a failed check keeps nothing.
+    The checks run once per (p, c) pair: the passing membership report and
+    then the checked decomposition are kept on p and read again for the same
+    params object; other params are checked afresh, and a failed check keeps
+    nothing.
     """
-    return _decomposition(p, c, None)
-
-
-def _decomposition(
-    p: ModuliPoint, c: CompactnessParams, report: MembershipReport | None
-) -> ThickThinDecomposition:
-    """decomposition(p, c), reading the membership report of (p, c) when the
-    caller already holds one instead of checking membership again."""
-    cached = p._decomposition
-    if cached is not None and cached.params is c:
-        return cached
-    if report is None:
+    kept = p._member
+    if kept is None or kept[0] is not c:
         report = in_compact_subset(p, c)
-    if not report.ok:
-        raise VerificationError(f"not a member: {report.first_violation}")
+        if not report.ok:
+            raise VerificationError(f"not a member: {report.first_violation}")
+        kept = (c, report, None)
+    if kept[2] is not None:
+        return kept[2]
     t = p.tree
     circles = {(v, e): _circle(p, v, e) for v, e in t.incident_pairs()}
     for v in sorted(t.vertices):
@@ -765,7 +761,7 @@ def _decomposition(
     regions += [Region("neck", edge=e) for e in t.full_edges]
     regions += [Region("end", edge=e) for e in t.half_edges]
     dec = ThickThinDecomposition(p, c, circles, tuple(regions))
-    object.__setattr__(p, "_decomposition", dec)
+    object.__setattr__(p, "_member", (c, kept[1], dec))
     return dec
 
 
@@ -839,7 +835,7 @@ def _region_components(p: ModuliPoint, region: Region, q: FiberPoint) -> tuple:
     t, e = p.tree, region.edge
     return tuple(
         q.at(u) if t.e_plus[e] == u else _phi_component(p, q, u, e)
-        for u in t.tree.boundary[e]
+        for u in t.boundary[e]
     )
 
 
@@ -1594,7 +1590,7 @@ def check_map_membership(
     rejections = []
     pairs_checked = 0
     if report.ok:
-        decomp = _decomposition(p, c, report)
+        decomp = decomposition(p, c)
         inside = {region: [] for region in decomp.regions}
         for q, tgt in smap.samples:
             for region in decomp.classify(q):

@@ -212,7 +212,7 @@ def tree_to_json(t: RootedTree, marking: Marking | None = None) -> dict:
     return {
         "vertices": list(t.vertices),
         "edges": [
-            {"id": e, "endpoints": list(t.tree.boundary[e])} for e in t.edges
+            {"id": e, "endpoints": list(t.boundary[e])} for e in t.edges
         ],
         "root_edge": t.root_edge,
         "marked": marked,
@@ -238,7 +238,7 @@ def tree_from_json(data: Any) -> tuple[RootedTree, Marking]:
     try:
         rooted = RootedTree(Tree(vertices, boundary), root_edge)
         marking = Marking(frozenset(marked))
-        marking.validate(rooted.tree)
+        marking.validate(rooted)
     except TreeError as exc:
         raise InputError(str(exc)) from exc
     return rooted, marking

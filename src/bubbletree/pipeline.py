@@ -127,13 +127,12 @@ def run_pipeline(
     overrides_raw = config.get("gamma_overrides", {})
     if not isinstance(overrides_raw, Mapping):
         raise InputError("gamma_overrides must be a JSON object")
-    overrides = {}
-    for k, v in overrides_raw.items():
-        try:
-            edge = int(k)
-        except (TypeError, ValueError):
-            raise InputError(f"gamma_overrides key {k!r} is not an edge id") from None
-        overrides[edge] = jsonio.complex_from_json(v, f"gamma_overrides[{k!r}]")
+    overrides = {
+        jsonio._int_key(k, "gamma_overrides"): jsonio.complex_from_json(
+            v, f"gamma_overrides[{k!r}]"
+        )
+        for k, v in overrides_raw.items()
+    }
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -29,12 +29,15 @@ class Tree:
 
     vertices: iterable of integer vertex ids.
     boundary: mapping edge id -> endpoints (tuple of 1 or 2 vertex ids).
+    The sorted edges, the full and the half edges among them and every vertex
+    degree are computed once, in the pass that validates the boundary.
     """
 
-    __slots__ = ("vertices", "boundary")
+    __slots__ = ("vertices", "boundary", "edges", "full_edges", "half_edges", "_degree")
 
     def __init__(self, vertices: Iterable[int], boundary: Mapping[int, Sequence[int]]):
-        vs = tuple(sorted(set(int(v) for v in vertices)))
+        known = {int(v) for v in vertices}
+        degree = dict.fromkeys(sorted(known), 0)
         bd: dict[int, tuple[int, ...]] = {}
         for e, ends in boundary.items():
             ends_t = tuple(int(v) for v in ends)
@@ -43,63 +46,51 @@ class Tree:
             if len(ends_t) == 2 and ends_t[0] == ends_t[1]:
                 raise TreeError(f"edge {e} is a loop")
             for v in ends_t:
-                if v not in set(vs):
+                if v not in known:
                     raise TreeError(f"edge {e} mentions unknown vertex {v}")
+                degree[v] += 1
             bd[int(e)] = ends_t
-        if not vs:
+        if not known:
             raise TreeError("tree needs at least one vertex")
-        self.vertices = vs
+        vs = self.vertices = tuple(degree)
         self.boundary = bd
-        self._validate_tree()
+        self.edges = tuple(sorted(bd))
+        self.full_edges = tuple(e for e in self.edges if len(bd[e]) == 2)
+        self.half_edges = tuple(e for e in self.edges if len(bd[e]) == 1)
+        self._degree = degree
 
-    # -- basic edge classification ------------------------------------
-
-    @property
-    def edges(self) -> tuple[int, ...]:
-        return tuple(sorted(self.boundary))
-
-    @property
-    def full_edges(self) -> tuple[int, ...]:
-        return tuple(e for e in self.edges if len(self.boundary[e]) == 2)
-
-    @property
-    def half_edges(self) -> tuple[int, ...]:
-        return tuple(e for e in self.edges if len(self.boundary[e]) == 1)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for ends in self.boundary.values() if v in ends)
-
-    def is_stable(self) -> bool:
-        return all(self.degree(v) >= 3 for v in self.vertices)
-
-    def _validate_tree(self) -> None:
-        n_full = len(self.full_edges)
-        if n_full != len(self.vertices) - 1:
+        if len(self.full_edges) != len(vs) - 1:
             raise TreeError(
-                f"{len(self.vertices)} vertices need {len(self.vertices) - 1} "
-                f"full edges for a tree, got {n_full}"
+                f"{len(vs)} vertices need {len(vs) - 1} "
+                f"full edges for a tree, got {len(self.full_edges)}"
             )
         # connectivity over full edges; acyclicity then follows from the count
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
+        adj: dict[int, list[int]] = {v: [] for v in vs}
         for e in self.full_edges:
-            u, v = self.boundary[e]
+            u, v = bd[e]
             adj[u].append(v)
             adj[v].append(u)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        seen = {vs[0]}
+        stack = [vs[0]]
         while stack:
             for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if len(seen) != len(self.vertices):
+        if len(seen) != len(vs):
             raise TreeError("tree is not connected")
+
+    def degree(self, v: int) -> int:
+        return self._degree.get(v, 0)
+
+    def is_stable(self) -> bool:
+        return all(d >= 3 for d in self._degree.values())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tree(|V|={len(self.vertices)}, |E|={len(self.edges)})"
 
 
-class RootedTree:
+class RootedTree(Tree):
     """Tree with a distinguished root half edge and the induced orientation.
 
     For every edge other than the root, the endpoint nearer the root vertex is
@@ -113,7 +104,6 @@ class RootedTree:
     """
 
     __slots__ = (
-        "tree",
         "root_edge",
         "root_vertex",
         "parent_edge",
@@ -129,19 +119,21 @@ class RootedTree:
             raise TreeError(f"root edge {root_edge} not in tree")
         if len(tree.boundary[root_edge]) != 1:
             raise TreeError("root edge must be a half edge")
-        self.tree = tree
+        # the facts of the tree, computed and validated when it was built
+        for name in Tree.__slots__:
+            setattr(self, name, getattr(tree, name))
         self.root_edge = int(root_edge)
-        (self.root_vertex,) = tree.boundary[root_edge]
+        (self.root_vertex,) = self.boundary[root_edge]
 
         parent_edge: dict[int, int] = {self.root_vertex: self.root_edge}
-        children: dict[int, list[int]] = {v: [] for v in tree.vertices}
+        children: dict[int, list[int]] = {v: [] for v in self.vertices}
         e_minus: dict[int, int | None] = {self.root_edge: None}
         e_plus: dict[int, int | None] = {self.root_edge: self.root_vertex}
         depth = {self.root_vertex: 0}
 
-        incident: dict[int, list[int]] = {v: [] for v in tree.vertices}
-        for e, ends in tree.boundary.items():
-            for v in ends:
+        incident: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            for v in self.boundary[e]:
                 incident[v].append(e)
 
         order = []
@@ -150,10 +142,10 @@ class RootedTree:
             v = stack.pop()
             order.append(v)
             kids = []
-            for e in sorted(incident[v]):
+            for e in incident[v]:
                 if e == parent_edge[v]:
                     continue
-                ends = tree.boundary[e]
+                ends = self.boundary[e]
                 children[v].append(e)
                 e_minus[e] = v
                 if len(ends) == 2:
@@ -167,58 +159,23 @@ class RootedTree:
             stack.extend(reversed(kids))
 
         self.parent_edge = parent_edge
-        self.children = {v: tuple(sorted(es)) for v, es in children.items()}
+        self.children = {v: tuple(es) for v, es in children.items()}
         self.e_minus = e_minus
         self.e_plus = e_plus
         self.depth = depth
         self.order = tuple(order)
 
-    # -- convenience views ----------------------------------------------
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.tree.vertices
-
-    @property
-    def edges(self) -> tuple[int, ...]:
-        return self.tree.edges
-
-    @property
-    def full_edges(self) -> tuple[int, ...]:
-        return self.tree.full_edges
-
-    @property
-    def half_edges(self) -> tuple[int, ...]:
-        return self.tree.half_edges
-
-    def degree(self, v: int) -> int:
-        return self.tree.degree(v)
-
     def child_edges(self, v: int) -> tuple[int, ...]:
         """Edges with v as negative endpoint (the index set for disc data at v)."""
         return self.children[v]
 
-    def child_vertex(self, e: int) -> int | None:
-        return self.e_plus[e]
-
     def coordinate_pairs(self) -> tuple[tuple[int, int], ...]:
         """All (v, e) with e a child edge of v, in sorted order."""
-        out = []
-        for v in self.vertices:
-            for e in self.children[v]:
-                out.append((v, e))
-        return tuple(sorted(out))
+        return tuple((v, e) for v in self.vertices for e in self.children[v])
 
     def incident_pairs(self) -> tuple[tuple[int, int], ...]:
         """All (v, e) with v an endpoint of e; there are sum(deg) of them."""
-        out = []
-        for e in self.edges:
-            for v in self.tree.boundary[e]:
-                out.append((v, e))
-        return tuple(sorted(out))
-
-    def is_stable(self) -> bool:
-        return self.tree.is_stable()
+        return tuple(sorted((v, e) for e in self.edges for v in self.boundary[e]))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootedTree(root_edge={self.root_edge}, |V|={len(self.vertices)})"
@@ -327,11 +284,10 @@ def split(t: RootedTree, marking: Marking, cut: Iterable[int]) -> list[SplitPiec
     preserved.
     """
     cut_set = set(int(e) for e in cut)
-    full = set(t.full_edges)
-    bad = cut_set - full
+    bad = cut_set - set(t.full_edges)
     if bad:
         raise TreeError(f"cannot split along non-full edges {sorted(bad)}")
-    marking.validate(t.tree)
+    marking.validate(t)
 
     next_id = max(t.edges) + 1
     new_half: dict[tuple[int, int], int] = {}
@@ -341,46 +297,37 @@ def split(t: RootedTree, marking: Marking, cut: Iterable[int]) -> list[SplitPiec
         new_half[(e, v)] = next_id + 1
         next_id += 2
 
-    # component of each vertex over the surviving full edges
-    adj: dict[int, list[int]] = {v: [] for v in t.vertices}
-    for e in full - cut_set:
-        u, v = t.tree.boundary[e]
-        adj[u].append(v)
-        adj[v].append(u)
-    comp: dict[int, int] = {}
-    comp_order = []
+    # a vertex heads its component when it is the root or its parent edge is
+    # cut, and otherwise shares its parent's; components are numbered by
+    # their smallest vertex
+    head: dict[int, int] = {}
+    for v in t.order:
+        e = t.parent_edge[v]
+        head[v] = v if e == t.root_edge or e in cut_set else head[t.e_minus[e]]
+    number: dict[int, int] = {}
     for v in t.vertices:
-        if v in comp:
-            continue
-        cid = len(comp_order)
-        comp_order.append(v)
-        stack = [v]
-        comp[v] = cid
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp[y] = cid
-                    stack.append(y)
+        number.setdefault(head[v], len(number))
+    comp = {v: number[head[v]] for v in t.vertices}
 
-    n_comp = len(comp_order)
+    n_comp = len(number)
     verts: list[list[int]] = [[] for _ in range(n_comp)]
     for v in t.vertices:
         verts[comp[v]].append(v)
     boundaries: list[dict[int, tuple[int, ...]]] = [dict() for _ in range(n_comp)]
     origins: list[dict[int, int | tuple[int, int]]] = [dict() for _ in range(n_comp)]
-    roots: list[int | None] = [None] * n_comp
+    roots = [0] * n_comp
     marks: list[set[int]] = [set() for _ in range(n_comp)]
+    for h, cid in number.items():
+        e = t.parent_edge[h]
+        roots[cid] = e if e == t.root_edge else new_half[(e, h)]
 
     for e in t.edges:
         if e in cut_set:
             continue
-        ends = t.tree.boundary[e]
+        ends = t.boundary[e]
         cid = comp[ends[0]]
         boundaries[cid][e] = ends
         origins[cid][e] = e
-        if e == t.root_edge:
-            roots[cid] = e
         if e in marking.marked:
             marks[cid].add(e)
     for (e, v), new_e in new_half.items():
@@ -388,18 +335,15 @@ def split(t: RootedTree, marking: Marking, cut: Iterable[int]) -> list[SplitPiec
         boundaries[cid][new_e] = (v,)
         origins[cid][new_e] = (e, v)
         marks[cid].add(new_e)
-        if v == t.e_plus[e]:
-            roots[cid] = new_e
 
-    pieces = []
-    for cid in range(n_comp):
-        if roots[cid] is None:
-            raise TreeError("split produced a rootless component")
-        piece_tree = RootedTree(Tree(verts[cid], boundaries[cid]), roots[cid])
-        pieces.append(
-            SplitPiece(piece_tree, Marking(frozenset(marks[cid])), origins[cid])
+    return [
+        SplitPiece(
+            RootedTree(Tree(verts[cid], boundaries[cid]), roots[cid]),
+            Marking(frozenset(marks[cid])),
+            origins[cid],
         )
-    return pieces
+        for cid in range(n_comp)
+    ]
 
 
 def reglue(pieces: Sequence[SplitPiece]) -> RootedTree:
@@ -416,7 +360,7 @@ def reglue(pieces: Sequence[SplitPiece]) -> RootedTree:
                 cut_e, v = origin
                 halves_by_cut.setdefault(cut_e, []).append(v)
             else:
-                boundary[origin] = list(piece.tree.tree.boundary[e])
+                boundary[origin] = list(piece.tree.boundary[e])
                 if e == piece.tree.root_edge:
                     root_edge = origin
     for cut_e, ends in halves_by_cut.items():

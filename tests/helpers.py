@@ -23,7 +23,15 @@ from bubbletree.curves import (
 )
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiberMap, FiniteMetricSpace, ProjPoint, sphere_distance
-from bubbletree.trees import RootedTree, Tree, nearest_common_ancestor, positive_path
+from bubbletree.trees import (
+    Marking,
+    RootedTree,
+    SplitPiece,
+    Tree,
+    TreeError,
+    nearest_common_ancestor,
+    positive_path,
+)
 
 
 def star_tree(k: int) -> RootedTree:
@@ -48,6 +56,103 @@ def chain_tree(levels: int, leaves: int = 2) -> RootedTree:
             boundary[nxt] = (i,)
             nxt += 1
     return RootedTree(Tree(list(range(1, levels + 1)), boundary), 0)
+
+
+def assert_tree_facts(t: Tree) -> None:
+    """Every fact a tree stores equals its definition over the boundary."""
+    edges = tuple(sorted(t.boundary))
+    degree = {v: sum(v in ends for ends in t.boundary.values()) for v in t.vertices}
+    assert t.vertices == tuple(sorted(set(t.vertices)))
+    assert t.edges == edges
+    assert t.full_edges == tuple(e for e in edges if len(t.boundary[e]) == 2)
+    assert t.half_edges == tuple(e for e in edges if len(t.boundary[e]) == 1)
+    assert {v: t.degree(v) for v in t.vertices} == degree
+    assert t.is_stable() == all(d >= 3 for d in degree.values())
+    if isinstance(t, RootedTree):
+        assert t.coordinate_pairs() == tuple(
+            sorted((v, e) for v in t.vertices for e in t.children[v])
+        )
+        assert t.incident_pairs() == tuple(
+            sorted((v, e) for e in edges for v in t.boundary[e])
+        )
+
+
+def split_components_reference(t: RootedTree, marking: Marking, cut) -> list:
+    """split() with components found by a depth-first search over the
+    surviving full edges, numbered by their smallest vertex."""
+    cut_set = set(int(e) for e in cut)
+    full = set(t.full_edges)
+    bad = cut_set - full
+    if bad:
+        raise TreeError(f"cannot split along non-full edges {sorted(bad)}")
+    marking.validate(t)
+
+    next_id = max(t.edges) + 1
+    new_half: dict[tuple[int, int], int] = {}
+    for e in sorted(cut_set):
+        u, v = t.e_minus[e], t.e_plus[e]
+        new_half[(e, u)] = next_id
+        new_half[(e, v)] = next_id + 1
+        next_id += 2
+
+    adj: dict[int, list[int]] = {v: [] for v in t.vertices}
+    for e in full - cut_set:
+        u, v = t.boundary[e]
+        adj[u].append(v)
+        adj[v].append(u)
+    comp: dict[int, int] = {}
+    comp_order = []
+    for v in t.vertices:
+        if v in comp:
+            continue
+        cid = len(comp_order)
+        comp_order.append(v)
+        stack = [v]
+        comp[v] = cid
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp[y] = cid
+                    stack.append(y)
+
+    n_comp = len(comp_order)
+    verts: list[list[int]] = [[] for _ in range(n_comp)]
+    for v in t.vertices:
+        verts[comp[v]].append(v)
+    boundaries: list[dict] = [dict() for _ in range(n_comp)]
+    origins: list[dict] = [dict() for _ in range(n_comp)]
+    roots: list[int | None] = [None] * n_comp
+    marks: list[set[int]] = [set() for _ in range(n_comp)]
+
+    for e in t.edges:
+        if e in cut_set:
+            continue
+        ends = t.boundary[e]
+        cid = comp[ends[0]]
+        boundaries[cid][e] = ends
+        origins[cid][e] = e
+        if e == t.root_edge:
+            roots[cid] = e
+        if e in marking.marked:
+            marks[cid].add(e)
+    for (e, v), new_e in new_half.items():
+        cid = comp[v]
+        boundaries[cid][new_e] = (v,)
+        origins[cid][new_e] = (e, v)
+        marks[cid].add(new_e)
+        if v == t.e_plus[e]:
+            roots[cid] = new_e
+
+    pieces = []
+    for cid in range(n_comp):
+        if roots[cid] is None:
+            raise TreeError("split produced a rootless component")
+        piece_tree = RootedTree(Tree(verts[cid], boundaries[cid]), roots[cid])
+        pieces.append(
+            SplitPiece(piece_tree, Marking(frozenset(marks[cid])), origins[cid])
+        )
+    return pieces
 
 
 def default_params(tree: RootedTree, theta: float = 1 / 8) -> CompactnessParams:
@@ -455,7 +560,7 @@ def region_distance_reference(p, region, q1, q2):
         return sphere_distance(q1.at(v), q2.at(v))
     e = region.edge
     vals = []
-    for u in t.tree.boundary[e]:
+    for u in t.boundary[e]:
         if t.e_plus[e] == u:
             vals.append(sphere_distance(q1.at(u), q2.at(u)))
         else:
@@ -560,7 +665,7 @@ def position_errors_reference(cfg, assoc):
     point with min over a shrinking list."""
     rooted, point = assoc.tree, assoc.point
     errors = []
-    external = [e for e in rooted.tree.half_edges if e != rooted.root_edge]
+    external = [e for e in rooted.half_edges if e != rooted.root_edge]
     mapped = dict(assoc.edge_to_bubble)
     if set(mapped) != set(external):
         errors.append(
@@ -569,7 +674,7 @@ def position_errors_reference(cfg, assoc):
         )
     remaining = list(cfg.points)
     for e in sorted(external):
-        (v_e,) = rooted.tree.boundary[e]
+        (v_e,) = rooted.boundary[e]
         try:
             value = chart_position(point, assoc.root_vertex, v_e, e)
         except InputError as exc:

@@ -88,11 +88,11 @@ def test_02_edge_count_identities():
     with verdict(2, "edge-count identities and equality characterization"):
         for n in range(2, 8):
             for t in enumerate_stable_rooted(n):
-                report = edge_counts(t.tree)
+                report = edge_counts(t)
                 assert report.n_vertices == report.n_internal + 1
                 assert report.degree_sum == report.n_external + 2 * report.n_internal
                 assert report.chain_holds
-                maximal = all(t.tree.degree(v) == 3 for v in t.vertices)
+                maximal = all(t.degree(v) == 3 for v in t.vertices)
                 assert report.equality_throughout == maximal
 
 
@@ -173,7 +173,7 @@ def test_06_association_end_to_end():
             assert report.ok, report.summary()
             seen = set()
             for e, z in assoc.edge_to_bubble.items():
-                (v_e,) = assoc.tree.tree.boundary[e]
+                (v_e,) = assoc.tree.boundary[e]
                 value = chart_position(assoc.point, assoc.root_vertex, v_e, e)
                 assert abs(value - z) <= 1e-9 * max(1.0, abs(z))
                 seen.add(z)

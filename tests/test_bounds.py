@@ -200,7 +200,7 @@ class TestMembershipScales:
         tree = chain_tree(3, leaves=3)
         eps = 0.1
         scales = membership_scales(tree, eps, 0.001)
-        degrees = {tree.tree.degree(v) for v in tree.vertices}
+        degrees = {tree.degree(v) for v in tree.vertices}
         assert len(degrees) > 1
         target = 9.0 * math.pi / (eps * eps)
         for v in tree.vertices:
@@ -396,7 +396,7 @@ class TestCurveCoverCount:
 
     def test_mu_from_trees(self):
         for tree in (star_tree(2), chain_tree(2), chain_tree(3, leaves=3)):
-            mu = sum(tree.tree.degree(v) for v in tree.vertices)
+            mu = sum(tree.degree(v) for v in tree.vertices)
             assert mu == len(tree.incident_pairs())
             out = curve_cover_count(1.0, mu, 1.0, GeometryConstants(sigma=0.0))
             assert out.regions == mu + 1

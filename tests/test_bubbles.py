@@ -476,7 +476,7 @@ class TestAssociateTree:
         assoc = associate_tree(flat((0, EPS)), EPS)
         tree = assoc.tree
         assert tree.vertices == (1,)
-        assert tree.tree.edges == (0, 1, 2)
+        assert tree.edges == (0, 1, 2)
         assert tree.root_edge == 0
         assert assoc.root_vertex == 1
         assert assoc.point.gamma == {}
@@ -491,7 +491,7 @@ class TestAssociateTree:
         assoc = associate_tree(flat((0, d, EPS)), EPS)
         tree = assoc.tree
         assert tree.vertices == (1, 2)
-        assert tree.tree.full_edges == (1,)
+        assert tree.full_edges == (1,)
         assert assoc.point.gamma[1] == pytest.approx(0.08192, rel=1e-12)
         # root vertex keeps the cluster center and the far point
         assert assoc.point.zr[(1, 1)][0] == 0j
@@ -640,7 +640,7 @@ class TestVerifyAssociation:
             assoc = associate_tree(cfg, EPS)
             external = [
                 e
-                for e in assoc.tree.tree.half_edges
+                for e in assoc.tree.half_edges
                 if e != assoc.tree.root_edge
             ]
             assert sorted(assoc.edge_to_bubble) == sorted(external)

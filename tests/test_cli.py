@@ -5,6 +5,7 @@ import io
 import json
 import itertools
 import math
+import random
 import re
 import shlex
 import subprocess
@@ -17,8 +18,11 @@ import mpmath
 import pytest
 
 from bubbletree.bounds import choose_lambda
+from bubbletree.bubbles import associate_tree
 from bubbletree.cli import main
-from bubbletree.jsonio import dumps
+from bubbletree.jsonio import bubble_to_json, dumps
+
+from helpers import random_standard
 
 BASE_BUBBLE = {
     "eps": 0.125,
@@ -642,6 +646,10 @@ def test_readme_bounds_examples(tmp_path, monkeypatch, no_env_seed):
     # every README example that needs no outside file, in order, in one
     # directory, so later blocks can read what earlier ones wrote
     monkeypatch.chdir(tmp_path)
+
+    def read_json(name):
+        return json.loads((tmp_path / name).read_text(encoding="utf-8"))
+
     ran = Counter()
     for heredocs, commands in readme_commands():
         for name, text in heredocs.items():
@@ -661,6 +669,12 @@ def test_readme_bounds_examples(tmp_path, monkeypatch, no_env_seed):
                 assert data["ok"] is True
             elif argv[1] == "paths":
                 assert data["violations"] == 0
+            elif argv[1] == "decompose":
+                # the README's point and params are those of its pipeline run
+                assert data["point"] == read_json("run1/01-association.json")["point"]
+                assert data["params"] == read_json("run1/03-params.json")["params"]
+                assert len(data["regions"]) == 7
+                assert ET.parse(tmp_path / data["svg"]).getroot().tag.endswith("svg")
     assert ran == {
         "trees": 1,
         "net": 1,
@@ -668,6 +682,7 @@ def test_readme_bounds_examples(tmp_path, monkeypatch, no_env_seed):
         "verify-association": 1,
         "pipeline": 1,
         "bounds": 4,
+        "decompose": 1,
         "paths": 1,
     }
     assert len(list((tmp_path / "run1").iterdir())) == len(ARTIFACTS)
@@ -753,6 +768,25 @@ def test_pipeline_gamma_fault_stops_at_verification(tmp_path, no_env_seed):
     assert data["stages"][-1]["verdict"] == "fail"
     names = sorted(p.name for p in (tmp_path / "run").iterdir())
     assert names == list(ARTIFACTS[:2])
+
+
+@pytest.mark.parametrize("key", [" 1 ", "01", "1_0"])
+def test_pipeline_gamma_override_keys_must_be_canonical(tmp_path, no_env_seed, key):
+    # int() reads these keys as edges 1, 1 and 10, all full edges here, and
+    # the override repeats the associated gamma, so only the key is at fault
+    cfg = random_standard(random.Random(30), 0.125, 8)
+    gamma = associate_tree(cfg, 0.125).point.gamma[int(key)]
+    config = {
+        "bubble": bubble_to_json(cfg, 0.125),
+        "gamma_overrides": {key: [gamma.real, gamma.imag]},
+    }
+    path = write(tmp_path, "keys.json", config)
+    code, out, err = invoke(["pipeline", "--config", path, "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    assert fail["error"] == f"gamma_overrides key {key!r} is not a canonical integer"
 
 
 def test_pipeline_non_standard_configuration_exit_3(tmp_path, no_env_seed):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubbletree import curves, jsonio, pipeline
+from bubbletree import bubbles, curves, jsonio, pipeline
 from bubbletree.bounds import choose_lambda, membership_scales
 from bubbletree.bubbles import associate_tree
 from bubbletree.curves import (
@@ -631,6 +631,28 @@ def test_pipeline_builds_one_decomposition(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_pipeline_checks_membership_once_per_params(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(p, c):
+        calls.append((p, c))
+        return in_compact_subset(p, c)
+
+    for module in (curves, bubbles, pipeline):
+        monkeypatch.setattr(module, "in_compact_subset", counted)
+    cfg = random_standard(random.Random(30), EPS, 8)
+    config = {"bubble": jsonio.bubble_to_json(cfg, EPS), "delta": 0.5}
+    for seed in (3, 4):
+        calls.clear()
+        report = pipeline.run_pipeline(config, tmp_path / str(seed), seed=seed)
+        assert report.ok
+        # one check at the association scales (verify-association) and one
+        # at the membership scales, which the decomposition stage reads again
+        assert len(calls) == 2
+        (p1, c1), (p2, c2) = calls
+        assert p1 is p2 and c1 is not c2
+
+
 def check_path_cases():
     """(p, c, samples) on random chain members: samples in the root chart,
     across every neck, and on boundary circles (the root's unit circle,
@@ -731,6 +753,15 @@ def test_classify_after_member_rechecks_failing_params(monkeypatch):
     assert len(calls) == 2
     assert classify(p, c, q) == ok
     assert len(calls) == 2
+
+
+def test_membership_recheck_keeps_the_decomposition(monkeypatch):
+    p, c, _ = check_path_cases()[1]
+    dec = decomposition(p, c)
+    assert in_compact_subset(p, c).ok
+    calls = count_membership_checks(monkeypatch)
+    assert decomposition(p, c) is dec
+    assert not calls
 
 
 def test_check_map_membership_checks_membership_once(monkeypatch):

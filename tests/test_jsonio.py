@@ -48,7 +48,13 @@ from bubbletree.jsonio import (
 from bubbletree.nets import FiniteMetricSpace
 from bubbletree.trees import Marking
 
-from helpers import chain_tree, default_params, random_member, star_tree
+from helpers import (
+    assert_tree_facts,
+    chain_tree,
+    default_params,
+    random_member,
+    star_tree,
+)
 
 BASE_POINTS = (0j, 0.125 + 0j)
 TWO_LEVEL_POINTS = (0j, 1e-05 + 0j, 0.125 + 0j)
@@ -180,12 +186,13 @@ def test_write_json_round_trip(tmp_path):
 def test_tree_round_trip(tree):
     data = reload(tree_to_json(tree))
     back, marking = tree_from_json(data)
-    assert back.tree.vertices == tree.tree.vertices
-    assert back.tree.boundary == tree.tree.boundary
+    assert_tree_facts(back)
+    assert back.vertices == tree.vertices
+    assert back.boundary == tree.boundary
     assert back.root_edge == tree.root_edge
     expected = Marking(frozenset(
-        e for e in tree.tree.edges
-        if len(tree.tree.boundary[e]) == 1 and e != tree.root_edge
+        e for e in tree.edges
+        if len(tree.boundary[e]) == 1 and e != tree.root_edge
     ))
     assert marking == expected
     assert tree_to_json(back, marking) == data
@@ -230,7 +237,8 @@ def test_moduli_round_trip(tree):
     p = random_member(tree, default_params(tree), rng)
     data = reload(moduli_to_json(p))
     back = moduli_from_json(data)
-    assert back.tree.tree.boundary == p.tree.tree.boundary
+    assert_tree_facts(back.tree)
+    assert back.tree.boundary == p.tree.boundary
     assert back.gamma == p.gamma
     assert back.zr == p.zr
     assert moduli_to_json(back) == data

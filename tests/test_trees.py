@@ -4,7 +4,11 @@ import random
 import pytest
 
 from bubbletree import trees
-from helpers import oracle_count_stable_rooted
+from helpers import (
+    assert_tree_facts,
+    oracle_count_stable_rooted,
+    split_components_reference,
+)
 from bubbletree.errors import ResourceCapError
 from bubbletree.trees import (
     Marking,
@@ -64,6 +68,18 @@ def test_enumeration_outputs_valid():
         assert len(keys) == len(ts)
 
 
+def test_enumerated_trees_store_their_facts():
+    for n in range(2, 8):
+        for t in enumerate_stable_rooted(n):
+            assert isinstance(t, Tree)
+            assert_tree_facts(t)
+            # a tree built from a rooted tree, and a rooting of that tree
+            plain = Tree(t.vertices, t.boundary)
+            assert_tree_facts(plain)
+            again = RootedTree(plain, t.root_edge)
+            assert (again.order, again.children) == (t.order, t.children)
+
+
 def test_enumeration_bounds():
     for n in range(2, 8):
         count = len(enumerate_stable_rooted(n))
@@ -93,7 +109,7 @@ def test_count_bound_values():
 def test_edge_count_identities_on_enumerated():
     for n in range(2, 8):
         for t in enumerate_stable_rooted(n):
-            rep = edge_counts(t.tree)
+            rep = edge_counts(t)
             assert rep.n_vertices == rep.n_internal + 1
             assert rep.degree_sum == rep.n_external + 2 * rep.n_internal
             assert rep.chain_holds
@@ -102,10 +118,10 @@ def test_edge_count_identities_on_enumerated():
 
 
 def test_edge_count_examples():
-    rep = edge_counts(one_vertex_tree(3).tree)
+    rep = edge_counts(one_vertex_tree(3))
     assert (rep.n_vertices, rep.n_internal, rep.n_external, rep.degree_sum) == (1, 0, 3, 3)
     assert rep.equality_throughout
-    rep = edge_counts(chain_tree().tree)
+    rep = edge_counts(chain_tree())
     assert (rep.n_vertices, rep.n_internal, rep.n_external, rep.degree_sum) == (2, 1, 4, 6)
     assert rep.equality_throughout
 
@@ -129,7 +145,7 @@ def _all_valid_orientations(t: RootedTree):
     edges = t.edges
     choices = []
     for e in edges:
-        ends = t.tree.boundary[e]
+        ends = t.boundary[e]
         if len(ends) == 1:
             choices.append([{ends[0]: +1}, {ends[0]: -1}])
         else:
@@ -143,7 +159,7 @@ def _all_valid_orientations(t: RootedTree):
         ok = True
         for v in t.vertices:
             pos = sum(
-                1 for e in edges if v in t.tree.boundary[e] and assign[e][v] == +1
+                1 for e in edges if v in t.boundary[e] and assign[e][v] == +1
             )
             if pos != 1:
                 ok = False
@@ -213,7 +229,7 @@ def ascending_preorder(t):
     def visit(v):
         out.append(v)
         for e in sorted(t.child_edges(v)):
-            w = t.child_vertex(e)
+            w = t.e_plus[e]
             if w is not None:
                 visit(w)
 
@@ -306,6 +322,47 @@ def test_split_preserves_degrees_and_reglues():
             assert canonical_key(glued) == canonical_key(t)
 
 
+def piece_record(piece):
+    t = piece.tree
+    return (
+        t.vertices,
+        list(t.boundary.items()),
+        t.root_edge,
+        piece.marking,
+        list(piece.edge_origin.items()),
+        t.order,
+    )
+
+
+def test_split_matches_component_search_reference():
+    splits = 0
+    for n in range(2, 8):
+        for t in enumerate_stable_rooted(n):
+            marking = Marking(frozenset(t.half_edges[::2]))
+            full = t.full_edges
+            for k in range(len(full) + 1):
+                for cut in itertools.combinations(full, k):
+                    pieces = split(t, marking, cut)
+                    want = split_components_reference(t, marking, cut)
+                    assert list(map(piece_record, pieces)) == list(
+                        map(piece_record, want)
+                    )
+                    for piece in pieces:
+                        assert_tree_facts(piece.tree)
+                    glued, glued_want = reglue(pieces), reglue(want)
+                    assert_tree_facts(glued)
+                    assert list(glued.boundary.items()) == list(
+                        glued_want.boundary.items()
+                    )
+                    assert (glued.vertices, glued.root_edge, glued.order) == (
+                        t.vertices,
+                        t.root_edge,
+                        t.order,
+                    )
+                    splits += 1
+    assert splits > 1000
+
+
 def test_split_rejects_half_edge():
     t = chain_tree()
     with pytest.raises(TreeError):
@@ -330,8 +387,40 @@ def test_tree_validation_errors():
         RootedTree(Tree([0, 1], {0: (0, 1), 1: (0,), 2: (1,)}), 0)  # full root
 
 
+@pytest.mark.parametrize(
+    "vertices, boundary, message",
+    [
+        ([0], {0: ()}, "edge 0 has 0 endpoints; need 1 or 2"),
+        ([0], {0: (0, 9), 1: (0, 0)}, "edge 0 mentions unknown vertex 9"),
+        ([], {0: (0,)}, "edge 0 mentions unknown vertex 0"),
+        ([0], {0: (0,), 1: (7, 7)}, "edge 1 is a loop"),
+        ([0, 1], {0: (0, 0), 1: (1,)}, "edge 0 is a loop"),
+        ([], {}, "tree needs at least one vertex"),
+        ([0, 1], {0: (0,), 1: (1,)}, "2 vertices need 1 full edges for a tree, got 0"),
+        (
+            [0, 1, 2],
+            {0: (0, 1), 1: (1, 2), 2: (2, 0)},
+            "3 vertices need 2 full edges for a tree, got 3",
+        ),
+        ([0, 1, 2, 3], {0: (0, 1), 1: (1, 0), 2: (2, 3)}, "tree is not connected"),
+    ],
+)
+def test_tree_error_messages_in_check_order(vertices, boundary, message):
+    with pytest.raises(TreeError) as exc:
+        Tree(vertices, boundary)
+    assert str(exc.value) == message
+
+
+def test_rooting_errors():
+    t = chain_tree()
+    with pytest.raises(TreeError, match="^root edge 9 not in tree$"):
+        RootedTree(t, 9)
+    with pytest.raises(TreeError, match="^root edge must be a half edge$"):
+        RootedTree(t, 1)
+
+
 def test_marking_validation():
     t = chain_tree()
     with pytest.raises(TreeError):
-        Marking(frozenset({1})).validate(t.tree)
-    Marking(frozenset({2, 3})).validate(t.tree)
+        Marking(frozenset({1})).validate(t)
+    Marking(frozenset({2, 3})).validate(t)
