@@ -63,15 +63,16 @@ UNIT_TARGETS = (
 
 
 def _leq(a: float, b: float) -> bool:
-    """Closed inequality a <= b with relative slack for float boundaries."""
-    return a <= b + EQ_SLACK * max(1.0, abs(a), abs(b))
+    """Closed inequality a <= b with slack relative to the larger modulus,
+    so the comparison means the same at every scale."""
+    return a <= b + EQ_SLACK * max(abs(a), abs(b))
 
 
 def _leq_array(a, b) -> np.ndarray:
     """_leq elementwise on broadcast float arrays, bit for bit the same
     verdicts.  Moduli of complex values must come from np.hypot of the
     parts, which matches scalar abs exactly (np.abs on complex does not)."""
-    return a <= b + EQ_SLACK * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    return a <= b + EQ_SLACK * np.maximum(np.abs(a), np.abs(b))
 
 
 def _first_false(ok: np.ndarray) -> int | None:
@@ -337,6 +338,34 @@ class FiberPoint:
         return None if pt.y == 0 else pt.x / pt.y
 
 
+@dataclass(frozen=True, eq=False)
+class FiberBatch:
+    """N points of one fiber held as arrays.
+
+    xs and ys are complex (N, |V|) arrays of the normalized coordinates a
+    FiberPoint stores, one column per vertex in the order of vertices (the
+    sorted vertex tuple).  len gives N; indexing, and so iterating, gives
+    each row as a FiberPoint, and a slice gives a FiberBatch of its rows.
+    """
+
+    vertices: tuple[int, ...]
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FiberBatch(self.vertices, self.xs[i], self.ys[i])
+        # the row already holds what FiberPoint stores; normalizing it once
+        # more could flip the sign of a zero, so the row is set as it is
+        q = object.__new__(FiberPoint)
+        row = zip(self.vertices, self.xs[i].tolist(), self.ys[i].tolist())
+        object.__setattr__(q, "coords", {v: ProjPoint(a, b) for v, a, b in row})
+        return q
+
+
 def fiber_residual(p: ModuliPoint, q: FiberPoint) -> float:
     """Largest relative defect of the gluing equations at q."""
     if set(q.coords) != set(p.tree.vertices):
@@ -459,10 +488,9 @@ def _normalize(x: np.ndarray, y: np.ndarray):
 def _fiber_batch(p: ModuliPoint, v: int, x: np.ndarray, y: np.ndarray):
     """_fiber_through for the N points with chart coordinates [x : y] at v.
 
-    Returns complex (N, |V|) arrays of the coordinates _fiber_through passes
-    to FiberPoint, columns in sorted vertex order, and per point the vertex
-    whose coordinate _child_coord rejects at a node (where _fiber_through
-    raises), or -1.  A rejected point's later coordinates are meaningless.
+    Returns the points as a FiberBatch, and per point the vertex whose
+    coordinate _child_coord rejects at a node (where _fiber_through raises),
+    or -1.  A rejected point's later coordinates are meaningless.
     """
     t = p.tree
     coords = {v: _normalize(x, y)}
@@ -489,19 +517,13 @@ def _fiber_batch(p: ModuliPoint, v: int, x: np.ndarray, y: np.ndarray):
         hit = (num == 0) & (den == 0)
         node[hit & (node < 0)] = w
         coords[w] = _normalize(num, np.where(hit, 1.0, den))
-    verts = sorted(t.vertices)
-    xs = np.stack([coords[w][0] for w in verts], axis=1)
-    ys = np.stack([coords[w][1] for w in verts], axis=1)
-    return xs, ys, node
-
-
-def _fiber_points(t: RootedTree, xs: np.ndarray, ys: np.ndarray) -> list[FiberPoint]:
-    """FiberPoints from rows of coordinates, columns in sorted vertex order."""
-    verts = sorted(t.vertices)
-    return [
-        FiberPoint({w: ProjPoint(a, b) for w, a, b in zip(verts, xrow, yrow)})
-        for xrow, yrow in zip(xs.tolist(), ys.tolist())
-    ]
+    verts = tuple(sorted(t.vertices))
+    # FiberPoint normalizes the coordinates _fiber_through hands it once more
+    xs, ys = _normalize(
+        np.stack([coords[w][0] for w in verts], axis=1),
+        np.stack([coords[w][1] for w in verts], axis=1),
+    )
+    return FiberBatch(verts, xs, ys), node
 
 
 def fiber_from_root(p: ModuliPoint, t: ProjPoint) -> FiberPoint:
@@ -1326,19 +1348,23 @@ def stabilize_four_marked(
 # ---------------------------------------------------------------------------
 
 
-def anchor_points(p: ModuliPoint) -> list[tuple[tuple[int, int], int, FiberPoint]]:
+def anchor_points(
+    p: ModuliPoint,
+) -> tuple[list[tuple[tuple[int, int], int]], FiberBatch]:
     """Three circle-anchored points per incident pair.
 
     For each (v, e) the three unit-circle anchors are pulled back through
     the chart at that pair; the results sit on the boundary circles of the
-    decomposition.  Returns (pair, anchor index, point) triples.  The
-    anchors of one vertex v are propagated in one batch.
+    decomposition.  Returns the (pair, anchor index) label of every point
+    and the points as one FiberBatch in the same order.  The anchors of one
+    vertex v are propagated in one batch.
     """
     t = p.tree
     pairs = t.incident_pairs()
-    out = []
-    for v in sorted(t.vertices):
-        labels, plain = [], []
+    verts = tuple(sorted(t.vertices))
+    labels, xs, ys = [], [], []
+    for v in verts:
+        plain = []
         for e in [e for w, e in pairs if w == v]:
             for k, target in enumerate(UNIT_TARGETS):
                 if t.e_plus[e] == v:
@@ -1347,13 +1373,13 @@ def anchor_points(p: ModuliPoint) -> list[tuple[tuple[int, int], int, FiberPoint
                     x = target.x * p.rho(v, e) + p.z(v, e) * target.y
                     plain.append((x, target.y))
                 labels.append(((v, e), k))
-        xs, ys, node = _fiber_batch(p, v, *np.array(plain, dtype=complex).T)
+        batch, node = _fiber_batch(p, v, *np.array(plain, dtype=complex).T)
         hits = np.flatnonzero(node >= 0)
         if hits.size:
             raise _node_error(t, int(node[hits[0]]))
-        points = _fiber_points(t, xs, ys)
-        out.extend((pair, k, q) for (pair, k), q in zip(labels, points))
-    return out
+        xs.append(batch.xs)
+        ys.append(batch.ys)
+    return labels, FiberBatch(verts, np.concatenate(xs), np.concatenate(ys))
 
 
 FILL_SKIP_LIMIT = 64
@@ -1403,19 +1429,21 @@ def decorate(
     c: CompactnessParams,
     marked: Sequence[FiberPoint],
     m: int,
-) -> list[FiberPoint]:
-    """Marked points plus m deterministic extra points on the fiber.
+) -> FiberBatch:
+    """Marked points plus m deterministic extra points on the fiber, as one
+    FiberBatch: the marked points, then the anchors, then the ring points.
 
     The first 3 * sum(deg) extras anchor every incident pair's three circle
     points; the remainder is taken from the ring of radius 0.9 in the root
     chart at equally spaced angles, skipping candidates that fall inside a
-    child disc of the root vertex or within 1e-6 of a point already chosen.
-    Distances here are chart distances: the max over vertices of the sphere
-    distance of the plain chart values.  A pair within RESIDUAL_TOL of each
-    other in the charts is measured again by embedded_distance, which also
-    reads the disc-rescaled charts and is never smaller; the points collide
-    only when that distance is within RESIDUAL_TOL too.  Fails if m is below
-    the anchor count, the ring skips exceed the limit, or two points collide.
+    child disc of the root vertex or within FILL_SEPARATION of a point
+    already chosen.  Distances here are chart distances: the max over
+    vertices of the sphere distance of the plain chart values.  A pair
+    within RESIDUAL_TOL of each other in the charts is measured again by
+    embedded_distance, which also reads the disc-rescaled charts and is
+    never smaller; the points collide only when that distance is within
+    RESIDUAL_TOL too.  Fails if m is below the anchor count, the ring skips
+    exceed the limit, or two points collide.
     """
     t = p.tree
     mu = len(t.incident_pairs())
@@ -1423,7 +1451,7 @@ def decorate(
         raise InputError(f"m = {m} is below the anchor count {3 * mu}")
     for q in marked:
         _require_on_fiber(p, q)
-    anchors = anchor_points(p)
+    labels, anchors = anchor_points(p)
 
     # every ring candidate the fill can reach: it stops once extra points
     # are accepted, or at the candidate after the last allowed skip
@@ -1439,33 +1467,32 @@ def decorate(
     for e in t.child_edges(v0):
         gap = vals - p.z(v0, e)
         in_disc |= np.hypot(gap.real, gap.imag) < abs(p.rho(v0, e))
-    ring_x, ring_y, node = _fiber_batch(p, v0, vals, np.ones_like(vals))
+    ring, node = _fiber_batch(p, v0, vals, np.ones_like(vals))
 
-    # the chart coordinates FiberPoint stores, one row per point
-    points = [*marked, *(q for *_, q in anchors)]
-    n_fixed = len(points)
-    verts = sorted(t.vertices)
-    fixed = [[q.coords[v] for v in verts] for q in points]
-    new_x, new_y = _normalize(ring_x, ring_y)
-    xs = np.concatenate([[[a.x for a in row] for row in fixed], new_x])
-    ys = np.concatenate([[[a.y for a in row] for row in fixed], new_y])
+    # one row per point: the marked points, the anchors, every ring candidate
+    verts = anchors.vertices
+    given = np.array(
+        [[(q.coords[v].x, q.coords[v].y) for v in verts] for q in marked], dtype=complex
+    ).reshape(len(marked), len(verts), 2)
+    xs = np.concatenate([given[..., 0], anchors.xs, ring.xs])
+    ys = np.concatenate([given[..., 1], anchors.ys, ring.ys])
+    n_fixed = len(marked) + len(anchors)
     pairs = _near_pairs(xs, ys, np.hypot(np.abs(xs), np.abs(ys)), FILL_SEPARATION)
 
     near: dict[int, list[int]] = {}
     for i, k, _ in pairs:
         near.setdefault(k, []).append(i)
     kept = [True] * n_fixed + [False] * len(vals)
-    ring: list[int] = []
-    disc_skips = near_skips = 0
+    placed = disc_skips = near_skips = 0
     for j in range(len(vals)):
-        if len(ring) == extra:
+        if placed == extra:
             break
         if disc_skips + near_skips > FILL_SKIP_LIMIT:
             raise VerificationError(
                 f"ring fill exhausted after {FILL_SKIP_LIMIT} skipped candidates: "
                 f"{disc_skips} fell in a child disc of the root vertex and "
                 f"{near_skips} within {FILL_SEPARATION:g} of a chosen point, with "
-                f"{len(ring)} of extra = {extra} ring points placed"
+                f"{placed} of extra = {extra} ring points placed"
             )
         if in_disc[j]:
             disc_skips += 1
@@ -1476,8 +1503,9 @@ def decorate(
             near_skips += 1
             continue
         kept[n_fixed + j] = True
-        ring.append(j)
-    points.extend(_fiber_points(t, ring_x[ring], ring_y[ring]))
+        placed += 1
+    keep = np.array(kept)
+    points = FiberBatch(verts, xs[keep], ys[keep])
 
     # an accepted ring point is at least FILL_SEPARATION from every earlier
     # point, so only marked points and anchors can collide
@@ -1488,8 +1516,8 @@ def decorate(
         if dist <= RESIDUAL_TOL:
             raise VerificationError(
                 f"decoration points {i} and {k} collide: "
-                f"{_decoration_label(p, anchors, len(marked), i)} and "
-                f"{_decoration_label(p, anchors, len(marked), k)} are "
+                f"{_decoration_label(p, labels, len(marked), i)} and "
+                f"{_decoration_label(p, labels, len(marked), k)} are "
                 f"{dist:.6g} apart in the product of spheres "
                 f"(chart distance {chart:.6g}), within RESIDUAL_TOL = "
                 f"{RESIDUAL_TOL}"
@@ -1497,11 +1525,11 @@ def decorate(
     return points
 
 
-def _decoration_label(p: ModuliPoint, anchors, n_marked: int, i: int) -> str:
+def _decoration_label(p: ModuliPoint, labels, n_marked: int, i: int) -> str:
     """Where decoration point i came from, with its circle radius if anchored."""
     if i < n_marked:
         return f"marked point {i}"
-    (v, e), k, _ = anchors[i - n_marked]
+    (v, e), k = labels[i - n_marked]
     return f"anchor {k} of ({v}, {e}) on a circle of radius {_circle(p, v, e)[1]:.6g}"
 
 

@@ -17,6 +17,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Any, Mapping
 
+import numpy as np
+
 from .bounds import (
     DEFAULT_CONSTANTS,
     CurveCoverCount,
@@ -27,7 +29,7 @@ from .bounds import (
 from .bubbles import AssociationReport, BubbleConfiguration, TreeAssociation
 from .curves import (
     CompactnessParams,
-    FiberPoint,
+    FiberBatch,
     MembershipReport,
     ModuliPoint,
     Region,
@@ -46,7 +48,9 @@ def dumps(obj: Any) -> str:
     Writes exactly the bytes of json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False) + "\n", raising ValueError on non-finite floats and
     TypeError on other types as it does; with an indent that call runs the
-    pure-Python encoder, which is slower than this one.  Containers must not
+    pure-Python encoder, which is slower than this one.  A FiberBatch is
+    written as the list of its points, each the object {str(v): [[x.real,
+    x.imag], [y.real, y.imag]]} over its vertices.  Containers must not
     contain themselves.
     """
     out: list[str] = []
@@ -124,8 +128,42 @@ def _emit(o: Any, out: list[str], newline: str) -> None:
             sep = comma
             _emit(value, out, inner)
         out.append(newline + "}")
+    elif isinstance(o, FiberBatch):
+        _emit_batch(o, out, newline)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _emit_batch(batch: FiberBatch, out: list[str], newline: str) -> None:
+    """Append what _emit gives the list of a batch's point objects, one
+    piece per vertex entry: a template with a %r slot for each of x.real,
+    x.imag, y.real and y.imag, filled from the batch's arrays.  Pieces stay
+    a few hundred bytes: one string per row (about 1.5 kB) fragmented the
+    heap, and a loop of a few thousand pipeline runs grew by 1 MB."""
+    if not len(batch):
+        out.append("[]")
+        return
+    row_in, key_in, pair_in, num_in = (newline + "  " * k for k in range(1, 5))
+    verts = batch.vertices
+    order = sorted(range(len(verts)), key=lambda col: str(verts[col]))
+    slot = f"[{num_in}%r,{num_in}%r{pair_in}]"
+    entries = [
+        f"{key_in}{_quote(str(verts[col]))}: [{pair_in}{slot},{pair_in}{slot}{key_in}]"
+        for col in order
+    ]
+    pieces = ["{" + entries[0], *("," + entry for entry in entries[1:])]
+    pieces[-1] += row_in + "}"
+    xs, ys = batch.xs[:, order], batch.ys[:, order]
+    values = np.stack([xs.real, xs.imag, ys.real, ys.imag], axis=-1)
+    finite = np.isfinite(values)
+    if not finite.all():  # _float_text raises, naming the first such value
+        _float_text(float(values.ravel()[finite.argmin()]))
+    sep = "[" + row_in
+    for row in values.tolist():
+        out.append(sep)
+        out.extend(piece % tuple(four) for piece, four in zip(pieces, row))
+        sep = "," + row_in
+    out.append(newline + "]")
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -429,19 +467,8 @@ def lambda_to_json(choice: LambdaChoice) -> dict:
     }
 
 
-def fiber_point_to_json(q: FiberPoint) -> dict:
-    return {
-        str(v): [complex_to_json(pt.x), complex_to_json(pt.y)]
-        for v, pt in sorted(q.coords.items())
-    }
-
-
-def decoration_to_json(m: int, points: list[FiberPoint]) -> dict:
-    return {
-        "m": m,
-        "count": len(points),
-        "points": [fiber_point_to_json(q) for q in points],
-    }
+def decoration_to_json(m: int, points: FiberBatch) -> dict:
+    return {"m": m, "count": len(points), "points": points}
 
 
 def region_to_json(r: Region) -> dict:

@@ -745,7 +745,7 @@ def slack_edges(b):
     the slack either way (the last value admitted on the larger side of
     a <= b, or on the smaller side of b <= a), and one and two ulps on
     either side of each."""
-    slack = EQ_SLACK * max(1.0, abs(b))
+    slack = EQ_SLACK * abs(b)
     out = set()
     for x in (b - slack, b, b + slack):
         out.add(x)

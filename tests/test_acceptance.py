@@ -5,6 +5,7 @@ Run with -v -s to see the verdict lines; every tolerance is pinned inline.
 
 import cmath
 import contextlib
+import hashlib
 import itertools
 import math
 import random
@@ -44,6 +45,7 @@ from bubbletree.nets import (
     sphere_net,
     sphere_pairwise,
 )
+from bubbletree.jsonio import bubble_to_json
 from bubbletree.pipeline import run_pipeline
 from bubbletree.trees import edge_counts, enumerate_stable_rooted, tree_count_bound
 
@@ -51,6 +53,7 @@ from helpers import (
     all_lipschitz_maps,
     chain_tree,
     default_params,
+    flat_standard,
     grid_space,
     oracle_count_stable_rooted,
     random_member,
@@ -331,3 +334,39 @@ def test_12_pipeline_determinism(tmp_path, monkeypatch):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+
+# sha256 over the stage verdicts, exit codes and artifacts of test_13's 13
+# fixed-seed runs: a change that alters any artifact byte must say why and
+# record the new value
+GOLDEN_PIPELINE_DIGEST = (
+    "476156e9ad8ba3abbd8a627bb74f60e9453895e31117e55e24b12a8227240432"
+)
+
+
+def test_13_pipeline_golden_digest(tmp_path, monkeypatch):
+    with verdict(13, "pipeline artifacts and exit codes match the recorded digest"):
+        monkeypatch.delenv("BUBBLETREE_SEED", raising=False)
+        configs = [
+            random_standard(random.Random(seed), EPS, n)
+            for seed, n in enumerate((8, 9, 10, 12, 14, 16, 18, 20, 22, 24))
+        ]
+        configs.append(flat_standard(random.Random(30), EPS, 12))
+        configs.append(flat_standard(random.Random(31), EPS, 16))
+        # nine zero-radius points: decoration fails with exit code 2
+        configs.append(flat_standard(random.Random(32), EPS, 9, zero_radius=True))
+        digest = hashlib.sha256()
+        failed = []
+        for i, cfg in enumerate(configs):
+            out = tmp_path / str(i)
+            config = {"bubble": bubble_to_json(cfg, EPS), "delta": 0.5}
+            report = run_pipeline(config, out, seed=1000 + i)
+            if not report.ok:
+                failed.append((i, report.stages[-1].name, report.stages[-1].exit_code))
+            for stage in report.stages:
+                digest.update(f"{stage.name} {stage.verdict} {stage.exit_code}\n".encode())
+                for name in stage.artifacts:
+                    data = (out / name).read_bytes()
+                    digest.update(f"{name} {len(data)}\n".encode() + data)
+        assert failed == [(12, "decoration", 2)]
+        assert digest.hexdigest() == GOLDEN_PIPELINE_DIGEST

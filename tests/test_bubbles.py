@@ -115,6 +115,14 @@ class TestTypePredicates:
     def test_pairwise_radius_violation_breaks_type(self):
         assert not is_type_eps(flat((0, EPS), radius=EPS**3), EPS)
 
+    def test_pairwise_radius_bound_holds_at_small_scales(self):
+        # rho(0) + rho(1e-12) = 2e-13 against (eps^2/4) 1e-12 = 3.9e-15: an
+        # absolute slack of 1e-12 would hide the violation at this scale
+        pts = (0j, 1e-12 + 0j, EPS + 0j)
+        cfg = BubbleConfiguration(pts, {0j: 1e-13, 1e-12 + 0j: 1e-13, EPS + 0j: 0.0})
+        assert not is_type_eps(cfg, EPS)
+        assert not is_standard(cfg, EPS)
+
     def test_standard_needs_origin(self):
         cfg = flat((EPS / 2, EPS))
         assert is_type_eps(cfg, EPS)

@@ -249,6 +249,21 @@ def test_membership_boundary_has_slack():
     assert in_compact_subset(p, c).ok
 
 
+def test_membership_rejects_radius_far_below_alpha():
+    # |rho| = 1e-20 against alpha = 1e-13: an absolute slack of 1e-12 would
+    # let every radius below 1e-12 through
+    tree = chain_tree(3)
+    c = default_params(tree)
+    p = random_member(tree, c, random.Random(4))
+    assert in_compact_subset(p, c).ok
+    pair = min(p.zr)
+    zr = {**p.zr, pair: (p.zr[pair][0], 1e-20)}
+    tight = CompactnessParams(c.theta, c.tau, {**c.alpha, pair[0]: 1e-13})
+    report = in_compact_subset(ModuliPoint(tree, p.gamma, zr), tight)
+    assert not report.ok
+    assert f"< alpha[{pair[0]}] = 1e-13" in report.first_violation
+
+
 def test_leq_array_matches_scalar_elementwise():
     rng = random.Random(12)
     special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan]
@@ -1172,7 +1187,8 @@ def test_stabilize_errors():
 
 def test_decorate_anchor_points_sit_on_circles():
     p = star_point([(0.05, 0.01), (-0.05, 0.01)])
-    for (v, e), _, q in anchor_points(p):
+    labels, batch = anchor_points(p)
+    for ((v, e), _), q in zip(labels, batch):
         val = q.affine(v)
         if p.tree.e_plus[e] == v:
             assert abs(abs(val) - 1.0) < 1e-12
@@ -1243,19 +1259,35 @@ def test_chart_bits_tell_signed_zeros_apart():
     assert chart_bits([plus]) != chart_bits([minus])
 
 
+def test_fiber_batch_rows_keep_the_stored_signed_zeros():
+    # [0 : -1] normalizes to [-0.0+0.0j : 1], and normalizing that once more
+    # gives [0j : 1]: a row rebuilt through FiberPoint's constructor would
+    # not be the point _fiber_through returns
+    tree = chain_tree(2)
+    p = random_member(tree, default_params(tree), random.Random(1))
+    v = tree.root_vertex
+    start = ProjPoint(0.0, -1.0)
+    batch, _ = curves._fiber_batch(p, v, np.array([start.x]), np.array([start.y]))
+    want = chart_bits([curves._fiber_through(p, v, start)])
+    assert chart_bits(batch) == chart_bits([batch[-1]]) == want
+    assert chart_bits([FiberPoint(batch[0].coords)]) != want
+
+
 def fiber_batch_bits(p, v, starts):
-    """Scalar _fiber_through and curves._fiber_batch on the same starts, as
-    chart bits, with the scalar error text in place of a rejected point."""
+    """Scalar _fiber_through and the rows of curves._fiber_batch's FiberBatch
+    on the same starts, as chart bits, with the scalar error text in place of
+    a rejected point."""
     want = []
     for q in starts:
         try:
             want.append(chart_bits([curves._fiber_through(p, v, q)])[0])
         except VerificationError as exc:
             want.append(str(exc))
-    xs, ys, node = curves._fiber_batch(
+    batch, node = curves._fiber_batch(
         p, v, np.array([q.x for q in starts]), np.array([q.y for q in starts])
     )
-    got = chart_bits(curves._fiber_points(p.tree, xs, ys))
+    assert len(batch) == len(starts)
+    got = chart_bits(batch)
     for i, w in enumerate(node):
         if w >= 0:
             got[i] = str(curves._node_error(p.tree, int(w)))
@@ -1273,6 +1305,7 @@ def test_fiber_batch_matches_scalar_propagation():
                     ProjPoint(1.0, 0.0),
                     ProjPoint(1.0, complex(-0.0, -0.0)),
                     ProjPoint(0.0, 1.0),
+                    ProjPoint(0.0, -1.0),
                     ProjPoint(complex(-0.0, -0.0), 1.0),
                     ProjPoint(complex(-0.0, 0.0), complex(1.0, -0.0)),
                     ProjPoint(0.7 - 0.7j, 0.7 + 0.7j),
@@ -1344,7 +1377,7 @@ def test_decorate_duplicate_marks_raise_like_reference():
     mu = len(tree.incident_pairs())
     q = fiber_from_root(p, ProjPoint(0.2 + 0.1j, 1.0))
     twin = fiber_from_root(p, ProjPoint(0.2 + 0.1j, 1.0))
-    anchor = anchor_points(p)[4][2]
+    anchor = anchor_points(p)[1][4]
     for marked, pair in (([q, twin], "0 and 1"), ([q, anchor], "1 and 6")):
         for fn in (decorate, decorate_reference):
             with pytest.raises(VerificationError, match=f"points {pair} collide"):
@@ -1357,9 +1390,10 @@ def test_anchor_points_match_scalar_reference():
         c = default_params(tree)
         for zero in ((), tuple(tree.full_edges)):
             p = random_member(tree, c, rng, zero_edges=zero)
-            got, want = anchor_points(p), anchor_points_reference(p)
-            assert [label[:2] for label in got] == [label[:2] for label in want]
-            assert chart_bits([q for *_, q in got]) == chart_bits([q for *_, q in want])
+            labels, batch = anchor_points(p)
+            want = anchor_points_reference(p)
+            assert labels == [label[:2] for label in want]
+            assert chart_bits(batch) == chart_bits([q for *_, q in want])
 
 
 @pytest.mark.parametrize("n", [8, 12, 16, 20, 24])
@@ -1461,7 +1495,8 @@ def test_decorate_names_anchors_that_really_coincide():
     pair = min(p.zr, key=lambda k: abs(p.rho(*k)))
     radius = abs(p.rho(*pair))
     assert radius < math.ulp(abs(p.z(*pair)))
-    twins = [q for where, _, q in anchor_points(p) if where == pair]
+    labels, batch = anchor_points(p)
+    twins = [q for (where, _), q in zip(labels, batch) if where == pair]
     assert chart_bits(twins[:1]) == chart_bits(twins[1:2])
     c = membership_scales(p.tree, EPS, choose_lambda(EPS).value).params
     mu = len(p.tree.incident_pairs())

@@ -17,7 +17,7 @@ from bubbletree.bubbles import (
     associate_tree,
     association_params,
 )
-from bubbletree.curves import decomposition, in_compact_subset
+from bubbletree.curves import FiberBatch, decomposition, in_compact_subset
 from bubbletree.errors import InputError
 from bubbletree.jsonio import (
     association_from_json,
@@ -121,6 +121,66 @@ def test_dumps_matches_stdlib_indented_output(obj):
 def test_dumps_matches_stdlib_on_edge_cases():
     for obj in ([], {}, (), [[], {}, ()], {"": [()]}, -0.0, "\u2028", {1.5: 0, 1: 1, True: 2}):
         assert dumps(obj) == stdlib_dumps(obj)
+
+
+BATCH_VERTICES = (0, 1, 2, 9, 10, 11, 25, 100)
+
+
+def batch_rows(batch):
+    """The point objects a FiberBatch stands for, read from its arrays."""
+    return [
+        {
+            str(v): [[x.real, x.imag], [y.real, y.imag]]
+            for v, x, y in zip(batch.vertices, xrow, yrow)
+        }
+        for xrow, yrow in zip(batch.xs.tolist(), batch.ys.tolist())
+    ]
+
+
+def random_batch(rng, rows):
+    # -0.0, the subnormal 5e-324, and the exponent switches of repr at 1e16
+    # and 1e-4 / 1e-5 / 1e-7
+    special = [0.0, -0.0, 1.0, 5e-324, -5e-324, 1e16, 9999999999999998.0,
+               1e-7, 1e-4, 1e-5, -0.1, 1e308, -2.5e-310]
+    shape = (rows, len(BATCH_VERTICES))
+
+    def part():
+        values = [rng.choice(special + [rng.uniform(-1, 1)]) for _ in range(xs.size)]
+        return np.array(values).reshape(shape)
+
+    xs, ys = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    xs.real, xs.imag, ys.real, ys.imag = part(), part(), part(), part()
+    return FiberBatch(BATCH_VERTICES, xs, ys)
+
+
+def test_dumps_writes_a_fiber_batch_like_stdlib():
+    rng = random.Random(31)
+    for rows in (0, 1, 2, 7):
+        batch = random_batch(rng, rows)
+        plain = batch_rows(batch)
+        # at the top, as a dict value, and nested deeper, so every indent
+        # of the template is exercised
+        payloads = [
+            (batch, plain),
+            ({"m": rows, "count": len(batch), "points": batch},
+             {"m": rows, "count": rows, "points": plain}),
+            ({"a": [1.5, {"deep": [batch]}], "b": batch},
+             {"a": [1.5, {"deep": [plain]}], "b": plain}),
+        ]
+        for obj, want in payloads:
+            assert dumps(obj) == stdlib_dumps(want)
+    assert dumps(random_batch(rng, 0)) == "[]\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dumps_rejects_non_finite_batch_values_like_stdlib(bad):
+    batch = random_batch(random.Random(32), 3)
+    batch.ys.imag[1, 4] = bad
+    with pytest.raises(ValueError) as ours:
+        dumps({"points": batch})
+    with pytest.raises(ValueError) as theirs:
+        stdlib_dumps({"points": batch_rows(batch)})
+    assert str(ours.value) == str(theirs.value)
 
 
 @pytest.mark.parametrize(
