@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .bubbles import association_params
+from .bubbles import _check_eps, association_params
 from .curves import CompactnessParams
 from .errors import InputError, VerificationError
 from .trees import RootedTree
@@ -55,6 +55,10 @@ class GeometryConstants:
     c_abs: float = 9.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise InputError(f"{f.name} must be finite, got {value}")
         for name in ("lambda0", "C", "q", "l", "c_iso", "M"):
             if not getattr(self, name) > 0.0:
                 raise InputError(f"{name} must be positive")
@@ -178,9 +182,7 @@ def choose_lambda(eps: float, g: GeometryConstants = DEFAULT_CONSTANTS) -> Lambd
     by the energy-quantum ceiling eps sqrt(q / pi); the choice attains the
     smaller of the two.
     """
-    eps = float(eps)
-    if not 0.0 < eps <= 0.125:
-        raise InputError(f"eps must lie in (0, 0.125], got {eps}")
+    eps = _check_eps(eps)
     decay = g.l * eps * eps * (1.0 - eps) / (9.0 * math.sqrt(g.C))
     quantum = eps * math.sqrt(g.q / math.pi)
     if decay < quantum:
@@ -376,7 +378,7 @@ def curve_cover_count(
         raise InputError(f"mu must be at least 3, got {mu}")
     if mu > sys.float_info.max:
         raise InputError(f"mu = 10^{math.log10(mu):.1f} is past double range")
-    if lam_sup <= 0.0:
+    if not lam_sup > 0.0:
         raise InputError("the Lipschitz bound must be positive")
     if nu_k < 0:
         raise InputError("nu_K must be nonnegative")

@@ -190,9 +190,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_decorate(args) -> int:
     point = jsonio.moduli_from_json(jsonio.load_json(args.point))
-    params = jsonio.params_from_json(jsonio.load_json(args.params))
-    points = decorate(point, params, (), args.m)
-    _emit(args, jsonio.decoration_to_json(args.m, points))
+    _emit(args, jsonio.decoration_to_json(args.m, decorate(point, (), args.m)))
     return 0
 
 
@@ -301,7 +299,6 @@ def build_parser() -> _Parser:
     tree_actions = trees.add_subparsers(dest="action", required=True)
     enum = tree_actions.add_parser("enumerate", help="list isomorphism classes")
     enum.add_argument("--n", type=int, required=True, help="external edge count")
-    enum.add_argument("--out")
     enum.set_defaults(func=cmd_trees_enumerate)
 
     net = sub.add_parser("net", help="construct a gamma-net")
@@ -311,19 +308,16 @@ def build_parser() -> _Parser:
         help="'sphere' or a metric-space JSON file",
     )
     net.add_argument("--gamma", type=float, required=True)
-    net.add_argument("--out")
     net.set_defaults(func=cmd_net)
 
     cover = sub.add_parser("cover", help="cover a family of Lipschitz maps")
     cover.add_argument("--instance", required=True, help="instance JSON file")
     cover.add_argument("--lambda", dest="lam", type=float, required=True)
     cover.add_argument("--delta", type=float, required=True)
-    cover.add_argument("--out")
     cover.set_defaults(func=cmd_cover)
 
     assoc = sub.add_parser("associate", help="tree association of a configuration")
     assoc.add_argument("--config", required=True, help="bubble configuration JSON")
-    assoc.add_argument("--out")
     assoc.set_defaults(func=cmd_associate)
 
     verify = sub.add_parser(
@@ -331,7 +325,6 @@ def build_parser() -> _Parser:
     )
     verify.add_argument("--config", required=True)
     verify.add_argument("--assoc", required=True)
-    verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify_association)
 
     member = sub.add_parser(
@@ -339,21 +332,17 @@ def build_parser() -> _Parser:
     )
     member.add_argument("--point", required=True)
     member.add_argument("--params", required=True)
-    member.add_argument("--out")
     member.set_defaults(func=cmd_check_membership)
 
     decomp = sub.add_parser("decompose", help="thick-thin decomposition")
     decomp.add_argument("--point", required=True)
     decomp.add_argument("--params", required=True)
     decomp.add_argument("--svg", help="also draw the decomposition")
-    decomp.add_argument("--out")
     decomp.set_defaults(func=cmd_decompose)
 
     deco = sub.add_parser("decorate", help="deterministic extra marked points")
     deco.add_argument("--point", required=True)
-    deco.add_argument("--params", required=True)
     deco.add_argument("--m", type=int, required=True)
-    deco.add_argument("--out")
     deco.set_defaults(func=cmd_decorate)
 
     paths = sub.add_parser("paths", help="short paths on plumbing fibers")
@@ -362,7 +351,6 @@ def build_parser() -> _Parser:
         "--random", type=int, help="verify this many random instances"
     )
     paths.add_argument("--seed", type=int)
-    paths.add_argument("--out")
     paths.set_defaults(func=cmd_paths)
 
     bounds = sub.add_parser("bounds", help="constant and counting formulas")
@@ -381,16 +369,19 @@ def build_parser() -> _Parser:
         help="energy scale for N; derived from --eps when omitted",
     )
     bounds.add_argument("--consts", help="geometry constants JSON file")
-    bounds.add_argument("--out")
     bounds.set_defaults(func=cmd_bounds)
 
     pipe = sub.add_parser("pipeline", help="run every stage end to end")
     pipe.add_argument("--config", required=True)
     pipe.add_argument("--out-dir", dest="out_dir", required=True)
     pipe.add_argument("--seed", type=int)
-    pipe.add_argument("--out")
     pipe.set_defaults(func=cmd_pipeline)
 
+    # every leaf writes its stdout bytes to --out too; added last, so the
+    # flag stays last in each usage line
+    leaves = (enum, net, cover, assoc, verify, member, decomp, deco, paths, bounds, pipe)
+    for leaf in leaves:
+        leaf.add_argument("--out")
     return parser
 
 

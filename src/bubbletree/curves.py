@@ -1424,12 +1424,7 @@ def _near_pairs(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, below: float):
     return list(zip(i[keep].tolist(), k[keep].tolist(), dist[keep].tolist()))
 
 
-def decorate(
-    p: ModuliPoint,
-    c: CompactnessParams,
-    marked: Sequence[FiberPoint],
-    m: int,
-) -> FiberBatch:
+def decorate(p: ModuliPoint, marked: Sequence[FiberPoint], m: int) -> FiberBatch:
     """Marked points plus m deterministic extra points on the fiber, as one
     FiberBatch: the marked points, then the anchors, then the ring points.
 

@@ -176,9 +176,14 @@ def load_json(path: str | Path) -> Any:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _reject_constant(token: str):
+    # json.loads reads NaN, Infinity and -Infinity, which JSON does not have
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def int_field(value: Any, where: str) -> int:
@@ -189,6 +194,14 @@ def int_field(value: Any, where: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"{where} must be an integer, got {value!r}")
+
+
+def number_field(value: Any, where: str) -> float:
+    """The one reader of JSON numbers: an int or a float, as a float; bools
+    and everything else raise InputError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputError(f"{where} must be a number")
+    return float(value)
 
 
 def require_key(data: Mapping, key: str, kind: type, where: str) -> Any:
@@ -353,9 +366,7 @@ def params_from_json(data: Any) -> CompactnessParams:
     alpha_raw = require_key(data, "alpha", dict, "params")
     alpha = {}
     for k, v in alpha_raw.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InputError(f"alpha[{k!r}] must be a number")
-        alpha[_int_key(k, "alpha")] = float(v)
+        alpha[_int_key(k, "alpha")] = number_field(v, f"alpha[{k!r}]")
     return CompactnessParams(theta=theta, tau=tau, alpha=alpha)
 
 
@@ -380,9 +391,7 @@ def constants_from_json(data: Any) -> GeometryConstants:
         if key == "dim_half":
             known[key] = int_field(value, f"constant {key!r}")
             continue
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InputError(f"constant {key!r} must be a number")
-        known[key] = float(value)
+        known[key] = number_field(value, f"constant {key!r}")
     return GeometryConstants(**known)
 
 

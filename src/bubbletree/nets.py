@@ -237,7 +237,7 @@ class Net:
     base: object = None
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise InputError("net radius must be positive")
         cov = self.covering_distance()
         if cov is not None and cov >= self.radius:
@@ -304,7 +304,7 @@ def greedy_net(space, gamma: float) -> Net:
     Deterministic: ties go to the lowest index.  The result is always a
     valid gamma-net of the given base; it need not be minimal.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise InputError("net radius must be positive")
     if isinstance(space, FiniteMetricSpace):
         n = space.n
@@ -345,7 +345,7 @@ def sphere_net(gamma: float) -> Net:
     the radii this package exercises, though not under the sharper cap
     bound 2 / (1 - cos(gamma / 2)).
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise InputError("net radius must be positive")
     if gamma > math.pi:
         points = [ProjPoint(0.0, 1.0)]
@@ -373,7 +373,7 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
     Branch-and-bound over the set cover by open gamma-balls, seeded with the
     greedy net as an upper bound.  Refuses spaces above EXACT_NU_CAP points.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise InputError("net radius must be positive")
     n = space.n
     if n > EXACT_NU_CAP:
@@ -543,9 +543,9 @@ def mapspace_cover(
     diameter < 4 delta in the max(d_T, graph-Hausdorff) metric, and the
     number of candidate cells is |A| (1 + |C|)^|B|.
     """
-    if lam < 1:
+    if not lam >= 1:
         raise InputError("Lipschitz constant must be at least 1")
-    if delta <= 0:
+    if not delta > 0:
         raise InputError("delta must be positive")
     members = list(family)
     for k, m in enumerate(members):

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from . import jsonio
 from .bounds import (
@@ -95,6 +95,10 @@ def run_pipeline(
 ) -> PipelineReport:
     """Run every stage on the configured bubble configuration.
 
+    The stages run as straight-line code in the order of STAGES and pass
+    their values on as locals.  The first BubbletreeError or ValueError ends
+    the run as the failure of the first stage that has not passed.
+
     config carries the bubble configuration inline under "bubble" plus
     optional knobs: "ell", "area" (default: lambda^2 per bubble point),
     "delta", "nu_k", "constants" (partial geometry profile), "seed", and
@@ -110,10 +114,7 @@ def run_pipeline(
     cfg, eps = jsonio.bubble_from_json(config["bubble"])
 
     def _num(key: str, default: float) -> float:
-        value = config.get(key, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InputError(f"pipeline config {key!r} must be a number")
-        return float(value)
+        return jsonio.number_field(config.get(key, default), f"pipeline config {key!r}")
 
     def _int(key: str, default: int) -> int:
         return jsonio.int_field(config.get(key, default), f"pipeline config {key!r}")
@@ -136,9 +137,12 @@ def run_pipeline(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state: dict[str, Any] = {}
+    results: list[StageResult] = []
 
-    def stage_associate() -> tuple[str, tuple[str, ...]]:
+    def passed(detail: str, name: str) -> None:
+        results.append(StageResult(STAGES[len(results)], "pass", detail, (name,)))
+
+    try:
         assoc = associate_tree(cfg, eps)
         if overrides:
             unknown = set(overrides) - set(assoc.point.gamma)
@@ -154,29 +158,21 @@ def run_pipeline(
             assoc = TreeAssociation(
                 assoc.tree, point, assoc.root_vertex, assoc.edge_to_bubble
             )
-        state["assoc"] = assoc
+        point = assoc.point
+        tree = point.tree
         name = "01-association.json"
         jsonio.write_json(out / name, jsonio.association_to_json(assoc))
-        tree = assoc.point.tree
-        return (
-            f"{len(tree.vertices)} vertices, {len(tree.full_edges)} full edges",
-            (name,),
-        )
+        passed(f"{len(tree.vertices)} vertices, {len(tree.full_edges)} full edges", name)
 
-    def stage_verify() -> tuple[str, tuple[str, ...]]:
-        assoc = state["assoc"]
         report = verify_association(cfg, assoc, eps)
         name = "02-verification.json"
         jsonio.write_json(out / name, jsonio.verification_to_json(report))
         if not report.ok:
             raise VerificationError(report.summary())
-        return report.summary(), (name,)
+        passed(report.summary(), name)
 
-    def stage_params() -> tuple[str, tuple[str, ...]]:
         choice = choose_lambda(eps, g)
-        scales = membership_scales(state["assoc"].point.tree, eps, choice.value, g)
-        state["choice"] = choice
-        state["scales"] = scales
+        scales = membership_scales(tree, eps, choice.value, g)
         name = "03-params.json"
         jsonio.write_json(
             out / name,
@@ -189,28 +185,23 @@ def run_pipeline(
                 "lambda_sup": scales.lambda_sup,
             },
         )
-        return f"lambda = {choice.value:.6g} ({choice.binding} bound)", (name,)
+        passed(f"lambda = {choice.value:.6g} ({choice.binding} bound)", name)
 
-    def stage_membership() -> tuple[str, tuple[str, ...]]:
-        report = in_compact_subset(state["assoc"].point, state["scales"].params)
+        membership = in_compact_subset(point, scales.params)
         name = "04-membership.json"
-        jsonio.write_json(out / name, jsonio.membership_to_json(report))
-        if not report.ok:
-            raise VerificationError(report.first_violation)
-        return f"{report.checked} inequalities checked", (name,)
+        jsonio.write_json(out / name, jsonio.membership_to_json(membership))
+        if not membership.ok:
+            raise VerificationError(membership.first_violation)
+        passed(f"{membership.checked} inequalities checked", name)
 
-    def stage_decomposition() -> tuple[str, tuple[str, ...]]:
-        point = state["assoc"].point
-        params = state["scales"].params
-        dec = decomposition(point, params)
+        dec = decomposition(point, scales.params)
         rng = random.Random(seed)
         probes = []
         for _ in range(PROBE_COUNT):
             val = cmath.rect(
                 math.sqrt(rng.uniform(0.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
             )
-            q = fiber_from_root(point, ProjPoint.from_affine(val))
-            hits = dec.classify(q)
+            hits = dec.classify(fiber_from_root(point, ProjPoint.from_affine(val)))
             if not hits:
                 raise VerificationError(f"probe at {val} escaped the decomposition")
             probes.append(
@@ -224,58 +215,36 @@ def run_pipeline(
         name = "05-decomposition.json"
         jsonio.write_json(out / name, payload)
         kinds = [r.kind for r in dec.regions]
-        return (
+        passed(
             f"{kinds.count('thick')} thick, {kinds.count('neck')} neck, "
             f"{kinds.count('end')} end regions",
-            (name,),
+            name,
         )
 
-    def stage_decoration() -> tuple[str, tuple[str, ...]]:
-        point = state["assoc"].point
-        lam = state["choice"].value
-        area = _num("area", lam * lam * cfg.size)
-        m, log_lip = decoration_budget(ell, area, lam, g.c_abs)
-        points = decorate(point, state["scales"].params, (), m)
-        state["m"] = m
-        state["log_lip"] = log_lip
-        name = "06-decoration.json"
-        payload = jsonio.decoration_to_json(m, points)
+        area = _num("area", choice.value * choice.value * cfg.size)
+        m, log_lip = decoration_budget(ell, area, choice.value, g.c_abs)
+        payload = jsonio.decoration_to_json(m, decorate(point, (), m))
         payload["log_lip"] = log_lip
+        name = "06-decoration.json"
         jsonio.write_json(out / name, payload)
-        return f"m = {m} decoration points", (name,)
+        passed(f"m = {m} decoration points", name)
 
-    def stage_bounds() -> tuple[str, tuple[str, ...]]:
         # Decorating a stable tree needs m >= 9 points, which already pushes
         # the family count past log range: such a count comes back at level 2
         # and is reported by its iterated log, log10_log10N.
-        lip = LogNumber(state["log_lip"])
-        total = total_cover_count(delta, g, nu_k, lip, state["m"], ell)
-        payload = jsonio.total_cover_to_json(state["m"], state["log_lip"], total)
-        mu = len(state["assoc"].point.tree.incident_pairs())
-        curve = curve_cover_count(delta, mu, state["scales"].lambda_sup, g, nu_k)
+        total = total_cover_count(delta, g, nu_k, LogNumber(log_lip), m, ell)
+        payload = jsonio.total_cover_to_json(m, log_lip, total)
+        mu = len(tree.incident_pairs())
+        curve = curve_cover_count(delta, mu, scales.lambda_sup, g, nu_k)
         payload["curve"] = jsonio.curve_cover_to_json(mu, curve)
         name = "07-bounds.json"
         jsonio.write_json(out / name, payload)
         if total.level == 1:
-            return f"log10 N = {total.log10:.6g}", (name,)
-        return f"log10 log10 N = {total.loglog10:.6g}", (name,)
-
-    bodies: tuple[Callable[[], tuple[str, tuple[str, ...]]], ...] = (
-        stage_associate,
-        stage_verify,
-        stage_params,
-        stage_membership,
-        stage_decomposition,
-        stage_decoration,
-        stage_bounds,
-    )
-    results: list[StageResult] = []
-    for stage_name, body in zip(STAGES, bodies):
-        try:
-            detail, artifacts = body()
-        except (BubbletreeError, ValueError) as exc:
-            code = exit_code(exc)
-            results.append(StageResult(stage_name, "fail", str(exc), (), code))
-            break
-        results.append(StageResult(stage_name, "pass", detail, artifacts))
+            passed(f"log10 N = {total.log10:.6g}", name)
+        else:
+            passed(f"log10 log10 N = {total.loglog10:.6g}", name)
+    except (BubbletreeError, ValueError) as exc:
+        # the first stage that has not passed is the one that raised
+        stage = STAGES[len(results)]
+        results.append(StageResult(stage, "fail", str(exc), (), exit_code(exc)))
     return PipelineReport(tuple(results), seed)

@@ -416,7 +416,7 @@ def anchor_points_reference(p):
     return out
 
 
-def decorate_reference(p, c, marked, m):
+def decorate_reference(p, marked, m):
     """curves.decorate as a plain loop over pairs of points.
 
     Chart distances only: a pair within RESIDUAL_TOL raises even when the

@@ -66,6 +66,20 @@ class TestGeometryConstants:
         with pytest.raises(InputError):
             GeometryConstants(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["lambda0", "C", "q", "l", "c_iso", "M", "sigma", "dim_half", "c_abs"]
+    )
+    def test_rejects_non_finite_constants_by_name(self, name, value):
+        # NaN passes "sigma < 0" and "c_abs < 9", and inf passes every
+        # lower bound, so each field is checked for finiteness first
+        with pytest.raises(InputError, match=f"^{name} must be finite, got {value}$"):
+            GeometryConstants(**{name: value})
+
+    def test_names_the_first_non_finite_field(self):
+        with pytest.raises(InputError, match="^sigma must be finite, got nan$"):
+            GeometryConstants(sigma=math.nan, c_abs=math.nan)
+
 
 class TestLogNumber:
     def test_from_int(self):

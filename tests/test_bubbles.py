@@ -601,6 +601,30 @@ class TestVerifyAssociation:
         assert params.tau == 0.5
         assert params.alpha == {1: (4.0 * EPS**3) ** 3}
 
+    def test_alpha_floor_holds_at_a_high_degree_root(self):
+        # six flat points hang off one root vertex of degree 7, where the
+        # floor alpha = (4 eps^3)^7 is about 1.8e-15; a |rho| ten times
+        # below it lies far inside an absolute slack of 1e-12
+        cfg = flat_standard(random.Random(6), EPS, 6)
+        assoc = associate_tree(cfg, EPS)
+        root = assoc.root_vertex
+        assert assoc.tree.degree(root) >= 7
+        alpha = association_params(assoc.tree, EPS).alpha[root]
+        zr = dict(assoc.point.zr)
+        e = min(e for v, e in zr if v == root)
+        zr[(root, e)] = (zr[(root, e)][0], complex(alpha / 10))
+        bad = TreeAssociation(
+            assoc.tree,
+            ModuliPoint(assoc.tree, assoc.point.gamma, zr),
+            root,
+            assoc.edge_to_bubble,
+        )
+        report = verify_association(cfg, bad, EPS)
+        assert not report.ok
+        assert report.membership.first_violation == (
+            f"|rho[{root},{e}]| = {alpha / 10} < alpha[{root}] = {alpha}"
+        )
+
     def test_perturbed_position_detected(self):
         cfg = flat((0, EPS))
         assoc = associate_tree(cfg, EPS)

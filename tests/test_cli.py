@@ -20,7 +20,8 @@ import pytest
 from bubbletree.bounds import choose_lambda
 from bubbletree.bubbles import associate_tree
 from bubbletree.cli import main
-from bubbletree.jsonio import bubble_to_json, dumps
+from bubbletree.jsonio import bubble_from_json, bubble_to_json, dumps
+from bubbletree.pipeline import STAGES
 
 from helpers import random_standard
 
@@ -103,19 +104,21 @@ def test_net_from_space_file(tmp_path):
     assert all(0 <= i < 3 for i in data["indices"])
 
 
+LINE = {"n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]]}
+COVER_INSTANCE = {
+    "space_t": {"n": 1, "dist": [[0.0]]},
+    "space_z": LINE,
+    "space_w": LINE,
+    "members": [{"t": 0, "fiber": [0, 1], "values": [0, 1]}],
+}
+
+
 def test_cover(tmp_path):
-    line = {"n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]]}
-    instance = {
-        "space_t": {"n": 1, "dist": [[0.0]]},
-        "space_z": line,
-        "space_w": line,
-        "members": [{"t": 0, "fiber": [0, 1], "values": [0, 1]}],
-    }
     code, data = invoke_json(
         [
             "cover",
             "--instance",
-            write(tmp_path, "instance.json", instance),
+            write(tmp_path, "instance.json", COVER_INSTANCE),
             "--lambda",
             "1.0",
             "--delta",
@@ -210,6 +213,33 @@ def test_cover_past_exact_net_cap_exit_4(tmp_path):
         "error": "26 points exceeds the exact-net cap 25",
         "kind": "ResourceCapError",
     }
+
+
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (["cover", "--instance", "INSTANCE", "--lambda", "nan", "--delta", "0.6"],
+         "Lipschitz constant"),
+        (["cover", "--instance", "INSTANCE", "--lambda", "1.0", "--delta", "nan"],
+         "delta"),
+        (["net", "--space", "sphere", "--gamma", "nan"], "net radius"),
+        (["net", "--space", "SPACE", "--gamma", "nan"], "net radius"),
+        (["bounds", "curve", "--mu", "3", "--Lambda", "nan"], "Lipschitz bound"),
+    ],
+    ids=["cover-lambda", "cover-delta", "net-sphere", "net-file", "bounds-curve"],
+)
+def test_nan_scales_exit_3_naming_the_quantity(tmp_path, argv, quantity):
+    # NaN fails every comparison, so each range check is written to fail on it
+    files = {
+        "INSTANCE": write(tmp_path, "instance.json", COVER_INSTANCE),
+        "SPACE": write(tmp_path, "space.json", LINE),
+    }
+    code, out, err = invoke([files.get(tok, tok) for tok in argv])
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    assert quantity in fail["error"]
 
 
 def associate_files(tmp_path, bubble):
@@ -358,17 +388,20 @@ def test_decompose_with_svg(tmp_path):
 
 def test_decorate(tmp_path):
     point, params = point_and_params(tmp_path, TWO_LEVEL_BUBBLE)
-    code, data = invoke_json(
-        ["decorate", "--point", point, "--params", params, "--m", "20"]
-    )
+    code, data = invoke_json(["decorate", "--point", point, "--m", "20"])
     assert code == 0
     assert data["count"] == 20
     assert len(data["points"]) == 20
-    code, _, err = invoke(
-        ["decorate", "--point", point, "--params", params, "--m", "3"]
-    )
+    code, _, err = invoke(["decorate", "--point", point, "--m", "3"])
     assert code == 3
     assert "anchor" in json.loads(err)["error"]
+    # decoration reads no params: the flag is a usage error
+    code, out, err = invoke(
+        ["decorate", "--point", point, "--params", params, "--m", "20"]
+    )
+    assert code == 3
+    assert not out
+    assert json.loads(err)["kind"] == "InputError"
 
 
 def test_paths_instance(tmp_path):
@@ -675,6 +708,8 @@ def test_readme_bounds_examples(tmp_path, monkeypatch, no_env_seed):
                 assert data["params"] == read_json("run1/03-params.json")["params"]
                 assert len(data["regions"]) == 7
                 assert ET.parse(tmp_path / data["svg"]).getroot().tag.endswith("svg")
+            elif argv[1] == "decorate":
+                assert data["count"] == len(data["points"]) == 20
     assert ran == {
         "trees": 1,
         "net": 1,
@@ -683,9 +718,44 @@ def test_readme_bounds_examples(tmp_path, monkeypatch, no_env_seed):
         "pipeline": 1,
         "bounds": 4,
         "decompose": 1,
+        "decorate": 1,
         "paths": 1,
     }
     assert len(list((tmp_path / "run1").iterdir())) == len(ARTIFACTS)
+
+
+LEAF_COMMANDS = {
+    "trees enumerate": ["trees", "enumerate", "--n", "4"],
+    "net": ["net", "--space", "sphere", "--gamma", "1.0"],
+    "cover": ["cover", "--instance", "INSTANCE", "--lambda", "1.0", "--delta", "0.6"],
+    "associate": ["associate", "--config", "BUBBLE"],
+    "verify-association": ["verify-association", "--config", "BUBBLE", "--assoc", "ASSOC"],
+    "check-membership": ["check-membership", "--point", "POINT", "--params", "PARAMS"],
+    "decompose": ["decompose", "--point", "POINT", "--params", "PARAMS"],
+    "decorate": ["decorate", "--point", "POINT", "--m", "20"],
+    "paths": ["paths", "--random", "5", "--seed", "3"],
+    "bounds": ["bounds", "curve", "--mu", "3"],
+    "pipeline": ["pipeline", "--config", "PIPELINE", "--out-dir", "RUN"],
+}
+
+
+@pytest.mark.parametrize("argv", LEAF_COMMANDS.values(), ids=LEAF_COMMANDS)
+def test_every_leaf_writes_its_stdout_to_out(tmp_path, no_env_seed, argv):
+    point, params = point_and_params(tmp_path, TWO_LEVEL_BUBBLE)
+    files = {
+        "INSTANCE": write(tmp_path, "instance.json", COVER_INSTANCE),
+        "BUBBLE": str(tmp_path / "bubble.json"),
+        "ASSOC": str(tmp_path / "assoc.json"),
+        "POINT": point,
+        "PARAMS": params,
+        "PIPELINE": write(tmp_path, "pipe.json", {"bubble": TWO_LEVEL_BUBBLE}),
+        "RUN": str(tmp_path / "run"),
+    }
+    target = tmp_path / "stdout.json"
+    code, out, _ = invoke([files.get(tok, tok) for tok in argv] + ["--out", str(target)])
+    assert code == 0
+    assert out
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_usage_error_exit_3():
@@ -768,6 +838,43 @@ def test_pipeline_gamma_fault_stops_at_verification(tmp_path, no_env_seed):
     assert data["stages"][-1]["verdict"] == "fail"
     names = sorted(p.name for p in (tmp_path / "run").iterdir())
     assert names == list(ARTIFACTS[:2])
+
+
+def _zero_a_full_edge():
+    cfg, eps = bubble_from_json(TWO_LEVEL_BUBBLE)
+    edge = min(associate_tree(cfg, eps).point.tree.full_edges)
+    return {"gamma_overrides": {str(edge): [0.0, 0.0]}}
+
+
+@pytest.mark.parametrize(
+    "bubble, knobs, stage, code, written",
+    [
+        # the point at 0.5 lies outside the disc of radius eps
+        ({"eps": 0.125, "points": [{"z": [0.0, 0.0], "rho": 0.0},
+                                   {"z": [0.5, 0.0], "rho": 0.0}]},
+         {}, "associate", 3, 0),
+        (TWO_LEVEL_BUBBLE, None, "verify-association", 2, 2),
+        (TWO_LEVEL_BUBBLE, {"area": -1.0}, "decoration", 3, 5),
+        (TWO_LEVEL_BUBBLE, {"delta": 2.0}, "bounds", 3, 6),
+    ],
+    ids=["associate", "verify-association", "decoration", "bounds"],
+)
+def test_pipeline_failure_names_its_stage(
+    tmp_path, no_env_seed, bubble, knobs, stage, code, written
+):
+    knobs = _zero_a_full_edge() if knobs is None else knobs
+    cfg = write(tmp_path, "pipe.json", {"bubble": bubble, **knobs})
+    run = tmp_path / "run"
+    got, data = invoke_json(["pipeline", "--config", cfg, "--out-dir", str(run)])
+    assert got == code
+    assert data["ok"] is False
+    done = STAGES.index(stage)
+    assert [s["name"] for s in data["stages"]] == list(STAGES[: done + 1])
+    assert [s["verdict"] for s in data["stages"]] == ["pass"] * done + ["fail"]
+    listed = [name for s in data["stages"] for name in s["artifacts"]]
+    assert listed == list(ARTIFACTS[:done])
+    # a failing check still writes its own artifact, but does not list it
+    assert sorted(p.name for p in run.iterdir()) == list(ARTIFACTS[:written])
 
 
 @pytest.mark.parametrize("key", [" 1 ", "01", "1_0"])
@@ -895,11 +1002,10 @@ def test_cli_outputs_match_pipeline_artifacts(tmp_path, no_env_seed):
         "point.json",
         json.loads((run / "01-association.json").read_text())["point"],
     )
-    params = write(tmp_path, "params.json", params_doc["params"])
     decoration = json.loads((run / "06-decoration.json").read_text())
     del decoration["log_lip"]
     m = str(decoration["m"])
-    code, out, _ = invoke(["decorate", "--point", point, "--params", params, "--m", m])
+    code, out, _ = invoke(["decorate", "--point", point, "--m", m])
     assert code == 0
     assert out == dumps(decoration)
 

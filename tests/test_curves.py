@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubbletree import bubbles, curves, jsonio, pipeline
-from bubbletree.bounds import choose_lambda, membership_scales
 from bubbletree.bubbles import associate_tree
 from bubbletree.curves import (
     CompactnessParams,
@@ -1198,9 +1197,8 @@ def test_decorate_anchor_points_sit_on_circles():
 
 def test_decorate_counts_and_ring_fill():
     p = star_point([(0.05, 0.01), (-0.05, 0.01)])
-    c = CompactnessParams(0.125, 0.5, {1: 1e-6})
     mu = len(p.tree.incident_pairs())
-    pts = decorate(p, c, [], 3 * mu + 5)
+    pts = decorate(p, [], 3 * mu + 5)
     assert len(pts) == 3 * mu + 5
     for q in pts[3 * mu:]:
         assert abs(abs(q.affine(1)) - 0.9) < 1e-12
@@ -1213,7 +1211,7 @@ def test_decorate_random_members_distinct():
     for _ in range(25):
         p = random_member(tree, c, rng)
         mu = len(tree.incident_pairs())
-        pts = decorate(p, c, [section(p, 0)], 3 * mu + 4)
+        pts = decorate(p, [section(p, 0)], 3 * mu + 4)
         assert len(pts) == 1 + 3 * mu + 4
         for i in range(len(pts)):
             assert fiber_residual(p, pts[i]) < 1e-9
@@ -1223,21 +1221,19 @@ def test_decorate_random_members_distinct():
 
 def test_decorate_rejects_small_m():
     p = star_point([(0.05, 0.01), (-0.05, 0.01)])
-    c = CompactnessParams(0.125, 0.5, {1: 1e-6})
     with pytest.raises(InputError, match="anchor count"):
-        decorate(p, c, [], 8)
+        decorate(p, [], 8)
 
 
 def test_decorate_skip_limit():
     p = star_point([(0.05, 0.01), (-0.05, 0.01)])
-    c = CompactnessParams(0.125, 0.5, {1: 1e-6})
     mu = len(p.tree.incident_pairs())
     blockers = [
         fiber_from_root(p, ProjPoint(0.9, 1.0)),
         fiber_from_root(p, ProjPoint(-0.9, 1.0)),
     ]
     with pytest.raises(VerificationError, match="skipped"):
-        decorate(p, c, blockers, 3 * mu + 1)
+        decorate(p, blockers, 3 * mu + 1)
 
 
 def chart_bits(points):
@@ -1349,24 +1345,23 @@ def test_decorate_matches_scalar_reference():
             marks = [section(p, 0), fiber_from_root(p, ProjPoint(0.3j, 1.0))]
             for marked in ([], marks):
                 for extra in (0, 5, 40):
-                    got = decorate(p, c, marked, 3 * mu + extra)
-                    want = decorate_reference(p, c, marked, 3 * mu + extra)
+                    got = decorate(p, marked, 3 * mu + extra)
+                    want = decorate_reference(p, marked, 3 * mu + extra)
                     assert chart_bits(got) == chart_bits(want)
 
 
 def test_decorate_ring_skips_match_reference():
     p = star_point([(0.05, 0.01), (-0.05, 0.01)])
-    c = CompactnessParams(0.125, 0.5, {1: 1e-6})
     mu = len(p.tree.incident_pairs())
     # with 5 extras the third candidate is -0.9: skipped once, then 0.9 fills
     one = [fiber_from_root(p, ProjPoint(-0.9, 1.0))]
-    got = decorate(p, c, one, 3 * mu + 5)
-    assert chart_bits(got) == chart_bits(decorate_reference(p, c, one, 3 * mu + 5))
+    got = decorate(p, one, 3 * mu + 5)
+    assert chart_bits(got) == chart_bits(decorate_reference(p, one, 3 * mu + 5))
     assert got[-1].affine(1) == pytest.approx(0.9)
     both = one + [fiber_from_root(p, ProjPoint(0.9, 1.0))]
     for fn in (decorate, decorate_reference):
         with pytest.raises(VerificationError, match="after 64 skipped"):
-            fn(p, c, both, 3 * mu + 5)
+            fn(p, both, 3 * mu + 5)
 
 
 def test_decorate_duplicate_marks_raise_like_reference():
@@ -1381,7 +1376,7 @@ def test_decorate_duplicate_marks_raise_like_reference():
     for marked, pair in (([q, twin], "0 and 1"), ([q, anchor], "1 and 6")):
         for fn in (decorate, decorate_reference):
             with pytest.raises(VerificationError, match=f"points {pair} collide"):
-                fn(p, c, marked, 3 * mu + 3)
+                fn(p, marked, 3 * mu + 3)
 
 
 def test_anchor_points_match_scalar_reference():
@@ -1400,11 +1395,10 @@ def test_anchor_points_match_scalar_reference():
 def test_decorate_matches_reference_on_nested_configurations(n):
     # the pipeline's inputs: nested standard configurations with m = 9 n
     p = associate_tree(random_standard(random.Random(n), EPS, n), EPS).point
-    c = membership_scales(p.tree, EPS, choose_lambda(EPS).value).params
     marks = [section(p, 0), fiber_from_root(p, ProjPoint(0.3j, 1.0))]
     for marked in ([], marks):
-        got = decorate(p, c, marked, 9 * n)
-        assert chart_bits(got) == chart_bits(decorate_reference(p, c, marked, 9 * n))
+        got = decorate(p, marked, 9 * n)
+        assert chart_bits(got) == chart_bits(decorate_reference(p, marked, 9 * n))
 
 
 def test_decorate_ring_candidate_at_a_node_raises_like_reference():
@@ -1424,14 +1418,13 @@ def test_decorate_ring_candidate_at_a_node_raises_like_reference():
     anchor_points(p)  # the anchors stay clear of the node
     for fn in (decorate, decorate_reference):
         with pytest.raises(VerificationError, match="vertex 2 sits at the node of edge 2"):
-            fn(p, c, [], 3 * mu + 5)
+            fn(p, [], 3 * mu + 5)
 
 
 def test_decorate_exhaustion_counts_each_kind_of_skip():
     # ring candidates at angle 0 land in the disc around 0.9, those at pi on
     # the marked point at -0.9, and every later lap on the points chosen
     p = star_point([(0.9, 0.05), (-0.05, 0.01)])
-    c = CompactnessParams(0.125, 0.5, {1: 1e-6})
     mu = len(p.tree.incident_pairs())
     marked = [fiber_from_root(p, ProjPoint(-0.9, 1.0))]
     with pytest.raises(
@@ -1442,9 +1435,9 @@ def test_decorate_exhaustion_counts_each_kind_of_skip():
             "4 of extra = 5 ring points placed"
         ),
     ):
-        decorate(p, c, marked, 3 * mu + 5)
+        decorate(p, marked, 3 * mu + 5)
     with pytest.raises(VerificationError, match="ring fill exhausted after 64"):
-        decorate_reference(p, c, marked, 3 * mu + 5)
+        decorate_reference(p, marked, 3 * mu + 5)
 
 
 def test_decorate_never_propagates_point_by_point(monkeypatch):
@@ -1456,7 +1449,7 @@ def test_decorate_never_propagates_point_by_point(monkeypatch):
     c = default_params(tree)
     p = random_member(tree, c, random.Random(216))
     monkeypatch.setattr(curves, "_fiber_through", scalar)
-    assert len(decorate(p, c, [], 216)) == 216
+    assert len(decorate(p, [], 216)) == 216
 
 
 def test_decorate_scans_without_scalar_distances(monkeypatch):
@@ -1470,7 +1463,7 @@ def test_decorate_scans_without_scalar_distances(monkeypatch):
     c = default_params(tree)
     p = random_member(tree, c, rng)
     monkeypatch.setattr(curves, "sphere_distance", scalar)
-    assert len(decorate(p, c, [], 216)) == 216
+    assert len(decorate(p, [], 216)) == 216
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -1482,7 +1475,7 @@ def test_pipeline_decorates_flat_zero_radius_configurations(tmp_path, n):
         p = associate_tree(cfg, EPS).point
         mu = len(p.tree.incident_pairs())
         with pytest.raises(VerificationError, match="collide"):
-            decorate_reference(p, default_params(p.tree), [], 3 * mu)
+            decorate_reference(p, [], 3 * mu)
         report = pipeline.run_pipeline(config, tmp_path, seed=0)
         assert report.ok, report.stages[-1].detail
 
@@ -1498,10 +1491,9 @@ def test_decorate_names_anchors_that_really_coincide():
     labels, batch = anchor_points(p)
     twins = [q for (where, _), q in zip(labels, batch) if where == pair]
     assert chart_bits(twins[:1]) == chart_bits(twins[1:2])
-    c = membership_scales(p.tree, EPS, choose_lambda(EPS).value).params
     mu = len(p.tree.incident_pairs())
     with pytest.raises(VerificationError, match=f"radius {radius:.6g}") as err:
-        decorate(p, c, [], 3 * mu)
+        decorate(p, [], 3 * mu)
     assert f"of {pair}" in str(err.value)
 
 

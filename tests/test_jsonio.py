@@ -34,6 +34,7 @@ from bubbletree.jsonio import (
     emit_svg,
     int_field,
     load_json,
+    number_field,
     membership_to_json,
     moduli_from_json,
     moduli_to_json,
@@ -231,6 +232,28 @@ def test_load_json_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InputError, match="not valid JSON"):
         load_json(bad)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_json_rejects_non_finite_tokens(tmp_path, token):
+    # json.loads accepts these, but JSON has no such numbers
+    target = tmp_path / "config.json"
+    target.write_text(f'{{"delta": {token}}}')
+    with pytest.raises(InputError, match=f"is not valid JSON: {token} is not a JSON number"):
+        load_json(target)
+
+
+def test_number_field_is_the_one_reader_of_numbers():
+    for value, want in ((3, 3.0), (-2.5, -2.5), (0, 0.0)):
+        got = number_field(value, "spot")
+        assert got == want and type(got) is float
+    for bad in (True, "3", None, [1.0]):
+        with pytest.raises(InputError, match="^spot must be a number$"):
+            number_field(bad, "spot")
+    with pytest.raises(InputError, match=r"^alpha\['1'\] must be a number$"):
+        params_from_json({"theta": 0.125, "tau": 0.5, "alpha": {"1": "x"}})
+    with pytest.raises(InputError, match="^constant 'C' must be a number$"):
+        constants_from_json({"C": True})
 
 
 def test_write_json_round_trip(tmp_path):
