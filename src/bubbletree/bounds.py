@@ -243,8 +243,8 @@ def decoration_budget(
     lam = float(lam)
     if ell < 0 or area < 0.0:
         raise InputError("ell and area must be nonnegative")
-    if lam <= 0.0:
-        raise InputError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise InputError(f"lambda must be positive and finite, got {lam:g}")
     if c_abs < 9.0:
         raise InputError("c_abs must be at least 9")
     lam_sq = lam * lam

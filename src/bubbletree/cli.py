@@ -14,7 +14,6 @@ import math
 import os
 import random
 import sys
-from pathlib import Path
 
 from . import jsonio
 from .bounds import (
@@ -45,7 +44,7 @@ def _emit(args, payload) -> None:
     sys.stdout.write(text)
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        jsonio.write_text(out, text)
 
 
 def _resolve_seed(args) -> int | None:
@@ -182,7 +181,7 @@ def cmd_decompose(args) -> int:
     dec = decomposition(point, params)
     payload = jsonio.decomposition_to_json(dec)
     if args.svg:
-        jsonio.emit_svg(dec, args.svg)
+        jsonio.write_text(args.svg, jsonio.decomposition_svg(dec))
         payload["svg"] = args.svg
     _emit(args, payload)
     return 0

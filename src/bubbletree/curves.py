@@ -1387,41 +1387,45 @@ FILL_SKIP_LIMIT = 64
 # a ring candidate this close in the charts to a chosen point is skipped
 FILL_SEPARATION = 1e-6
 
-# rows of the near-pair scan compared at once against the later rows
-COLLISION_BLOCK = 64
 
-
-def _near_pairs(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, below: float):
+def _near_pairs(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, below: float, col: int):
     """Row pairs i < k within `below` of each other in the charts.
 
     Rows hold (x, y, norm) per vertex as nets.sphere_coords returns them;
     the chart distance is the max over vertices of the sphere distance.
-    Returns (i, k, distance) in row-major order.  The rows are first
-    compared as unit vectors of R^3, COLLISION_BLOCK rows at a time: their
-    chord is at most the sphere distance d, so a pair with d < below has a
-    dot product above 1 - below**2 / 2 at every vertex, and the cut at
-    1 - below**2 leaves room for rounding.  Only the pairs that pass it are
-    measured by sphere_distances.
+    Returns (i, k, distance) in row-major order, in O(n log n + candidates)
+    by a fixed-radius sweep (Bentley, Stanat & Williams 1977).  As unit
+    vectors of R^3 the rows' chord is at most the sphere distance d, so a
+    pair with d < below is closer than below in every coordinate at every
+    vertex.  Sorted by the widest-spread coordinate at vertex column col,
+    each row meets the later rows within reach of it there, and a pair is a
+    candidate while its chord is within reach at every vertex (reach is
+    below + 1e-12, far above the rounding of the unit vectors).  Every
+    candidate is measured by sphere_distances.
     """
     n, n_verts = xs.shape
     w = xs * ys.conj()
     units = np.stack(
         [2.0 * w.real, 2.0 * w.imag, np.abs(xs) ** 2 - np.abs(ys) ** 2], axis=-1
     ) / (ns * ns)[..., None]
-    by_vertex = [np.ascontiguousarray(units[:, v]) for v in range(n_verts)]
-    rows, cols = [], []
-    for i0 in range(0, n, COLLISION_BLOCK):
-        block = slice(i0, min(i0 + COLLISION_BLOCK, n))
-        close = np.ones((block.stop - i0, n - i0), dtype=bool)
-        for u in by_vertex:
-            close &= u[block] @ u[i0:].T > 1.0 - below * below
-        a, b = np.nonzero(np.triu(close, 1))
-        rows.append(a + i0)
-        cols.append(b + i0)
-    i, k = np.concatenate(rows), np.concatenate(cols)
+    reach = below + 1e-12
+    key = units[:, col, np.ptp(units[:, col], axis=0).argmax()]
+    order = np.argsort(key, kind="stable")
+    s = key[order]
+    # sorted row a pairs with the count[a] sorted rows after it
+    count = np.searchsorted(s, s + reach, side="right") - np.arange(1, n + 1)
+    a = np.repeat(np.arange(n), count)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+    i, k = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    for v in range(n_verts):
+        gap = units[i, v] - units[k, v]
+        close = np.einsum("pj,pj->p", gap, gap) <= reach * reach
+        i, k = i[close], k[close]
     dist = sphere_distances(xs[i], ys[i], ns[i], xs[k], ys[k], ns[k]).max(axis=1)
     keep = dist < below
-    return list(zip(i[keep].tolist(), k[keep].tolist(), dist[keep].tolist()))
+    i, k, dist = i[keep], k[keep], dist[keep]
+    row_major = np.lexsort((k, i))
+    return list(zip(*(arr[row_major].tolist() for arr in (i, k, dist))))
 
 
 def decorate(p: ModuliPoint, marked: Sequence[FiberPoint], m: int) -> FiberBatch:
@@ -1472,7 +1476,8 @@ def decorate(p: ModuliPoint, marked: Sequence[FiberPoint], m: int) -> FiberBatch
     xs = np.concatenate([given[..., 0], anchors.xs, ring.xs])
     ys = np.concatenate([given[..., 1], anchors.ys, ring.ys])
     n_fixed = len(marked) + len(anchors)
-    pairs = _near_pairs(xs, ys, np.hypot(np.abs(xs), np.abs(ys)), FILL_SEPARATION)
+    ns = np.hypot(np.abs(xs), np.abs(ys))
+    pairs = _near_pairs(xs, ys, ns, FILL_SEPARATION, verts.index(v0))
 
     near: dict[int, list[int]] = {}
     for i, k, _ in pairs:

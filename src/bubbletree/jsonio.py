@@ -10,9 +10,11 @@ byte.  Parsers validate shapes and raise InputError on anything malformed.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import stat
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Any, Mapping
@@ -166,8 +168,25 @@ def _emit_batch(batch: FiberBatch, out: list[str], newline: str) -> None:
     out.append(newline + "]")
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write text as UTF-8: the one file writer of the package.
+
+    A regular file is unlinked and created afresh, since truncating it in
+    place costs far more on some file systems (ext4 with discard); one that
+    cannot be unlinked is truncated.  A symlink, device or FIFO (say
+    /dev/stdout) is written through.
+    """
+    path = Path(path)
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(path.lstat().st_mode):
+            path.unlink()
+    path.write_text(text, encoding="utf-8")
+
+
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    """Write dumps(obj) by write_text: a regular file is replaced, so the new
+    file takes the umask mode and breaks any hard link to the old one."""
+    write_text(path, dumps(obj))
 
 
 def load_json(path: str | Path) -> Any:
@@ -673,7 +692,3 @@ def decomposition_svg(dec: ThickThinDecomposition) -> str:
 
     ET.indent(svg, space="  ")
     return ET.tostring(svg, encoding="unicode") + "\n"
-
-
-def emit_svg(dec: ThickThinDecomposition, path: str | Path) -> None:
-    Path(path).write_text(decomposition_svg(dec), encoding="utf-8")

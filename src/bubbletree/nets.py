@@ -220,6 +220,12 @@ def hausdorff_from_matrix(d: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
+def _require_scale(name: str, value: float) -> None:
+    # written so that NaN and inf fail it too
+    if not 0.0 < value < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class Net:
     """A gamma-net: every base point lies strictly within radius of the net.
@@ -237,8 +243,7 @@ class Net:
     base: object = None
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise InputError("net radius must be positive")
+        _require_scale("net radius", self.radius)
         cov = self.covering_distance()
         if cov is not None and cov >= self.radius:
             raise VerificationError(
@@ -304,8 +309,7 @@ def greedy_net(space, gamma: float) -> Net:
     Deterministic: ties go to the lowest index.  The result is always a
     valid gamma-net of the given base; it need not be minimal.
     """
-    if not gamma > 0:
-        raise InputError("net radius must be positive")
+    _require_scale("net radius gamma", gamma)
     if isinstance(space, FiniteMetricSpace):
         n = space.n
         row = lambda i: space.dist[i]
@@ -345,8 +349,7 @@ def sphere_net(gamma: float) -> Net:
     the radii this package exercises, though not under the sharper cap
     bound 2 / (1 - cos(gamma / 2)).
     """
-    if not gamma > 0:
-        raise InputError("net radius must be positive")
+    _require_scale("net radius gamma", gamma)
     if gamma > math.pi:
         points = [ProjPoint(0.0, 1.0)]
     elif gamma > math.pi / 2.0:
@@ -373,8 +376,7 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
     Branch-and-bound over the set cover by open gamma-balls, seeded with the
     greedy net as an upper bound.  Refuses spaces above EXACT_NU_CAP points.
     """
-    if not gamma > 0:
-        raise InputError("net radius must be positive")
+    _require_scale("net radius gamma", gamma)
     n = space.n
     if n > EXACT_NU_CAP:
         raise ResourceCapError(f"{n} points exceeds the exact-net cap {EXACT_NU_CAP}")
@@ -543,10 +545,11 @@ def mapspace_cover(
     diameter < 4 delta in the max(d_T, graph-Hausdorff) metric, and the
     number of candidate cells is |A| (1 + |C|)^|B|.
     """
-    if not lam >= 1:
-        raise InputError("Lipschitz constant must be at least 1")
-    if not delta > 0:
-        raise InputError("delta must be positive")
+    if not 1.0 <= lam < math.inf:
+        raise InputError(
+            f"Lipschitz constant lambda must be at least 1 and finite, got {lam}"
+        )
+    _require_scale("delta", delta)
     members = list(family)
     for k, m in enumerate(members):
         if not 0 <= m.t < space_t.n:

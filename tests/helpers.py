@@ -5,6 +5,8 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 from bubbletree.bubbles import POSITION_TOL, BubbleConfiguration, renormalize
 from bubbletree.curves import (
     EQ_SLACK,
@@ -22,7 +24,13 @@ from bubbletree.curves import (
     chart_position,
 )
 from bubbletree.errors import InputError, VerificationError
-from bubbletree.nets import FiberMap, FiniteMetricSpace, ProjPoint, sphere_distance
+from bubbletree.nets import (
+    FiberMap,
+    FiniteMetricSpace,
+    ProjPoint,
+    sphere_distance,
+    sphere_distances,
+)
 from bubbletree.trees import (
     Marking,
     RootedTree,
@@ -460,6 +468,19 @@ def decorate_reference(p, marked, m):
             if _mark_distance(points[i], points[k]) <= RESIDUAL_TOL:
                 raise VerificationError(f"decoration points {i} and {k} collide")
     return points
+
+
+def near_pairs_reference(xs, ys, ns, below):
+    """curves._near_pairs by brute force: every pair i < k in row-major
+    order, measured as the max over vertices of sphere_distances."""
+    out = []
+    for i in range(len(xs) - 1):
+        rest = slice(i + 1, None)
+        dist = sphere_distances(xs[i], ys[i], ns[i], xs[rest], ys[rest], ns[rest])
+        dist = dist.max(axis=1)
+        k = np.flatnonzero(dist < below)
+        out.extend(zip([i] * k.size, (k + i + 1).tolist(), dist[k].tolist()))
+    return out
 
 
 def all_lipschitz_maps(space_z, space_w, t, lam):

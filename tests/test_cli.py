@@ -5,6 +5,7 @@ import io
 import json
 import itertools
 import math
+import os
 import random
 import re
 import shlex
@@ -240,6 +241,36 @@ def test_nan_scales_exit_3_naming_the_quantity(tmp_path, argv, quantity):
     fail = json.loads(err)
     assert fail["kind"] == "InputError"
     assert quantity in fail["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (["cover", "--instance", "INSTANCE", "--lambda", "inf", "--delta", "0.6"],
+         "Lipschitz constant lambda"),
+        (["cover", "--instance", "INSTANCE", "--lambda", "1.0", "--delta", "inf"],
+         "delta"),
+        (["net", "--space", "sphere", "--gamma", "inf"], "net radius gamma"),
+        (["net", "--space", "SPACE", "--gamma", "inf"], "net radius gamma"),
+        (["bounds", "N", "--lambda", "inf"], "lambda"),
+    ],
+    ids=["cover-lambda", "cover-delta", "net-sphere", "net-file", "bounds-n"],
+)
+def test_infinite_scales_exit_3_naming_the_quantity(tmp_path, argv, quantity):
+    # inf passes a bare "> 0" check: net radius inf wrote an unwritable
+    # payload, cover --lambda inf blamed a net radius of delta / inf = 0, and
+    # bounds N --lambda inf counted zero decoration points with exit 0
+    files = {
+        "INSTANCE": write(tmp_path, "instance.json", COVER_INSTANCE),
+        "SPACE": write(tmp_path, "space.json", LINE),
+    }
+    code, out, err = invoke([files.get(tok, tok) for tok in argv])
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    assert fail["error"].startswith(quantity)
+    assert fail["error"].endswith("finite, got inf")
 
 
 def associate_files(tmp_path, bubble):
@@ -758,6 +789,32 @@ def test_every_leaf_writes_its_stdout_to_out(tmp_path, no_env_seed, argv):
     assert target.read_bytes() == out.encode("utf-8")
 
 
+def test_out_onto_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, _ = invoke(LEAF_COMMANDS["net"] + ["--out", str(link)])
+    assert code == 0
+    assert link.is_symlink()
+    assert link.readlink() == target
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_out_replaces_a_file_and_spares_its_hard_links(tmp_path):
+    out_file = tmp_path / "net.json"
+    code, first, _ = invoke(LEAF_COMMANDS["net"] + ["--out", str(out_file)])
+    assert code == 0
+    kept = tmp_path / "kept.json"
+    os.link(out_file, kept)
+    argv = ["net", "--space", "sphere", "--gamma", "2.0", "--out", str(out_file)]
+    code, second, _ = invoke(argv)
+    assert code == 0
+    assert second != first
+    assert out_file.read_text(encoding="utf-8") == second
+    assert kept.read_text(encoding="utf-8") == first
+
+
 def test_usage_error_exit_3():
     code, _, err = invoke(["trees", "enumerate"])
     assert code == 3
@@ -819,6 +876,19 @@ def test_pipeline_same_seed_byte_identical(tmp_path, no_env_seed):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+def test_pipeline_rerun_into_the_same_out_dir_is_byte_identical(tmp_path, no_env_seed):
+    cfg = write(tmp_path, "pipe.json", {"bubble": TWO_LEVEL_BUBBLE, "seed": 5})
+    argv = ["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]
+    code1, out1, _ = invoke(argv)
+    first = {name: (tmp_path / "run" / name).read_bytes() for name in ARTIFACTS}
+    code2, out2, _ = invoke(argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(ARTIFACTS)
+    for name in ARTIFACTS:
+        assert (tmp_path / "run" / name).read_bytes() == first[name]
 
 
 def test_pipeline_gamma_fault_stops_at_verification(tmp_path, no_env_seed):

@@ -60,6 +60,7 @@ from helpers import (
     flat_standard,
     in_compact_subset_reference,
     lipschitz_reference,
+    near_pairs_reference,
     random_member,
     random_standard,
     slack_edges,
@@ -1453,8 +1454,8 @@ def test_decorate_never_propagates_point_by_point(monkeypatch):
 
 
 def test_decorate_scans_without_scalar_distances(monkeypatch):
-    # the O(m^2) scans run on the coordinate block; the scalar distance is
-    # only read for pairs that already collide in the charts
+    # the near-pair search runs on the coordinate block; the scalar distance
+    # is only read for pairs that already collide in the charts
     def scalar(*args):
         raise AssertionError("scalar sphere_distance called")
 
@@ -1464,6 +1465,71 @@ def test_decorate_scans_without_scalar_distances(monkeypatch):
     p = random_member(tree, c, rng)
     monkeypatch.setattr(curves, "sphere_distance", scalar)
     assert len(decorate(p, [], 216)) == 216
+
+
+def decorate_rows(monkeypatch, m):
+    """The (xs, ys, ns) rows decorate searches for near pairs on a
+    chain_tree(4) member, and the root column it sorts them by."""
+    seen = []
+    real = curves._near_pairs
+
+    def spy(xs, ys, ns, below, col):
+        seen.append((xs, ys, ns, col))
+        return real(xs, ys, ns, below, col)
+
+    monkeypatch.setattr(curves, "_near_pairs", spy)
+    tree = chain_tree(4)
+    decorate(random_member(tree, default_params(tree), random.Random(4)), [], m)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("m", [300, 4000])
+def test_near_pairs_match_brute_force_on_decorate_rows(monkeypatch, m):
+    xs, ys, ns, col = decorate_rows(monkeypatch, m)
+    wide = near_pairs_reference(xs, ys, ns, 1e-2)
+    for below in (curves.FILL_SEPARATION, 1e-2):
+        got = curves._near_pairs(xs, ys, ns, below, col)
+        assert got
+        assert got == [pair for pair in wide if pair[2] < below]
+
+
+def test_near_pairs_keep_exact_duplicates(monkeypatch):
+    xs, ys, ns, col = decorate_rows(monkeypatch, 300)
+    last = len(xs) - 1
+    rows = np.random.default_rng(0).permutation(np.r_[0:last + 1, 0, 7, 7, 150, last])
+    xs, ys, ns = xs[rows], ys[rows], ns[rows]
+    got = curves._near_pairs(xs, ys, ns, curves.FILL_SEPARATION, col)
+    assert sum(d == 0.0 for _, _, d in got) >= 6
+    assert got == near_pairs_reference(xs, ys, ns, curves.FILL_SEPARATION)
+
+
+def test_near_pairs_read_every_vertex_when_the_root_chart_collapses(monkeypatch):
+    # deep-vertex anchors can land on one node of the root chart: every row
+    # then ties on the sort key, and only the other vertices part them
+    xs, ys, ns, col = decorate_rows(monkeypatch, 300)
+    xs, ys = xs.copy(), ys.copy()
+    xs[:, col], ys[:, col] = xs[0, col], ys[0, col]
+    ns = np.hypot(np.abs(xs), np.abs(ys))
+    for below in (curves.FILL_SEPARATION, 1e-2):
+        got = curves._near_pairs(xs, ys, ns, below, col)
+        assert got == near_pairs_reference(xs, ys, ns, below)
+
+
+@pytest.mark.parametrize("step", [1e-6, 1e-3])
+def test_near_pairs_cut_is_strict_to_the_ulp(step):
+    # points on one circle of a chart, like decorate's ring: neighbours'
+    # rounded chord can exceed their distance by an ulp or more, so neither
+    # the sort window nor the chord cut may drop them; a pair at exactly
+    # `below` is out, one ulp under it is in
+    xs = 0.9 * np.exp(1j * (1.0 + step * np.arange(200)))[:, None]
+    ys = np.ones_like(xs)
+    ns = np.hypot(np.abs(xs), np.abs(ys))
+    for i, k, d in near_pairs_reference(xs, ys, ns, 1.5 * step)[::37]:
+        for below, inside in ((d, False), (np.nextafter(d, math.inf), True)):
+            got = curves._near_pairs(xs, ys, ns, below, 0)
+            assert ((i, k, d) in got) is inside
+            assert got == near_pairs_reference(xs, ys, ns, below)
 
 
 @pytest.mark.parametrize("n", [6, 8])

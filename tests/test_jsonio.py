@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import random
+import stat
+import threading
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -31,7 +34,6 @@ from bubbletree.jsonio import (
     decomposition_svg,
     decomposition_to_json,
     dumps,
-    emit_svg,
     int_field,
     load_json,
     number_field,
@@ -45,6 +47,7 @@ from bubbletree.jsonio import (
     tree_from_json,
     tree_to_json,
     write_json,
+    write_text,
 )
 from bubbletree.nets import FiniteMetricSpace
 from bubbletree.trees import Marking
@@ -263,6 +266,22 @@ def test_write_json_round_trip(tmp_path):
     assert load_json(target) == payload
 
 
+def test_write_text_writes_through_a_fifo(tmp_path):
+    # only a regular file is replaced; a FIFO (or a device) stays in place
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(
+        target=lambda: got.append(fifo.read_text(encoding="utf-8")), daemon=True
+    )
+    reader.start()
+    write_text(fifo, "through\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == ["through\n"]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+
 @pytest.mark.parametrize(
     "tree", [star_tree(2), star_tree(4), chain_tree(2), chain_tree(3, leaves=3)]
 )
@@ -447,6 +466,6 @@ def test_svg_deterministic_and_file_output(tmp_path):
     text = decomposition_svg(dec)
     assert text == decomposition_svg(dec)
     target = tmp_path / "figure.svg"
-    emit_svg(dec, target)
+    write_text(target, text)
     assert target.read_text(encoding="utf-8") == text
     ET.fromstring(text)
