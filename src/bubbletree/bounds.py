@@ -216,8 +216,8 @@ def membership_scales(
     (3 sqrt(C) lambda0), Lambda_v = (9 pi sqrt(C) / eps^2) / alpha_v and
     Lambda_e = M / eps^2."""
     lam = float(lam)
-    if lam <= 0.0:
-        raise InputError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise InputError(f"lambda must be positive and finite, got {lam}")
     if not tree.is_stable():
         raise InputError("map scales are defined for stable trees only")
     params = association_params(tree, eps)
@@ -378,8 +378,10 @@ def curve_cover_count(
         raise InputError(f"mu must be at least 3, got {mu}")
     if mu > sys.float_info.max:
         raise InputError(f"mu = 10^{math.log10(mu):.1f} is past double range")
-    if not lam_sup > 0.0:
-        raise InputError("the Lipschitz bound must be positive")
+    if not 0.0 < lam_sup < math.inf:
+        raise InputError(
+            f"the Lipschitz bound Lambda must be positive and finite, got {lam_sup}"
+        )
     if nu_k < 0:
         raise InputError("nu_K must be nonnegative")
     ln_cells = (mu - 1) * math.log(4.0 / (delta * delta))

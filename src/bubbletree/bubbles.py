@@ -158,8 +158,8 @@ def threshold_radius(m: EnergyMeasure, w: complex, lam: float) -> float:
     function of the radius; it is 1-Lipschitz in w.
     """
     lam = float(lam)
-    if lam <= 0.0:
-        raise InputError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise InputError(f"lambda must be positive and finite, got {lam}")
     need = lam * lam
     w = complex(w)
     if m.total_mass < need:
@@ -221,8 +221,8 @@ def select_bubble_points(
     """
     eps = _check_eps(eps)
     lam = float(lam)
-    if lam <= 0.0:
-        raise InputError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise InputError(f"lambda must be positive and finite, got {lam}")
     cut = lam / (eps * eps)
     hot = sorted({z for z, g in profile.candidates if g >= cut}, key=_lex)
     for z in hot:
@@ -321,19 +321,14 @@ def cluster_select(
     whose distance to the net does not exceed a(current size).  Returns the
     selected index set Zp and the retraction mapping every index to the unique
     net point within a(|Zp|).  Pairwise distances in Zp exceed a(|Zp| - 1);
-    the halving of the scale sequence makes the retraction unambiguous.
+    the halving of the scale sequence makes the retraction unambiguous.  Only
+    the rungs read, a(0) .. a(|Zp|), must be positive, finite and halving.
     """
     n = space.n
     s = int(s)
     if not 0 <= s < n:
         raise InputError(f"base point index {s} out of range")
     avals = [float(a(i)) for i in range(n + 1)]
-    for i, ai in enumerate(avals):
-        if not (math.isfinite(ai) and ai > 0.0):
-            raise InputError(f"a({i}) = {ai} must be positive and finite")
-        if i + 1 <= n and avals[i + 1] > 0.5 * ai:
-            raise InputError(f"a({i + 1}) exceeds a({i})/2; sequence must halve")
-
     selected = []
     for j, d in farthest_first(lambda i: space.dist[i], n, s):
         if not d > avals[len(selected)]:
@@ -341,6 +336,12 @@ def cluster_select(
         selected.append(j)
 
     k = len(selected)
+    for i, ai in enumerate(avals[: k + 1]):
+        if not (math.isfinite(ai) and ai > 0.0):
+            raise InputError(f"a({i}) = {ai} must be positive and finite")
+        if i + 1 <= k and avals[i + 1] > 0.5 * ai:
+            raise InputError(f"a({i + 1}) exceeds a({i})/2; sequence must halve")
+
     sub = space.dist[np.ix_(selected, selected)]
     close_pairs = np.argwhere(np.triu(sub <= avals[k - 1], 1))
     if close_pairs.size:

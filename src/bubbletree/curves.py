@@ -1003,14 +1003,13 @@ def _annulus_leg(a: complex, b: complex, inner: float) -> list[complex]:
     if abs(a + t_min * d) >= inner or inner <= 0.0:
         return [a, b]
     # solve |a + t d|^2 = inner^2 for the entry and exit parameters
-    aa = abs(d) ** 2
     bb = 2.0 * (a.real * d.real + a.imag * d.imag)
     cc = abs(a) ** 2 - inner * inner
-    disc = bb * bb - 4.0 * aa * cc
+    disc = bb * bb - 4.0 * dd * cc
     if disc <= 0.0:
         return [a, b]
-    t1 = (-bb - math.sqrt(disc)) / (2.0 * aa)
-    t2 = (-bb + math.sqrt(disc)) / (2.0 * aa)
+    t1 = (-bb - math.sqrt(disc)) / (2.0 * dd)
+    t2 = (-bb + math.sqrt(disc)) / (2.0 * dd)
     t1, t2 = max(0.0, t1), min(1.0, t2)
     if t2 <= t1:
         return [a, b]
@@ -1049,31 +1048,21 @@ def annulus_path(
         if abs(a) > 1.0 + EQ_SLACK or abs(b) > 1.0 + EQ_SLACK:
             raise InputError("fiber points must stay in the closed unit disc")
 
-    if delta == 0.0:
-        # nodal fiber: two discs joined at the origin; route via the node
-        # when the endpoints sit on different branches
-        if abs(z) > 0 and abs(z2) > 0:
-            path_z, path_w = [z, z2], [w, w2]
-        elif abs(w) > 0 and abs(w2) > 0:
-            path_z, path_w = [z, z2], [w, w2]
-        else:
-            # whichever branch each point occupies, pass through the node
-            path_z = [z, 0.0 + 0.0j, z2]
-            path_w = [w, 0.0 + 0.0j, w2]
-        return AnnulusPath(
-            tuple(path_z),
-            tuple(path_w),
-            _polyline_length(path_z),
-            _polyline_length(path_w),
-            "nodal",
-        )
-
     def anchored(path, first, last):
         path = list(path)
         path[0], path[-1] = first, last
         return path
 
-    if abs(z) >= delta and abs(z2) >= delta:
+    flip = False
+    if delta == 0.0:
+        # nodal fiber: two discs joined at the origin; route via the node
+        # when the endpoints sit on different branches
+        if (abs(z) > 0 and abs(z2) > 0) or (abs(w) > 0 and abs(w2) > 0):
+            path_z, path_w = [z, z2], [w, w2]
+        else:
+            path_z, path_w = [z, 0j, z2], [w, 0j, w2]
+        case = "nodal"
+    elif abs(z) >= delta and abs(z2) >= delta:
         path_z = _annulus_leg(z, z2, delta)
         path_w = anchored(_dual_leg(path_z, dsq), w, w2)
         case = "i-z"
@@ -1082,15 +1071,10 @@ def annulus_path(
         path_z = anchored(_dual_leg(path_w, dsq), z, z2)
         case = "i-w"
     else:
-        if abs(z) < abs(z2):
-            flipped = annulus_path(delta, z2, w2, z, w)
-            return AnnulusPath(
-                tuple(reversed(flipped.path_z)),
-                tuple(reversed(flipped.path_w)),
-                flipped.length_z,
-                flipped.length_w,
-                flipped.case,
-            )
+        # build from the endpoint outside the equator, reverse at the end
+        flip = abs(z) < abs(z2)
+        if flip:
+            z, w, z2, w2 = z2, w2, z, w
         # now |z| >= delta >= |z2|
         if abs(z2) <= abs(z) / 2.0:
             # far apart: route through the equator point below z
@@ -1109,13 +1093,12 @@ def annulus_path(
             path_z = _annulus_leg(z, z2, inner)
             path_w = anchored(_dual_leg(path_z, dsq), w, w2)
             case = "ii-b"
-    return AnnulusPath(
-        tuple(path_z),
-        tuple(path_w),
-        _polyline_length(path_z),
-        _polyline_length(path_w),
-        case,
-    )
+    # the lengths are summed in construction order, before any reversal
+    lengths = _polyline_length(path_z), _polyline_length(path_w)
+    if flip:
+        path_z.reverse()
+        path_w.reverse()
+    return AnnulusPath(tuple(path_z), tuple(path_w), *lengths, case)
 
 
 @dataclass(frozen=True)

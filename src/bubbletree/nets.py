@@ -367,7 +367,7 @@ def sphere_net(gamma: float) -> Net:
                     ProjPoint(complex(r * math.cos(phi), r * math.sin(phi)), 1.0)
                 )
         points.append(ProjPoint.infinity())
-    return Net(points=tuple(points), radius=gamma, indices=None, base="sphere")
+    return Net(points=tuple(points), radius=gamma)
 
 
 def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
@@ -392,13 +392,13 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
     for i, m in enumerate(masks):
         if m not in first_for:
             first_for[m] = i
-    candidates = sorted(first_for.items(), key=lambda kv: kv[1])
-    max_cover = max(bin(m).count("1") for m, _ in candidates)
+    max_cover = max(bin(m).count("1") for m in first_for)
+    # the distinct balls covering each point, in index order
+    covers_of = [
+        [(m, i) for m, i in first_for.items() if m >> j & 1] for j in range(n)
+    ]
 
     best = list(greedy_net(space, gamma).indices)
-
-    def covers_of(bit: int):
-        return [(m, i) for m, i in candidates if m & bit]
 
     def search(covered: int, chosen: list):
         nonlocal best
@@ -410,15 +410,13 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
         if len(chosen) + math.ceil(remaining / max_cover) >= len(best):
             return
         # branch on the uncovered point with the fewest candidate balls
-        pick, options = None, None
+        options = None
         for j in range(n):
-            bit = 1 << j
-            if covered & bit:
+            if covered >> j & 1:
                 continue
-            opts = covers_of(bit)
-            if options is None or len(opts) < len(options):
-                pick, options = j, opts
-        options.sort(key=lambda mi: -bin(mi[0] & ~covered).count("1"))
+            if options is None or len(covers_of[j]) < len(options):
+                options = covers_of[j]
+        options = sorted(options, key=lambda mi: -bin(mi[0] & ~covered).count("1"))
         for m, i in options:
             chosen.append(i)
             search(covered | m, chosen)
@@ -535,13 +533,14 @@ def mapspace_cover(
     """Cover a family of Lipschitz maps over a base by explicit cells.
 
     Builds minimal nets A in the base (radius delta), B in the domain
-    (delta / lam), C in the codomain (delta), then picks gamma as the
-    largest value delta * (1 - 2^-j), j = 1..20, at which all three remain
-    strict nets.  A member (t, f) lands in the cell of (a, h) when
-    d(t, a) <= gamma and, for each net point b of B: h(b) is the avoidance
-    marker only if the fiber stays farther than gamma / lam from b, and
-    h(b) = c requires a fiber point within gamma / lam of b whose image is
-    within gamma of c.  Every member lands in at least one cell, cells have
+    (delta / lam), C in the codomain (delta), then takes gamma = delta *
+    (1 - 2^-20), which must exceed the covering radii of A and C and lam
+    times that of B so that all three stay strict nets; VerificationError
+    otherwise.  A member (t, f) lands in the cell of (a, h) when d(t, a) <=
+    gamma and, for each net point b of B: h(b) is the avoidance marker only
+    if the fiber stays farther than gamma / lam from b, and h(b) = c
+    requires a fiber point within gamma / lam of b whose image is within
+    gamma of c.  Every member lands in at least one cell, cells have
     diameter < 4 delta in the max(d_T, graph-Hausdorff) metric, and the
     number of candidate cells is |A| (1 + |C|)^|B|.
     """
@@ -568,13 +567,8 @@ def mapspace_cover(
         lam * net_b.covering_distance(),
         net_c.covering_distance(),
     )
-    gamma = None
-    for j in range(20, 0, -1):
-        g = delta * (1.0 - 2.0**-j)
-        if g > threshold:
-            gamma = g
-            break
-    if gamma is None:
+    gamma = delta * (1.0 - 2.0**-20)
+    if not gamma > threshold:
         raise VerificationError(
             "no gamma below delta keeps the nets strict; refine delta"
         )
@@ -650,8 +644,8 @@ def sampled_local_lipschitz(pairs, eps: float, dom_metric, cod_metric) -> float:
     miss expanding pairs, never invent them.  Pairs are (q1, q2, x1, x2)
     with x_i the image of q_i.
     """
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not eps > 0:  # NaN fails too; an infinite eps takes every pair
+        raise InputError(f"eps must be positive, got {eps}")
     worst = 0.0
     for q1, q2, x1, x2 in pairs:
         d = dom_metric(q1, q2)

@@ -413,40 +413,19 @@ def _shapes(n: int) -> tuple[Shape, ...]:
 
 def _shape_to_tree(shape: Shape) -> RootedTree:
     vertices: list[int] = []
-    boundary: dict[int, tuple[int, ...]] = {}
-    counter = {"v": 0, "e": 0}
-
-    def new_vertex() -> int:
-        v = counter["v"]
-        counter["v"] += 1
-        vertices.append(v)
-        return v
-
-    def new_edge(ends: tuple[int, ...]) -> int:
-        e = counter["e"]
-        counter["e"] += 1
-        boundary[e] = ends
-        return e
+    # edge 0 is the root edge, at vertex 0: the first vertex build numbers
+    boundary: dict[int, tuple[int, ...]] = {0: (0,)}
 
     def build(children: Shape) -> int:
-        v = new_vertex()
+        v = len(vertices)
+        vertices.append(v)
         for w, sub in children:
-            if w == 1 and sub == ():
-                new_edge((v,))
-            else:
-                u = build(sub)
-                new_edge((v, u))
+            ends = (v,) if w == 1 and sub == () else (v, build(sub))
+            boundary[len(boundary)] = ends
         return v
 
-    root_v = new_vertex()
-    root_e = new_edge((root_v,))
-    for w, sub in shape:
-        if w == 1 and sub == ():
-            new_edge((root_v,))
-        else:
-            u = build(sub)
-            new_edge((root_v, u))
-    return RootedTree(Tree(vertices, boundary), root_e)
+    build(shape)
+    return RootedTree(Tree(vertices, boundary), 0)
 
 
 def canonical_key(t: RootedTree) -> Shape:

@@ -13,12 +13,16 @@ from bubbletree.curves import (
     FILL_SKIP_LIMIT,
     RESIDUAL_TOL,
     UNIT_TARGETS,
+    AnnulusPath,
     CompactnessParams,
     MembershipReport,
     ModuliPoint,
     Region,
+    _annulus_leg,
+    _dual_leg,
     _fiber_through,
     _leq,
+    _polyline_length,
     _phi_component,
     _require_on_fiber,
     chart_position,
@@ -397,6 +401,80 @@ def traversal_cases():
         (grid_space(scattered), 13),
         (grid_space([0.5j]), 0),
     ]
+
+
+# ---------------------------------------------------------------------------
+# annulus paths: the recursive construction that curves.annulus_path replaced
+# ---------------------------------------------------------------------------
+
+
+def annulus_path_reference(delta, z, w, z2, w2):
+    """curves.annulus_path on valid inputs, with its original control flow:
+    two nodal branches, and the mixed case with |z| < |z2| solved on the
+    swapped endpoints and returned reversed, lengths as the swapped call
+    summed them."""
+    dsq = delta * delta
+    if delta == 0.0:
+        if abs(z) > 0 and abs(z2) > 0:
+            path_z, path_w = [z, z2], [w, w2]
+        elif abs(w) > 0 and abs(w2) > 0:
+            path_z, path_w = [z, z2], [w, w2]
+        else:
+            path_z = [z, 0.0 + 0.0j, z2]
+            path_w = [w, 0.0 + 0.0j, w2]
+        return AnnulusPath(
+            tuple(path_z),
+            tuple(path_w),
+            _polyline_length(path_z),
+            _polyline_length(path_w),
+            "nodal",
+        )
+
+    def anchored(path, first, last):
+        path = list(path)
+        path[0], path[-1] = first, last
+        return path
+
+    if abs(z) >= delta and abs(z2) >= delta:
+        path_z = _annulus_leg(z, z2, delta)
+        path_w = anchored(_dual_leg(path_z, dsq), w, w2)
+        case = "i-z"
+    elif abs(z) <= delta and abs(z2) <= delta:
+        path_w = _annulus_leg(w, w2, delta)
+        path_z = anchored(_dual_leg(path_w, dsq), z, z2)
+        case = "i-w"
+    else:
+        if abs(z) < abs(z2):
+            flipped = annulus_path_reference(delta, z2, w2, z, w)
+            return AnnulusPath(
+                tuple(reversed(flipped.path_z)),
+                tuple(reversed(flipped.path_w)),
+                flipped.length_z,
+                flipped.length_w,
+                flipped.case,
+            )
+        if abs(z2) <= abs(z) / 2.0:
+            mid_z = delta * z / abs(z)
+            mid_w = dsq / mid_z
+            leg1_z = _annulus_leg(z, mid_z, delta)
+            leg1_w = anchored(_dual_leg(leg1_z, dsq), w, mid_w)
+            leg2_w = _annulus_leg(mid_w, w2, delta)
+            leg2_z = anchored(_dual_leg(leg2_w, dsq), mid_z, z2)
+            path_z = leg1_z + leg2_z[1:]
+            path_w = leg1_w + leg2_w[1:]
+            case = "ii-a"
+        else:
+            inner = max(delta / 2.0, dsq)
+            path_z = _annulus_leg(z, z2, inner)
+            path_w = anchored(_dual_leg(path_z, dsq), w, w2)
+            case = "ii-b"
+    return AnnulusPath(
+        tuple(path_z),
+        tuple(path_w),
+        _polyline_length(path_z),
+        _polyline_length(path_w),
+        case,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,13 @@ class TestMembershipScales:
         with pytest.raises(InputError):
             membership_scales(star_tree(2), 0.125, 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_a_non_finite_lambda(self, lam):
+        # NaN would give eta = NaN, and inf an infinite eta
+        message = f"lambda must be positive and finite, got {lam}"
+        with pytest.raises(InputError, match=message):
+            membership_scales(star_tree(2), 0.125, lam)
+
 
 class TestDecorationBudget:
     def test_area_matching_lambda(self):

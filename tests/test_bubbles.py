@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bubbletree import bubbles
+from bubbletree import bubbles, jsonio, pipeline
 from bubbletree.bubbles import (
     AffineMap,
     BubbleConfiguration,
@@ -170,6 +170,15 @@ class TestThresholdRadius:
         with pytest.raises(InputError, match="positive"):
             threshold_radius(m, 0, 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_lambda_must_be_finite(self, lam):
+        # a NaN lambda^2 compares false against every mass, an infinite one
+        # exceeds it, and neither may yield a radius
+        m = EnergyMeasure(((0, 1.0), (0.1, 1.0)))
+        message = f"lambda must be positive and finite, got {lam}"
+        with pytest.raises(InputError, match=message):
+            threshold_radius(m, 0, lam)
+
 
 def profile_coverage_holds(profile, eps, lam, cfg):
     """Re-derive every postcondition of the selection from scratch."""
@@ -214,6 +223,16 @@ class TestSelectBubblePoints:
         cfg = select_bubble_points(profile, EPS, self.LAM)
         assert cfg.points == (c,)
         assert cfg.radius[c] == 0.0
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_lambda_must_be_finite(self, lam):
+        # the gradient cut lambda / eps^2 is NaN or inf, so no candidate is
+        # hot and the seeds alone would come back
+        m = EnergyMeasure(((0, 1.0),))
+        profile = ConcentrationProfile(m, ((0.05, 100.0),), (0, 0.1))
+        message = f"lambda must be positive and finite, got {lam}"
+        with pytest.raises(InputError, match=message):
+            select_bubble_points(profile, EPS, lam)
 
     def test_strong_candidate_outside_disc_rejected(self):
         m = EnergyMeasure(((0, 1.0),))
@@ -356,6 +375,40 @@ class TestClusterSelect:
         space = FiniteMetricSpace.from_points([0.0, 1.0], lambda u, v: abs(u - v))
         with pytest.raises(InputError, match="halve"):
             cluster_select(space, lambda i: 0.7**i, 0)
+
+    @staticmethod
+    def _ladder_space():
+        # two centres 1 apart, eight satellites within 1e-3 of the first:
+        # a selection at a(i) = 0.4 / 2^i reads a(0), a(1), a(2) only
+        pts = [0.0, 1.0] + [1e-4 * (j + 1) for j in range(8)]
+        return FiniteMetricSpace.from_points(pts, lambda u, v: abs(u - v))
+
+    @pytest.mark.parametrize("tail", [0.0, math.nan, math.inf, 0.3])
+    def test_unread_rungs_are_not_checked(self, tail):
+        # an a(i) past the last rung read may underflow or be anything else:
+        # (4 eps^3)^154 = 0.0 must not reject a selection that stops at a(2)
+        a = lambda i: 0.4 * 0.5**i if i <= 2 else tail
+        net, retraction = cluster_select(self._ladder_space(), a, 0)
+        assert net == (0, 1)
+        assert retraction == {x: 1 if x == 1 else 0 for x in range(10)}
+
+    @pytest.mark.parametrize(
+        "rungs, message",
+        [
+            ({0: -1.0}, "a(0) = -1.0 must be positive and finite"),
+            ({0: math.inf}, "a(0) = inf must be positive and finite"),
+            # a(1) = inf fails both checks; the halving check at i = 0 comes first
+            ({1: math.inf}, "a(1) exceeds a(0)/2; sequence must halve"),
+            ({2: math.nan}, "a(2) = nan must be positive and finite"),
+            ({2: 0.0}, "a(2) = 0.0 must be positive and finite"),
+            ({2: 0.15}, "a(2) exceeds a(1)/2; sequence must halve"),
+        ],
+    )
+    def test_read_rungs_are_checked_in_order(self, rungs, message):
+        a = lambda i: rungs.get(i, 0.4 * 0.5**i)
+        with pytest.raises(InputError) as info:
+            cluster_select(self._ladder_space(), a, 0)
+        assert str(info.value) == message
 
     def test_base_index_out_of_range(self):
         space = FiniteMetricSpace.from_points([0.0], lambda u, v: abs(u - v))
@@ -578,6 +631,25 @@ class TestAssociateTree:
         assert max(len(tree.child_edges(v)) for v in tree.vertices) > 100
         report = verify_association(cfg, assoc, EPS)
         assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("size", [154, 200])
+    def test_nested_configurations_past_the_ladder_underflow(self, size, tmp_path):
+        # (4 eps^3)^154 underflows to 0.0, but a level with few centres reads
+        # only the first rungs of the ladder
+        cfg = random_standard(random.Random(0), EPS, size)
+        assoc = associate_tree(cfg, EPS)
+        tree = assoc.tree
+        assert max(len(tree.child_edges(v)) for v in tree.vertices) < 154
+        report = verify_association(cfg, assoc, EPS)
+        assert report.ok, report.summary()
+        config = {"bubble": jsonio.bubble_to_json(cfg, EPS), "delta": 0.5}
+        assert pipeline.run_pipeline(config, tmp_path, seed=0).ok
+
+    def test_flat_level_of_154_reads_the_underflowed_rung(self):
+        cfg = flat_standard(random.Random(154), EPS, 154)
+        with pytest.raises(InputError) as info:
+            associate_tree(cfg, EPS)
+        assert str(info.value) == "a(154) = 0.0 must be positive and finite"
 
     def test_nonstandard_input_rejected(self):
         with pytest.raises(InputError, match="standard"):

@@ -226,8 +226,13 @@ def test_cover_past_exact_net_cap_exit_4(tmp_path):
         (["net", "--space", "sphere", "--gamma", "nan"], "net radius"),
         (["net", "--space", "SPACE", "--gamma", "nan"], "net radius"),
         (["bounds", "curve", "--mu", "3", "--Lambda", "nan"], "Lipschitz bound"),
+        (["bounds", "curve", "--mu", "3", "--Lambda", "inf"],
+         "Lipschitz bound Lambda must be positive and finite, got inf"),
     ],
-    ids=["cover-lambda", "cover-delta", "net-sphere", "net-file", "bounds-curve"],
+    ids=[
+        "cover-lambda", "cover-delta", "net-sphere", "net-file", "bounds-curve",
+        "bounds-curve-inf",
+    ],
 )
 def test_nan_scales_exit_3_naming_the_quantity(tmp_path, argv, quantity):
     # NaN fails every comparison, so each range check is written to fail on it

@@ -52,6 +52,7 @@ from bubbletree.trees import Marking
 
 from helpers import (
     anchor_points_reference,
+    annulus_path_reference,
     chain_tree,
     classify_reference,
     decorate_reference,
@@ -1027,6 +1028,54 @@ def test_annulus_path_bound_property(ld, m1, m2, a1, a2):
     path = annulus_path(delta, z, delta**2 / z, z2, delta**2 / z2)
     gap = max(abs(z - z2), abs(delta**2 / z - delta**2 / z2))
     assert path.total_length <= 8 * math.pi * gap + 1e-12
+
+
+def _path_bits(path):
+    def bits(zs):
+        return tuple((complex(c).real.hex(), complex(c).imag.hex()) for c in zs)
+
+    return (
+        bits(path.path_z),
+        bits(path.path_w),
+        path.length_z.hex(),
+        path.length_w.hex(),
+        path.case,
+    )
+
+
+def test_annulus_path_matches_recursive_reference_bit_for_bit():
+    # the reference solves |z| < |z2| in the mixed case by recursing on the
+    # swapped endpoints and reversing; the one-exit form must keep every bit,
+    # lengths included
+    rng = random.Random(2104)
+    seen = {}
+    for _ in range(1500):
+        if rng.random() < 0.4:
+            delta = 0.0
+            # each endpoint on the z branch, the w branch or at the node
+            ends = []
+            for _ in range(2):
+                u = cmath.rect(rng.uniform(0.05, 1.0), rng.uniform(0, 2 * math.pi))
+                ends.append(rng.choice([(u, 0j), (0j, u), (0j, 0j)]))
+            (z, w), (z2, w2) = ends
+        else:
+            delta = math.exp(rng.uniform(math.log(1e-3), math.log(0.9)))
+            z, w = _annulus_instance(rng, delta)
+            z2, w2 = _annulus_instance(rng, delta)
+        for args in ((z, w, z2, w2), (z2, w2, z, w)):
+            path = annulus_path(delta, *args)
+            assert _path_bits(path) == _path_bits(annulus_path_reference(delta, *args))
+            kind = path.case
+            if kind == "nodal":
+                kind += " via node" if len(path.path_z) == 3 else " direct"
+            elif kind.startswith("ii"):
+                kind += " swapped" if abs(args[0]) < abs(args[2]) else " in order"
+            seen[kind] = seen.get(kind, 0) + 1
+    assert sorted(seen) == [
+        "i-w", "i-z", "ii-a in order", "ii-a swapped", "ii-b in order",
+        "ii-b swapped", "nodal direct", "nodal via node",
+    ]
+    assert min(seen.values()) >= 50
 
 
 def test_annulus_path_input_validation():

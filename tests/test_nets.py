@@ -475,6 +475,17 @@ def test_sampled_local_lipschitz():
     # pairs beyond eps are ignored
     far = [(0.0, 5.0, 0.0, 50.0)]
     assert sampled_local_lipschitz(far, 1.0, flat, flat) == 0.0
+    # an infinite eps takes every pair
+    assert sampled_local_lipschitz(far, math.inf, flat, flat) == 10.0
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+def test_sampled_local_lipschitz_rejects_a_bad_eps(eps):
+    # a NaN eps would skip every pair and report 0.0
+    pairs = [(0.0, 1.0, 0.0, 3.0)]
+    flat = lambda a, b: abs(a - b)
+    with pytest.raises(InputError, match=f"eps must be positive, got {eps}"):
+        sampled_local_lipschitz(pairs, eps, flat, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +539,28 @@ def test_mapspace_cover_varying_base():
         for i, j in itertools.combinations(cell, 2):
             d = mapspace_distance(space_t, space_z, space_w, family[i], family[j])
             assert d < 4.0 * delta
+
+
+@pytest.mark.parametrize("steps_below", [1, 0, -1])
+def test_mapspace_cover_gamma_is_delta_times_one_minus_two_to_the_minus_20(
+    steps_below,
+):
+    # one net point covers two base points at distance gap < delta, so the
+    # threshold is gap; gamma = delta (1 - 2^-20) must exceed it
+    delta = 0.5
+    gamma = delta * (1.0 - 2.0**-20)
+    gap = gamma
+    for _ in range(abs(steps_below)):
+        gap = math.nextafter(gap, 0.0 if steps_below > 0 else delta)
+    space_t = grid_space([0.0, gap])
+    space_z = FiniteMetricSpace([[0.0]])
+    member = FiberMap(t=0, fiber=(0,), values=(0,))
+    args = (space_t, space_z, space_z, [member])
+    if steps_below > 0:
+        assert mapspace_cover(*args, lam=1.0, delta=delta).gamma == gamma
+    else:
+        with pytest.raises(VerificationError, match="no gamma below delta"):
+            mapspace_cover(*args, lam=1.0, delta=delta)
 
 
 def test_mapspace_cover_rejects_non_lipschitz():

@@ -29,6 +29,49 @@ def unused_parameters(tree: ast.AST) -> list[tuple[str, int, str]]:
     return found
 
 
+def _own_scope(func: ast.AST):
+    """The nodes of func's body that run in its own scope: nested functions,
+    lambdas and classes are yielded but not entered."""
+    stack = [*func.body]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(tree: ast.AST) -> list[tuple[str, int, str]]:
+    """(function, line, name) for every local variable other than _ that its
+    function assigns and never reads.  A read anywhere in the function, nested
+    functions included, counts; names declared global or nonlocal are not
+    locals of the function that declares them."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(_own_scope(node))
+        shared = {
+            name for n in own if isinstance(n, (ast.Global, ast.Nonlocal))
+            for name in n.names
+        }
+        read = {
+            n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        first_store: dict[str, int] = {}
+        for n in own:
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                first_store[n.id] = min(first_store.get(n.id, n.lineno), n.lineno)
+        found += [
+            (node.name, line, name)
+            for name, line in first_store.items()
+            if name != "_" and name not in shared | read
+        ]
+    return sorted(found, key=lambda f: (f[1], f[2]))
+
+
 def test_unused_parameters_reports_only_unread_names():
     tree = ast.parse(
         "def f(self, a, b, *rest, c=1, **kw):\n"
@@ -48,5 +91,34 @@ def test_no_function_in_the_package_has_a_dead_parameter():
         f"{path.name}:{line} {func}({param})"
         for path in sorted(SRC.glob("*.py"))
         for func, line, param in unused_parameters(ast.parse(path.read_text("utf-8")))
+    ]
+    assert dead == []
+
+
+def test_unread_locals_reports_only_dead_assignments():
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    dead, kept = 1, 2\n"
+        "    _ = 3\n"
+        "    total = 0\n"
+        "    seen = []\n"
+        "    def g():\n"
+        "        nonlocal total\n"
+        "        total = total + kept\n"
+        "        inner = 4\n"
+        "        return seen\n"
+        "    for x in xs:\n"
+        "        pass\n"
+        "    return g\n"
+    )
+    assert unread_locals(tree) == [("f", 2, "dead"), ("g", 9, "inner"), ("f", 11, "x")]
+
+
+def test_no_function_in_the_package_assigns_a_local_it_never_reads():
+    # a value computed and dropped is work, and a reader's time, for nothing
+    dead = [
+        f"{path.name}:{line} {func}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for func, line, name in unread_locals(ast.parse(path.read_text("utf-8")))
     ]
     assert dead == []
