@@ -102,6 +102,7 @@ class LogNumber:
             if self.exact < 1:
                 raise InputError("exact mirror must be a positive integer")
             ref = math.log(self.exact)
+            # absolute only for N = 1, 2 (ln N < 1), logs exact to an ulp of 1
             if abs(self.ln - ref) > 1e-9 * max(1.0, abs(ref)):
                 raise VerificationError(
                     f"log value {self.ln} disagrees with exact mirror (log {ref})"
@@ -224,6 +225,12 @@ def membership_scales(
     eta = lam / (3.0 * math.sqrt(g.C) * g.lambda0)
     vertex_factor = 9.0 * math.pi * math.sqrt(g.C) / (eps * eps)
     lambda_v = {v: vertex_factor / params.alpha_of(v) for v in tree.vertices}
+    for v, x in lambda_v.items():
+        if not math.isfinite(x):
+            raise InputError(
+                f"Lambda_v at vertex {v} (degree {tree.degree(v)}) is not a finite "
+                f"double: alpha_v = {params.alpha_of(v):.6g}, Lambda_v = {x}"
+            )
     lambda_e = g.M / (eps * eps)
     return MapScales(params, eta, lambda_v, lambda_e)
 

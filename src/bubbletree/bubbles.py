@@ -40,6 +40,7 @@ from .nets import FiniteMetricSpace, farthest_first
 from .trees import RootedTree, Tree
 
 EPS_MAX = 0.125
+# absolute: chart positions lie in the eps disc, where they round absolutely
 POSITION_TOL = 1e-9
 
 
@@ -330,7 +331,7 @@ def cluster_select(
         raise InputError(f"base point index {s} out of range")
     avals = [float(a(i)) for i in range(n + 1)]
     selected = []
-    for j, d in farthest_first(lambda i: space.dist[i], n, s):
+    for j, d in farthest_first(space.lower, n, s):
         if not d > avals[len(selected)]:
             break
         selected.append(j)

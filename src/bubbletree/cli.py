@@ -197,6 +197,7 @@ def _annulus_payload(delta: float, z, w, z2, w2):
     path = annulus_path(delta, z, w, z2, w2)
     gap = max(abs(z - z2), abs(w - w2))
     bound = 8.0 * math.pi * gap
+    # absolute below 1: legs come from unit-disc coordinates, not from the gap
     within = path.total_length <= bound + 1e-9 * max(1.0, bound)
     payload = {
         "case": path.case,

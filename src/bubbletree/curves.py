@@ -1043,6 +1043,7 @@ def annulus_path(
         raise InputError("delta must lie in [0, 1)")
     dsq = delta * delta
     for a, b in ((z, w), (z2, w2)):
+        # absolute (dsq < 1): a * b of unit-disc points rounds absolutely
         if abs(a * b - dsq) > 1e-9 * max(1.0, dsq):
             raise InputError(f"point ({a}, {b}) violates the fiber equation")
         if abs(a) > 1.0 + EQ_SLACK or abs(b) > 1.0 + EQ_SLACK:

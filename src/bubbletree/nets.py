@@ -5,10 +5,12 @@ as the projective line in homogeneous coordinates), finite metric spaces with
 validated axioms, the Hausdorff distance between finite subsets read from
 their cross-distance matrix, gamma-nets in the strict sense (d_H < gamma),
 greedy nets as prefixes of one farthest-point traversal (farthest_first,
-shared with bubbles.cluster_select), exact minimal nets, an explicit
-latitude-band net for the sphere, the distance max(d_T, graph Hausdorff)
-between members of a family of maps, and the combinatorial cover of a family
-of Lipschitz maps over a base by cells of small diameter.
+shared with bubbles.cluster_select; on sphere samples it and the covering
+check measure exactly only where a certified screen says a minimum can
+move), exact minimal nets, an explicit latitude-band net for the sphere, the
+distance max(d_T, graph Hausdorff) between members of a family of maps, and
+the combinatorial cover of a family of Lipschitz maps over a base by cells
+of small diameter.
 
 Continuous spaces enter only through finite samplings supplied by the
 caller; all Hausdorff computations here are over finite subsets.
@@ -34,8 +36,8 @@ MAPSPACE_CELL_CAP = 2_000_000
 # relative gap below which ProjPoint.normalized treats |x| and |y| as tied
 TIE_RTOL = 1e-12
 
-# net points per block of Net.covering_distance on a sphere sample
-COVER_BLOCK = 64
+# cosine slack of the sphere screen (_lower_screened); rounding needs < 1e-13
+SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,8 @@ def sphere_distances(ax, ay, an, bx, by, bn) -> np.ndarray:
     """sphere_distance on broadcast arrays: a and b are (x, y, norm) triples
     as sphere_coords returns them, or any broadcastable slices of such."""
     cross = np.abs(ax * by - ay * bx)
-    return 2.0 * np.arcsin(np.clip(cross / (an * bn), 0.0, 1.0))
+    # the ratio is >= 0 or NaN; rounding can push it epsilon above 1
+    return 2.0 * np.arcsin(np.minimum(cross / (an * bn), 1.0))
 
 
 def sphere_pairwise(a: Sequence[ProjPoint], b: Sequence[ProjPoint]) -> np.ndarray:
@@ -151,6 +154,7 @@ class FiniteMetricSpace:
             raise InputError("distances must be finite")
         if np.any(d < 0):
             raise InputError("distances must be nonnegative")
+        # absolute below diameter 1: coordinates of order 1 round absolutely
         scale = max(1.0, float(d.max()))
         tol = 1e-9 * scale
         if np.any(np.abs(np.diag(d)) > tol):
@@ -190,12 +194,9 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max())
 
-    def subspace(self, indices: Sequence[int]) -> "FiniteMetricSpace":
-        idx = list(indices)
-        if not idx:
-            raise InputError("subspace needs at least one point")
-        sub = self.dist[np.ix_(idx, idx)]
-        return FiniteMetricSpace(sub, labels=[self.labels[i] for i in idx])
+    def lower(self, mind: np.ndarray, j: int) -> None:
+        """Lower mind in place to the distances from point j."""
+        np.minimum(mind, self.dist[j], out=mind)
 
     @classmethod
     def from_points(cls, points: Sequence, metric: Callable) -> "FiniteMetricSpace":
@@ -258,7 +259,11 @@ class Net:
         """Exact d_H(points, base) for finite bases, else None.
 
         Since the net points belong to the base, this is the directed
-        distance from the base to the net.
+        distance from the base to the net.  On a sphere sample each net point
+        lowers fresh nearest distances through _lower_screened.  That is sound
+        whatever the margin: a skipped pair can only leave a nearest distance
+        too large, so a wrong screen could reject a valid net, never accept
+        an invalid one.
         """
         if self.indices is None:
             return None
@@ -266,36 +271,89 @@ class Net:
             sub = self.base.dist[:, list(self.indices)]
             return float(sub.min(axis=1).max())
         if isinstance(self.base, (tuple, list)) and self.base:
-            # the net in column blocks: memory stays O(len(base) * block)
-            ax, ay, an = (a[:, None] for a in sphere_coords(self.base))
-            bx, by, bn = sphere_coords(self.points)
+            base = _sphere_screen(self.base)
             near = np.full(len(self.base), math.inf)
-            for j in range(0, len(self.points), COVER_BLOCK):
-                cols = slice(j, j + COVER_BLOCK)
-                d = sphere_distances(ax, ay, an, bx[cols], by[cols], bn[cols])
-                np.minimum(near, d.min(axis=1), out=near)
+            cosm = np.full(len(self.base), -math.inf)
+            xs, ys, ns, u = _sphere_screen(self.points)
+            for centre in zip(xs, ys, ns, u.T):
+                _lower_screened(near, cosm, base, centre, base_first=True)
             return float(near.max())
         return None
 
 
-def _sphere_rows(points: list[ProjPoint]):
-    xs, ys, norms = sphere_coords(points)
-    return lambda i: sphere_distances(xs[i], ys[i], norms[i], xs, ys, norms)
+def _sphere_screen(points: Sequence[ProjPoint]):
+    """sphere_coords plus the Hopf images (2 x conj(y), |x|^2 - |y|^2) / norm^2
+    in R^3, the columns U of a (3, n) array: U[:, i] @ U[:, j] is the cosine
+    of the sphere distance."""
+    xs, ys, ns = sphere_coords(points)
+    if not np.all(np.isfinite(ns)):
+        raise InputError("sphere point coordinates must be finite")
+    a, b = xs / ns, ys / ns
+    w = 2.0 * a * b.conj()
+    return xs, ys, ns, np.stack([w.real, w.imag, np.abs(a) ** 2 - np.abs(b) ** 2])
 
 
-def farthest_first(row: Callable[[int], np.ndarray], n: int, start: int):
+def _lower_screened(mind, cosm, base, centre, base_first: bool) -> None:
+    """Lower mind in place to the sphere distances from centre, an (x, y,
+    norm, U) entry of _sphere_screen arrays, measuring only the base points
+    whose screen g = U @ U_centre exceeds cosm = cos(mind) - SCREEN_MARGIN
+    (-inf while mind is inf), which it keeps in step.  sphere_distances takes
+    the base first when base_first: complex products round by operand order.
+
+    Margin (u = 2^-53; coordinate norms within 2^+-500, so nothing over- or
+    underflows: beyond that the formula itself errs, and only the covering
+    check's soundness holds).  Let theta be the exact angle.  U errs by 4u
+    per component, so |g - cos theta| <= 32u.  The sine ratio s errs by 16u
+    absolutely, cancellation included: each complex product errs by at most
+    3u |x||y| <= 3u norm_a norm_b, and norms, product and quotient add 6u
+    relative.  cos(2 arcsin s) = 1 - 2 s^2 moves 4 per unit of s and d =
+    2 arcsin s rounds within 2 pi u, so |cos d - cos theta| <= 71u near 0
+    and near pi alike (the arcsin form is ill-conditioned in d, not in
+    cos d).  If d < m, both in [0, pi], then cos d > cos m, so g > cos m -
+    103u; numpy's cos errs by 4u, so g > fl(cos m) - 107u >= cosm +
+    SCREEN_MARGIN - 108u > cosm.
+    Every point whose minimum moves passes, with a factor of about 10^5 to
+    spare, so the minima are those of the full row bit for bit.
+    """
+    xs, ys, ns, u = base
+    x, y, norm, uc = centre
+    (idx,) = (uc @ u > cosm).nonzero()
+    if base_first:
+        d = sphere_distances(xs[idx], ys[idx], ns[idx], x, y, norm)
+    else:
+        d = sphere_distances(x, y, norm, xs[idx], ys[idx], ns[idx])
+    low = np.minimum(mind[idx], d)
+    mind[idx] = low
+    cosm[idx] = np.cos(low) - SCREEN_MARGIN
+
+
+def _sphere_lowering(points: list[ProjPoint]):
+    """farthest_first's lowering step on sphere points, through the screen."""
+    base = _sphere_screen(points)
+    cosm = np.full(len(points), -math.inf)
+
+    def lower(mind, j):
+        centre = (base[0][j], base[1][j], base[2][j], base[3][:, j])
+        _lower_screened(mind, cosm, base, centre, base_first=False)
+        cosm[j] = math.inf  # j leaves with mind[j] = -inf: it must never pass
+
+    return lower
+
+
+def farthest_first(lower: Callable[[np.ndarray, int], None], n: int, start: int):
     """Gonzalez's farthest-point traversal of n points, from start.
 
-    row(i) holds the distances from point i to all n points.  Lazily yields
+    lower(mind, j) lowers mind in place to the distances from point j to
+    all n points (FiniteMetricSpace.lower for a matrix).  Lazily yields
     (index, distance to the points yielded before it; inf for start), each
     index the farthest point not yet yielded, ties to the lowest index.  Every
-    prefix is a net at the next distance; rows are read only as it advances.
+    prefix is a net at the next distance; lower runs only as it advances.
     """
     mind = np.full(n, math.inf)
     j, d = int(start), math.inf
     for _ in range(n - 1):
         yield j, d
-        np.minimum(mind, row(j), out=mind)
+        lower(mind, j)
         mind[j] = -math.inf
         j = int(np.argmax(mind))
         d = float(mind[j])
@@ -307,12 +365,14 @@ def greedy_net(space, gamma: float) -> Net:
 
     Accepts a FiniteMetricSpace or a finite sequence of sphere points.
     Deterministic: ties go to the lowest index.  The result is always a
-    valid gamma-net of the given base; it need not be minimal.
+    valid gamma-net of the given base; it need not be minimal.  On sphere
+    points a centre is measured only where _lower_screened's screen says a
+    minimum can move, with the unscreened traversal's indices and distances.
     """
     _require_scale("net radius gamma", gamma)
     if isinstance(space, FiniteMetricSpace):
         n = space.n
-        row = lambda i: space.dist[i]
+        lower = space.lower
         labels = space.labels
         base = space
     else:
@@ -320,11 +380,11 @@ def greedy_net(space, gamma: float) -> Net:
         if not pts:
             raise InputError("need at least one point")
         n = len(pts)
-        row = _sphere_rows(pts)
+        lower = _sphere_lowering(pts)
         labels = pts
         base = tuple(pts)
     chosen = []
-    for j, d in farthest_first(row, n, 0):
+    for j, d in farthest_first(lower, n, 0):
         if d < gamma:
             break
         chosen.append(j)

@@ -32,6 +32,8 @@ from bubbletree.nets import (
     FiberMap,
     FiniteMetricSpace,
     ProjPoint,
+    fibonacci_sphere_points,
+    sphere_coords,
     sphere_distance,
     sphere_distances,
 )
@@ -385,6 +387,109 @@ def farthest_first_reference(space, start):
         order.append((best, bestd))
         chosen.add(best)
     return order
+
+
+def gaussian_sphere_points(rng, n):
+    """n points whose two coordinates are both complex Gaussians, where the
+    two operand orders of nets.sphere_distances round differently in about
+    one pair of eight."""
+    return [
+        ProjPoint(complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                  complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+        for _ in range(n)
+    ]
+
+
+def greedy_net_reference(points, gamma):
+    """nets.greedy_net on sphere points as it was before the screen, kept
+    verbatim: the traversal lowers its minima by full rows, one per centre,
+    and the covering distance takes every (base, net) pair in column blocks
+    of 64, through the formula with np.clip.
+
+    Returns (order, points, covering distance), order holding the
+    traversal's (index, distance) pairs of the net points.
+    """
+
+    def distances(ax, ay, an, bx, by, bn):
+        cross = np.abs(ax * by - ay * bx)
+        return 2.0 * np.arcsin(np.clip(cross / (an * bn), 0.0, 1.0))
+
+    def traversal(row, n, start):
+        mind = np.full(n, math.inf)
+        j, d = int(start), math.inf
+        for _ in range(n - 1):
+            yield j, d
+            np.minimum(mind, row(j), out=mind)
+            mind[j] = -math.inf
+            j = int(np.argmax(mind))
+            d = float(mind[j])
+        yield j, d
+
+    pts = [p if isinstance(p, ProjPoint) else ProjPoint(*p) for p in points]
+    xs, ys, norms = sphere_coords(pts)
+    row = lambda i: distances(xs[i], ys[i], norms[i], xs, ys, norms)
+    order = []
+    for j, d in traversal(row, len(pts), 0):
+        if d < gamma:
+            break
+        order.append((j, d))
+    net = [pts[i] for i, _ in order]
+
+    ax, ay, an = (a[:, None] for a in sphere_coords(pts))
+    bx, by, bn = sphere_coords(net)
+    near = np.full(len(pts), math.inf)
+    for j in range(0, len(net), 64):
+        cols = slice(j, j + 64)
+        d = distances(ax, ay, an, bx[cols], by[cols], bn[cols])
+        np.minimum(near, d.min(axis=1), out=near)
+    return tuple(order), tuple(net), float(near.max())
+
+
+def screen_cases():
+    """{id: (sphere points, gamma)} for families that stress the sphere screen of
+    nets.greedy_net: exact ties on symmetric and unrotated Fibonacci sets,
+    duplicates, 1e-13 perturbations, the points 0, 1, -1 and infinity,
+    unnormalized coordinates, 1e-3 clusters, and radii from 2 down to 1e-6.
+    On the line of three points 1e-5 apart at gamma 1e-6, a chosen centre
+    passes the screen of a later one."""
+    rng = random.Random(2003)
+    special = [ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(-1.0, 1.0),
+               ProjPoint.infinity()]
+    octahedron = special + [ProjPoint(1j, 1.0), ProjPoint(-1j, 1.0)]
+    fib = fibonacci_sphere_points(300)
+    duplicates = fib[:40] + fib[:40] + special + special
+    perturbed = [
+        ProjPoint(p.x * (1.0 + 1e-13 * rng.uniform(-1, 1)), p.y)
+        for p in fib[:60] for _ in range(2)
+    ]
+    scaled = [
+        ProjPoint(p.x * c, p.y * c)
+        for p in fib[:80]
+        for c in [cmath.rect(10.0 ** rng.uniform(-6, 6), rng.uniform(0, 6.3))]
+    ] + [ProjPoint(1e-9, 3.0), ProjPoint(3.0 - 4j, 1e-9)]
+    clusters = [
+        ProjPoint(z + 1e-3 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 1.0)
+        for z in (0.0, 1.0, -2j, 40.0)
+        for _ in range(25)
+    ] + [ProjPoint(1.0, 1e-3 * rng.uniform(-1, 1)) for _ in range(25)]
+    line = [ProjPoint(0.3 + 0.2j + k * 1e-5, 1.0) for k in (0, 2, 1)]
+    families = {
+        "octahedron": octahedron,
+        "fibonacci": fib,
+        "fibonacci-7": fibonacci_sphere_points(7),
+        "single": [ProjPoint(2.0, 1.0)],
+        "duplicates": duplicates,
+        "perturbed": perturbed,
+        "scaled": scaled,
+        "clusters": clusters,
+        "line": line + special,
+    }
+    gammas = (2.0, 1.0, 0.3, 0.05, 1e-3, 1e-4, 1e-6)
+    return {
+        f"{name}-{gamma:g}": (pts, gamma)
+        for name, pts in families.items()
+        for gamma in gammas
+    }
 
 
 def traversal_cases():

@@ -236,6 +236,17 @@ class TestMembershipScales:
         with pytest.raises(InputError):
             membership_scales(star_tree(2), 0.125, 0.0)
 
+    def test_names_the_vertex_whose_lambda_v_overflows(self):
+        # alpha_v = 2^(-7 deg) at eps = 1/8, so Lambda_v = 9 pi sqrt(C) / eps^2
+        # / alpha_v is about 2^1019 at degree 144 and past 2^1024 at 145
+        assert math.isfinite(membership_scales(star_tree(143), 0.125, 0.001).lambda_sup)
+        message = (
+            r"Lambda_v at vertex 1 \(degree 145\) is not a finite double: "
+            r"alpha_v = 2\.84809e-306, Lambda_v = inf"
+        )
+        with pytest.raises(InputError, match=message):
+            membership_scales(star_tree(144), 0.125, 0.001)
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_rejects_a_non_finite_lambda(self, lam):
         # NaN would give eta = NaN, and inf an infinite eta

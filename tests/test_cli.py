@@ -952,6 +952,24 @@ def test_pipeline_failure_names_its_stage(
     assert sorted(p.name for p in run.iterdir()) == list(ARTIFACTS[:written])
 
 
+@pytest.mark.parametrize("seed, vertex, degree", [(2, 4, 152), (3, 3, 153)])
+def test_pipeline_names_an_overflowing_lambda_v(tmp_path, no_env_seed, seed, vertex, degree):
+    # a level of about 150 centres: alpha_v = (4 eps^3)^deg is subnormal and
+    # Lambda_v = (9 pi sqrt(C) / eps^2) / alpha_v overflows
+    cfg = random_standard(random.Random(seed), 0.125, 154)
+    path = write(tmp_path, "wide.json", {"bubble": bubble_to_json(cfg, 0.125)})
+    run = tmp_path / "run"
+    got, data = invoke_json(["pipeline", "--config", path, "--out-dir", str(run)])
+    assert got == 3
+    assert [s["verdict"] for s in data["stages"]] == ["pass", "pass", "fail"]
+    assert data["stages"][2]["name"] == "params"
+    assert re.fullmatch(
+        rf"Lambda_v at vertex {vertex} \(degree {degree}\) is not a finite double: "
+        r"alpha_v = \S+e-3\d\d, Lambda_v = inf",
+        data["stages"][2]["detail"],
+    )
+
+
 @pytest.mark.parametrize("key", [" 1 ", "01", "1_0"])
 def test_pipeline_gamma_override_keys_must_be_canonical(tmp_path, no_env_seed, key):
     # int() reads these keys as edges 1, 1 and 10, all full edges here, and

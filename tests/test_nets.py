@@ -12,12 +12,18 @@ from bubbletree.errors import InputError, ResourceCapError, VerificationError
 from helpers import (
     all_lipschitz_maps,
     farthest_first_reference,
+    gaussian_sphere_points,
+    greedy_net_reference,
     grid_space,
+    screen_cases,
     traversal_cases,
     triangle_failure_reference,
 )
 from bubbletree.nets import (
     EXACT_NU_CAP,
+    _lower_screened,
+    _sphere_lowering,
+    _sphere_screen,
     FiberMap,
     FiniteMetricSpace,
     Net,
@@ -279,12 +285,12 @@ def test_greedy_at_least_exact():
 def test_farthest_first_matches_reference(space, start):
     rows = []
 
-    def row(i):
+    def lower(mind, i):
         rows.append(i)
-        return space.dist[i]
+        space.lower(mind, i)
 
     order = farthest_first_reference(space, start)
-    assert list(farthest_first(row, space.n, start)) == order
+    assert list(farthest_first(lower, space.n, start)) == order
     # one row per point that has a successor
     assert rows == [j for j, _ in order[:-1]]
     if start == 0:
@@ -297,11 +303,11 @@ def test_farthest_first_reads_rows_lazily():
     space = grid_space([complex(x, y) for x in range(10) for y in range(10)])
     rows = []
 
-    def row(i):
+    def lower(mind, i):
         rows.append(i)
-        return space.dist[i]
+        space.lower(mind, i)
 
-    taken = list(itertools.islice(farthest_first(row, space.n, 0), 4))
+    taken = list(itertools.islice(farthest_first(lower, space.n, 0), 4))
     assert len(taken) == 4 and len(rows) == 3
 
 
@@ -322,7 +328,8 @@ def test_exact_nu_monotone_and_subset_bound():
         g1 = rng.uniform(0.3, 2.0)
         g2 = g1 + rng.uniform(0.1, 2.0)
         assert exact_nu(space, g1) >= exact_nu(space, g2)
-        sub = space.subspace(rng.sample(range(space.n), rng.randint(1, space.n)))
+        idx = rng.sample(range(space.n), rng.randint(1, space.n))
+        sub = FiniteMetricSpace(space.dist[np.ix_(idx, idx)], labels=idx)
         assert exact_nu(sub, 2 * g1) <= exact_nu(space, g1)
 
 
@@ -346,8 +353,8 @@ def test_union_bound_against_exact():
     for _ in range(6):
         space = random_metric_space(rng, 12)
         cut = rng.randint(1, 11)
-        left = space.subspace(range(cut))
-        right = space.subspace(range(cut, 12))
+        left = FiniteMetricSpace(space.dist[:cut, :cut], labels=range(cut))
+        right = FiniteMetricSpace(space.dist[cut:, cut:], labels=range(cut, 12))
         gamma = rng.uniform(0.5, 3.0)
         bound = sum([exact_nu(left, gamma), exact_nu(right, gamma)])
         assert exact_nu(space, gamma) <= bound
@@ -367,6 +374,84 @@ def test_covering_distance_in_blocks_matches_full_matrix(n, gamma):
     net = greedy_net(pts, gamma)
     full = sphere_pairwise(pts, list(net.points)).min(axis=1).max()
     assert net.covering_distance() == float(full)
+
+
+SCREEN_CASES = screen_cases()
+
+
+@pytest.mark.parametrize("pts, gamma", SCREEN_CASES.values(), ids=SCREEN_CASES.keys())
+def test_screened_greedy_net_matches_unscreened_bits(pts, gamma):
+    order, points, cov = greedy_net_reference(pts, gamma)
+    net = greedy_net(pts, gamma)
+    assert net.indices == tuple(j for j, _ in order)
+    assert net.points == points
+    assert net.covering_distance().hex() == cov.hex()
+
+
+def test_screened_greedy_net_keeps_operand_orders():
+    # the traversal measures centre against base and the covering check base
+    # against net point; on one of these sets of 40 either swap shows
+    rng = random.Random(2003)
+    for _ in range(20):
+        pts = gaussian_sphere_points(rng, 200)
+        for gamma in (1.0, 0.3):
+            order, _, cov = greedy_net_reference(pts, gamma)
+            steps = farthest_first(_sphere_lowering(pts), len(pts), 0)
+            assert list(itertools.islice(steps, len(order))) == list(order)
+            assert greedy_net(pts, gamma).covering_distance().hex() == cov.hex()
+
+
+@pytest.mark.parametrize("base_first", [False, True])
+def test_screened_lowering_matches_full_rows(base_first):
+    rng = random.Random(1985)
+    pts = gaussian_sphere_points(rng, 400)
+    base = _sphere_screen(pts)
+    mind = np.full(len(pts), math.inf)
+    cosm = np.full(len(pts), -math.inf)
+    want = mind.copy()
+    for k in rng.sample(range(len(pts)), 120):
+        centre = (base[0][k], base[1][k], base[2][k], base[3][:, k])
+        _lower_screened(mind, cosm, base, centre, base_first)
+        if base_first:
+            row = sphere_pairwise(pts, [pts[k]])[:, 0]
+        else:
+            row = sphere_pairwise([pts[k]], pts)[0]
+        np.minimum(want, row, out=want)
+        assert mind.tobytes() == want.tobytes()
+
+
+def test_greedy_net_rejects_non_finite_coordinates():
+    for bad in (ProjPoint(math.nan, 1.0), ProjPoint(math.inf, 1.0)):
+        with pytest.raises(InputError, match="coordinates must be finite"):
+            greedy_net(fibonacci_sphere_points(5) + [bad], 0.5)
+
+
+def test_screened_covering_check_is_strict():
+    poles = (ProjPoint(0.0, 1.0), ProjPoint.infinity())
+    # caps strictly within pi/4 of a pole, and one equator point whose
+    # computed distance to both poles is the same double r (about pi/2)
+    caps = [p for p in fibonacci_sphere_points(400) if abs(p.x) < 0.4 or abs(p.x) > 2.5]
+    base = poles + tuple(caps) + (ProjPoint(1.0, 1.0),)
+    r, r_inf = sphere_pairwise(base[-1:], poles)[0]
+    assert r == r_inf
+    with pytest.raises(VerificationError):
+        Net(points=poles, radius=r, indices=(0, 1), base=base)
+    net = Net(points=poles, radius=math.nextafter(r, math.inf), indices=(0, 1), base=base)
+    assert net.covering_distance() == r
+
+
+def test_screened_covering_check_misses_no_dropped_point():
+    pts = fibonacci_sphere_points(1500)
+    net = greedy_net(pts, 0.2)
+    for k in (0, 1, net.size // 2, net.size - 1):
+        keep = [i for i in range(net.size) if i != k]
+        with pytest.raises(VerificationError):
+            Net(
+                points=tuple(net.points[i] for i in keep),
+                radius=0.2,
+                indices=tuple(net.indices[i] for i in keep),
+                base=pts,
+            )
 
 
 def test_greedy_net_memory_stays_bounded():
