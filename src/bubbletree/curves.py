@@ -39,6 +39,7 @@ from .nets import (
     TIE_RTOL,
     FiniteMetricSpace,
     ProjPoint,
+    hopf_units,
     sphere_distance,
     sphere_distances,
 )
@@ -1383,17 +1384,16 @@ def _near_pairs(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, below: float, co
     pair with d < below is closer than below in every coordinate at every
     vertex.  Sorted by the widest-spread coordinate at vertex column col,
     each row meets the later rows within reach of it there, and a pair is a
-    candidate while its chord is within reach at every vertex (reach is
-    below + 1e-12, far above the rounding of the unit vectors).  Every
-    candidate is measured by sphere_distances.
+    candidate while its chord is within reach at every vertex; every
+    candidate is measured by sphere_distances.  Reach is below + 1e-12: for
+    below <= 1 a measured pair's exact chord exceeds below by under 1e-14
+    (nets._lower_screened), and rounding moves a unit vector by under 32u,
+    4e-15 (nets.hopf_units).
     """
     n, n_verts = xs.shape
-    w = xs * ys.conj()
-    units = np.stack(
-        [2.0 * w.real, 2.0 * w.imag, np.abs(xs) ** 2 - np.abs(ys) ** 2], axis=-1
-    ) / (ns * ns)[..., None]
+    units = hopf_units(xs, ys, ns)
     reach = below + 1e-12
-    key = units[:, col, np.ptp(units[:, col], axis=0).argmax()]
+    key = units[np.ptp(units[:, :, col], axis=1).argmax(), :, col]
     order = np.argsort(key, kind="stable")
     s = key[order]
     # sorted row a pairs with the count[a] sorted rows after it
@@ -1402,8 +1402,8 @@ def _near_pairs(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, below: float, co
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
     i, k = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
     for v in range(n_verts):
-        gap = units[i, v] - units[k, v]
-        close = np.einsum("pj,pj->p", gap, gap) <= reach * reach
+        gap = units[:, i, v] - units[:, k, v]
+        close = np.einsum("jp,jp->p", gap, gap) <= reach * reach
         i, k = i[close], k[close]
     dist = sphere_distances(xs[i], ys[i], ns[i], xs[k], ys[k], ns[k]).max(axis=1)
     keep = dist < below

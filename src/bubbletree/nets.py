@@ -2,24 +2,22 @@
 
 Provides geodesic distance on the round sphere of total area 4*pi (realized
 as the projective line in homogeneous coordinates), finite metric spaces with
-validated axioms, the Hausdorff distance between finite subsets read from
-their cross-distance matrix, gamma-nets in the strict sense (d_H < gamma),
-greedy nets as prefixes of one farthest-point traversal (farthest_first,
-shared with bubbles.cluster_select; on sphere samples it and the covering
-check measure exactly only where a certified screen says a minimum can
-move), exact minimal nets, an explicit latitude-band net for the sphere, the
-distance max(d_T, graph Hausdorff) between members of a family of maps, and
-the combinatorial cover of a family of Lipschitz maps over a base by cells
-of small diameter.
-
-Continuous spaces enter only through finite samplings supplied by the
-caller; all Hausdorff computations here are over finite subsets.
+validated axioms, sphere samples as arrays built once, the Hausdorff distance
+of finite subsets from their cross-distance matrix, gamma-nets in the strict
+sense (d_H < gamma), on a finite base an index set into it, greedy nets as
+prefixes of one farthest-point traversal (shared with bubbles.cluster_select;
+on sphere samples it measures exactly only where a certified screen says a
+minimum can move), exact minimal nets, a latitude-band net of the sphere,
+the distance max(d_T, graph Hausdorff) between members of a family of maps,
+and the cover of a family of Lipschitz maps over a base by explicit cells.
+Continuous spaces enter only through finite samplings supplied by the caller.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -114,6 +112,55 @@ def sphere_pairwise(a: Sequence[ProjPoint], b: Sequence[ProjPoint]) -> np.ndarra
     ax, ay, an = sphere_coords(a)
     bx, by, bn = sphere_coords(b)
     return sphere_distances(ax[:, None], ay[:, None], an[:, None], bx, by, bn)
+
+
+def hopf_units(xs, ys, ns) -> np.ndarray:
+    """Hopf images (2 a conj(b), |a|^2 - |b|^2) of the normalized points
+    [a : b] = [x : y] / norm, on a new first axis (xs, ys, ns broadcast as
+    from sphere_coords): unit vectors of R^3 whose dot product is the cosine
+    of the sphere distance and whose chord is at most that distance.
+
+    Error bound, which both sphere screens cite (u = 2^-53; norms within
+    2^+-500, so ns is normal and underflow adds under 2^-1000).  numpy's
+    complex abs errs by 3u and hypot by 2u, so ns errs by 5u, and x / ns
+    rounds twice (through 1 / ns): a coordinate of a or b errs by 7u
+    relative.  A component of 2 a conj(b) sums two products, 14u from the
+    inputs and 2u from its own roundings, times 2 |a||b| <= 1: 16u.  |a|^2
+    errs by 2 (7u + 3u) + u and the difference rounds by u: 22u.  A computed
+    image is thus within sqrt(2 * 16^2 + 22^2) u < 32u of the exact one U,
+    and the dot product g of two, which rounds by 3u, has |g - U_p . U_q|
+    <= 67u (second-order terms stay below u).
+    """
+    a, b = xs / ns, ys / ns
+    w = 2.0 * a * b.conj()
+    return np.stack([w.real, w.imag, np.abs(a) ** 2 - np.abs(b) ** 2])
+
+
+@dataclass(frozen=True, eq=False)
+class SphereSample:
+    """Sphere points as arrays built once by sphere_sample: labels holds the
+    ProjPoints, xs, ys, ns their sphere_coords, u their (3, n) hopf_units."""
+
+    labels: tuple
+    xs: np.ndarray
+    ys: np.ndarray
+    ns: np.ndarray
+    u: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+
+def sphere_sample(points: Sequence) -> SphereSample:
+    """The SphereSample of ProjPoints or (x, y) pairs, nonempty and finite."""
+    labels = tuple(p if isinstance(p, ProjPoint) else ProjPoint(*p) for p in points)
+    if not labels:
+        raise InputError("need at least one point")
+    xs, ys, ns = sphere_coords(labels)
+    if not np.all(np.isfinite(ns)):
+        raise InputError("sphere point coordinates must be finite")
+    return SphereSample(labels, xs, ys, ns, hopf_units(xs, ys, ns))
 
 
 def fibonacci_sphere_points(n: int) -> list[ProjPoint]:
@@ -227,26 +274,37 @@ def _require_scale(name: str, value: float) -> None:
         raise InputError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Net:
     """A gamma-net: every base point lies strictly within radius of the net.
 
-    points are the payloads of the chosen net points; indices locates them
-    inside a finite base when one is attached.  Construction verifies the
-    strict covering property whenever the base is finite (a FiniteMetricSpace
-    or an explicit sphere sample); for the continuous sphere the guarantee
-    comes from the construction and is spot-checked against dense samples.
+    On a finite base (a FiniteMetricSpace or a SphereSample) a net is its
+    indices, distinct, in [0, n) and at least one (else InputError); its
+    points are base.labels there, and construction verifies the strict
+    covering property.  A net of the continuous sphere has points and no
+    base, and its construction guarantees the cover.
     """
 
-    points: tuple
     radius: float
     indices: tuple | None = None
-    base: object = None
+    base: FiniteMetricSpace | SphereSample | None = None
+    points: tuple | None = None
 
     def __post_init__(self):
         _require_scale("net radius", self.radius)
+        if self.base is None:
+            if self.points is None or self.indices is not None:
+                raise InputError("a net without a base needs points and no indices")
+            return
+        if not isinstance(self.base, (FiniteMetricSpace, SphereSample)):
+            raise InputError(f"a net's base cannot be a {type(self.base).__name__}")
+        if self.points is not None:
+            raise InputError("a net on a finite base takes indices, not points")
+        indices = _net_indices(self.indices, self.base.n)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "points", tuple(self.base.labels[i] for i in indices))
         cov = self.covering_distance()
-        if cov is not None and cov >= self.radius:
+        if cov >= self.radius:
             raise VerificationError(
                 f"not a net: covering distance {cov} >= radius {self.radius}"
             )
@@ -256,85 +314,79 @@ class Net:
         return len(self.points)
 
     def covering_distance(self):
-        """Exact d_H(points, base) for finite bases, else None.
-
-        Since the net points belong to the base, this is the directed
-        distance from the base to the net.  On a sphere sample each net point
-        lowers fresh nearest distances through _lower_screened.  That is sound
-        whatever the margin: a skipped pair can only leave a nearest distance
-        too large, so a wrong screen could reject a valid net, never accept
-        an invalid one.
+        """Exact d_H(points, base) on a finite base, else None: the directed
+        distance from the base to the net, whose points belong to it.  On a
+        sphere sample each net point lowers fresh nearest distances through
+        _lower_screened, which is sound whatever the margin: a skipped pair
+        can only leave a distance too large, so a wrong screen could reject a
+        valid net, never accept an invalid one.
         """
-        if self.indices is None:
+        if self.base is None:
             return None
         if isinstance(self.base, FiniteMetricSpace):
             sub = self.base.dist[:, list(self.indices)]
             return float(sub.min(axis=1).max())
-        if isinstance(self.base, (tuple, list)) and self.base:
-            base = _sphere_screen(self.base)
-            near = np.full(len(self.base), math.inf)
-            cosm = np.full(len(self.base), -math.inf)
-            xs, ys, ns, u = _sphere_screen(self.points)
-            for centre in zip(xs, ys, ns, u.T):
-                _lower_screened(near, cosm, base, centre, base_first=True)
-            return float(near.max())
-        return None
+        near = np.full(self.base.n, math.inf)
+        cosm = np.full(self.base.n, -math.inf)
+        for j in self.indices:
+            _lower_screened(near, cosm, self.base, j, base_first=True)
+        return float(near.max())
 
 
-def _sphere_screen(points: Sequence[ProjPoint]):
-    """sphere_coords plus the Hopf images (2 x conj(y), |x|^2 - |y|^2) / norm^2
-    in R^3, the columns U of a (3, n) array: U[:, i] @ U[:, j] is the cosine
-    of the sphere distance."""
-    xs, ys, ns = sphere_coords(points)
-    if not np.all(np.isfinite(ns)):
-        raise InputError("sphere point coordinates must be finite")
-    a, b = xs / ns, ys / ns
-    w = 2.0 * a * b.conj()
-    return xs, ys, ns, np.stack([w.real, w.imag, np.abs(a) ** 2 - np.abs(b) ** 2])
+def _net_indices(indices, n: int) -> tuple:
+    """indices as distinct ints in [0, n), at least one, else InputError."""
+    try:
+        ks = tuple(operator.index(i) for i in indices)
+    except TypeError:
+        raise InputError(f"net indices {indices!r} are not integers (n = {n})") from None
+    if not ks:
+        raise InputError(f"a net needs at least one index into its n = {n} points")
+    seen = set()
+    for k in ks:
+        if not 0 <= k < n or k in seen:
+            what = "repeats" if k in seen else "is outside [0, n)"
+            raise InputError(f"net index {k} {what} for n = {n}")
+        seen.add(k)
+    return ks
 
 
-def _lower_screened(mind, cosm, base, centre, base_first: bool) -> None:
-    """Lower mind in place to the sphere distances from centre, an (x, y,
-    norm, U) entry of _sphere_screen arrays, measuring only the base points
-    whose screen g = U @ U_centre exceeds cosm = cos(mind) - SCREEN_MARGIN
-    (-inf while mind is inf), which it keeps in step.  sphere_distances takes
-    the base first when base_first: complex products round by operand order.
+def _lower_screened(mind, cosm, base: SphereSample, j: int, base_first: bool) -> None:
+    """Lower mind in place to the sphere distances from row j of base,
+    measuring only the rows whose screen g = U @ U_j exceeds cosm =
+    cos(mind) - SCREEN_MARGIN (-inf while mind is inf), which it keeps in
+    step.  sphere_distances takes the base first when base_first: complex
+    products round by operand order.
 
-    Margin (u = 2^-53; coordinate norms within 2^+-500, so nothing over- or
-    underflows: beyond that the formula itself errs, and only the covering
-    check's soundness holds).  Let theta be the exact angle.  U errs by 4u
-    per component, so |g - cos theta| <= 32u.  The sine ratio s errs by 16u
-    absolutely, cancellation included: each complex product errs by at most
-    3u |x||y| <= 3u norm_a norm_b, and norms, product and quotient add 6u
-    relative.  cos(2 arcsin s) = 1 - 2 s^2 moves 4 per unit of s and d =
-    2 arcsin s rounds within 2 pi u, so |cos d - cos theta| <= 71u near 0
-    and near pi alike (the arcsin form is ill-conditioned in d, not in
-    cos d).  If d < m, both in [0, pi], then cos d > cos m, so g > cos m -
-    103u; numpy's cos errs by 4u, so g > fl(cos m) - 107u >= cosm +
-    SCREEN_MARGIN - 108u > cosm.
-    Every point whose minimum moves passes, with a factor of about 10^5 to
-    spare, so the minima are those of the full row bit for bit.
+    Margin (u = 2^-53; norms within 2^+-500, beyond which the formula itself
+    errs and only the covering check's soundness holds).  hopf_units bounds
+    |g - cos theta| by 67u, theta the exact angle.  The sine ratio s errs by
+    20u absolutely: the two complex products by 3u norm_a norm_b, their
+    difference and its abs by 1.5u and 3u, and the norms (5u each), their
+    product and the quotient by 12u relative.  cos(2 arcsin s) = 1 - 2 s^2
+    moves 4 per unit of s and d = 2 arcsin s rounds within 2 pi u, so
+    |cos d - cos theta| <= 87u near 0 and near pi alike.  If d < m, both in
+    [0, pi], then cos d > cos m, so g > cos m - 154u > cosm + SCREEN_MARGIN -
+    160u (numpy's cos errs by 4u, the subtraction by 2u).  Every point whose
+    minimum moves passes, with a factor of over 50,000 to spare, so the
+    minima are those of the full row bit for bit.
     """
-    xs, ys, ns, u = base
-    x, y, norm, uc = centre
-    (idx,) = (uc @ u > cosm).nonzero()
+    xs, ys, ns = base.xs, base.ys, base.ns
+    (idx,) = (base.u[:, j] @ base.u > cosm).nonzero()
     if base_first:
-        d = sphere_distances(xs[idx], ys[idx], ns[idx], x, y, norm)
+        d = sphere_distances(xs[idx], ys[idx], ns[idx], xs[j], ys[j], ns[j])
     else:
-        d = sphere_distances(x, y, norm, xs[idx], ys[idx], ns[idx])
+        d = sphere_distances(xs[j], ys[j], ns[j], xs[idx], ys[idx], ns[idx])
     low = np.minimum(mind[idx], d)
     mind[idx] = low
     cosm[idx] = np.cos(low) - SCREEN_MARGIN
 
 
-def _sphere_lowering(points: list[ProjPoint]):
-    """farthest_first's lowering step on sphere points, through the screen."""
-    base = _sphere_screen(points)
-    cosm = np.full(len(points), -math.inf)
+def _sphere_lowering(base: SphereSample):
+    """farthest_first's lowering step on a sphere sample, through the screen."""
+    cosm = np.full(base.n, -math.inf)
 
     def lower(mind, j):
-        centre = (base[0][j], base[1][j], base[2][j], base[3][:, j])
-        _lower_screened(mind, cosm, base, centre, base_first=False)
+        _lower_screened(mind, cosm, base, j, base_first=False)
         cosm[j] = math.inf  # j leaves with mind[j] = -inf: it must never pass
 
     return lower
@@ -363,37 +415,23 @@ def farthest_first(lower: Callable[[np.ndarray, int], None], n: int, start: int)
 def greedy_net(space, gamma: float) -> Net:
     """Farthest-point net: the farthest_first prefix from index 0 down to gamma.
 
-    Accepts a FiniteMetricSpace or a finite sequence of sphere points.
-    Deterministic: ties go to the lowest index.  The result is always a
-    valid gamma-net of the given base; it need not be minimal.  On sphere
-    points a centre is measured only where _lower_screened's screen says a
-    minimum can move, with the unscreened traversal's indices and distances.
+    Accepts a FiniteMetricSpace or sphere points, which sphere_sample turns
+    into the net's base once.  Deterministic: ties go to the lowest index.
+    The result is always a valid gamma-net of the given base; it need not be
+    minimal.  On sphere points a centre is measured only where
+    _lower_screened's screen says a minimum can move, with the unscreened
+    traversal's indices and distances.
     """
     _require_scale("net radius gamma", gamma)
-    if isinstance(space, FiniteMetricSpace):
-        n = space.n
-        lower = space.lower
-        labels = space.labels
-        base = space
-    else:
-        pts = [p if isinstance(p, ProjPoint) else ProjPoint(*p) for p in space]
-        if not pts:
-            raise InputError("need at least one point")
-        n = len(pts)
-        lower = _sphere_lowering(pts)
-        labels = pts
-        base = tuple(pts)
+    finite = isinstance(space, FiniteMetricSpace)
+    base = space if finite else sphere_sample(space)
+    lower = space.lower if finite else _sphere_lowering(base)
     chosen = []
-    for j, d in farthest_first(lower, n, 0):
+    for j, d in farthest_first(lower, base.n, 0):
         if d < gamma:
             break
         chosen.append(j)
-    return Net(
-        points=tuple(labels[i] for i in chosen),
-        radius=gamma,
-        indices=tuple(chosen),
-        base=base,
-    )
+    return Net(radius=gamma, indices=tuple(chosen), base=base)
 
 
 def sphere_net(gamma: float) -> Net:
@@ -427,7 +465,7 @@ def sphere_net(gamma: float) -> Net:
                     ProjPoint(complex(r * math.cos(phi), r * math.sin(phi)), 1.0)
                 )
         points.append(ProjPoint.infinity())
-    return Net(points=tuple(points), radius=gamma)
+    return Net(radius=gamma, points=tuple(points))
 
 
 def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
@@ -440,23 +478,12 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
     n = space.n
     if n > EXACT_NU_CAP:
         raise ResourceCapError(f"{n} points exceeds the exact-net cap {EXACT_NU_CAP}")
-    masks = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if space.dist[i, j] < gamma:
-                m |= 1 << j
-        masks.append(m)
+    masks = ((space.dist < gamma) @ (1 << np.arange(n))).tolist()
     full = (1 << n) - 1
-    first_for = {}
-    for i, m in enumerate(masks):
-        if m not in first_for:
-            first_for[m] = i
+    first_for = {m: masks.index(m) for m in masks}
     max_cover = max(bin(m).count("1") for m in first_for)
     # the distinct balls covering each point, in index order
-    covers_of = [
-        [(m, i) for m, i in first_for.items() if m >> j & 1] for j in range(n)
-    ]
+    covers_of = [[(m, i) for m, i in first_for.items() if m >> j & 1] for j in range(n)]
 
     best = list(greedy_net(space, gamma).indices)
 
@@ -470,12 +497,7 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
         if len(chosen) + math.ceil(remaining / max_cover) >= len(best):
             return
         # branch on the uncovered point with the fewest candidate balls
-        options = None
-        for j in range(n):
-            if covered >> j & 1:
-                continue
-            if options is None or len(covers_of[j]) < len(options):
-                options = covers_of[j]
+        options = min((covers_of[j] for j in range(n) if not covered >> j & 1), key=len)
         options = sorted(options, key=lambda mi: -bin(mi[0] & ~covered).count("1"))
         for m, i in options:
             chosen.append(i)
@@ -483,13 +505,7 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
             chosen.pop()
 
     search(0, [])
-    idx = tuple(sorted(best))
-    return Net(
-        points=tuple(space.labels[i] for i in idx),
-        radius=gamma,
-        indices=idx,
-        base=space,
-    )
+    return Net(radius=gamma, indices=tuple(sorted(best)), base=space)
 
 
 def exact_nu(space: FiniteMetricSpace, gamma: float) -> int:
@@ -695,20 +711,3 @@ def mapspace_cover(
         net_z=net_b,
         net_w=net_c,
     )
-
-
-def sampled_local_lipschitz(pairs, eps: float, dom_metric, cod_metric) -> float:
-    """Largest distortion over sample pairs at domain distance in (0, eps].
-
-    A lower bound for the true local Lipschitz constant: sampling can only
-    miss expanding pairs, never invent them.  Pairs are (q1, q2, x1, x2)
-    with x_i the image of q_i.
-    """
-    if not eps > 0:  # NaN fails too; an infinite eps takes every pair
-        raise InputError(f"eps must be positive, got {eps}")
-    worst = 0.0
-    for q1, q2, x1, x2 in pairs:
-        d = dom_metric(q1, q2)
-        if 0.0 < d <= eps:
-            worst = max(worst, cod_metric(x1, x2) / d)
-    return worst

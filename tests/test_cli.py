@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, and the end-to-end pipeline."""
 
 import contextlib
+import hashlib
 import io
 import json
 import itertools
@@ -92,17 +93,44 @@ def test_net_sphere():
     assert len(data["points"]) == 19
 
 
+THREE_POINTS = {"n": 3, "dist": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
+
+
 def test_net_from_space_file(tmp_path):
-    space = {
-        "n": 3,
-        "dist": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
-    }
     code, data = invoke_json(
-        ["net", "--space", write(tmp_path, "space.json", space), "--gamma", "1.5"]
+        ["net", "--space", write(tmp_path, "space.json", THREE_POINTS), "--gamma", "1.5"]
     )
     assert code == 0
     assert data["size"] == len(data["indices"])
     assert all(0 <= i < 3 for i in data["indices"])
+
+
+# sha256 of `bubbletree net` stdout, recorded while nets still stored their
+# points beside their indices: how a net is held must not change its bytes
+NET_STDOUT_DIGESTS = {
+    "2.0": "6f1e07f2909d34600e269a252902fd4de4486d8f78ddbecb64c2013df79fea35",
+    "1.0": "c324a4605baad484a8afe81f2c03780d112fc1a5e7ed596a92ac9690649a96d6",
+    "0.2": "1a07174c0bab72251493c85a9aac692fb4c7cac255dbc37e2452c5e04f47d7d7",
+    "0.05": "83694ef6a47af992db07a4ed690c5ddda03eb0668d56cbd50eb175d696364ee2",
+    "0.03": "97030101ac067c5e3ed3e3b843dba33efdfa31b56b8bafd7401d519b52105fc6",
+    "space.json": "fcb031052c3ddb40f4447928ee8007389b87ae9cc77b5b3c642beef9dc7fa650",
+}
+
+
+@pytest.mark.parametrize("gamma", ["2.0", "1.0", "0.2", "0.05", "0.03"])
+def test_net_sphere_stdout_is_pinned(gamma):
+    code, out, _ = invoke(["net", "--space", "sphere", "--gamma", gamma])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NET_STDOUT_DIGESTS[gamma]
+
+
+def test_net_space_file_stdout_is_pinned(tmp_path, monkeypatch):
+    # stdout names the space file, so it is read by a relative path
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "space.json", THREE_POINTS)
+    code, out, _ = invoke(["net", "--space", "space.json", "--gamma", "1.5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NET_STDOUT_DIGESTS["space.json"]
 
 
 LINE = {"n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]]}

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,6 @@ from bubbletree.nets import (
     EXACT_NU_CAP,
     _lower_screened,
     _sphere_lowering,
-    _sphere_screen,
     FiberMap,
     FiniteMetricSpace,
     Net,
@@ -34,13 +34,15 @@ from bubbletree.nets import (
     graph_hausdorff,
     greedy_net,
     hausdorff_from_matrix,
+    hopf_units,
     mapspace_cover,
     mapspace_distance,
     minimal_net,
-    sampled_local_lipschitz,
     sphere_distance,
+    sphere_distances,
     sphere_net,
     sphere_pairwise,
+    sphere_sample,
 )
 
 # Frozen sizes of the latitude-band nets at the radii exercised below.
@@ -363,9 +365,161 @@ def test_union_bound_against_exact():
 def test_net_rejects_bad_cover():
     space = FiniteMetricSpace([[0.0, 5.0], [5.0, 0.0]])
     with pytest.raises(VerificationError):
-        Net(points=(0,), radius=1.0, indices=(0,), base=space)
+        Net(radius=1.0, indices=(0,), base=space)
     with pytest.raises(InputError):
-        Net(points=(0,), radius=-1.0, indices=(0,), base=space)
+        Net(radius=-1.0, indices=(0,), base=space)
+
+
+PAIR = FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(points=(5,), indices=(0,)), "takes indices, not points"),
+        (dict(indices=(-1,)), r"net index -1 is outside \[0, n\) for n = 2"),
+        (dict(indices=(0, 0)), "net index 0 repeats for n = 2"),
+        (dict(indices=()), "at least one index into its n = 2 points"),
+        (dict(indices=(1.0,)), r"net indices \(1.0,\) are not integers \(n = 2\)"),
+        (dict(indices=None), r"net indices None are not integers \(n = 2\)"),
+    ],
+    ids=["points-beside-indices", "negative", "repeated", "empty", "float", "none"],
+)
+def test_net_on_a_metric_space_rejects_bad_indices(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        Net(radius=2.0, base=PAIR, **kwargs)
+
+
+def test_net_on_a_sphere_sample_rejects_an_index_past_the_end():
+    base = sphere_sample(fibonacci_sphere_points(50))
+    with pytest.raises(InputError, match=r"net index 50 is outside \[0, n\) for n = 50"):
+        Net(radius=1.0, indices=(0, 50), base=base)
+
+
+def test_net_takes_points_only_without_a_base():
+    net = Net(radius=2.0, indices=[1, np.int64(0)], base=PAIR)
+    assert (net.indices, net.points) == ((1, 0), (1, 0))
+    with pytest.raises(InputError, match="a net's base cannot be a list"):
+        Net(radius=1.0, indices=(0,), base=list(fibonacci_sphere_points(3)))
+    with pytest.raises(InputError, match="needs points and no indices"):
+        Net(radius=1.0, indices=(0,), points=(ProjPoint(0.0, 1.0),))
+
+
+@st.composite
+def sphere_lists(draw):
+    """1-12 sphere points with exact ties: small integer and free coordinates
+    at scales from 2^-400 to 2^400, the poles 0 and infinity, copies of
+    earlier points rescaled by a complex factor, and their antipodes."""
+    part = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-2.0, 2.0).map(lambda v: v if abs(v) > 1e-6 else 0.0),
+    )
+    scale = st.sampled_from([2.0**-400, 1e-3, 1.0, 1e3, 2.0**400])
+    kinds = ("new", "zero", "infinity", "copy", "antipode")
+    pts = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12)):
+        if kind == "zero":
+            pts.append(ProjPoint(0.0, 1.0))
+        elif kind == "infinity":
+            pts.append(ProjPoint.infinity())
+        elif kind == "copy" and pts:
+            q, c = draw(st.sampled_from(pts)), draw(st.sampled_from([-1.0, 1j, 2.5 - 1j, 0.5]))
+            pts.append(ProjPoint(q.x * c, q.y * c))
+        elif kind == "antipode" and pts:
+            q = draw(st.sampled_from(pts))
+            pts.append(ProjPoint(-q.y.conjugate(), q.x.conjugate()))
+        else:
+            x, y = (complex(draw(part), draw(part)) for _ in range(2))
+            s = draw(scale)
+            pts.append(ProjPoint(x * s, y * s) if x or y else ProjPoint.infinity())
+    return pts
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_net_on_a_sphere_sample_matches_brute_force(data):
+    pts = data.draw(sphere_lists())
+    n = len(pts)
+    base = sphere_sample(pts)
+    index = st.one_of(st.integers(-2, n + 1), st.just(0.0))
+    idx = tuple(data.draw(st.lists(index, max_size=n + 1)))
+    rule = data.draw(st.sampled_from(["at", "above", "half", "free"]))
+    free = data.draw(st.floats(1e-3, 4.0))
+    valid = all(type(i) is int and 0 <= i < n for i in idx) and 0 < len(set(idx)) == len(idx)
+    if not valid:
+        with pytest.raises(InputError):
+            Net(radius=free, indices=idx, base=base)
+        return
+    # full base-first rows, called as the kernel calls sphere_distances:
+    # numpy's complex products round by call shape as well as operand order
+    xs, ys, ns = base.xs, base.ys, base.ns
+    rows = [sphere_distances(xs, ys, ns, xs[j], ys[j], ns[j]) for j in idx]
+    brute = float(np.min(rows, axis=0).max())
+    radius = {"at": brute, "above": math.nextafter(brute, math.inf),
+              "half": brute / 2.0, "free": free}[rule]
+    if radius <= 0.0:
+        radius = math.nextafter(0.0, math.inf)
+    if brute >= radius:
+        with pytest.raises(VerificationError):
+            Net(radius=radius, indices=idx, base=base)
+        return
+    net = Net(radius=radius, indices=idx, base=base)
+    assert net.points == tuple(pts[i] for i in idx)
+    assert net.covering_distance().hex() == brute.hex()
+
+
+def _hopf_exact(p):
+    x, y = mpmath.mpc(p.x), mpmath.mpc(p.y)
+    n2 = abs(x) ** 2 + abs(y) ** 2
+    w = 2 * x * mpmath.conj(y) / n2
+    return [w.real, w.imag, (abs(x) ** 2 - abs(y) ** 2) / n2]
+
+
+def test_hopf_units_stay_within_their_documented_bounds():
+    """hopf_units' docstring bounds a computed component by 16u (first two)
+    and 22u (third), a computed vector by 32u, and the screen's dot product
+    g by 67u of the exact cosine.  Against a 200-bit oracle on Gaussian
+    points, their norms scaled by 2^+-500, coordinates 2^+-250 apart in
+    size, the poles, rescaled copies and antipodes, with g over about
+    10,000 pairs, the worst seen is 4.7u, 4.4u, 5.4u, 5.8u and 9.4u; the
+    4u per component that an earlier margin proof claimed does not hold.
+    On broadcast (n, 2) arrays, as curves._near_pairs passes them, each
+    column gives the same bits."""
+    u = 2.0**-53
+    rng = random.Random(2002)
+    gauss = gaussian_sphere_points(rng, 900)
+    pts = gauss[:300]
+    pts += [ProjPoint(p.x * s, p.y * s)
+            for p in gauss[300:600] for s in [2.0 ** rng.choice((-500, 500))]]
+    pts += [ProjPoint(p.x * 2.0**250, p.y * 2.0**-250) for p in gauss[600:750]]
+    pts += [ProjPoint(p.x * 2.0**-250, p.y * 2.0**250) for p in gauss[750:]]
+    pts += [ProjPoint(0.0, 1.0), ProjPoint.infinity(), ProjPoint(0.0, 3.0 - 4j)]
+    pts += [ProjPoint(p.x * (2.5 - 1j), p.y * (2.5 - 1j)) for p in gauss[:50]]
+    pts += [ProjPoint(-p.y.conjugate(), p.x.conjugate()) for p in gauss[:50]]
+    mpmath.mp.prec = 200
+    try:
+        exact = [_hopf_exact(p) for p in pts]
+        base = sphere_sample(pts)
+        err = np.array(
+            [[float(abs(c - e)) for c, e in zip(col, ex)]
+             for col, ex in zip(base.u.T.tolist(), exact)]
+        )
+        worst_g = 0.0
+        for i in [0, 900, 901, 902, 300, 650] + rng.sample(range(len(pts)), 4):
+            g = (base.u[:, i] @ base.u).tolist()
+            for k in range(len(pts)):
+                cos = sum(a * b for a, b in zip(exact[i], exact[k]))
+                worst_g = max(worst_g, float(abs(g[k] - cos)))
+    finally:
+        mpmath.mp.prec = 53
+    assert np.all(err.max(axis=0) <= np.array([16, 16, 22]) * u)
+    assert np.sqrt((err**2).sum(axis=1)).max() <= 32 * u
+    assert worst_g <= 67 * u
+    cols = [np.stack([a, a[::-1]], axis=1) for a in (base.xs, base.ys, base.ns)]
+    wide = hopf_units(*cols)
+    assert wide.shape == (3, len(pts), 2)
+    assert wide[:, :, 0].tobytes() == base.u.tobytes()
+    assert wide[:, ::-1, 1].tobytes() == base.u.tobytes()
 
 
 @pytest.mark.parametrize("n, gamma", [(300, 0.5), (1000, 0.2), (2000, 0.1)])
@@ -396,7 +550,7 @@ def test_screened_greedy_net_keeps_operand_orders():
         pts = gaussian_sphere_points(rng, 200)
         for gamma in (1.0, 0.3):
             order, _, cov = greedy_net_reference(pts, gamma)
-            steps = farthest_first(_sphere_lowering(pts), len(pts), 0)
+            steps = farthest_first(_sphere_lowering(sphere_sample(pts)), len(pts), 0)
             assert list(itertools.islice(steps, len(order))) == list(order)
             assert greedy_net(pts, gamma).covering_distance().hex() == cov.hex()
 
@@ -405,13 +559,12 @@ def test_screened_greedy_net_keeps_operand_orders():
 def test_screened_lowering_matches_full_rows(base_first):
     rng = random.Random(1985)
     pts = gaussian_sphere_points(rng, 400)
-    base = _sphere_screen(pts)
+    base = sphere_sample(pts)
     mind = np.full(len(pts), math.inf)
     cosm = np.full(len(pts), -math.inf)
     want = mind.copy()
     for k in rng.sample(range(len(pts)), 120):
-        centre = (base[0][k], base[1][k], base[2][k], base[3][:, k])
-        _lower_screened(mind, cosm, base, centre, base_first)
+        _lower_screened(mind, cosm, base, k, base_first)
         if base_first:
             row = sphere_pairwise(pts, [pts[k]])[:, 0]
         else:
@@ -431,12 +584,12 @@ def test_screened_covering_check_is_strict():
     # caps strictly within pi/4 of a pole, and one equator point whose
     # computed distance to both poles is the same double r (about pi/2)
     caps = [p for p in fibonacci_sphere_points(400) if abs(p.x) < 0.4 or abs(p.x) > 2.5]
-    base = poles + tuple(caps) + (ProjPoint(1.0, 1.0),)
-    r, r_inf = sphere_pairwise(base[-1:], poles)[0]
+    base = sphere_sample(poles + tuple(caps) + (ProjPoint(1.0, 1.0),))
+    r, r_inf = sphere_pairwise(base.labels[-1:], poles)[0]
     assert r == r_inf
     with pytest.raises(VerificationError):
-        Net(points=poles, radius=r, indices=(0, 1), base=base)
-    net = Net(points=poles, radius=math.nextafter(r, math.inf), indices=(0, 1), base=base)
+        Net(radius=r, indices=(0, 1), base=base)
+    net = Net(radius=math.nextafter(r, math.inf), indices=(0, 1), base=base)
     assert net.covering_distance() == r
 
 
@@ -446,19 +599,15 @@ def test_screened_covering_check_misses_no_dropped_point():
     for k in (0, 1, net.size // 2, net.size - 1):
         keep = [i for i in range(net.size) if i != k]
         with pytest.raises(VerificationError):
-            Net(
-                points=tuple(net.points[i] for i in keep),
-                radius=0.2,
-                indices=tuple(net.indices[i] for i in keep),
-                base=pts,
-            )
+            Net(radius=0.2, indices=tuple(net.indices[i] for i in keep), base=net.base)
 
 
 def test_greedy_net_memory_stays_bounded():
-    """The covering check walks the net in column blocks: on 4000 Fibonacci
-    points at gamma 0.07 (1184 net points) the whole greedy_net peaked at
-    152.3 MB of traced allocations with the full (4000, 1184) complex
-    matrix, and must stay under a tenth of that."""
+    """The traversal and the covering check lower n minima one centre at a
+    time and never hold the (base, net) distance matrix: on 4000
+    Fibonacci points at gamma 0.07 (1184 net points) the whole greedy_net
+    peaked at 152.3 MB of traced allocations with the full (4000, 1184)
+    complex matrix, and must stay under a tenth of that."""
     pts = fibonacci_sphere_points(4000)
     tracemalloc.start()
     try:
@@ -541,36 +690,6 @@ def test_graph_hausdorff_matches_bruteforce_oracle():
         d = mapspace_distance(space_t, space_z, space_w, a_t, b_t)
         assert type(d) is float
         assert d == max(space_t.dist[a_t.t, b_t.t], got)
-
-
-def test_sampled_local_lipschitz():
-    flat = lambda a, b: abs(a - b)
-    const = [(0.0, 1.0, 5.0, 5.0), (1.0, 2.0, 5.0, 5.0)]
-    assert sampled_local_lipschitz(const, 10.0, flat, flat) == 0.0
-    iso = [(0.0, 1.0, 2.0, 3.0), (0.0, 0.5, 0.0, 0.5)]
-    assert sampled_local_lipschitz(iso, 10.0, flat, flat) == 1.0
-    rng = random.Random(67)
-    doubling = []
-    for _ in range(50):
-        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        doubling.append((a, b, 2 * a, 2 * b))
-    assert sampled_local_lipschitz(doubling, 10.0, flat, flat) == pytest.approx(
-        2.0, abs=1e-12
-    )
-    # pairs beyond eps are ignored
-    far = [(0.0, 5.0, 0.0, 50.0)]
-    assert sampled_local_lipschitz(far, 1.0, flat, flat) == 0.0
-    # an infinite eps takes every pair
-    assert sampled_local_lipschitz(far, math.inf, flat, flat) == 10.0
-
-
-@pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
-def test_sampled_local_lipschitz_rejects_a_bad_eps(eps):
-    # a NaN eps would skip every pair and report 0.0
-    pairs = [(0.0, 1.0, 0.0, 3.0)]
-    flat = lambda a, b: abs(a - b)
-    with pytest.raises(InputError, match=f"eps must be positive, got {eps}"):
-        sampled_local_lipschitz(pairs, eps, flat, flat)
 
 
 # ---------------------------------------------------------------------------
