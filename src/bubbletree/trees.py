@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ResourceCapError
 
 
@@ -112,6 +114,7 @@ class RootedTree(Tree):
         "e_plus",
         "depth",
         "order",
+        "_diverging",
     )
 
     def __init__(self, tree: Tree, root_edge: int):
@@ -164,6 +167,8 @@ class RootedTree(Tree):
         self.e_plus = e_plus
         self.depth = depth
         self.order = tuple(order)
+        # diverging_pairs, filled on first use
+        self._diverging = None
 
     def child_edges(self, v: int) -> tuple[int, ...]:
         """Edges with v as negative endpoint (the index set for disc data at v)."""
@@ -248,6 +253,29 @@ def positive_path(t: RootedTree, u: int, v: int) -> tuple[int, ...] | None:
         cur = nxt
         path.append(cur)
     return tuple(reversed(path))
+
+
+def diverging_pairs(t: RootedTree) -> np.ndarray:
+    """Rows (k, i, j) over index pairs i < j into coordinate_pairs() whose
+    pairs (v, e) and (v', e') hang below their nearest common ancestor u =
+    vertices[k] through different child edges (e itself when v = u).  Found
+    once per tree and kept on it, as one array of the smallest unsigned
+    type that holds the pair count, so that it stays small."""
+    if t._diverging is None:
+        coords, index = t.coordinate_pairs(), {v: k for k, v in enumerate(t.vertices)}
+        rows = []
+        for i, (v, e) in enumerate(coords):
+            for j in range(i + 1, len(coords)):
+                u = nearest_common_ancestor(t, v, coords[j][0])
+                if _edge_below(t, u, v, e) != _edge_below(t, u, *coords[j]):
+                    rows += (index[u], i, j)
+        t._diverging = np.array(rows, np.min_scalar_type(len(coords))).reshape(-1, 3)
+    return t._diverging
+
+
+def _edge_below(t: RootedTree, u: int, v: int, e: int) -> int:
+    """Edge through which the pair (v, e) hangs below u; e itself when v = u."""
+    return e if v == u else t.parent_edge[positive_path(t, u, v)[1]]
 
 
 def path_edges(t: RootedTree, path: Sequence[int]) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from bubbletree import bubbles, curves, jsonio, pipeline
 from bubbletree.bubbles import associate_tree
 from bubbletree.curves import (
     CompactnessParams,
+    FiberBatch,
     FiberPoint,
     ModuliPoint,
     Region,
@@ -39,6 +40,7 @@ from bubbletree.curves import (
     neck_chart_values,
     neck_param,
     neck_path,
+    position_gaps,
     round_flat_area_ratio,
     region_contains,
     region_distance,
@@ -48,7 +50,7 @@ from bubbletree.curves import (
 )
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiniteMetricSpace, ProjPoint, sphere_distance
-from bubbletree.trees import Marking
+from bubbletree.trees import Marking, diverging_pairs, enumerate_stable_rooted
 
 from helpers import (
     anchor_points_reference,
@@ -174,13 +176,29 @@ def test_discriminant_chain_hand_formula():
     assert abs(fiber_discriminant(p) - expected) < 1e-12 * abs(expected)
 
 
-@pytest.mark.parametrize("depth", [4, 6, 8, 10])
+@pytest.mark.parametrize("depth", [4, 6, 8, 10, 12, 14, 16])
 def test_discriminant_bits_match_uncached_loop(depth):
     rng = random.Random(depth)
     tree = chain_tree(depth)
     c = default_params(tree)
     for _ in range(3):
         p = random_member(tree, c, rng)
+        got, want = fiber_discriminant(p), fiber_discriminant_reference(p)
+        assert struct.pack("<dd", got.real, got.imag) == struct.pack(
+            "<dd", want.real, want.imag
+        )
+
+
+def test_discriminant_bits_on_branching_trees():
+    rng = random.Random(6)
+    for tree in enumerate_stable_rooted(6):
+        pairs = diverging_pairs(tree)
+        assert diverging_pairs(tree) is pairs
+        c = default_params(tree)
+        p = random_member(tree, c, rng)
+        coords = tree.coordinate_pairs()
+        want = [(tree.vertices[k], coords[i], coords[j]) for k, i, j in pairs.tolist()]
+        assert [(u, a, b) for u, a, b, _ in position_gaps(p)] == want
         got, want = fiber_discriminant(p), fiber_discriminant_reference(p)
         assert struct.pack("<dd", got.real, got.imag) == struct.pack(
             "<dd", want.real, want.imag
@@ -730,6 +748,130 @@ def test_check_map_membership_matches_reference(budget, rejects):
         assert got == ieee_rejections(rejections)
         if rejects is not None:
             assert bool(rejections) is rejects
+
+
+def region_sample_cases():
+    """(p, c, samples) on chain members of depths 4 to 64: points in the
+    root chart and across necks, the root section [1:0], which is infinity
+    in every chart, and on boundary circles: chart values at a circle's
+    radius from its center, at the slack's edges and an ulp or two either
+    side of each."""
+    rng = random.Random(64)
+    out = []
+    for depth in (4, 8, 16, 32, 64):
+        tree = chain_tree(depth)
+        c = default_params(tree)
+        p = random_member(tree, c, rng)
+        circles = decomposition(p, c).circles
+        roots = [cmath.rect(math.sqrt(rng.random()), rng.uniform(0, 7)) for _ in range(8)]
+        samples = [fiber_from_root(p, ProjPoint(z, 1.0)) for z in roots]
+        samples.append(section(p, tree.root_edge))
+        for e in rng.sample(tree.full_edges, 3):
+            big_r = -0.5 * math.log(abs(p.gamma_of(e)))
+            samples.append(neck_param(p, e, rng.uniform(-big_r, big_r), 1.0))
+        for v, e in rng.sample(sorted(circles), 4) + [(tree.root_vertex, tree.root_edge)]:
+            center, radius = circles[(v, e)]
+            for w in slack_edges(radius):
+                rim = ProjPoint(complex(center.real + w, center.imag), 1.0)
+                samples.append(curves._fiber_through(p, v, rim))
+        out.append((p, c, samples))
+    return out
+
+
+def test_region_matrix_matches_scalar_elementwise():
+    on_circle = far = 0
+    for p, c, samples in check_path_cases() + region_sample_cases():
+        dec = decomposition(p, c)
+        grid = dec.region_matrix(FiberBatch.of(p.tree, samples))
+        assert grid.dtype == bool and grid.shape == (len(samples), len(dec.regions))
+        assert dec.region_matrix(FiberBatch.of(p.tree, [])).shape == (0, len(dec.regions))
+        # [1:0] in every chart: unmasked, inf <= r + EQ_SLACK * inf reads as inside
+        root_end = (Region("end", edge=p.tree.root_edge),)
+        assert dec.classify(section(p, p.tree.root_edge)) == root_end
+        for q, row in zip(samples, grid.tolist()):
+            want = classify_reference(p, q)
+            assert dec.classify(q) == want
+            assert row == [r in want for r in dec.regions]
+            assert [region_contains(p, r, q) for r in dec.regions] == row
+            for (v, _), (center, radius) in dec.circles.items():
+                val = q.affine(v)
+                far += val is None
+                on_circle += val is not None and abs(val - center) == radius
+    assert on_circle >= 20 and far >= 100
+
+
+def kernel_pairs(rng, n):
+    """n ProjPoint pairs: random, near-equal, near-antipodal, scaled by
+    2^+-500 and exact copies or rescalings, poles and NaN among them."""
+    def gauss():
+        return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+
+    poles = [ProjPoint(1.0, 0.0), ProjPoint(0.0, 1.0), ProjPoint(math.nan, 1.0)]
+    out = []
+    for k in range(n):
+        a = ProjPoint(gauss(), gauss()) if k % 50 else rng.choice(poles)
+        tiny = 1e-15 * gauss()
+        kind = k % 5
+        if kind == 0:
+            b = ProjPoint(gauss(), gauss())
+        elif kind == 1:
+            b = ProjPoint(a.x + tiny, a.y)
+        elif kind == 2:
+            b = ProjPoint(-a.y.conjugate() + tiny, a.x.conjugate())
+        elif kind == 3:
+            s, t = rng.choice((2.0**500, 2.0**-500)), rng.choice((2.0**500, 2.0**-500))
+            a, b = ProjPoint(s * a.x, s * a.y), ProjPoint(t * gauss(), t * gauss())
+        else:
+            s = rng.choice((1.0, 2.0**500, 2.0**-500, rng.uniform(0.1, 10.0)))
+            b = ProjPoint(s * a.x, s * a.y)
+        out.append((a, b))
+    return out
+
+
+def test_pair_distances_match_sphere_distance_bits():
+    pairs = kernel_pairs(random.Random(10_000), 12_000)
+    pts = [a for a, _ in pairs] + [b for _, b in pairs]
+    x = np.array([q.x for q in pts], dtype=complex)
+    y = np.array([q.y for q in pts], dtype=complex)
+    n = len(pairs)
+    got = curves._pair_distances(x, y, np.arange(n), n + np.arange(n)).tolist()
+    want = [sphere_distance(a, b) for a, b in pairs]
+    assert [struct.pack("<d", d) for d in got] == [struct.pack("<d", d) for d in want]
+    assert min(want) == 0.0 and max(want) == math.pi
+    # a NaN sine ratio is clamped to 1, as min(1.0, nan) is
+    assert want.count(math.pi) > 1 and not any(map(math.isnan, want))
+
+
+@pytest.mark.parametrize("depth", [4, 8, 12, 16])
+def test_check_map_membership_bits_on_chains(depth):
+    rng = random.Random(depth)
+    tree = chain_tree(depth)
+    c = default_params(tree)
+    p = random_member(tree, c, rng)
+    roots = [cmath.rect(math.sqrt(rng.random()), rng.uniform(0, 7)) for _ in range(16)]
+    samples = [fiber_from_root(p, ProjPoint(z, 1.0)) for z in roots]
+    for e in tree.full_edges:
+        big_r = -0.5 * math.log(abs(p.gamma_of(e)))
+        samples.append(neck_param(p, e, rng.uniform(-big_r, big_r), rng.uniform(0, 7)))
+    # the root end holds only [1:0]; repeated points, as the same object
+    # and as a copy built again, sit at distance 0 and are skipped
+    samples.append(section(p, tree.root_edge))
+    samples += samples[:3] + [fiber_from_root(p, ProjPoint(roots[3], 1.0))]
+    root = tree.root_vertex
+    target = FiniteMetricSpace.from_sphere([q.at(root) for q in samples])
+    smap = SampledMap(target, tuple((q, i) for i, q in enumerate(samples)))
+    sizes = decomposition(p, c).region_matrix(FiberBatch.of(tree, samples)).sum(axis=0)
+    assert 1 in sizes and 0 in sizes
+    for budget in (10.0, 1.0, 0.5, 1e-3):
+        lam = region_budgets(p, c, budget)
+        verdict = check_map_membership(
+            p, c, smap, range(len(samples)), 1.0, lam, 2.0, Marking()
+        )
+        rejections, pairs = lipschitz_reference(p, smap, lam, 2.0)
+        assert verdict.lipschitz_pairs == pairs < sum(k * (k - 1) // 2 for k in sizes)
+        got = ieee_rejections(verdict.lipschitz_rejections)
+        assert got == ieee_rejections(rejections)
+    assert rejections
 
 
 def count_membership_checks(monkeypatch):
