@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .bubbles import _check_eps, association_params
 from .curves import CompactnessParams
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, require_scale
 from .trees import RootedTree
 
 DIGIT_CAP = 10**6
@@ -217,8 +217,7 @@ def membership_scales(
     (3 sqrt(C) lambda0), Lambda_v = (9 pi sqrt(C) / eps^2) / alpha_v and
     Lambda_e = M / eps^2."""
     lam = float(lam)
-    if not 0.0 < lam < math.inf:
-        raise InputError(f"lambda must be positive and finite, got {lam}")
+    require_scale("lambda", lam)
     if not tree.is_stable():
         raise InputError("map scales are defined for stable trees only")
     params = association_params(tree, eps)
@@ -250,8 +249,7 @@ def decoration_budget(
     lam = float(lam)
     if ell < 0 or area < 0.0:
         raise InputError("ell and area must be nonnegative")
-    if not 0.0 < lam < math.inf:
-        raise InputError(f"lambda must be positive and finite, got {lam:g}")
+    require_scale("lambda", lam)
     if c_abs < 9.0:
         raise InputError("c_abs must be at least 9")
     lam_sq = lam * lam
@@ -385,10 +383,7 @@ def curve_cover_count(
         raise InputError(f"mu must be at least 3, got {mu}")
     if mu > sys.float_info.max:
         raise InputError(f"mu = 10^{math.log10(mu):.1f} is past double range")
-    if not 0.0 < lam_sup < math.inf:
-        raise InputError(
-            f"the Lipschitz bound Lambda must be positive and finite, got {lam_sup}"
-        )
+    require_scale("the Lipschitz bound Lambda", lam_sup)
     if nu_k < 0:
         raise InputError("nu_K must be nonnegative")
     ln_cells = (mu - 1) * math.log(4.0 / (delta * delta))

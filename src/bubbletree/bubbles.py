@@ -35,7 +35,7 @@ from .curves import (
     chart_position,
     in_compact_subset,
 )
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, require_scale
 from .nets import FiniteMetricSpace, farthest_first
 from .trees import RootedTree, Tree
 
@@ -159,8 +159,7 @@ def threshold_radius(m: EnergyMeasure, w: complex, lam: float) -> float:
     function of the radius; it is 1-Lipschitz in w.
     """
     lam = float(lam)
-    if not 0.0 < lam < math.inf:
-        raise InputError(f"lambda must be positive and finite, got {lam}")
+    require_scale("lambda", lam)
     need = lam * lam
     w = complex(w)
     if m.total_mass < need:
@@ -222,8 +221,7 @@ def select_bubble_points(
     """
     eps = _check_eps(eps)
     lam = float(lam)
-    if not 0.0 < lam < math.inf:
-        raise InputError(f"lambda must be positive and finite, got {lam}")
+    require_scale("lambda", lam)
     cut = lam / (eps * eps)
     hot = sorted({z for z, g in profile.candidates if g >= cut}, key=_lex)
     for z in hot:

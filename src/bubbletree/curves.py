@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -944,8 +945,11 @@ def neck_param(p: ModuliPoint, e: int, s: float, t_angle: float) -> FiberPoint:
     if not 0.0 < mod < 1.0:
         raise InputError("need 0 < |gamma_e| < 1 for neck coordinates")
     big_r = -0.5 * math.log(mod)
-    if abs(s) > big_r * (1.0 + EQ_SLACK):
+    # written so that NaN fails it too
+    if not abs(s) <= big_r * (1.0 + EQ_SLACK):
         raise InputError(f"|s| = {abs(s)} exceeds the neck half-length {big_r}")
+    if not math.isfinite(t_angle):
+        raise InputError(f"the neck angle t must be finite, got {t_angle}")
     delta = math.sqrt(mod)
     phase = cmath.exp(0.5j * cmath.phase(g))
     z_u = delta * phase * cmath.exp(-(s + 1j * t_angle))
@@ -1088,10 +1092,11 @@ def annulus_path(
         raise InputError("delta must lie in [0, 1)")
     dsq = delta * delta
     for a, b in ((z, w), (z2, w2)):
-        # absolute (dsq < 1): a * b of unit-disc points rounds absolutely
-        if abs(a * b - dsq) > 1e-9 * max(1.0, dsq):
+        # absolute (dsq < 1): a * b of unit-disc points rounds absolutely;
+        # both tests are written so that NaN fails them
+        if not abs(a * b - dsq) <= 1e-9 * max(1.0, dsq):
             raise InputError(f"point ({a}, {b}) violates the fiber equation")
-        if abs(a) > 1.0 + EQ_SLACK or abs(b) > 1.0 + EQ_SLACK:
+        if not (abs(a) <= 1.0 + EQ_SLACK and abs(b) <= 1.0 + EQ_SLACK):
             raise InputError("fiber points must stay in the closed unit disc")
 
     def anchored(path, first, last):
@@ -1258,7 +1263,8 @@ def four_point_value(points: Sequence[ProjPoint]) -> ProjPoint:
 
 
 def _locate_component(sf: SplitFiber, p: ModuliPoint, q: FiberPoint) -> int:
-    """Which smooth component of the split fiber carries q.
+    """The head vertex of the smooth component of the split fiber that
+    carries q.
 
     Points on the parent side of a degenerate edge freeze to [1:0] on every
     vertex beyond it, so q sits beyond a node exactly when some coordinate
@@ -1266,20 +1272,17 @@ def _locate_component(sf: SplitFiber, p: ModuliPoint, q: FiberPoint) -> int:
     """
     t = p.tree
     far = ProjPoint(1.0, 0.0)
+    moved = [w for w in t.vertices if sphere_distance(q.at(w), far) > RESIDUAL_TOL]
     current = sf.component_of_vertex[t.root_vertex]
     while True:
-        moved = False
         for node in sf.nodes:
-            if node.parent_component != current:
-                continue
-            top = t.e_plus[node.edge]
-            beyond = [w for w in t.vertices if positive_path(t, top, w) is not None]
-            if any(sphere_distance(q.at(w), far) > RESIDUAL_TOL for w in beyond):
+            if node.parent_component == current and any(
+                positive_path(t, t.e_plus[node.edge], w) is not None for w in moved
+            ):
                 current = node.child_component
-                moved = True
                 break
-        if not moved:
-            return current
+        else:
+            return sf.components[current].piece.tree.root_vertex
 
 
 def stabilize_four_marked(
@@ -1297,78 +1300,53 @@ def stabilize_four_marked(
         raise InputError("need exactly four marked points")
     for q in marks:
         _require_on_fiber(p, q)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if _mark_distance(marks[i], marks[j]) <= RESIDUAL_TOL:
-                raise InputError(f"marked points {i} and {j} coincide")
+    for i, j in itertools.combinations(range(4), 2):
+        if _mark_distance(marks[i], marks[j]) <= RESIDUAL_TOL:
+            raise InputError(f"marked points {i} and {j} coincide")
 
+    t = p.tree
     sf = split_fiber(p)
-    where = [_locate_component(sf, p, q) for q in marks]
+    heads = [_locate_component(sf, p, q) for q in marks]
 
-    children: dict[int, list[FiberNode]] = {i: [] for i in range(len(sf.components))}
-    parent_node: dict[int, FiberNode] = {}
-    for node in sf.nodes:
-        children[node.parent_component].append(node)
-        parent_node[node.child_component] = node
+    def past(top: int) -> set[int]:
+        # the marks on the component headed by vertex top or on one below it
+        return {i for i in range(4) if positive_path(t, top, heads[i]) is not None}
 
-    def subtree_marks(comp: int) -> set[int]:
-        out = {i for i, c in enumerate(where) if c == comp}
-        for node in children[comp]:
-            out |= subtree_marks(node.child_component)
-        return out
-
-    # walk toward the component with at least three marks on one side
-    current = sf.component_of_vertex[p.tree.root_vertex]
+    # descend while some child component has at least three marks past it;
+    # the root's subtree holds all four, so no side above ever holds three
+    current = sf.component_of_vertex[t.root_vertex]
     while True:
-        advanced = False
-        for node in children[current]:
-            if len(subtree_marks(node.child_component)) >= 3:
+        for node in sf.nodes:
+            if node.parent_component == current and len(past(t.e_plus[node.edge])) >= 3:
                 current = node.child_component
-                advanced = True
                 break
-        if advanced:
-            continue
-        own_and_below = subtree_marks(current)
-        if len(own_and_below) <= 1 and current in parent_node:
-            current = parent_node[current].parent_component
-            continue
-        break
+        else:
+            break
 
     root_vertex = sf.components[current].piece.tree.root_vertex
-
-    sides: list[tuple[set[int], ProjPoint]] = []
-    for node in children[current]:
-        far_marks = subtree_marks(node.child_component)
-        if far_marks:
-            sides.append((far_marks, node.parent_point.at(root_vertex)))
-    if current in parent_node:
-        above = set(range(4)) - subtree_marks(current)
-        if above:
-            sides.append((above, ProjPoint(1.0, 0.0)))
+    sides = [
+        (past(t.e_plus[node.edge]), node.parent_point.at(root_vertex))
+        for node in sf.nodes
+        if node.parent_component == current
+    ]
+    # the side above, empty at the root component
+    sides.append((set(range(4)) - past(root_vertex), ProjPoint(1.0, 0.0)))
 
     for far_marks, _ in sides:
         if len(far_marks) >= 3:
             raise VerificationError("no stable component isolates the marks")
         if len(far_marks) == 2:
             pair = far_marks if 3 in far_marks else set(range(4)) - far_marks
-            partner = (pair - {3}).pop()
-            return UNIT_TARGETS[partner]
+            return UNIT_TARGETS[(pair - {3}).pop()]
 
-    positions = []
-    for i, q in enumerate(marks):
-        if where[i] == current:
-            positions.append(q.at(root_vertex))
-        else:
-            for far_marks, anchor in sides:
-                if i in far_marks:
-                    positions.append(anchor)
-                    break
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if sphere_distance(positions[i], positions[j]) <= RESIDUAL_TOL:
-                raise VerificationError(
-                    f"marks {i} and {j} collide after contraction"
-                )
+    positions = [
+        q.at(root_vertex) if heads[i] == root_vertex
+        else next(anchor for far_marks, anchor in sides if i in far_marks)
+        for i, q in enumerate(marks)
+    ]
+    for i, j in itertools.combinations(range(4), 2):
+        if sphere_distance(positions[i], positions[j]) <= RESIDUAL_TOL:
+            raise VerificationError(f"marks {i} and {j} collide after contraction")
     return four_point_value(positions)
 
 

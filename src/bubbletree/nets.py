@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError, VerificationError
+from .errors import InputError, ResourceCapError, VerificationError, require_scale
 
 # set-cover search is exponential in the worst case; refuse big instances
 EXACT_NU_CAP = 25
@@ -268,12 +268,6 @@ def hausdorff_from_matrix(d: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _require_scale(name: str, value: float) -> None:
-    # written so that NaN and inf fail it too
-    if not 0.0 < value < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass(frozen=True, eq=False, kw_only=True)
 class Net:
     """A gamma-net: every base point lies strictly within radius of the net.
@@ -291,7 +285,7 @@ class Net:
     points: tuple | None = None
 
     def __post_init__(self):
-        _require_scale("net radius", self.radius)
+        require_scale("net radius", self.radius)
         if self.base is None:
             if self.points is None or self.indices is not None:
                 raise InputError("a net without a base needs points and no indices")
@@ -422,7 +416,7 @@ def greedy_net(space, gamma: float) -> Net:
     _lower_screened's screen says a minimum can move, with the unscreened
     traversal's indices and distances.
     """
-    _require_scale("net radius gamma", gamma)
+    require_scale("net radius gamma", gamma)
     finite = isinstance(space, FiniteMetricSpace)
     base = space if finite else sphere_sample(space)
     lower = space.lower if finite else _sphere_lowering(base)
@@ -447,7 +441,7 @@ def sphere_net(gamma: float) -> Net:
     the radii this package exercises, though not under the sharper cap
     bound 2 / (1 - cos(gamma / 2)).
     """
-    _require_scale("net radius gamma", gamma)
+    require_scale("net radius gamma", gamma)
     if gamma > math.pi:
         points = [ProjPoint(0.0, 1.0)]
     elif gamma > math.pi / 2.0:
@@ -474,7 +468,7 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
     Branch-and-bound over the set cover by open gamma-balls, seeded with the
     greedy net as an upper bound.  Refuses spaces above EXACT_NU_CAP points.
     """
-    _require_scale("net radius gamma", gamma)
+    require_scale("net radius gamma", gamma)
     n = space.n
     if n > EXACT_NU_CAP:
         raise ResourceCapError(f"{n} points exceeds the exact-net cap {EXACT_NU_CAP}")
@@ -624,7 +618,7 @@ def mapspace_cover(
         raise InputError(
             f"Lipschitz constant lambda must be at least 1 and finite, got {lam}"
         )
-    _require_scale("delta", delta)
+    require_scale("delta", delta)
     members = list(family)
     for k, m in enumerate(members):
         if not 0 <= m.t < space_t.n:
@@ -650,7 +644,8 @@ def mapspace_cover(
         )
 
     a_idx, b_idx, c_idx = net_a.indices, net_b.indices, net_c.indices
-    count_bound = len(a_idx) * (1 + len(c_idx)) ** len(b_idx)
+    from .bounds import mapspace_count  # bounds imports bubbles, which imports nets
+    count_bound = mapspace_count(len(a_idx), len(c_idx), len(b_idx)).exact
 
     cells: dict = {}
     budget = MAPSPACE_CELL_CAP

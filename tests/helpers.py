@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+from typing import Sequence
 
 import numpy as np
 
@@ -15,9 +16,11 @@ from bubbletree.curves import (
     UNIT_TARGETS,
     AnnulusPath,
     CompactnessParams,
+    FiberPoint,
     MembershipReport,
     ModuliPoint,
     Region,
+    SplitFiber,
     _annulus_leg,
     _dual_leg,
     _fiber_through,
@@ -26,6 +29,8 @@ from bubbletree.curves import (
     _phi_component,
     _require_on_fiber,
     chart_position,
+    four_point_value,
+    split_fiber,
 )
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import (
@@ -580,6 +585,126 @@ def annulus_path_reference(delta, z, w, z2, w2):
         _polyline_length(path_w),
         case,
     )
+
+
+# ---------------------------------------------------------------------------
+# four marked points: the component search and walk that curves replaced
+# ---------------------------------------------------------------------------
+
+
+def _locate_component_reference(sf: SplitFiber, p: ModuliPoint, q: FiberPoint) -> int:
+    """Which smooth component of the split fiber carries q.
+
+    Points on the parent side of a degenerate edge freeze to [1:0] on every
+    vertex beyond it, so q sits beyond a node exactly when some coordinate
+    past that edge moves away from [1:0].
+    """
+    t = p.tree
+    far = ProjPoint(1.0, 0.0)
+    current = sf.component_of_vertex[t.root_vertex]
+    while True:
+        moved = False
+        for node in sf.nodes:
+            if node.parent_component != current:
+                continue
+            top = t.e_plus[node.edge]
+            beyond = [w for w in t.vertices if positive_path(t, top, w) is not None]
+            if any(sphere_distance(q.at(w), far) > RESIDUAL_TOL for w in beyond):
+                current = node.child_component
+                moved = True
+                break
+        if not moved:
+            return current
+
+
+def stabilize_four_marked_reference(
+    p: ModuliPoint, marks: Sequence[FiberPoint]
+) -> ProjPoint:
+    """Four-point invariant of a possibly nodal fiber with four marked points.
+
+    When all four marks end up on one component after contracting unstable
+    directions, returns the fourth point's position after pinning the first
+    three.  When the stable model splits the marks two against two, returns
+    the anchor of the partner sharing a component with the fourth mark: the
+    boundary value at which that pair collides.
+    """
+    if len(marks) != 4:
+        raise InputError("need exactly four marked points")
+    for q in marks:
+        _require_on_fiber(p, q)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if _mark_distance(marks[i], marks[j]) <= RESIDUAL_TOL:
+                raise InputError(f"marked points {i} and {j} coincide")
+
+    sf = split_fiber(p)
+    where = [_locate_component_reference(sf, p, q) for q in marks]
+
+    children: dict[int, list[FiberNode]] = {i: [] for i in range(len(sf.components))}
+    parent_node: dict[int, FiberNode] = {}
+    for node in sf.nodes:
+        children[node.parent_component].append(node)
+        parent_node[node.child_component] = node
+
+    def subtree_marks(comp: int) -> set[int]:
+        out = {i for i, c in enumerate(where) if c == comp}
+        for node in children[comp]:
+            out |= subtree_marks(node.child_component)
+        return out
+
+    # walk toward the component with at least three marks on one side
+    current = sf.component_of_vertex[p.tree.root_vertex]
+    while True:
+        advanced = False
+        for node in children[current]:
+            if len(subtree_marks(node.child_component)) >= 3:
+                current = node.child_component
+                advanced = True
+                break
+        if advanced:
+            continue
+        own_and_below = subtree_marks(current)
+        if len(own_and_below) <= 1 and current in parent_node:
+            current = parent_node[current].parent_component
+            continue
+        break
+
+    root_vertex = sf.components[current].piece.tree.root_vertex
+
+    sides: list[tuple[set[int], ProjPoint]] = []
+    for node in children[current]:
+        far_marks = subtree_marks(node.child_component)
+        if far_marks:
+            sides.append((far_marks, node.parent_point.at(root_vertex)))
+    if current in parent_node:
+        above = set(range(4)) - subtree_marks(current)
+        if above:
+            sides.append((above, ProjPoint(1.0, 0.0)))
+
+    for far_marks, _ in sides:
+        if len(far_marks) >= 3:
+            raise VerificationError("no stable component isolates the marks")
+        if len(far_marks) == 2:
+            pair = far_marks if 3 in far_marks else set(range(4)) - far_marks
+            partner = (pair - {3}).pop()
+            return UNIT_TARGETS[partner]
+
+    positions = []
+    for i, q in enumerate(marks):
+        if where[i] == current:
+            positions.append(q.at(root_vertex))
+        else:
+            for far_marks, anchor in sides:
+                if i in far_marks:
+                    positions.append(anchor)
+                    break
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if sphere_distance(positions[i], positions[j]) <= RESIDUAL_TOL:
+                raise VerificationError(
+                    f"marks {i} and {j} collide after contraction"
+                )
+    return four_point_value(positions)
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ class TestDecorationBudget:
             decoration_budget(-1, 1.0, 1.0)
         with pytest.raises(InputError):
             decoration_budget(0, -1.0, 1.0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"lambda must be positive and finite, got 0\.0$"):
             decoration_budget(0, 1.0, 0.0)
         with pytest.raises(InputError):
             decoration_budget(0, 1.0, 1.0, c_abs=5.0)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bubbletree import bubbles, curves, jsonio, pipeline
 from bubbletree.bubbles import associate_tree
 from bubbletree.curves import (
+    UNIT_TARGETS,
     CompactnessParams,
     FiberBatch,
     FiberPoint,
@@ -67,6 +68,7 @@ from helpers import (
     random_member,
     random_standard,
     slack_edges,
+    stabilize_four_marked_reference,
     star_tree,
 )
 
@@ -1039,6 +1041,19 @@ def test_neck_param_errors():
         neck_param(p0, 1, 0.0, 0.0)
 
 
+def test_neck_param_rejects_nan_s():
+    _, p = chain2_point(0.1, 0.05, 0.01)
+    with pytest.raises(InputError, match="exceeds"):
+        neck_param(p, 1, math.nan, 0.0)
+
+
+def test_neck_param_rejects_non_finite_angle():
+    _, p = chain2_point(0.1, 0.05, 0.01)
+    for angle in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InputError, match=f"finite, got {angle}"):
+            neck_param(p, 1, 0.0, angle)
+
+
 def test_neck_param_below_the_root_vertex():
     # edge 2 of the three-level chain joins vertices 2 and 3, so its parent
     # end is not the root and neck_param walks the coordinates up to it
@@ -1229,6 +1244,12 @@ def test_annulus_path_input_validation():
         annulus_path(0.9, 1.5, 0.54, 0.9, 0.9)
 
 
+def test_annulus_path_rejects_nan_point():
+    # a NaN endpoint used to pass both checks and fail in the arc sampler
+    with pytest.raises(InputError, match="fiber equation"):
+        annulus_path(0.5, complex(math.nan, 0.0), 0.5, 0.5, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # neck paths
 # ---------------------------------------------------------------------------
@@ -1359,6 +1380,91 @@ def test_stabilize_three_beyond_node_uses_child_component():
     )
     got = stabilize_four_marked(p, marks)
     assert sphere_distance(got, expected) < 1e-12
+
+
+def test_stabilize_descends_two_nodes_on_a_three_component_chain():
+    # both gluings of the three-level chain vanish: one mark sits on the
+    # middle component and three on the last, so the walk passes two nodes
+    t = chain_tree(3)
+    zr = {
+        (1, 1): (0.05, 0.01),
+        (1, 3): (0.09, 0.004),
+        (1, 4): (-0.09, 0.004),
+        (2, 2): (-0.05j, 0.01),
+        (2, 5): (0.09, 0.004),
+        (2, 6): (-0.09, 0.004),
+        (3, 7): (0.04, 0.004),
+        (3, 8): (-0.04, 0.004),
+    }
+    p = ModuliPoint(t, {1: 0.0, 2: 0.0}, zr)
+    assert len(split_fiber(p).components) == 3
+    extra = FiberPoint(
+        {1: ProjPoint(0.05, 1.0), 2: ProjPoint(-0.05j, 1.0), 3: ProjPoint(0.3, 1.0)}
+    )
+    marks = [section(p, 5), section(p, 7), section(p, 8), extra]
+    expected = four_point_value(
+        [INF, ProjPoint(0.04, 1.0), ProjPoint(-0.04, 1.0), ProjPoint(0.3, 1.0)]
+    )
+    got = stabilize_four_marked(p, marks)
+    assert sphere_distance(got, expected) < 1e-12
+    # with one mark each on the first two components the walk stops on the
+    # middle one, where the marks split two against two: the fourth mark
+    # collides with the third
+    marks[:2] = [section(p, 5), section(p, 3)]
+    assert stabilize_four_marked(p, marks) == UNIT_TARGETS[2]
+
+
+def _nodal_fiber(rng):
+    """A chain of depth 2-6 or an associated tree of 4-24 points, each full
+    edge made degenerate with probability 1/2."""
+    if rng.random() < 0.5:
+        tree = chain_tree(rng.randint(2, 6))
+        p = random_member(tree, default_params(tree), rng)
+    else:
+        p = associate_tree(random_standard(rng, EPS, rng.randint(4, 24)), EPS).point
+    gamma = {e: 0j if rng.random() < 0.5 else p.gamma_of(e) for e in p.tree.full_edges}
+    return ModuliPoint(p.tree, gamma, p.zr)
+
+
+def _proj_bits(a):
+    return struct.pack("<dddd", a.x.real, a.x.imag, a.y.real, a.y.imag)
+
+
+def _stabilize_outcome(stabilize, p, marks):
+    try:
+        return _proj_bits(stabilize(p, marks))
+    except (InputError, VerificationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_stabilize_matches_reference_on_seeded_nodal_fibers():
+    rng = random.Random(18)
+    seen = {}
+    for _ in range(2000):
+        p = _nodal_fiber(rng)
+        t = p.tree
+        marks = [
+            section(p, rng.choice(sorted(t.half_edges)))
+            if rng.random() < 0.5
+            else curves._fiber_through(
+                p,
+                rng.choice(sorted(t.vertices)),
+                ProjPoint(complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)), 1.0),
+            )
+            for _ in range(4)
+        ]
+        got = _stabilize_outcome(stabilize_four_marked, p, marks)
+        assert got == _stabilize_outcome(stabilize_four_marked_reference, p, marks)
+        if isinstance(got, bytes):
+            kind = "partner" if got in map(_proj_bits, UNIT_TARGETS) else "value"
+        else:
+            kind = got[0].__name__
+        components = min(len(split_fiber(p).components), 3)
+        seen[components, kind] = seen.get((components, kind), 0) + 1
+    # every outcome is reached with one, two and three or more components,
+    # except a two-two split, which needs a node
+    assert len(seen) == 11 and (1, "partner") not in seen, seen
+    assert min(seen.values()) >= 20, seen
 
 
 def test_stabilize_errors():

@@ -1,9 +1,38 @@
 """Checks on the package source itself."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bubbletree"
+
+# tokens that carry no code of their own
+_LAYOUT = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENDMARKER,
+}
+
+
+def code_lines(source: str) -> int:
+    """Number of lines holding code: blank lines, comment-only lines and the
+    lines of module, class and function docstrings do not count."""
+    doc_rows = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)
+        ):
+            doc_rows.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    rows = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in _LAYOUT or (tok.type == tokenize.STRING and tok.start[0] in doc_rows):
+            continue
+        rows.update(range(tok.start[0], tok.end[0] + 1))
+    return len(rows)
 
 
 def unused_parameters(tree: ast.AST) -> list[tuple[str, int, str]]:
@@ -72,6 +101,29 @@ def unread_locals(tree: ast.AST) -> list[tuple[str, int, str]]:
     return sorted(found, key=lambda f: (f[1], f[2]))
 
 
+def test_code_lines_skips_blanks_comments_and_docstrings():
+    sample = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = '''a string\n"
+        "that is code'''  # trailing comment\n"
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "    def f(self, a,\n"
+        "          b):\n"
+        '        """Function docstring."""\n'
+        "        # inside\n"
+        "        return (a +\n"
+        "\n"
+        "                b)\n"
+    )
+    # the two lines of X, class, the two lines of def, and return's two lines
+    assert code_lines(sample) == 7
+
+
 def test_unused_parameters_reports_only_unread_names():
     tree = ast.parse(
         "def f(self, a, b, *rest, c=1, **kw):\n"
@@ -122,3 +174,12 @@ def test_no_function_in_the_package_assigns_a_local_it_never_reads():
         for func, line, name in unread_locals(ast.parse(path.read_text("utf-8")))
     ]
     assert dead == []
+
+
+if __name__ == "__main__":
+    total = 0
+    for path in sorted(SRC.glob("*.py")):
+        count = code_lines(path.read_text("utf-8"))
+        total += count
+        print(f"{path.name:14} {count:5}")
+    print(f"{'total':14} {total:5}")
