@@ -83,13 +83,14 @@ def cmd_trees_enumerate(args) -> int:
 def cmd_net(args) -> int:
     if args.space == "sphere":
         net = sphere_net(args.gamma)
+        xs, ys = net.points.xs.tolist(), net.points.ys.tolist()
         payload = {
             "space": "sphere",
             "gamma": args.gamma,
             "size": net.size,
             "points": [
-                {"x": jsonio.complex_to_json(p.x), "y": jsonio.complex_to_json(p.y)}
-                for p in net.points
+                {"x": jsonio.complex_to_json(x), "y": jsonio.complex_to_json(y)}
+                for x, y in zip(xs, ys)
             ],
         }
     else:

@@ -158,6 +158,23 @@ def chart_position(p: ModuliPoint, u: int, v: int, e: int) -> complex:
     return total
 
 
+def chart_positions(p: ModuliPoint, u: int) -> dict[tuple[int, int], complex]:
+    """chart_position(p, u, v, e) for every pair (v, e) at or below u, from
+    one descent that carries each path's running sum and prefix product, so
+    the products and sums are those of the path walk, in its order."""
+    t = p.tree
+    out = {}
+    stack = [(u, 0.0 + 0.0j, 1.0 + 0.0j)]
+    while stack:
+        w, total, prefix = stack.pop()
+        for e in t.children[w]:
+            out[(w, e)] = here = total + prefix * p.z(w, e)
+            if t.e_plus[e] is not None:
+                step = p.gamma_of(e) * p.rho(w, e)
+                stack.append((t.e_plus[e], here, prefix * step))
+    return out
+
+
 def position_gaps(p: ModuliPoint):
     """Pairwise chart-position differences entering the discriminant.
 
@@ -166,14 +183,15 @@ def position_gaps(p: ModuliPoint):
     below u through one shared child edge are skipped: their difference
     carries that edge's gluing factor, so it vanishes on nodal fibers and
     says nothing about the gluing data being degenerate.  The pairs are the
-    tree's diverging_pairs, found once per tree.
+    tree's diverging_pairs, found once per tree, and the positions below
+    each u come from one chart_positions descent.
     """
     t = p.tree
     coords = t.coordinate_pairs()
-    position = functools.cache(functools.partial(chart_position, p))
+    below = functools.cache(functools.partial(chart_positions, p))
     for k, i, j in diverging_pairs(t).tolist():
         u, a, b = t.vertices[k], coords[i], coords[j]
-        yield u, a, b, position(u, *a) - position(u, *b)
+        yield u, a, b, below(u)[a] - below(u)[b]
 
 
 def fiber_discriminant(p: ModuliPoint) -> complex:
@@ -739,9 +757,15 @@ class ThickThinDecomposition:
 
         Interior points land in exactly one region; points on a boundary
         circle land in exactly the two regions meeting there.  Each chart
-        value of q and each distance to a disc center is computed once.
+        value of q is computed once.
+
+        A chart value outside the closed unit disc is read as infinity, so
+        no distance is computed at its vertex.  Every verdict there is the
+        one at infinity: the unit circle's by definition, and each child
+        disc's since |z| + r <= 3 theta <= 1/2 (checked by decomposition,
+        within EQ_SLACK) puts the value farther than 1/2 + r from z.
         """
-        val = {v: q.affine(v) for v in self.point.tree.vertices}
+        val = {v: _outside_unit_as_none(q.affine(v)) for v in self.point.tree.vertices}
         ok = [b for (v, _), c in self.circles.items() for b in _disc_verdicts(val[v], *c)]
         hit = ok.__getitem__
         return tuple(r for r, cols in zip(self.regions, self.table) if all(map(hit, cols)))
@@ -822,6 +846,12 @@ def _disc_verdicts(x: complex | None, center: complex, radius: float):
     d = abs(x - center)
     slack = EQ_SLACK * max(d, radius)
     return d <= radius + slack, radius <= d + slack
+
+
+def _outside_unit_as_none(x: complex | None) -> complex | None:
+    """None (infinity) if x lies outside the closed unit disc, that is where
+    _leq(|x|, 1) fails for a number, else x; NaN stays as it is."""
+    return None if x is None or abs(x) > 1.0 + EQ_SLACK * abs(x) else x
 
 
 def _region_terms(t: RootedTree, region: Region):

@@ -405,11 +405,56 @@ def gaussian_sphere_points(rng, n):
     ]
 
 
+def sphere_net_points_reference(gamma):
+    """The points of nets.sphere_net as its scalar loop built them, kept
+    verbatim (the radius check aside)."""
+    if gamma > math.pi:
+        points = [ProjPoint(0.0, 1.0)]
+    elif gamma > math.pi / 2.0:
+        points = [ProjPoint(0.0, 1.0), ProjPoint.infinity()]
+    else:
+        rows = math.ceil(math.pi / (0.9 * gamma))
+        points = [ProjPoint(0.0, 1.0)]
+        for j in range(1, rows):
+            theta = j * math.pi / rows
+            count = max(1, math.ceil(math.sin(theta) * math.pi / (0.5 * gamma)))
+            r = math.tan(theta / 2.0)
+            for k in range(count):
+                phi = 2.0 * math.pi * k / count
+                points.append(
+                    ProjPoint(complex(r * math.cos(phi), r * math.sin(phi)), 1.0)
+                )
+        points.append(ProjPoint.infinity())
+    return points
+
+
+def fibonacci_sphere_points_reference(n):
+    """nets.fibonacci_sphere_points as its scalar loop built them, kept
+    verbatim."""
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    points = []
+    for k in range(n):
+        height = 1.0 - 2.0 * (k + 0.5) / n
+        phi = 2.0 * math.pi * ((k / golden) % 1.0)
+        # affine radius tan(theta/2) for colatitude theta = arccos(height)
+        r = math.sqrt(max(0.0, 1.0 - height * height)) / (1.0 + height)
+        points.append(ProjPoint(complex(r * math.cos(phi), r * math.sin(phi)), 1.0))
+    return points
+
+
+def point_bits(points):
+    """float.hex of both parts of both coordinates of each ProjPoint."""
+    return [
+        tuple(c.hex() for z in (p.x, p.y) for c in (z.real, z.imag)) for p in points
+    ]
+
+
 def greedy_net_reference(points, gamma):
     """nets.greedy_net on sphere points as it was before the screen, kept
     verbatim: the traversal lowers its minima by full rows, one per centre,
     and the covering distance takes every (base, net) pair in column blocks
-    of 64, through the formula with np.clip.
+    of 64, through the formula with np.clip, with each net point's own entry
+    set to 0 after.
 
     Returns (order, points, covering distance), order holding the
     traversal's (index, distance) pairs of the net points.
@@ -447,6 +492,7 @@ def greedy_net_reference(points, gamma):
         cols = slice(j, j + 64)
         d = distances(ax, ay, an, bx[cols], by[cols], bn[cols])
         np.minimum(near, d.min(axis=1), out=near)
+    near[[i for i, _ in order]] = 0.0
     return tuple(order), tuple(net), float(near.max())
 
 

@@ -24,6 +24,7 @@ from bubbletree.curves import (
     anchor_points,
     apply_mobius,
     chart_position,
+    chart_positions,
     check_map_membership,
     classify,
     coordinate_count,
@@ -51,7 +52,7 @@ from bubbletree.curves import (
 )
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiniteMetricSpace, ProjPoint, sphere_distance
-from bubbletree.trees import Marking, diverging_pairs, enumerate_stable_rooted
+from bubbletree.trees import Marking, diverging_pairs, enumerate_stable_rooted, positive_path
 
 from helpers import (
     anchor_points_reference,
@@ -189,6 +190,34 @@ def test_discriminant_bits_match_uncached_loop(depth):
         assert struct.pack("<dd", got.real, got.imag) == struct.pack(
             "<dd", want.real, want.imag
         )
+
+
+@pytest.mark.parametrize("depth", [4, 8, 16, 32, 64])
+def test_chart_positions_equal_the_path_walk_by_bits(depth):
+    rng = random.Random(depth)
+    tree = chain_tree(depth)
+    p = random_member(tree, default_params(tree), rng)
+    # on a member each term of the sum is far below the one before, so only
+    # coordinates of modulus about 1 show the order of the prefix products
+    rough = ModuliPoint(
+        tree,
+        {e: cmath.rect(rng.uniform(0.5, 2), rng.uniform(0, 7)) for e in tree.full_edges},
+        {k: (complex(rng.gauss(0, 1), rng.gauss(0, 1)), cmath.rect(1, rng.uniform(0, 7)))
+         for k in tree.coordinate_pairs()},
+    )
+    bits = lambda z: struct.pack("<dd", z.real, z.imag)
+    for q in (p, rough):
+        for u in tree.vertices:
+            got = chart_positions(q, u)
+            want = {
+                (v, e): chart_position(q, u, v, e)
+                for v, e in tree.coordinate_pairs()
+                if positive_path(tree, u, v) is not None
+            }
+            assert got.keys() == want.keys()
+            assert all(bits(got[k]) == bits(want[k]) for k in want)
+    got, want = fiber_discriminant(p), fiber_discriminant_reference(p)
+    assert bits(got) == bits(want)
 
 
 def test_discriminant_bits_on_branching_trees():
@@ -800,6 +829,28 @@ def test_region_matrix_matches_scalar_elementwise():
                 far += val is None
                 on_circle += val is not None and abs(val - center) == radius
     assert on_circle >= 20 and far >= 100
+
+
+def test_classify_reads_a_value_outside_the_unit_disc_as_infinity():
+    # chart values around every vertex's unit circle (the slack's edges and
+    # ulps either side) and far outside it, on a chain with child discs
+    rng = random.Random(17)
+    tree = chain_tree(8)
+    c = default_params(tree)
+    p = random_member(tree, c, rng)
+    dec = decomposition(p, c)
+    kids = [v for v in tree.vertices if tree.child_edges(v)]
+    outside = 0
+    for v in kids:
+        for w in slack_edges(1.0) + [1.5, 1e3, 1e300]:
+            rim = ProjPoint(cmath.rect(w, rng.uniform(0, 7)), 1.0)
+            q = curves._fiber_through(p, v, rim)
+            assert dec.classify(q) == classify_reference(p, q)
+            outside += sum(
+                x is not None and not curves._leq(abs(x), 1.0)
+                for x in map(q.affine, kids)
+            )
+    assert outside >= 10 * len(kids)
 
 
 def kernel_pairs(rng, n):

@@ -13,10 +13,13 @@ from bubbletree.errors import InputError, ResourceCapError, VerificationError
 from helpers import (
     all_lipschitz_maps,
     farthest_first_reference,
+    fibonacci_sphere_points_reference,
     gaussian_sphere_points,
     greedy_net_reference,
     grid_space,
+    point_bits,
     screen_cases,
+    sphere_net_points_reference,
     traversal_cases,
     triangle_failure_reference,
 )
@@ -28,6 +31,7 @@ from bubbletree.nets import (
     FiniteMetricSpace,
     Net,
     ProjPoint,
+    SphereSample,
     exact_nu,
     farthest_first,
     fibonacci_sphere_points,
@@ -634,6 +638,81 @@ def test_sphere_net_degenerate_radii():
     assert sphere_net(2.0).size == 2
     with pytest.raises(InputError):
         sphere_net(0.0)
+
+
+# the radii of the benchmark's toolbox, 0.2, the frozen sizes, both sides of
+# pi/2 and pi, and a net of 115,784 points
+NET_GAMMAS = sorted(
+    {0.05, 0.03, 0.2, 0.011, *SPHERE_NET_SIZES}
+    | {math.nextafter(b, t) for b in (math.pi / 2, math.pi) for t in (0.0, 4.0)}
+)
+
+
+@pytest.mark.parametrize("gamma", NET_GAMMAS)
+def test_sphere_net_points_equal_the_scalar_loop_by_bits(gamma):
+    net = sphere_net(gamma)
+    want = point_bits(sphere_net_points_reference(gamma))
+    assert net.size == len(want)
+    assert point_bits(net.points) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 256, 10_000])
+def test_fibonacci_points_equal_the_scalar_loop_by_bits(n):
+    pts = fibonacci_sphere_points(n)
+    assert type(pts) is list and all(type(p) is ProjPoint for p in pts)
+    assert point_bits(pts) == point_bits(fibonacci_sphere_points_reference(n))
+
+
+def test_sphere_net_size_builds_no_projpoint(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a ProjPoint was built")
+
+    monkeypatch.setattr(ProjPoint, "__post_init__", refuse)
+    net = sphere_net(0.03)
+    assert net.size == 15_664
+    monkeypatch.undo()
+    assert net.points[15_663] == ProjPoint.infinity()
+
+
+def test_sphere_sample_rows_and_labels():
+    pts = fibonacci_sphere_points(5)
+    given = sphere_sample(pts)
+    assert all(a is b for a, b in zip(given.labels, pts))
+    made = SphereSample(given.xs, given.ys)
+    assert len(made) == 5 and list(made) == pts and made[2] == pts[2]
+    assert made.u.tobytes() == given.u.tobytes()
+    with pytest.raises(InputError, match="at least one point"):
+        SphereSample(np.zeros(0, complex), np.zeros(0, complex))
+    with pytest.raises(InputError, match="nonzero coordinate"):
+        SphereSample(np.array([1j, 0j]), np.array([1.0, 0j]))
+    with pytest.raises(InputError, match="its points a SphereSample"):
+        Net(radius=1.0, points=tuple(pts))
+
+
+def test_metric_space_from_sphere_keeps_the_broadcast_bits():
+    pts = gaussian_sphere_points(random.Random(19), 120)
+    space = FiniteMetricSpace.from_sphere(pts)
+    assert space.dist.tobytes() == FiniteMetricSpace(sphere_pairwise(pts, pts)).dist.tobytes()
+    assert space.labels == tuple(pts)
+
+
+def test_covering_check_counts_a_net_point_as_zero_from_itself():
+    def self_distance(pts):  # as the covering check measures it
+        b = sphere_sample(pts)
+        return sphere_distances(b.xs, b.ys, b.ns, b.xs[0], b.ys[0], b.ns[0])[0]
+
+    p = ProjPoint(
+        0.9053558666731177 + 0.4463745723640113j,
+        -0.5369532353602852 + 0.5811181041963531j,
+    )
+    assert self_distance([p]) > 1e-300
+    assert greedy_net([p], 1e-300).covering_distance() == 0.0
+    rng = random.Random(7)
+    singles = [gaussian_sphere_points(rng, 1) for _ in range(300)]
+    assert sum(self_distance(pts) > 0.0 for pts in singles) == 89
+    for pts in singles:
+        net = greedy_net(pts, 1e-300)
+        assert (net.indices, net.covering_distance()) == ((0,), 0.0)
 
 
 def graph_hausdorff_reference(space_z, space_w, a, b):
