@@ -16,6 +16,7 @@ membership checks in curves; position matching uses a 1e-9 tolerance.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,7 +33,7 @@ from .curves import (
     _leq,
     _leq_array,
     _moduli,
-    chart_position,
+    chart_positions,
     in_compact_subset,
 )
 from .errors import InputError, VerificationError, require_scale
@@ -79,7 +80,7 @@ class BubbleConfiguration:
         if set(rad) != set(pts):
             raise InputError("radius keys must be exactly the bubble points")
         for z in pts:
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            if not cmath.isfinite(z):
                 raise InputError(f"bubble point {z} is not finite")
             if not math.isfinite(rad[z]) or rad[z] < 0.0:
                 raise InputError(f"radius at {z} must be finite and nonnegative")
@@ -141,7 +142,7 @@ class EnergyMeasure:
         if not atoms:
             raise InputError("energy measure needs at least one atom")
         for z, m in atoms:
-            if not (math.isfinite(z.real) and math.isfinite(z.imag) and math.isfinite(m)):
+            if not (cmath.isfinite(z) and math.isfinite(m)):
                 raise InputError("atoms must be finite")
             if m <= 0.0:
                 raise InputError(f"atom at {z} has nonpositive mass {m}")
@@ -193,14 +194,14 @@ class ConcentrationProfile:
         cand = tuple((complex(z), float(g)) for z, g in self.candidates)
         seeds = tuple(complex(z) for z in self.seeds)
         for z, g in cand:
-            if not (math.isfinite(z.real) and math.isfinite(z.imag) and math.isfinite(g)):
+            if not (cmath.isfinite(z) and math.isfinite(g)):
                 raise InputError("candidates must be finite")
             if g < 0.0:
                 raise InputError(f"candidate at {z} has negative gradient {g}")
         if len(set(seeds)) != len(seeds):
             raise InputError("seeds must be distinct")
         for z in seeds:
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            if not cmath.isfinite(z):
                 raise InputError(f"seed {z} is not finite")
         object.__setattr__(self, "candidates", cand)
         object.__setattr__(self, "seeds", seeds)
@@ -608,29 +609,32 @@ def verify_association(
             f"edge_to_bubble keys {sorted(mapped)} differ from the external "
             f"non-root edges {sorted(external)}"
         )
-    pts = np.array(cfg.points, dtype=complex)
-    remaining = np.ones(len(pts), dtype=bool)
-    for e in sorted(external):
-        (v_e,) = rooted.boundary[e]
-        try:
-            value = chart_position(point, assoc.root_vertex, v_e, e)
-        except InputError as exc:
-            position_errors.append(f"edge {e}: {exc}")
-            continue
-        # the nearest remaining point, ties to the first in point order
-        left = np.flatnonzero(remaining)
-        best = None
-        if left.size:
-            i = left[_moduli(pts[left] - value).argmin()]
-            best = cfg.points[i]
-        if best is None or abs(best - value) > POSITION_TOL:
+    # every position from one descent, and one table of their distances to
+    # the bubble points; a pair is missing when root_vertex is not above it
+    at_vertex = assoc.root_vertex in rooted.children
+    positions = chart_positions(point, assoc.root_vertex) if at_vertex else {}
+    pairs = [(rooted.boundary[e][0], e) for e in sorted(external)]
+    values = np.array([positions.get(k, math.nan) for k in pairs], dtype=complex)
+    gaps = _moduli(np.array(cfg.points, dtype=complex) - values[:, None])
+    remaining = np.ones(cfg.size, dtype=bool)
+    for (v_e, e), row in zip(pairs, gaps):
+        if (v_e, e) not in positions:
             position_errors.append(
-                f"edge {e}: chart position {value} matches no bubble point"
+                f"edge {e}: no positive path from {assoc.root_vertex} to {v_e}"
+            )
+            continue
+        # the nearest remaining point, ties to the first in point order;
+        # both tolerance tests fail on NaN
+        masked = np.where(remaining, row, np.inf)
+        i = int(masked.argmin()) if cfg.size else None
+        if i is None or not masked[i] <= POSITION_TOL:
+            position_errors.append(
+                f"edge {e}: chart position {positions[(v_e, e)]} matches no bubble point"
             )
             continue
         remaining[i] = False
-        target = mapped.get(e)
-        if target is not None and abs(target - best) > POSITION_TOL:
+        best, target = cfg.points[i], mapped.get(e)
+        if target is not None and not abs(target - best) <= POSITION_TOL:
             position_errors.append(
                 f"edge {e}: edge_to_bubble says {target} but the chart shows {best}"
             )

@@ -35,11 +35,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, VerificationError
+from .errors import InputError, ResourceCapError, VerificationError
 from .nets import (
     TIE_RTOL,
     FiniteMetricSpace,
     ProjPoint,
+    _complex,
     hopf_units,
     sphere_distance,
     sphere_distances,
@@ -141,27 +142,20 @@ def chart_position(p: ModuliPoint, u: int, v: int, e: int) -> complex:
 
     Telescopes z down the positive path from u to v: each step contributes
     its own disc center, scaled by the product of gamma * rho factors of the
-    edges already traversed.  With u = v this is just z_{v,e}.
+    edges already traversed.  With u = v this is just z_{v,e}.  Read from
+    the chart_positions descent from u.
     """
-    path = positive_path(p.tree, u, v)
-    if path is None:
+    if positive_path(p.tree, u, v) is None:
         raise InputError(f"no positive path from {u} to {v}")
-    total = 0.0 + 0.0j
-    prefix = 1.0 + 0.0j
-    for k, w in enumerate(path):
-        if k + 1 < len(path):
-            step = p.tree.parent_edge[path[k + 1]]
-            total += prefix * p.z(w, step)
-            prefix *= p.gamma_of(step) * p.rho(w, step)
-        else:
-            total += prefix * p.z(w, e)
-    return total
+    return chart_positions(p, u)[(v, e)]
 
 
 def chart_positions(p: ModuliPoint, u: int) -> dict[tuple[int, int], complex]:
     """chart_position(p, u, v, e) for every pair (v, e) at or below u, from
-    one descent that carries each path's running sum and prefix product, so
-    the products and sums are those of the path walk, in its order."""
+    one descent that carries each path's running sum and prefix product:
+    the sum of prefix * z(w, step) over the path from u to v, then
+    prefix * z(v, e), where prefix multiplies in gamma * rho of each edge
+    passed, in path order."""
     t = p.tree
     out = {}
     stack = [(u, 0.0 + 0.0j, 1.0 + 0.0j)]
@@ -365,12 +359,11 @@ class FiberBatch:
     @classmethod
     def of(cls, t: RootedTree, points: Sequence[FiberPoint]) -> "FiberBatch":
         """The given points of a fiber over the tree t, as a batch."""
-        verts = tuple(sorted(t.vertices))
-        pts = [q.coords[v] for q in points for v in verts]
-        shape = (len(points), len(verts))
+        pts = [q.coords[v] for q in points for v in t.vertices]
+        shape = (len(points), len(t.vertices))
         xs = np.array([a.x for a in pts], dtype=complex).reshape(shape)
         ys = np.array([a.y for a in pts], dtype=complex).reshape(shape)
-        return cls(verts, xs, ys)
+        return cls(t.vertices, xs, ys)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -472,16 +465,9 @@ def _fiber_through(p: ModuliPoint, v: int, coord: ProjPoint) -> FiberPoint:
 # round differently.
 
 
-def _pack(re, im) -> np.ndarray:
-    """Complex array with these parts (re + 1j * im can flip a zero's sign)."""
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def _cmul(a, b) -> np.ndarray:
     """CPython's complex product."""
-    return _pack(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
 
 
 def _cdiv(a, b) -> np.ndarray:
@@ -494,7 +480,7 @@ def _cdiv(a, b) -> np.ndarray:
     ar_r, ai_r = a.real * ratio, a.imag * ratio
     re = np.where(by_re, a.real, ar_r) + np.where(by_re, ai_r, a.imag)
     im = np.where(by_re, a.imag, ai_r) - np.where(by_re, ar_r, a.real)
-    return _pack(re / denom, im / denom)
+    return _complex(re / denom, im / denom)
 
 
 def _normalize(x: np.ndarray, y: np.ndarray):
@@ -537,13 +523,12 @@ def _fiber_batch(p: ModuliPoint, v: int, x: np.ndarray, y: np.ndarray):
         hit = (num == 0) & (den == 0)
         node[hit & (node < 0)] = w
         coords[w] = _normalize(num, np.where(hit, 1.0, den))
-    verts = tuple(sorted(t.vertices))
     # FiberPoint normalizes the coordinates _fiber_through hands it once more
     xs, ys = _normalize(
-        np.stack([coords[w][0] for w in verts], axis=1),
-        np.stack([coords[w][1] for w in verts], axis=1),
+        np.stack([coords[w][0] for w in t.vertices], axis=1),
+        np.stack([coords[w][1] for w in t.vertices], axis=1),
     )
-    return FiberBatch(verts, xs, ys), node
+    return FiberBatch(t.vertices, xs, ys), node
 
 
 def fiber_from_root(p: ModuliPoint, t: ProjPoint) -> FiberPoint:
@@ -575,7 +560,7 @@ def section(p: ModuliPoint, e: int) -> FiberPoint:
         return FiberPoint({v: ProjPoint(1.0, 0.0) for v in t.vertices})
     u = t.e_minus[e]
     chain = positive_path(t, t.root_vertex, u)
-    coords = {w: ProjPoint(chart_position(p, w, u, e), 1.0) for w in chain}
+    coords = {w: ProjPoint(chart_positions(p, w)[(u, e)], 1.0) for w in chain}
     return _complete(p, coords, t.root_vertex)
 
 
@@ -809,7 +794,7 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
         return kept[2]
     t = p.tree
     circles = {(v, e): _circle(p, v, e) for v, e in t.incident_pairs()}
-    for v in sorted(t.vertices):
+    for v in t.vertices:
         kids = t.child_edges(v)
         for e in kids:
             z, r = circles[(v, e)]
@@ -826,7 +811,7 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
                     raise VerificationError(
                         f"dilated discs ({v},{kids[i]}) and ({v},{kids[j]}) collide"
                     )
-    regions = [Region("thick", vertex=v) for v in sorted(t.vertices)]
+    regions = [Region("thick", vertex=v) for v in t.vertices]
     regions += [Region("neck", edge=e) for e in t.full_edges]
     regions += [Region("end", edge=e) for e in t.half_edges]
     column = {pair: 2 * k for k, pair in enumerate(circles)}
@@ -1397,12 +1382,10 @@ def anchor_points(
     vertex v are propagated in one batch.
     """
     t = p.tree
-    pairs = t.incident_pairs()
-    verts = tuple(sorted(t.vertices))
     labels, xs, ys = [], [], []
-    for v in verts:
+    for v in t.vertices:
         plain = []
-        for e in [e for w, e in pairs if w == v]:
+        for e in t.incident[v]:
             for k, target in enumerate(UNIT_TARGETS):
                 if t.e_plus[e] == v:
                     plain.append((target.x, target.y))
@@ -1416,10 +1399,15 @@ def anchor_points(
             raise _node_error(t, int(node[hits[0]]))
         xs.append(batch.xs)
         ys.append(batch.ys)
-    return labels, FiberBatch(verts, np.concatenate(xs), np.concatenate(ys))
+    return labels, FiberBatch(t.vertices, np.concatenate(xs), np.concatenate(ys))
 
 
 FILL_SKIP_LIMIT = 64
+
+# decoration points allowed in decorate: m = 100,000 on a chain of 4
+# vertices takes about 2 s and 280 MB with its JSON text on a 2-vCPU
+# x86-64 VM, and both grow linearly in m
+DECORATION_CAP = 100_000
 
 # a ring candidate this close in the charts to a chosen point is skipped
 FILL_SEPARATION = 1e-6
@@ -1478,12 +1466,15 @@ def decorate(p: ModuliPoint, marked: Sequence[FiberPoint], m: int) -> FiberBatch
     embedded_distance, which also reads the disc-rescaled charts and is
     never smaller; the points collide only when that distance is within
     RESIDUAL_TOL too.  Fails if m is below the anchor count, the ring skips
-    exceed the limit, or two points collide.
+    exceed the limit, or two points collide; refuses m above DECORATION_CAP
+    before building any point.
     """
     t = p.tree
     mu = len(t.incident_pairs())
     if m < 3 * mu:
         raise InputError(f"m = {m} is below the anchor count {3 * mu}")
+    if m > DECORATION_CAP:
+        raise ResourceCapError(f"m = {m} exceeds the decoration cap {DECORATION_CAP}")
     for q in marked:
         _require_on_fiber(p, q)
     labels, anchors = anchor_points(p)

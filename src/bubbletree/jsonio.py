@@ -231,9 +231,9 @@ def require_key(data: Mapping, key: str, kind: type, where: str) -> Any:
     value = data[key]
     if kind is int:
         return int_field(value, f"{where}[{key!r}]")
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if kind is float:
+        return number_field(value, f"{where}[{key!r}]")
+    if not isinstance(value, kind):
         raise InputError(f"{where}[{key!r}] must be of type {kind.__name__}")
     return value
 

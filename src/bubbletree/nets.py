@@ -32,6 +32,11 @@ EXACT_NU_CAP = 25
 # total (anchor, assignment) cell evaluations allowed in mapspace_cover
 MAPSPACE_CELL_CAP = 2_000_000
 
+# points allowed in sphere_net: gamma = 0.01 gives 140,183 of them, and
+# `bubbletree net` writes 497,684 (gamma = 0.0053) in 5-9 s at 0.72 GB peak
+# on a 2-vCPU x86-64 VM
+SPHERE_NET_CAP = 500_000
+
 # relative gap below which ProjPoint.normalized treats |x| and |y| as tied
 TIE_RTOL = 1e-12
 
@@ -200,9 +205,10 @@ def fibonacci_sphere_points(n: int) -> list[ProjPoint]:
     return [ProjPoint(z, 1.0) for z in _complex(r * np.cos(phi), r * np.sin(phi)).tolist()]
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex array with these parts, each kept by bits."""
-    z = np.empty(re.shape, complex)
+def _complex(re, im) -> np.ndarray:
+    """The complex array with these (broadcast) parts, each kept by bits;
+    re + 1j * im can flip a zero's sign."""
+    z = np.empty(np.broadcast(re, im).shape, complex)
     z.real, z.imag = re, im
     return z
 
@@ -476,7 +482,8 @@ def sphere_net(gamma: float) -> Net:
     within 0.5 gamma along it, so the covering distance is at most
     0.95 gamma < gamma.  Sizes stay under the 8 pi / gamma^2 area bound for
     the radii this package exercises, though not under the sharper cap
-    bound 2 / (1 - cos(gamma / 2)).
+    bound 2 / (1 - cos(gamma / 2)).  Refuses, before building any point,
+    nets of more than SPHERE_NET_CAP points.
 
     The row scalars come from math, the point angles 2 pi k / count and
     their cos and sin from numpy, which keeps the points of a scalar loop
@@ -484,12 +491,17 @@ def sphere_net(gamma: float) -> Net:
     np.cos and np.sin matched math on all and np.tan missed on 5,257.
     """
     require_scale("net radius gamma", gamma)
-    rows = math.ceil(math.pi / (0.9 * gamma)) if gamma <= math.pi / 2.0 else 1
+    rows = math.pi / (0.9 * gamma) if gamma <= math.pi / 2.0 else 1
+    # rows - 1 interior rows of at least one point each, and the two poles;
+    # checked before ceil, which fails on the infinite count of a tiny gamma
+    _require_sphere_net_size(gamma, rows + 1)
+    rows = math.ceil(rows)
     counts, radii = [], []
     for j in range(1, rows):
         theta = j * math.pi / rows
         counts.append(max(1, math.ceil(math.sin(theta) * math.pi / (0.5 * gamma))))
         radii.append(math.tan(theta / 2.0))
+    _require_sphere_net_size(gamma, sum(counts) + 2)
     counts = np.array(counts, dtype=np.int64)
     k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     phi = 2.0 * math.pi * k / np.repeat(counts, counts)
@@ -499,6 +511,14 @@ def sphere_net(gamma: float) -> Net:
     ys = np.concatenate(([1.0], np.ones(len(phi)), [0.0])).astype(complex)
     end = 1 if gamma > math.pi else len(xs)
     return Net(radius=gamma, points=SphereSample(xs[:end], ys[:end]))
+
+
+def _require_sphere_net_size(gamma: float, size: float) -> None:
+    if size > SPHERE_NET_CAP:
+        raise ResourceCapError(
+            f"sphere net at gamma = {gamma} needs at least {size:.0f} points, "
+            f"over the cap {SPHERE_NET_CAP}"
+        )
 
 
 def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:

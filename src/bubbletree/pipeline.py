@@ -47,6 +47,10 @@ STAGES = (
 
 PROBE_COUNT = 8
 
+CONFIG_KEYS = (
+    "bubble", "ell", "area", "delta", "nu_k", "constants", "seed", "gamma_overrides"
+)
+
 
 @dataclass(frozen=True)
 class StageResult:
@@ -103,12 +107,15 @@ def run_pipeline(
     optional knobs: "ell", "area" (default: lambda^2 per bubble point),
     "delta", "nu_k", "constants" (partial geometry profile), "seed", and
     "gamma_overrides" ({edge: [re, im]}, applied to the association before
-    verification, for fault injection).
+    verification, for fault injection).  Any other key is rejected.
     """
     if isinstance(config, (str, Path)):
         config = jsonio.load_json(config)
     if not isinstance(config, Mapping):
         raise InputError("pipeline config must be a JSON object")
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise InputError(f"unknown pipeline config key {key!r}")
     if "bubble" not in config:
         raise InputError("pipeline config is missing the key 'bubble'")
     cfg, eps = jsonio.bubble_from_json(config["bubble"])

@@ -29,64 +29,65 @@ class TreeError(ValueError):
 class Tree:
     """Finite tree with half and full edges.
 
-    vertices: iterable of integer vertex ids.
+    vertices: iterable of integer vertex ids, kept as a sorted tuple.
     boundary: mapping edge id -> endpoints (tuple of 1 or 2 vertex ids).
-    The sorted edges, the full and the half edges among them and every vertex
-    degree are computed once, in the pass that validates the boundary.
+    The sorted edges, the full and the half edges among them and the
+    incidence table ``incident`` (vertex -> list of its edges in ascending
+    order, so the degree is the length of its entry) are computed once,
+    when the boundary is validated.
     """
 
-    __slots__ = ("vertices", "boundary", "edges", "full_edges", "half_edges", "_degree")
+    __slots__ = ("vertices", "boundary", "edges", "full_edges", "half_edges", "incident")
 
     def __init__(self, vertices: Iterable[int], boundary: Mapping[int, Sequence[int]]):
-        known = {int(v) for v in vertices}
-        degree = dict.fromkeys(sorted(known), 0)
+        incident: dict[int, list[int]] = {v: [] for v in sorted({int(v) for v in vertices})}
         bd: dict[int, tuple[int, ...]] = {}
         for e, ends in boundary.items():
-            ends_t = tuple(int(v) for v in ends)
+            ends_t = tuple(map(int, ends))
             if len(ends_t) not in (1, 2):
                 raise TreeError(f"edge {e} has {len(ends_t)} endpoints; need 1 or 2")
             if len(ends_t) == 2 and ends_t[0] == ends_t[1]:
                 raise TreeError(f"edge {e} is a loop")
             for v in ends_t:
-                if v not in known:
+                if v not in incident:
                     raise TreeError(f"edge {e} mentions unknown vertex {v}")
-                degree[v] += 1
             bd[int(e)] = ends_t
-        if not known:
+        if not incident:
             raise TreeError("tree needs at least one vertex")
-        vs = self.vertices = tuple(degree)
+        vs = self.vertices = tuple(incident)
         self.boundary = bd
         self.edges = tuple(sorted(bd))
-        self.full_edges = tuple(e for e in self.edges if len(bd[e]) == 2)
-        self.half_edges = tuple(e for e in self.edges if len(bd[e]) == 1)
-        self._degree = degree
+        full, half = [], []
+        for e in self.edges:
+            (full if len(bd[e]) == 2 else half).append(e)
+            for v in bd[e]:
+                incident[v].append(e)
+        self.full_edges = tuple(full)
+        self.half_edges = tuple(half)
+        self.incident = incident
 
         if len(self.full_edges) != len(vs) - 1:
             raise TreeError(
                 f"{len(vs)} vertices need {len(vs) - 1} "
                 f"full edges for a tree, got {len(self.full_edges)}"
             )
-        # connectivity over full edges; acyclicity then follows from the count
-        adj: dict[int, list[int]] = {v: [] for v in vs}
-        for e in self.full_edges:
-            u, v = bd[e]
-            adj[u].append(v)
-            adj[v].append(u)
+        # connectivity through the table; acyclicity then follows from the count
         seen = {vs[0]}
         stack = [vs[0]]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for e in incident[stack.pop()]:
+                for w in bd[e]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
         if len(seen) != len(vs):
             raise TreeError("tree is not connected")
 
     def degree(self, v: int) -> int:
-        return self._degree.get(v, 0)
+        return len(self.incident.get(v, ()))
 
     def is_stable(self) -> bool:
-        return all(d >= 3 for d in self._degree.values())
+        return all(len(es) >= 3 for es in self.incident.values())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tree(|V|={len(self.vertices)}, |E|={len(self.edges)})"
@@ -129,27 +130,21 @@ class RootedTree(Tree):
         (self.root_vertex,) = self.boundary[root_edge]
 
         parent_edge: dict[int, int] = {self.root_vertex: self.root_edge}
-        children: dict[int, list[int]] = {v: [] for v in self.vertices}
+        children: dict[int, tuple[int, ...]] = dict.fromkeys(self.vertices)
         e_minus: dict[int, int | None] = {self.root_edge: None}
         e_plus: dict[int, int | None] = {self.root_edge: self.root_vertex}
         depth = {self.root_vertex: 0}
-
-        incident: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            for v in self.boundary[e]:
-                incident[v].append(e)
 
         order = []
         stack = [self.root_vertex]
         while stack:
             v = stack.pop()
             order.append(v)
+            up = parent_edge[v]
+            children[v] = down = tuple(e for e in self.incident[v] if e != up)
             kids = []
-            for e in incident[v]:
-                if e == parent_edge[v]:
-                    continue
+            for e in down:
                 ends = self.boundary[e]
-                children[v].append(e)
                 e_minus[e] = v
                 if len(ends) == 2:
                     w = ends[0] if ends[1] == v else ends[1]
@@ -162,7 +157,7 @@ class RootedTree(Tree):
             stack.extend(reversed(kids))
 
         self.parent_edge = parent_edge
-        self.children = {v: tuple(es) for v, es in children.items()}
+        self.children = children
         self.e_minus = e_minus
         self.e_plus = e_plus
         self.depth = depth
@@ -179,8 +174,9 @@ class RootedTree(Tree):
         return tuple((v, e) for v in self.vertices for e in self.children[v])
 
     def incident_pairs(self) -> tuple[tuple[int, int], ...]:
-        """All (v, e) with v an endpoint of e; there are sum(deg) of them."""
-        return tuple(sorted((v, e) for e in self.edges for v in self.boundary[e]))
+        """All (v, e) with v an endpoint of e, in sorted order; there are
+        sum(deg) of them."""
+        return tuple((v, e) for v, es in self.incident.items() for e in es)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootedTree(root_edge={self.root_edge}, |V|={len(self.vertices)})"

@@ -4,7 +4,7 @@ import cmath
 import itertools
 import math
 import random
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,13 +22,13 @@ from bubbletree.curves import (
     Region,
     SplitFiber,
     _annulus_leg,
+    _complete,
     _dual_leg,
     _fiber_through,
     _leq,
     _polyline_length,
     _phi_component,
     _require_on_fiber,
-    chart_position,
     four_point_value,
     split_fiber,
 )
@@ -78,7 +78,8 @@ def chain_tree(levels: int, leaves: int = 2) -> RootedTree:
 
 
 def assert_tree_facts(t: Tree) -> None:
-    """Every fact a tree stores equals its definition over the boundary."""
+    """Every fact a tree stores equals its definition over the boundary, and
+    a rooted tree's facts equal the reference constructors'."""
     edges = tuple(sorted(t.boundary))
     degree = {v: sum(v in ends for ends in t.boundary.values()) for v in t.vertices}
     assert t.vertices == tuple(sorted(set(t.vertices)))
@@ -86,6 +87,7 @@ def assert_tree_facts(t: Tree) -> None:
     assert t.full_edges == tuple(e for e in edges if len(t.boundary[e]) == 2)
     assert t.half_edges == tuple(e for e in edges if len(t.boundary[e]) == 1)
     assert {v: t.degree(v) for v in t.vertices} == degree
+    assert t.incident == {v: [e for e in edges if v in t.boundary[e]] for v in t.vertices}
     assert t.is_stable() == all(d >= 3 for d in degree.values())
     if isinstance(t, RootedTree):
         assert t.coordinate_pairs() == tuple(
@@ -94,6 +96,185 @@ def assert_tree_facts(t: Tree) -> None:
         assert t.incident_pairs() == tuple(
             sorted((v, e) for e in edges for v in t.boundary[e])
         )
+        assert_tree_matches_reference(t)
+
+
+class ReferenceTree:
+    """trees.Tree as it was when it kept a degree dict and built the
+    full-edge adjacency for its connectivity walk: a finite tree with half
+    and full edges.
+
+    vertices: iterable of integer vertex ids.
+    boundary: mapping edge id -> endpoints (tuple of 1 or 2 vertex ids).
+    The sorted edges, the full and the half edges among them and every vertex
+    degree are computed once, in the pass that validates the boundary.
+    """
+
+    __slots__ = ("vertices", "boundary", "edges", "full_edges", "half_edges", "_degree")
+
+    def __init__(self, vertices: Iterable[int], boundary: Mapping[int, Sequence[int]]):
+        known = {int(v) for v in vertices}
+        degree = dict.fromkeys(sorted(known), 0)
+        bd: dict[int, tuple[int, ...]] = {}
+        for e, ends in boundary.items():
+            ends_t = tuple(int(v) for v in ends)
+            if len(ends_t) not in (1, 2):
+                raise TreeError(f"edge {e} has {len(ends_t)} endpoints; need 1 or 2")
+            if len(ends_t) == 2 and ends_t[0] == ends_t[1]:
+                raise TreeError(f"edge {e} is a loop")
+            for v in ends_t:
+                if v not in known:
+                    raise TreeError(f"edge {e} mentions unknown vertex {v}")
+                degree[v] += 1
+            bd[int(e)] = ends_t
+        if not known:
+            raise TreeError("tree needs at least one vertex")
+        vs = self.vertices = tuple(degree)
+        self.boundary = bd
+        self.edges = tuple(sorted(bd))
+        self.full_edges = tuple(e for e in self.edges if len(bd[e]) == 2)
+        self.half_edges = tuple(e for e in self.edges if len(bd[e]) == 1)
+        self._degree = degree
+
+        if len(self.full_edges) != len(vs) - 1:
+            raise TreeError(
+                f"{len(vs)} vertices need {len(vs) - 1} "
+                f"full edges for a tree, got {len(self.full_edges)}"
+            )
+        # connectivity over full edges; acyclicity then follows from the count
+        adj: dict[int, list[int]] = {v: [] for v in vs}
+        for e in self.full_edges:
+            u, v = bd[e]
+            adj[u].append(v)
+            adj[v].append(u)
+        seen = {vs[0]}
+        stack = [vs[0]]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(vs):
+            raise TreeError("tree is not connected")
+
+    def degree(self, v: int) -> int:
+        return self._degree.get(v, 0)
+
+    def is_stable(self) -> bool:
+        return all(d >= 3 for d in self._degree.values())
+
+
+class ReferenceRootedTree(ReferenceTree):
+    """trees.RootedTree as it was when it built its own incidence table: a
+    tree with a distinguished root half edge and the induced orientation.
+
+    For every edge other than the root, the endpoint nearer the root vertex is
+    its negative endpoint and the farther one (when the edge is full) is
+    positive.  The root vertex is the positive endpoint of the root edge.
+    Consequently each vertex is the positive endpoint of exactly one edge,
+    called its parent edge, and ``children[v]`` lists the edges having v as
+    negative endpoint.  ``order`` lists the vertices in depth-first preorder,
+    children in ascending order of their parent edges, so every vertex comes
+    after its parent.
+    """
+
+    __slots__ = (
+        "root_edge",
+        "root_vertex",
+        "parent_edge",
+        "children",
+        "e_minus",
+        "e_plus",
+        "depth",
+        "order",
+        "_diverging",
+    )
+
+    def __init__(self, tree: ReferenceTree, root_edge: int):
+        if root_edge not in tree.boundary:
+            raise TreeError(f"root edge {root_edge} not in tree")
+        if len(tree.boundary[root_edge]) != 1:
+            raise TreeError("root edge must be a half edge")
+        # the facts of the tree, computed and validated when it was built
+        for name in ReferenceTree.__slots__:
+            setattr(self, name, getattr(tree, name))
+        self.root_edge = int(root_edge)
+        (self.root_vertex,) = self.boundary[root_edge]
+
+        parent_edge: dict[int, int] = {self.root_vertex: self.root_edge}
+        children: dict[int, list[int]] = {v: [] for v in self.vertices}
+        e_minus: dict[int, int | None] = {self.root_edge: None}
+        e_plus: dict[int, int | None] = {self.root_edge: self.root_vertex}
+        depth = {self.root_vertex: 0}
+
+        incident: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            for v in self.boundary[e]:
+                incident[v].append(e)
+
+        order = []
+        stack = [self.root_vertex]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            kids = []
+            for e in incident[v]:
+                if e == parent_edge[v]:
+                    continue
+                ends = self.boundary[e]
+                children[v].append(e)
+                e_minus[e] = v
+                if len(ends) == 2:
+                    w = ends[0] if ends[1] == v else ends[1]
+                    e_plus[e] = w
+                    parent_edge[w] = e
+                    depth[w] = depth[v] + 1
+                    kids.append(w)
+                else:
+                    e_plus[e] = None
+            stack.extend(reversed(kids))
+
+        self.parent_edge = parent_edge
+        self.children = {v: tuple(es) for v, es in children.items()}
+        self.e_minus = e_minus
+        self.e_plus = e_plus
+        self.depth = depth
+        self.order = tuple(order)
+        # diverging_pairs, filled on first use
+        self._diverging = None
+
+    def child_edges(self, v: int) -> tuple[int, ...]:
+        """Edges with v as negative endpoint (the index set for disc data at v)."""
+        return self.children[v]
+
+    def coordinate_pairs(self) -> tuple[tuple[int, int], ...]:
+        """All (v, e) with e a child edge of v, in sorted order."""
+        return tuple((v, e) for v in self.vertices for e in self.children[v])
+
+    def incident_pairs(self) -> tuple[tuple[int, int], ...]:
+        """All (v, e) with v an endpoint of e; there are sum(deg) of them."""
+        return tuple(sorted((v, e) for e in self.edges for v in self.boundary[e]))
+
+
+def tree_facts(t) -> dict:
+    """The incidence facts of a rooted tree, by name."""
+    return {
+        "incident_pairs": t.incident_pairs(),
+        "coordinate_pairs": t.coordinate_pairs(),
+        "children": t.children,
+        "order": t.order,
+        "degree": {v: t.degree(v) for v in t.vertices},
+        "stable": t.is_stable(),
+        "e_plus": t.e_plus,
+        "e_minus": t.e_minus,
+    }
+
+
+def assert_tree_matches_reference(t: RootedTree) -> None:
+    """t's facts equal those of ReferenceRootedTree built from the same
+    vertices, boundary and root edge."""
+    want = ReferenceRootedTree(ReferenceTree(t.vertices, t.boundary), t.root_edge)
+    assert tree_facts(t) == tree_facts(want)
 
 
 def split_components_reference(t: RootedTree, marking: Marking, cut) -> list:
@@ -856,6 +1037,49 @@ def all_lipschitz_maps(space_z, space_w, t, lam):
 # ---------------------------------------------------------------------------
 
 
+def chart_position_reference(p: ModuliPoint, u: int, v: int, e: int) -> complex:
+    """curves.chart_position as the path walk it was: the position of the
+    disc at (v, e) as seen in the chart of an ancestor u.
+
+    Telescopes z down the positive path from u to v: each step contributes
+    its own disc center, scaled by the product of gamma * rho factors of the
+    edges already traversed.  With u = v this is just z_{v,e}.
+    """
+    path = positive_path(p.tree, u, v)
+    if path is None:
+        raise InputError(f"no positive path from {u} to {v}")
+    total = 0.0 + 0.0j
+    prefix = 1.0 + 0.0j
+    for k, w in enumerate(path):
+        if k + 1 < len(path):
+            step = p.tree.parent_edge[path[k + 1]]
+            total += prefix * p.z(w, step)
+            prefix *= p.gamma_of(step) * p.rho(w, step)
+        else:
+            total += prefix * p.z(w, e)
+    return total
+
+
+def section_reference(p: ModuliPoint, e: int) -> FiberPoint:
+    """curves.section through chart_position_reference: the marked point of
+    the fiber attached to an external edge.
+
+    The root edge marks [1:0] in every chart.  Any other external edge e at
+    u = e- marks the disc center [z_{u,e} : 1] in the chart of u; ancestor
+    charts see the telescoped position, and all other branches are filled by
+    propagation.
+    """
+    t = p.tree
+    if e not in t.half_edges:
+        raise InputError(f"edge {e} is not external")
+    if e == t.root_edge:
+        return FiberPoint({v: ProjPoint(1.0, 0.0) for v in t.vertices})
+    u = t.e_minus[e]
+    chain = positive_path(t, t.root_vertex, u)
+    coords = {w: ProjPoint(chart_position_reference(p, w, u, e), 1.0) for w in chain}
+    return _complete(p, coords, t.root_vertex)
+
+
 def _edge_below(t, u, v, e):
     return e if v == u else t.parent_edge[positive_path(t, u, v)[1]]
 
@@ -872,7 +1096,9 @@ def fiber_discriminant_reference(p):
             u = nearest_common_ancestor(t, v1, v2)
             if _edge_below(t, u, v1, e1) == _edge_below(t, u, v2, e2):
                 continue
-            out *= chart_position(p, u, v1, e1) - chart_position(p, u, v2, e2)
+            out *= chart_position_reference(p, u, v1, e1) - chart_position_reference(
+                p, u, v2, e2
+            )
     for e in t.full_edges:
         out *= p.rho(t.e_minus[e], e)
     return out
@@ -1036,8 +1262,9 @@ def reduce_checks_reference(cfg, eps, sel, r_idx):
 
 
 def position_errors_reference(cfg, assoc):
-    """verify_association's position errors, taking each nearest bubble
-    point with min over a shrinking list."""
+    """verify_association's position errors, walking one path per edge and
+    taking each nearest bubble point with min over a shrinking list; NaN
+    distances fail both tolerance tests."""
     rooted, point = assoc.tree, assoc.point
     errors = []
     external = [e for e in rooted.half_edges if e != rooted.root_edge]
@@ -1051,17 +1278,17 @@ def position_errors_reference(cfg, assoc):
     for e in sorted(external):
         (v_e,) = rooted.boundary[e]
         try:
-            value = chart_position(point, assoc.root_vertex, v_e, e)
+            value = chart_position_reference(point, assoc.root_vertex, v_e, e)
         except InputError as exc:
             errors.append(f"edge {e}: {exc}")
             continue
         best = min(remaining, key=lambda z: abs(z - value), default=None)
-        if best is None or abs(best - value) > POSITION_TOL:
+        if best is None or not abs(best - value) <= POSITION_TOL:
             errors.append(f"edge {e}: chart position {value} matches no bubble point")
             continue
         remaining.remove(best)
         target = mapped.get(e)
-        if target is not None and abs(target - best) > POSITION_TOL:
+        if target is not None and not abs(target - best) <= POSITION_TOL:
             errors.append(
                 f"edge {e}: edge_to_bubble says {target} but the chart shows {best}"
             )

@@ -31,6 +31,7 @@ from bubbletree.curves import ModuliPoint
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiniteMetricSpace
 from helpers import (
+    assert_tree_facts,
     farthest_first_reference,
     flat_standard,
     in_compact_subset_reference,
@@ -580,6 +581,7 @@ class TestAssociateTree:
             assoc = associate_tree(cfg, EPS)
             assert assoc.tree.is_stable()
             assert assoc.root_vertex == assoc.tree.root_vertex == 1
+            assert_tree_facts(assoc.tree)
 
     def test_one_reduction_per_vertex(self, monkeypatch):
         calls = []
@@ -712,6 +714,34 @@ class TestVerifyAssociation:
         report = verify_association(cfg, bad, EPS)
         assert not report.ok
         assert report.position_errors
+
+    def test_nan_positions_and_targets_match_nothing(self):
+        """Both tolerance tests fail on NaN.  On the README's 3-point
+        configuration a huge gluing and disc radius put edges 2 and 3 at
+        nan+nanj; a NaN edge_to_bubble entry names no point either."""
+        cfg = flat((0, 1e-5, EPS))
+        assoc = associate_tree(cfg, EPS)
+        (e,) = assoc.tree.full_edges
+        u = assoc.tree.e_minus[e]
+        zr = dict(assoc.point.zr)
+        zr[(u, e)] = (zr[(u, e)][0], 1e10)
+        point = ModuliPoint(assoc.tree, {e: 1e300}, zr)
+        bad = TreeAssociation(assoc.tree, point, assoc.root_vertex, assoc.edge_to_bubble)
+        report = verify_association(cfg, bad, EPS)
+        assert report.position_errors == (
+            "edge 2: chart position (nan+nanj) matches no bubble point",
+            "edge 3: chart position (nan+nanj) matches no bubble point",
+            "no edge position matches bubble point 0j",
+            "no edge position matches bubble point (1e-05+0j)",
+        )
+        assert report.position_errors == position_errors_reference(cfg, bad)
+        mapped = {**assoc.edge_to_bubble, 4: complex(math.nan, 0.0)}
+        bad = TreeAssociation(assoc.tree, assoc.point, assoc.root_vertex, mapped)
+        report = verify_association(cfg, bad, EPS)
+        assert report.position_errors == (
+            "edge 4: edge_to_bubble says (nan+0j) but the chart shows (0.125+0j)",
+        )
+        assert report.position_errors == position_errors_reference(cfg, bad)
 
     def test_zero_gamma_detected(self):
         cfg = flat((0, 1e-5, EPS))
@@ -870,6 +900,51 @@ class TestArrayChecksMatchScalarLoops:
             outcomes[last_word] = outcomes.get(last_word, 0) + 1
         # pass, separation, cluster disc, radius budget and cutoff all occur
         assert set(outcomes) == {None, "bound", "disc", "budget", "radius"}, outcomes
+
+    @pytest.mark.parametrize(
+        "make, size",
+        [
+            (flat_standard, 32),
+            (flat_standard, 64),
+            (flat_standard, 96),
+            (flat_standard, 128),
+            (random_standard, 150),
+            (random_standard, 200),
+        ],
+    )
+    def test_verify_association_matches_the_path_walk(self, make, size):
+        """Reports equal the one-path-per-edge reference string for string,
+        on the association and on corrupted copies: a wrong root vertex,
+        moved positions and swapped edge_to_bubble entries."""
+        rng = random.Random(size)
+        cfg = make(rng, EPS, size)
+        assoc = associate_tree(cfg, EPS)
+        tree, point = assoc.tree, assoc.point
+        assert_tree_facts(tree)
+        cases = [assoc]
+        # the deepest vertex, where the tree has more than one, and no vertex
+        for root in {tree.order[-1], max(tree.vertices) + 1} - {tree.root_vertex}:
+            cases.append(TreeAssociation(tree, point, root, assoc.edge_to_bubble))
+        top = [(tree.root_vertex, e) for e in tree.children[tree.root_vertex]]
+        for _ in range(4):
+            zr = dict(point.zr)
+            # any disc centre by a step the root chart may scale below the
+            # tolerance, and one root disc centre onto another's
+            a, b = rng.choice(sorted(zr)), rng.sample(top, 2)
+            for k, step in ((a, rng.choice([1e-10, 1e-7, 0.01])), (b[0], 1e-3)):
+                zr[k] = (zr[k][0] + step * cmath.rect(1, rng.uniform(0, 7)), zr[k][1])
+            zr[b[1]] = (zr[b[0]][0], zr[b[1]][1])
+            moved = ModuliPoint(tree, point.gamma, zr)
+            cases.append(TreeAssociation(tree, moved, assoc.root_vertex, assoc.edge_to_bubble))
+            mapped = dict(assoc.edge_to_bubble)
+            a, b = rng.sample(sorted(mapped), 2)
+            mapped[a], mapped[b] = mapped[b], mapped[a]
+            cases.append(TreeAssociation(tree, point, assoc.root_vertex, mapped))
+        errors = [verify_association(cfg, case, EPS).position_errors for case in cases]
+        assert errors == [position_errors_reference(cfg, case) for case in cases]
+        # swapped entries pass when their points lie within the tolerance
+        assert not errors[0] and all(e for e, c in zip(errors, cases) if c.point is not point)
+        assert all(e for e, c in zip(errors, cases) if c.root_vertex != assoc.root_vertex)
 
     def test_verify_association_position_ties(self):
         """Chart positions on the perpendicular bisector of two bubble points,

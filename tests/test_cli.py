@@ -22,7 +22,9 @@ import pytest
 from bubbletree.bounds import choose_lambda
 from bubbletree.bubbles import associate_tree
 from bubbletree.cli import main
+from bubbletree.curves import DECORATION_CAP
 from bubbletree.jsonio import bubble_from_json, bubble_to_json, dumps
+from bubbletree.nets import SPHERE_NET_CAP
 from bubbletree.pipeline import STAGES
 
 from helpers import random_standard
@@ -91,6 +93,18 @@ def test_net_sphere():
     assert code == 0
     assert data["size"] == 19
     assert len(data["points"]) == 19
+
+
+def test_net_sphere_over_the_point_cap_exit_4():
+    code, out, err = invoke(["net", "--space", "sphere", "--gamma", "1e-12"])
+    assert code == 4
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "ResourceCapError"
+    assert fail["error"] == (
+        "sphere net at gamma = 1e-12 needs at least 3490658503990 points, "
+        f"over the cap {SPHERE_NET_CAP}"
+    )
 
 
 THREE_POINTS = {"n": 3, "dist": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
@@ -459,6 +473,10 @@ def test_decorate(tmp_path):
     code, _, err = invoke(["decorate", "--point", point, "--m", "3"])
     assert code == 3
     assert "anchor" in json.loads(err)["error"]
+    code, out, err = invoke(["decorate", "--point", point, "--m", str(DECORATION_CAP + 1)])
+    assert code == 4
+    assert not out
+    assert json.loads(err)["kind"] == "ResourceCapError"
     # decoration reads no params: the flag is a usage error
     code, out, err = invoke(
         ["decorate", "--point", point, "--params", params, "--m", "20"]
@@ -958,9 +976,11 @@ def _zero_a_full_edge():
          {}, "associate", 3, 0),
         (TWO_LEVEL_BUBBLE, None, "verify-association", 2, 2),
         (TWO_LEVEL_BUBBLE, {"area": -1.0}, "decoration", 3, 5),
+        # m = 3,900,060 decoration points, refused before any is built
+        (TWO_LEVEL_BUBBLE, {"area": 1.0}, "decoration", 4, 5),
         (TWO_LEVEL_BUBBLE, {"delta": 2.0}, "bounds", 3, 6),
     ],
-    ids=["associate", "verify-association", "decoration", "bounds"],
+    ids=["associate", "verify-association", "decoration", "decoration-cap", "bounds"],
 )
 def test_pipeline_failure_names_its_stage(
     tmp_path, no_env_seed, bubble, knobs, stage, code, written
@@ -1059,6 +1079,23 @@ def test_pipeline_rejects_non_integer_knobs(tmp_path, no_env_seed, knobs, field)
     fail = json.loads(err)
     assert fail["kind"] == "InputError"
     assert fail["error"].startswith(f"{field} must be an integer")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "knobs, key",
+    [({"detla": 0.3}, "detla"), ({"Area": 5}, "Area"), ({"detla": 0.3, "Area": 5}, "Area")],
+)
+def test_pipeline_rejects_unknown_config_keys(tmp_path, no_env_seed, knobs, key):
+    cfg = write(tmp_path, "pipe.json", {"bubble": BASE_BUBBLE, **knobs})
+    code, out, err = invoke(
+        ["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]
+    )
+    assert code == 3
+    assert not out
+    fail = json.loads(err)
+    assert fail["kind"] == "InputError"
+    assert fail["error"] == f"unknown pipeline config key {key!r}"
     assert not (tmp_path / "run").exists()
 
 

@@ -50,7 +50,7 @@ from bubbletree.curves import (
     split_fiber,
     stabilize_four_marked,
 )
-from bubbletree.errors import InputError, VerificationError
+from bubbletree.errors import InputError, ResourceCapError, VerificationError
 from bubbletree.nets import FiniteMetricSpace, ProjPoint, sphere_distance
 from bubbletree.trees import Marking, diverging_pairs, enumerate_stable_rooted, positive_path
 
@@ -58,6 +58,7 @@ from helpers import (
     anchor_points_reference,
     annulus_path_reference,
     chain_tree,
+    chart_position_reference,
     classify_reference,
     decorate_reference,
     default_params,
@@ -68,6 +69,7 @@ from helpers import (
     near_pairs_reference,
     random_member,
     random_standard,
+    section_reference,
     slack_edges,
     stabilize_four_marked_reference,
     star_tree,
@@ -210,12 +212,13 @@ def test_chart_positions_equal_the_path_walk_by_bits(depth):
         for u in tree.vertices:
             got = chart_positions(q, u)
             want = {
-                (v, e): chart_position(q, u, v, e)
+                (v, e): chart_position_reference(q, u, v, e)
                 for v, e in tree.coordinate_pairs()
                 if positive_path(tree, u, v) is not None
             }
             assert got.keys() == want.keys()
             assert all(bits(got[k]) == bits(want[k]) for k in want)
+            assert all(bits(chart_position(q, u, *k)) == bits(want[k]) for k in want)
     got, want = fiber_discriminant(p), fiber_discriminant_reference(p)
     assert bits(got) == bits(want)
 
@@ -499,6 +502,22 @@ def test_section_matches_fiber_from_root():
         q = fiber_from_root(p, ProjPoint(root_val, 1.0))
         s = section(p, e)
         assert max(sphere_distance(q.at(v), s.at(v)) for v in (1, 2)) < 1e-9
+
+
+@pytest.mark.parametrize("depth", [2, 8, 64])
+def test_sections_equal_the_path_walk_by_bits(depth):
+    rng = random.Random(depth)
+    trees = [chain_tree(depth)] + enumerate_stable_rooted(6)[::4]
+    for tree in trees:
+        p = random_member(tree, default_params(tree), rng)
+        for e in tree.half_edges:
+            got, want = section(p, e), section_reference(p, e)
+            assert got.coords.keys() == want.coords.keys()
+            for v, a in got.coords.items():
+                b = want.coords[v]
+                assert struct.pack("<4d", a.x.real, a.x.imag, a.y.real, a.y.imag) == (
+                    struct.pack("<4d", b.x.real, b.x.imag, b.y.real, b.y.imag)
+                )
 
 
 def test_sections_distinct_and_inside_their_ends():
@@ -1572,6 +1591,22 @@ def test_decorate_rejects_small_m():
     p = star_point([(0.05, 0.01), (-0.05, 0.01)])
     with pytest.raises(InputError, match="anchor count"):
         decorate(p, [], 8)
+
+
+def test_decorate_refuses_m_over_the_cap_before_building(monkeypatch):
+    # the cap admits the m = 100,000 of BENCH_13.json and refuses the
+    # 3,900,060 that area 1.0 asks for at eps = 1/8
+    assert 100_000 <= curves.DECORATION_CAP < 3_900_060
+    p = star_point([(0.05, 0.01), (-0.05, 0.01)])
+
+    def no_points(*args):
+        raise AssertionError("decorate built points past its cap")
+
+    monkeypatch.setattr(curves, "anchor_points", no_points)
+    m = curves.DECORATION_CAP + 1
+    with pytest.raises(ResourceCapError) as info:
+        decorate(p, [], m)
+    assert str(info.value) == f"m = {m} exceeds the decoration cap {curves.DECORATION_CAP}"
 
 
 def test_decorate_skip_limit():

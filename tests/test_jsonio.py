@@ -42,6 +42,7 @@ from bubbletree.jsonio import (
     moduli_to_json,
     params_from_json,
     params_to_json,
+    require_key,
     space_from_json,
     space_to_json,
     tree_from_json,
@@ -257,6 +258,12 @@ def test_number_field_is_the_one_reader_of_numbers():
         params_from_json({"theta": 0.125, "tau": 0.5, "alpha": {"1": "x"}})
     with pytest.raises(InputError, match="^constant 'C' must be a number$"):
         constants_from_json({"C": True})
+    # require_key reads float fields through it
+    for bad in (True, "0.1", None):
+        with pytest.raises(InputError, match=r"^spot\['x'\] must be a number$"):
+            require_key({"x": bad}, "x", float, "spot")
+    got = require_key({"x": 1}, "x", float, "spot")
+    assert got == 1.0 and type(got) is float
 
 
 def test_write_json_round_trip(tmp_path):

@@ -23,8 +23,10 @@ from helpers import (
     traversal_cases,
     triangle_failure_reference,
 )
+from bubbletree import nets
 from bubbletree.nets import (
     EXACT_NU_CAP,
+    SPHERE_NET_CAP,
     _lower_screened,
     _sphere_lowering,
     FiberMap,
@@ -638,6 +640,33 @@ def test_sphere_net_degenerate_radii():
     assert sphere_net(2.0).size == 2
     with pytest.raises(InputError):
         sphere_net(0.0)
+
+
+def test_sphere_net_refuses_sizes_over_the_cap(monkeypatch):
+    assert sphere_net(0.01).size == 140_183 <= SPHERE_NET_CAP
+
+    class NoRowLoop:
+        """math without sin, which only the row loop calls."""
+
+        def __getattr__(self, name):
+            if name == "sin":
+                raise AssertionError("sphere_net entered its row loop")
+            return getattr(math, name)
+
+    # the row count of the smallest double is infinite, where ceil would fail
+    for gamma, size, rows in (
+        (1e-3, 13_965_740, True),
+        (1e-12, 3_490_658_503_990, False),
+        (5e-324, math.inf, False),
+    ):
+        if not rows:
+            monkeypatch.setattr(nets, "math", NoRowLoop())
+        with pytest.raises(ResourceCapError) as info:
+            sphere_net(gamma)
+        assert str(info.value) == (
+            f"sphere net at gamma = {gamma} needs at least {size:.0f} points, "
+            f"over the cap {SPHERE_NET_CAP}"
+        )
 
 
 # the radii of the benchmark's toolbox, 0.2, the frozen sizes, both sides of
