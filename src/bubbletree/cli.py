@@ -234,6 +234,8 @@ def cmd_paths(args) -> int:
         _emit(args, payload)
         return 0 if within else 2
 
+    if args.random < 0:
+        raise InputError(f"paths --random must be nonnegative, got {args.random}")
     seed = _resolve_seed(args)
     rng = random.Random(0 if seed is None else seed)
     worst = 0.0

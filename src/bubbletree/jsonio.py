@@ -305,6 +305,10 @@ def tree_from_json(data: Any) -> tuple[RootedTree, Marking]:
         raise InputError("tree['marked'] must be a list")
     vertices = [int_field(v, "tree vertex") for v in vertices]
     marked = [int_field(e, "tree['marked'] entry") for e in marked]
+    for what, ids in (("tree vertex", vertices), ("tree marked edge", marked)):
+        if len(set(ids)) != len(ids):
+            repeat = next(i for k, i in enumerate(ids) if i in ids[:k])
+            raise InputError(f"{what} {repeat} appears twice")
     try:
         rooted = RootedTree(Tree(vertices, boundary), root_edge)
         marking = Marking(frozenset(marked))
@@ -328,7 +332,12 @@ def space_from_json(data: Any) -> FiniteMetricSpace:
     dist = require_key(data, "dist", list, "metric space")
     if len(dist) != n or any(not isinstance(r, list) or len(r) != n for r in dist):
         raise InputError(f"metric space needs an {n} x {n} distance matrix")
-    return FiniteMetricSpace(dist)
+    return FiniteMetricSpace(
+        [
+            [number_field(x, f"metric space dist[{i}][{j}]") for j, x in enumerate(row)]
+            for i, row in enumerate(dist)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Rooted trees with half and full edges.
 
 A tree here is a finite connected acyclic graph whose edges may have one
-endpoint (half edges) or two (full edges).  A rooted tree distinguishes one
-half edge; this induces a unique orientation in which every vertex is the
-positive endpoint of exactly one edge (its parent edge).  The module provides
-construction and validation, orientation, ancestor queries, positive paths,
-splitting along full edges, exhaustive enumeration of stable rooted trees up
-to root-preserving isomorphism, and the counting bounds used to control that
+endpoint (half edges) or two (full edges).  A ``Tree`` is only the
+description of one, its vertex ids and boundary map; nothing about it is
+checked.  Rooting a description at a half edge (``RootedTree``) validates it
+and, in the same walk, induces the unique orientation in which every vertex
+is the positive endpoint of exactly one edge (its parent edge).  The module
+provides that construction, ancestor queries, positive paths, splitting
+along full edges, exhaustive enumeration of stable rooted trees up to
+root-preserving isomorphism, and the counting bounds used to control that
 enumeration.
 """
 
@@ -26,23 +28,55 @@ class TreeError(ValueError):
     """Raised for malformed trees or invalid tree operations."""
 
 
+@dataclass(frozen=True)
 class Tree:
-    """Finite tree with half and full edges.
+    """The description of a tree with half and full edges, as given.
 
-    vertices: iterable of integer vertex ids, kept as a sorted tuple.
-    boundary: mapping edge id -> endpoints (tuple of 1 or 2 vertex ids).
-    The sorted edges, the full and the half edges among them and the
-    incidence table ``incident`` (vertex -> list of its edges in ascending
-    order, so the degree is the length of its entry) are computed once,
-    when the boundary is validated.
+    vertices: iterable of integer vertex ids.
+    boundary: mapping edge id -> endpoints (sequence of 1 or 2 vertex ids).
+    Nothing is validated or derived here: ``RootedTree`` reads the
+    description, checks that it is a tree and computes its facts.
     """
 
-    __slots__ = ("vertices", "boundary", "edges", "full_edges", "half_edges", "incident")
+    vertices: Iterable[int]
+    boundary: Mapping[int, Sequence[int]]
 
-    def __init__(self, vertices: Iterable[int], boundary: Mapping[int, Sequence[int]]):
-        incident: dict[int, list[int]] = {v: [] for v in sorted({int(v) for v in vertices})}
+
+class RootedTree:
+    """A validated tree with a distinguished root half edge and the induced
+    orientation.
+
+    ``RootedTree(tree, root_edge)`` checks, in this order: every edge has 1
+    or 2 endpoints, is not a loop and names known vertices; there is at least
+    one vertex; there are |V| - 1 full edges; the root edge exists and is a
+    half edge.  One depth-first walk from the root vertex then orients the
+    tree and proves it connected: a full edge leading back to a vertex the
+    walk has reached, or a vertex left unreached, is "tree is not connected"
+    (with |V| - 1 full edges, a cycle implies a second component).
+
+    ``vertices`` is sorted, ``edges`` sorted with ``full_edges`` and
+    ``half_edges`` among them, and ``incident`` maps each vertex to its edges
+    in ascending order, so the degree is the length of its entry.  For every
+    edge other than the root, the endpoint nearer the root vertex is its
+    negative endpoint (``e_minus``) and the farther one, when the edge is
+    full, is positive (``e_plus``).  The root vertex is the positive endpoint
+    of the root edge.  Each vertex is the positive endpoint of exactly one
+    edge, its ``parent_edge``, and ``children[v]`` lists the edges having v
+    as negative endpoint.  ``order`` lists the vertices in depth-first
+    preorder, children in ascending order of their parent edges, so every
+    vertex comes after its parent.
+    """
+
+    __slots__ = (
+        "vertices", "boundary", "edges", "full_edges", "half_edges", "incident",
+        "root_edge", "root_vertex", "parent_edge", "children", "e_minus", "e_plus",
+        "depth", "order", "_diverging",
+    )
+
+    def __init__(self, tree: Tree, root_edge: int):
+        incident: dict[int, list[int]] = {v: [] for v in sorted({int(v) for v in tree.vertices})}
         bd: dict[int, tuple[int, ...]] = {}
-        for e, ends in boundary.items():
+        for e, ends in tree.boundary.items():
             ends_t = tuple(map(int, ends))
             if len(ends_t) not in (1, 2):
                 raise TreeError(f"edge {e} has {len(ends_t)} endpoints; need 1 or 2")
@@ -71,83 +105,33 @@ class Tree:
                 f"{len(vs)} vertices need {len(vs) - 1} "
                 f"full edges for a tree, got {len(self.full_edges)}"
             )
-        # connectivity through the table; acyclicity then follows from the count
-        seen = {vs[0]}
-        stack = [vs[0]]
-        while stack:
-            for e in incident[stack.pop()]:
-                for w in bd[e]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        if len(seen) != len(vs):
-            raise TreeError("tree is not connected")
-
-    def degree(self, v: int) -> int:
-        return len(self.incident.get(v, ()))
-
-    def is_stable(self) -> bool:
-        return all(len(es) >= 3 for es in self.incident.values())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Tree(|V|={len(self.vertices)}, |E|={len(self.edges)})"
-
-
-class RootedTree(Tree):
-    """Tree with a distinguished root half edge and the induced orientation.
-
-    For every edge other than the root, the endpoint nearer the root vertex is
-    its negative endpoint and the farther one (when the edge is full) is
-    positive.  The root vertex is the positive endpoint of the root edge.
-    Consequently each vertex is the positive endpoint of exactly one edge,
-    called its parent edge, and ``children[v]`` lists the edges having v as
-    negative endpoint.  ``order`` lists the vertices in depth-first preorder,
-    children in ascending order of their parent edges, so every vertex comes
-    after its parent.
-    """
-
-    __slots__ = (
-        "root_edge",
-        "root_vertex",
-        "parent_edge",
-        "children",
-        "e_minus",
-        "e_plus",
-        "depth",
-        "order",
-        "_diverging",
-    )
-
-    def __init__(self, tree: Tree, root_edge: int):
-        if root_edge not in tree.boundary:
+        if root_edge not in bd:
             raise TreeError(f"root edge {root_edge} not in tree")
-        if len(tree.boundary[root_edge]) != 1:
+        if len(bd[root_edge]) != 1:
             raise TreeError("root edge must be a half edge")
-        # the facts of the tree, computed and validated when it was built
-        for name in Tree.__slots__:
-            setattr(self, name, getattr(tree, name))
-        self.root_edge = int(root_edge)
-        (self.root_vertex,) = self.boundary[root_edge]
+        root = self.root_edge = int(root_edge)
+        (self.root_vertex,) = bd[root]
 
-        parent_edge: dict[int, int] = {self.root_vertex: self.root_edge}
-        children: dict[int, tuple[int, ...]] = dict.fromkeys(self.vertices)
-        e_minus: dict[int, int | None] = {self.root_edge: None}
-        e_plus: dict[int, int | None] = {self.root_edge: self.root_vertex}
-        depth = {self.root_vertex: 0}
-
+        parent_edge = self.parent_edge = {self.root_vertex: root}
+        children = self.children = dict.fromkeys(vs)
+        e_minus = self.e_minus = {root: None}
+        e_plus = self.e_plus = {root: self.root_vertex}
+        depth = self.depth = {self.root_vertex: 0}
         order = []
         stack = [self.root_vertex]
         while stack:
             v = stack.pop()
             order.append(v)
             up = parent_edge[v]
-            children[v] = down = tuple(e for e in self.incident[v] if e != up)
+            children[v] = down = tuple(e for e in incident[v] if e != up)
             kids = []
             for e in down:
-                ends = self.boundary[e]
+                ends = bd[e]
                 e_minus[e] = v
                 if len(ends) == 2:
                     w = ends[0] if ends[1] == v else ends[1]
+                    if w in parent_edge:
+                        raise TreeError("tree is not connected")
                     e_plus[e] = w
                     parent_edge[w] = e
                     depth[w] = depth[v] + 1
@@ -155,15 +139,17 @@ class RootedTree(Tree):
                 else:
                     e_plus[e] = None
             stack.extend(reversed(kids))
-
-        self.parent_edge = parent_edge
-        self.children = children
-        self.e_minus = e_minus
-        self.e_plus = e_plus
-        self.depth = depth
+        if len(order) != len(vs):
+            raise TreeError("tree is not connected")
         self.order = tuple(order)
         # diverging_pairs, filled on first use
         self._diverging = None
+
+    def degree(self, v: int) -> int:
+        return len(self.incident.get(v, ()))
+
+    def is_stable(self) -> bool:
+        return all(len(es) >= 3 for es in self.incident.values())
 
     def child_edges(self, v: int) -> tuple[int, ...]:
         """Edges with v as negative endpoint (the index set for disc data at v)."""
@@ -188,7 +174,7 @@ class Marking:
 
     marked: frozenset[int] = field(default_factory=frozenset)
 
-    def validate(self, tree: Tree) -> None:
+    def validate(self, tree: RootedTree) -> None:
         halves = set(tree.half_edges)
         bad = set(self.marked) - halves
         if bad:
@@ -513,7 +499,7 @@ class EdgeCountReport:
     equality_throughout: bool
 
 
-def edge_counts(t: Tree) -> EdgeCountReport:
+def edge_counts(t: RootedTree) -> EdgeCountReport:
     """Vertex/edge/degree counts and the stability inequality chain.
 
     The chain |E_int| + 1 = |V| <= (1/3) sum(deg) <= |E_ext| - 2 holds for

@@ -77,9 +77,9 @@ def chain_tree(levels: int, leaves: int = 2) -> RootedTree:
     return RootedTree(Tree(list(range(1, levels + 1)), boundary), 0)
 
 
-def assert_tree_facts(t: Tree) -> None:
-    """Every fact a tree stores equals its definition over the boundary, and
-    a rooted tree's facts equal the reference constructors'."""
+def assert_tree_facts(t: RootedTree) -> None:
+    """Every fact a rooted tree stores equals its definition over the
+    boundary, and its facts equal the reference constructors'."""
     edges = tuple(sorted(t.boundary))
     degree = {v: sum(v in ends for ends in t.boundary.values()) for v in t.vertices}
     assert t.vertices == tuple(sorted(set(t.vertices)))
@@ -89,14 +89,11 @@ def assert_tree_facts(t: Tree) -> None:
     assert {v: t.degree(v) for v in t.vertices} == degree
     assert t.incident == {v: [e for e in edges if v in t.boundary[e]] for v in t.vertices}
     assert t.is_stable() == all(d >= 3 for d in degree.values())
-    if isinstance(t, RootedTree):
-        assert t.coordinate_pairs() == tuple(
-            sorted((v, e) for v in t.vertices for e in t.children[v])
-        )
-        assert t.incident_pairs() == tuple(
-            sorted((v, e) for e in edges for v in t.boundary[e])
-        )
-        assert_tree_matches_reference(t)
+    assert t.coordinate_pairs() == tuple(
+        sorted((v, e) for v in t.vertices for e in t.children[v])
+    )
+    assert t.incident_pairs() == tuple(sorted((v, e) for e in edges for v in t.boundary[e]))
+    assert_tree_matches_reference(t)
 
 
 class ReferenceTree:

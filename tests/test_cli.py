@@ -147,6 +147,20 @@ def test_net_space_file_stdout_is_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == NET_STDOUT_DIGESTS["space.json"]
 
 
+@pytest.mark.parametrize("entry", [True, "1", [1]])
+def test_net_rejects_a_distance_that_is_not_a_number(tmp_path, entry):
+    space = {"n": 2, "dist": [[0, entry], [entry, 0]]}
+    code, out, err = invoke(
+        ["net", "--space", write(tmp_path, "space.json", space), "--gamma", "0.5"]
+    )
+    assert code == 3
+    assert not out
+    assert json.loads(err) == {
+        "error": "metric space dist[0][1] must be a number",
+        "kind": "InputError",
+    }
+
+
 LINE = {"n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]]}
 COVER_INSTANCE = {
     "space_t": {"n": 1, "dist": [[0.0]]},
@@ -227,6 +241,28 @@ def test_cover_rejects_non_integer_indices(tmp_path, member, field):
     fail = json.loads(err)
     assert fail["kind"] == "InputError"
     assert fail["error"].startswith(f"{field} must be an integer")
+
+
+@pytest.mark.parametrize("entry", [True, "1", [1]])
+def test_cover_rejects_a_distance_that_is_not_a_number(tmp_path, entry):
+    instance = {**COVER_INSTANCE, "space_w": {"n": 2, "dist": [[0, 1], [entry, 0]]}}
+    code, out, err = invoke(
+        [
+            "cover",
+            "--instance",
+            write(tmp_path, "instance.json", instance),
+            "--lambda",
+            "1.0",
+            "--delta",
+            "0.6",
+        ]
+    )
+    assert code == 3
+    assert not out
+    assert json.loads(err) == {
+        "error": "metric space dist[1][0] must be a number",
+        "kind": "InputError",
+    }
 
 
 def test_cover_past_exact_net_cap_exit_4(tmp_path):
@@ -524,6 +560,16 @@ def test_paths_random_deterministic(no_env_seed):
     assert data["count"] == 25
     assert data["violations"] == 0
     assert data["worst_ratio"] <= 1.0
+
+
+def test_paths_random_rejects_a_negative_count():
+    code, out, err = invoke(["paths", "--random", "-5"])
+    assert code == 3
+    assert not out
+    assert json.loads(err) == {
+        "error": "paths --random must be nonnegative, got -5",
+        "kind": "InputError",
+    }
 
 
 def test_env_seed_overrides_flag(monkeypatch):

@@ -324,6 +324,24 @@ def test_tree_from_json_rejects_bad_input():
         tree_from_json(dangling)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"vertices": [1, 1]}, "tree vertex 1 appears twice"),
+        ({"marked": [2, 1, 2]}, "tree marked edge 2 appears twice"),
+        (
+            {"edges": [{"id": e, "endpoints": [1]} for e in (0, 1, 2, 1)]},
+            "tree edge 1 appears twice",
+        ),
+    ],
+)
+def test_tree_from_json_rejects_repeated_ids(change, message):
+    data = {**tree_to_json(star_tree(2)), **change}
+    with pytest.raises(InputError) as exc:
+        tree_from_json(data)
+    assert str(exc.value) == message
+
+
 def test_space_round_trip():
     space = FiniteMetricSpace.from_points(
         [0.0, 1.0, 2.5, 4.0], lambda a, b: abs(a - b)
@@ -338,6 +356,21 @@ def test_space_from_json_rejects_bad_matrix():
         space_from_json({"n": 2, "dist": [[0.0, 1.0]]})
     with pytest.raises(InputError):
         space_from_json({"n": 2, "dist": [[0.0, 1.0], [2.0, 0.0]]})
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ([[0, True], [True, 0]], "metric space dist[0][1] must be a number"),
+        ([[0, "1"], ["1", 0]], "metric space dist[0][1] must be a number"),
+        ([[0, 1], [[1], 0]], "metric space dist[1][0] must be a number"),
+        ([[None, 1], [1, 0]], "metric space dist[0][0] must be a number"),
+    ],
+)
+def test_space_from_json_names_a_distance_that_is_not_a_number(dist, message):
+    with pytest.raises(InputError) as exc:
+        space_from_json({"n": 2, "dist": dist})
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("tree", [star_tree(3), chain_tree(3)])

@@ -3,9 +3,12 @@
 import ast
 import io
 import tokenize
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bubbletree"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bubbletree"
+BENCH = ROOT / "bench"
 
 # tokens that carry no code of their own
 _LAYOUT = {
@@ -101,6 +104,46 @@ def unread_locals(tree: ast.AST) -> list[tuple[str, int, str]]:
     return sorted(found, key=lambda f: (f[1], f[2]))
 
 
+def names_read(node: ast.AST) -> Counter:
+    """How often each identifier is read below node, as a name or as an
+    attribute."""
+    return Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    )
+
+
+def public_names(module: ast.Module) -> dict[str, ast.stmt]:
+    """Top-level functions, classes and assigned names not starting with _,
+    each with the statement that defines it."""
+    found = {}
+    for stmt in module.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            continue
+        found.update((name, stmt) for name in names if not name.startswith("_"))
+    return found
+
+
+def unreferenced_names(modules: dict[str, str], readers: list[str]) -> dict[str, list[str]]:
+    """Per module, the public top-level names that nothing in the modules
+    or the readers reads outside the name's own definition.  Names are
+    matched by identifier alone, so an attribute of the same name counts as
+    a read."""
+    parsed = {name: ast.parse(source) for name, source in modules.items()}
+    read = sum((names_read(t) for t in [*parsed.values(), *map(ast.parse, readers)]), Counter())
+    return {
+        name: sorted(n for n, stmt in public_names(t).items() if read[n] == names_read(stmt)[n])
+        for name, t in parsed.items()
+    }
+
+
 def test_code_lines_skips_blanks_comments_and_docstrings():
     sample = (
         '"""Module docstring,\n'
@@ -147,6 +190,22 @@ def test_no_function_in_the_package_has_a_dead_parameter():
     assert dead == []
 
 
+def test_unreferenced_names_skips_reads_inside_the_definition():
+    modules = {
+        "a.py": (
+            "X = 1\n_Y = 2\nZ: int = 3\n"
+            "def f(n):\n    return f(n - 1)\n"
+            "def g():\n    return X\n"
+            "class C:\n    pass\n"
+        ),
+        "b.py": "from a import C\nc = C\n",
+    }
+    assert unreferenced_names(modules, ["import a\na.g()\n"]) == {
+        "a.py": ["Z", "f"],
+        "b.py": ["c"],
+    }
+
+
 def test_unread_locals_reports_only_dead_assignments():
     tree = ast.parse(
         "def f(xs):\n"
@@ -183,3 +242,10 @@ if __name__ == "__main__":
         total += count
         print(f"{path.name:14} {count:5}")
     print(f"{'total':14} {total:5}")
+    # a report, not a check: what the library offers that nothing uses
+    modules = {path.name: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text("utf-8") for path in sorted(BENCH.glob("*.py"))]
+    print("\npublic names that nothing in src/ or bench/ reads:")
+    for name, unread in unreferenced_names(modules, readers).items():
+        if unread:
+            print(f"{name:14} {', '.join(unread)}")

@@ -2,10 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubbletree import trees
 from helpers import (
+    ReferenceRootedTree,
+    ReferenceTree,
     assert_tree_facts,
+    assert_tree_matches_reference,
     oracle_count_stable_rooted,
     split_components_reference,
 )
@@ -69,14 +74,12 @@ def test_enumeration_outputs_valid():
 
 
 def test_enumerated_trees_store_their_facts():
-    for n in range(2, 9):
+    for n in range(2, 10):
         for t in enumerate_stable_rooted(n):
-            assert isinstance(t, Tree)
             assert_tree_facts(t)
-            # a tree built from a rooted tree, and a rooting of that tree
-            plain = Tree(t.vertices, t.boundary)
-            assert_tree_facts(plain)
-            again = RootedTree(plain, t.root_edge)
+            # the tree rooted again from a description of it
+            again = RootedTree(Tree(t.vertices, t.boundary), t.root_edge)
+            assert_tree_facts(again)
             assert (again.order, again.children) == (t.order, t.children)
 
 
@@ -376,13 +379,13 @@ def test_split_rejects_half_edge():
 
 def test_tree_validation_errors():
     with pytest.raises(TreeError):
-        Tree([0, 1, 2], {0: (0, 1), 1: (1, 2), 2: (2, 0)})  # cycle
+        RootedTree(Tree([0, 1, 2], {0: (0, 1), 1: (1, 2), 2: (2, 0)}), 0)  # cycle
     with pytest.raises(TreeError):
-        Tree([0, 1], {0: (0,), 1: (1,)})  # disconnected
+        RootedTree(Tree([0, 1], {0: (0,), 1: (1,)}), 0)  # disconnected
     with pytest.raises(TreeError):
-        Tree([0], {0: (0, 0)})  # loop
+        RootedTree(Tree([0], {0: (0, 0)}), 0)  # loop
     with pytest.raises(TreeError):
-        Tree([0], {0: ()})  # no endpoints
+        RootedTree(Tree([0], {0: ()}), 0)  # no endpoints
     with pytest.raises(TreeError):
         RootedTree(Tree([0, 1], {0: (0, 1), 1: (0,), 2: (1,)}), 0)  # full root
 
@@ -402,13 +405,97 @@ def test_tree_validation_errors():
             {0: (0, 1), 1: (1, 2), 2: (2, 0)},
             "3 vertices need 2 full edges for a tree, got 3",
         ),
-        ([0, 1, 2, 3], {0: (0, 1), 1: (1, 0), 2: (2, 3)}, "tree is not connected"),
+        ([0, 1, 2, 3], {0: (0, 1), 1: (1, 0), 2: (2, 3), 3: (0,)}, "tree is not connected"),
     ],
 )
 def test_tree_error_messages_in_check_order(vertices, boundary, message):
+    # rooted at the first half edge (edge 0 when there is none); every case
+    # but the last fails before the root is checked
+    root_edge = next((e for e, ends in boundary.items() if len(ends) == 1), 0)
     with pytest.raises(TreeError) as exc:
-        Tree(vertices, boundary)
+        RootedTree(Tree(vertices, boundary), root_edge)
     assert str(exc.value) == message
+
+
+def test_root_errors_come_before_connectivity():
+    # the walk from the root proves connectivity, so it needs a valid root
+    disconnected = Tree([0, 1, 2, 3], {0: (0, 1), 1: (1, 0), 2: (2, 3), 3: (0,)})
+    with pytest.raises(TreeError, match="^root edge 9 not in tree$"):
+        RootedTree(disconnected, 9)
+    with pytest.raises(TreeError, match="^root edge must be a half edge$"):
+        RootedTree(disconnected, 0)
+
+
+@pytest.mark.parametrize(
+    "vertices, boundary",
+    [
+        # |V| - 1 full edges: a triangle at the root, vertex 3 apart
+        ([0, 1, 2, 3], {0: (0,), 1: (0, 1), 2: (1, 2), 3: (2, 0), 4: (3,)}),
+        # a doubled edge at the root, vertex 2 apart
+        ([0, 1, 2], {0: (0,), 1: (0, 1), 2: (1, 0), 3: (2,)}),
+        # the root vertex alone, a triangle apart
+        ([0, 1, 2, 3], {0: (0,), 1: (1, 2), 2: (2, 3), 3: (3, 1)}),
+    ],
+)
+def test_a_cycle_is_not_connected(vertices, boundary):
+    with pytest.raises(TreeError, match="^tree is not connected$"):
+        RootedTree(Tree(vertices, boundary), 0)
+
+
+@st.composite
+def tree_descriptions(draw):
+    """(vertices, boundary, root_edge) on up to 6 vertices, with vertex and
+    edge ids shuffled: a tree with half edges; two components with a cycle
+    in one of them, the root's or the other, so that the full-edge count is
+    right; or arbitrary edges of 0-3 endpoints among known and unknown
+    vertices."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("tree", "cycle", "arbitrary")))
+    if kind == "arbitrary":
+        ends = draw(st.lists(st.lists(st.integers(-1, n), max_size=3), max_size=8))
+        vertices = draw(st.lists(st.integers(0, n - 1), max_size=n + 1))
+        boundary = {e: tuple(vs) for e, vs in enumerate(ends)}
+        return vertices, boundary, draw(st.integers(-1, len(ends)))
+    n = max(n, 3) if kind == "cycle" else n
+    # the root's component is 0..k-1 and k..n-1 a second one; one more full
+    # edge closes a cycle in either of them that has two vertices
+    k = draw(st.integers(1, n - 1)) if kind == "cycle" else n
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]
+    ends += [(draw(st.integers(k, v - 1)), v) for v in range(k + 1, n)]
+    if kind == "cycle":
+        lo, hi = draw(st.sampled_from([c for c in ((0, k), (k, n)) if c[1] - c[0] >= 2]))
+        a, b = draw(st.lists(st.integers(lo, hi - 1), min_size=2, max_size=2, unique=True))
+        ends.append((a, b))
+    ends = [e if draw(st.booleans()) else e[::-1] for e in ends]
+    ends = [(0,)] + ends + [(v,) for v in draw(st.lists(st.integers(0, n - 1), max_size=5))]
+    label = draw(st.permutations(range(n)))
+    ids = draw(st.permutations(range(len(ends))))
+    boundary = {ids[i]: tuple(label[v] for v in vs) for i, vs in enumerate(ends)}
+    root_edge = draw(st.one_of(st.just(ids[0]), st.integers(-1, len(ends))))
+    return [label[v] for v in range(n)], boundary, root_edge
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(tree_descriptions())
+def test_rooting_matches_the_reference_constructors(case):
+    vertices, boundary, root_edge = case
+    try:
+        got = RootedTree(Tree(vertices, boundary), root_edge)
+    except TreeError as exc:
+        got = str(exc)
+    try:
+        want = ReferenceRootedTree(ReferenceTree(vertices, boundary), root_edge)
+    except TreeError as exc:
+        want = str(exc)
+    if isinstance(want, str):
+        # connectivity is proved by the walk from the root, which runs
+        # after the root checks
+        roots = ("tree is not connected", f"root edge {root_edge} not in tree",
+                 "root edge must be a half edge")
+        assert got in (roots if want == "tree is not connected" else (want,))
+    else:
+        assert not isinstance(got, str)
+        assert_tree_matches_reference(got)
 
 
 def test_rooting_errors():
