@@ -110,7 +110,8 @@ def names_read(node: ast.AST) -> Counter:
     return Counter(
         n.attr if isinstance(n, ast.Attribute) else n.id
         for n in ast.walk(node)
-        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        if isinstance(n, ast.Attribute)
+        or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
     )
 
 
