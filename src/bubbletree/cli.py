@@ -27,7 +27,7 @@ from .bounds import (
 from .bubbles import associate_tree, verify_association
 from .curves import annulus_path, decomposition, decorate, in_compact_subset
 from .errors import BubbletreeError, InputError, exit_code
-from .nets import FiberMap, greedy_net, mapspace_cover, sphere_net
+from .nets import greedy_net, mapspace_cover, sphere_net
 from .pipeline import run_pipeline
 from .trees import enumerate_stable_rooted, tree_count_bound
 
@@ -107,35 +107,11 @@ def cmd_net(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    data = jsonio.load_json(args.instance)
-    if not isinstance(data, dict):
-        raise InputError("cover instance must be a JSON object")
-    spaces = {}
-    for key in ("space_t", "space_z", "space_w"):
-        if key not in data:
-            raise InputError(f"cover instance is missing {key!r}")
-        spaces[key] = jsonio.space_from_json(data[key])
-    members_raw = data.get("members")
-    if not isinstance(members_raw, list) or not members_raw:
-        raise InputError("cover instance needs a nonempty 'members' list")
-    members = []
-    for item in members_raw:
-        fiber = jsonio.require_key(item, "fiber", list, "cover member")
-        values = jsonio.require_key(item, "values", list, "cover member")
-        members.append(
-            FiberMap(
-                t=jsonio.require_key(item, "t", int, "cover member"),
-                fiber=[jsonio.int_field(i, "cover member fiber entry") for i in fiber],
-                values=[jsonio.int_field(i, "cover member value") for i in values],
-            )
-        )
+    space_t, space_z, space_w, members = jsonio.cover_from_json(
+        jsonio.load_json(args.instance)
+    )
     cover = mapspace_cover(
-        spaces["space_t"],
-        spaces["space_z"],
-        spaces["space_w"],
-        members,
-        lam=args.lam,
-        delta=args.delta,
+        space_t, space_z, space_w, members, lam=args.lam, delta=args.delta
     )
     _emit(
         args,

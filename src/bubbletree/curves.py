@@ -132,28 +132,15 @@ class ModuliPoint:
         return self.gamma[e]
 
 
-def coordinate_count(tree: RootedTree) -> int:
-    """Number of complex coordinates: the full edges plus two per child pair."""
-    return len(tree.full_edges) + 2 * len(tree.coordinate_pairs())
-
-
-def chart_position(p: ModuliPoint, u: int, v: int, e: int) -> complex:
-    """Position of the disc at (v, e) as seen in the chart of an ancestor u.
-
-    Telescopes z down the positive path from u to v: each step contributes
-    its own disc center, scaled by the product of gamma * rho factors of the
-    edges already traversed.  With u = v this is just z_{v,e}.  Read from
-    the chart_positions descent from u.
-    """
-    if positive_path(p.tree, u, v) is None:
-        raise InputError(f"no positive path from {u} to {v}")
-    return chart_positions(p, u)[(v, e)]
-
-
 def chart_positions(p: ModuliPoint, u: int) -> dict[tuple[int, int], complex]:
-    """chart_position(p, u, v, e) for every pair (v, e) at or below u, from
-    one descent that carries each path's running sum and prefix product:
-    the sum of prefix * z(w, step) over the path from u to v, then
+    """Position of the disc at (v, e) as seen in the chart of the ancestor
+    u, for every pair (v, e) at or below u.
+
+    A position telescopes z down the positive path from u to v: each step
+    contributes its own disc center, scaled by the product of gamma * rho
+    factors of the edges already traversed, so with v = u it is just
+    z_{u,e}.  One descent carries each path's running sum and prefix
+    product: the sum of prefix * z(w, step) over the path from u to v, then
     prefix * z(v, e), where prefix multiplies in gamma * rho of each edge
     passed, in path order."""
     t = p.tree

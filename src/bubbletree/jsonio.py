@@ -38,7 +38,7 @@ from .curves import (
     ThickThinDecomposition,
 )
 from .errors import InputError
-from .nets import FiniteMetricSpace
+from .nets import FiberMap, FiniteMetricSpace
 from .trees import Marking, RootedTree, Tree, TreeError
 
 _quote = json.encoder.encode_basestring_ascii
@@ -268,6 +268,12 @@ def _int_key(key: str, where: str) -> int:
     return value
 
 
+def int_keyed(raw: Mapping, where: str, read) -> dict:
+    """The one reader of integer-keyed objects: each key read by _int_key,
+    each value by read(value, f"{where}[{key!r}]")."""
+    return {_int_key(k, where): read(v, f"{where}[{k!r}]") for k, v in raw.items()}
+
+
 # ---------------------------------------------------------------------------
 # trees
 # ---------------------------------------------------------------------------
@@ -323,13 +329,11 @@ def tree_from_json(data: Any) -> tuple[RootedTree, Marking]:
 # ---------------------------------------------------------------------------
 
 
-def space_to_json(space: FiniteMetricSpace) -> dict:
-    return {"n": space.n, "dist": [[float(x) for x in row] for row in space.dist]}
-
-
 def space_from_json(data: Any) -> FiniteMetricSpace:
     n = require_key(data, "n", int, "metric space")
     dist = require_key(data, "dist", list, "metric space")
+    if n < 1:
+        raise InputError(f"metric space needs n >= 1 points, got n = {n}")
     if len(dist) != n or any(not isinstance(r, list) or len(r) != n for r in dist):
         raise InputError(f"metric space needs an {n} x {n} distance matrix")
     return FiniteMetricSpace(
@@ -338,6 +342,36 @@ def space_from_json(data: Any) -> FiniteMetricSpace:
             for i, row in enumerate(dist)
         ]
     )
+
+
+def cover_from_json(data: Any) -> tuple[
+    FiniteMetricSpace, FiniteMetricSpace, FiniteMetricSpace, list[FiberMap]
+]:
+    """A cover instance: the base, domain and codomain spaces under the keys
+    space_t, space_z and space_w, and a nonempty 'members' list of objects
+    {"t": base index, "fiber": domain indices, "values": codomain indices}."""
+    if not isinstance(data, dict):
+        raise InputError("cover instance must be a JSON object")
+    spaces = []
+    for key in ("space_t", "space_z", "space_w"):
+        if key not in data:
+            raise InputError(f"cover instance is missing {key!r}")
+        spaces.append(space_from_json(data[key]))
+    members_raw = data.get("members")
+    if not isinstance(members_raw, list) or not members_raw:
+        raise InputError("cover instance needs a nonempty 'members' list")
+    members = []
+    for item in members_raw:
+        fiber = require_key(item, "fiber", list, "cover member")
+        values = require_key(item, "values", list, "cover member")
+        members.append(
+            FiberMap(
+                t=require_key(item, "t", int, "cover member"),
+                fiber=[int_field(i, "cover member fiber entry") for i in fiber],
+                values=[int_field(i, "cover member value") for i in values],
+            )
+        )
+    return (*spaces, members)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +397,7 @@ def moduli_from_json(data: Any) -> ModuliPoint:
     tree, _ = tree_from_json(require_key(data, "tree", dict, "moduli point"))
     gamma_raw = require_key(data, "gamma", dict, "moduli point")
     zr_raw = require_key(data, "zr", dict, "moduli point")
-    gamma = {
-        _int_key(k, "gamma"): complex_from_json(v, f"gamma[{k!r}]")
-        for k, v in gamma_raw.items()
-    }
+    gamma = int_keyed(gamma_raw, "gamma", complex_from_json)
     zr = {}
     for key, item in zr_raw.items():
         parts = str(key).split(",")
@@ -391,10 +422,7 @@ def params_to_json(c: CompactnessParams) -> dict:
 def params_from_json(data: Any) -> CompactnessParams:
     theta = require_key(data, "theta", float, "params")
     tau = require_key(data, "tau", float, "params")
-    alpha_raw = require_key(data, "alpha", dict, "params")
-    alpha = {}
-    for k, v in alpha_raw.items():
-        alpha[_int_key(k, "alpha")] = number_field(v, f"alpha[{k!r}]")
+    alpha = int_keyed(require_key(data, "alpha", dict, "params"), "alpha", number_field)
     return CompactnessParams(theta=theta, tau=tau, alpha=alpha)
 
 
@@ -465,10 +493,7 @@ def association_from_json(data: Any) -> TreeAssociation:
     point = moduli_from_json(require_key(data, "point", dict, "association"))
     root_vertex = require_key(data, "root_vertex", int, "association")
     raw = require_key(data, "edge_to_bubble", dict, "association")
-    edge_to_bubble = {
-        _int_key(k, "edge_to_bubble"): complex_from_json(v, f"edge_to_bubble[{k!r}]")
-        for k, v in raw.items()
-    }
+    edge_to_bubble = int_keyed(raw, "edge_to_bubble", complex_from_json)
     return TreeAssociation(point.tree, point, root_vertex, edge_to_bubble)
 
 

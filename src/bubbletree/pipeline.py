@@ -135,12 +135,9 @@ def run_pipeline(
     overrides_raw = config.get("gamma_overrides", {})
     if not isinstance(overrides_raw, Mapping):
         raise InputError("gamma_overrides must be a JSON object")
-    overrides = {
-        jsonio._int_key(k, "gamma_overrides"): jsonio.complex_from_json(
-            v, f"gamma_overrides[{k!r}]"
-        )
-        for k, v in overrides_raw.items()
-    }
+    overrides = jsonio.int_keyed(
+        overrides_raw, "gamma_overrides", jsonio.complex_from_json
+    )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -182,27 +182,8 @@ class Marking:
 
 
 # ---------------------------------------------------------------------------
-# orientation and paths
+# ancestors and paths
 # ---------------------------------------------------------------------------
-
-
-def orient(t: RootedTree) -> dict[int, dict[int, int]]:
-    """Signed endpoint assignment: edge -> {vertex: +1 or -1}.
-
-    +1 marks the positive endpoint (the one whose parent edge this is) and -1
-    the negative endpoint.  The root vertex is positive on the root edge; this
-    is the unique assignment in which every vertex is positive on exactly one
-    edge.
-    """
-    out: dict[int, dict[int, int]] = {}
-    for e in t.edges:
-        signs: dict[int, int] = {}
-        if t.e_plus[e] is not None:
-            signs[t.e_plus[e]] = +1
-        if t.e_minus[e] is not None:
-            signs[t.e_minus[e]] = -1
-        out[e] = signs
-    return out
 
 
 def nearest_common_ancestor(t: RootedTree, v: int, w: int) -> int:
@@ -258,11 +239,6 @@ def diverging_pairs(t: RootedTree) -> np.ndarray:
 def _edge_below(t: RootedTree, u: int, v: int, e: int) -> int:
     """Edge through which the pair (v, e) hangs below u; e itself when v = u."""
     return e if v == u else t.parent_edge[positive_path(t, u, v)[1]]
-
-
-def path_edges(t: RootedTree, path: Sequence[int]) -> tuple[int, ...]:
-    """Edges traversed by a positive path (parent edges of path[1:])."""
-    return tuple(t.parent_edge[v] for v in path[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -436,27 +412,6 @@ def _shape_to_tree(shape: Shape) -> RootedTree:
 
     build(shape)
     return RootedTree(Tree(vertices, boundary), 0)
-
-
-def canonical_key(t: RootedTree) -> Shape:
-    """Root-preserving isomorphism invariant: sorted child multisets of
-    (half-edge weight, subtree key), computed bottom-up."""
-
-    def weight_and_key(v: int) -> tuple[int, Shape]:
-        items = []
-        total = 0
-        for e in t.children[v]:
-            w = t.e_plus[e]
-            if w is None:
-                items.append((1, ()))
-                total += 1
-            else:
-                sub_w, sub_k = weight_and_key(w)
-                items.append((sub_w, sub_k))
-                total += sub_w
-        return total, tuple(sorted(items))
-
-    return weight_and_key(t.root_vertex)[1]
 
 
 def enumerate_stable_rooted(n: int) -> list[RootedTree]:

@@ -45,6 +45,7 @@ from bubbletree.nets import (
 from bubbletree.trees import (
     Marking,
     RootedTree,
+    Shape,
     SplitPiece,
     Tree,
     TreeError,
@@ -352,6 +353,27 @@ def split_components_reference(t: RootedTree, marking: Marking, cut) -> list:
     return pieces
 
 
+def canonical_key(t: RootedTree) -> Shape:
+    """Root-preserving isomorphism invariant: sorted child multisets of
+    (half-edge weight, subtree key), computed bottom-up."""
+
+    def weight_and_key(v: int) -> tuple[int, Shape]:
+        items = []
+        total = 0
+        for e in t.children[v]:
+            w = t.e_plus[e]
+            if w is None:
+                items.append((1, ()))
+                total += 1
+            else:
+                sub_w, sub_k = weight_and_key(w)
+                items.append((sub_w, sub_k))
+                total += sub_w
+        return total, tuple(sorted(items))
+
+    return weight_and_key(t.root_vertex)[1]
+
+
 def default_params(tree: RootedTree, theta: float = 1 / 8) -> CompactnessParams:
     return CompactnessParams(
         theta=theta, tau=0.5, alpha={v: 1e-6 for v in tree.vertices}
@@ -570,6 +592,13 @@ def farthest_first_reference(space, start):
         order.append((best, bestd))
         chosen.add(best)
     return order
+
+
+def sphere_pairwise(a: Sequence[ProjPoint], b: Sequence[ProjPoint]) -> np.ndarray:
+    """Matrix of sphere distances, rows indexing a and columns indexing b."""
+    ax, ay, an = sphere_coords(a)
+    bx, by, bn = sphere_coords(b)
+    return sphere_distances(ax[:, None], ay[:, None], an[:, None], bx, by, bn)
 
 
 def gaussian_sphere_points(rng, n):
@@ -1035,7 +1064,7 @@ def all_lipschitz_maps(space_z, space_w, t, lam):
 
 
 def chart_position_reference(p: ModuliPoint, u: int, v: int, e: int) -> complex:
-    """curves.chart_position as the path walk it was: the position of the
+    """curves.chart_positions(p, u)[(v, e)] as the path walk it was: the position of the
     disc at (v, e) as seen in the chart of an ancestor u.
 
     Telescopes z down the positive path from u to v: each step contributes

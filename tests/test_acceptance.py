@@ -28,7 +28,7 @@ from bubbletree.bubbles import (
 from bubbletree.curves import (
     ModuliPoint,
     annulus_path,
-    chart_position,
+    chart_positions,
     fiber_discriminant,
     neck_area_factor,
     neck_chart_values,
@@ -43,7 +43,6 @@ from bubbletree.nets import (
     mapspace_cover,
     mapspace_distance,
     sphere_net,
-    sphere_pairwise,
 )
 from bubbletree.jsonio import bubble_to_json
 from bubbletree.pipeline import run_pipeline
@@ -58,6 +57,7 @@ from helpers import (
     oracle_count_stable_rooted,
     random_member,
     random_standard,
+    sphere_pairwise,
 )
 
 mpmath.mp.dps = 60
@@ -177,7 +177,7 @@ def test_06_association_end_to_end():
             seen = set()
             for e, z in assoc.edge_to_bubble.items():
                 (v_e,) = assoc.tree.boundary[e]
-                value = chart_position(assoc.point, assoc.root_vertex, v_e, e)
+                value = chart_positions(assoc.point, assoc.root_vertex)[(v_e, e)]
                 assert abs(value - z) <= 1e-9 * max(1.0, abs(z))
                 seen.add(z)
             assert seen == set(cfg.points)

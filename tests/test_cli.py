@@ -265,6 +265,44 @@ def test_cover_rejects_a_distance_that_is_not_a_number(tmp_path, entry):
     }
 
 
+SIZES_BELOW_ONE = [({"n": 0, "dist": []}, 0), ({"n": -1, "dist": [[0.0]]}, -1)]
+
+
+@pytest.mark.parametrize("space, n", SIZES_BELOW_ONE)
+def test_net_rejects_a_size_below_one(tmp_path, space, n):
+    code, out, err = invoke(
+        ["net", "--space", write(tmp_path, "space.json", space), "--gamma", "0.5"]
+    )
+    assert code == 3
+    assert not out
+    assert json.loads(err) == {
+        "error": f"metric space needs n >= 1 points, got n = {n}",
+        "kind": "InputError",
+    }
+
+
+@pytest.mark.parametrize("space, n", SIZES_BELOW_ONE)
+def test_cover_rejects_a_size_below_one(tmp_path, space, n):
+    instance = {**COVER_INSTANCE, "space_t": space}
+    code, out, err = invoke(
+        [
+            "cover",
+            "--instance",
+            write(tmp_path, "instance.json", instance),
+            "--lambda",
+            "1.0",
+            "--delta",
+            "0.6",
+        ]
+    )
+    assert code == 3
+    assert not out
+    assert json.loads(err) == {
+        "error": f"metric space needs n >= 1 points, got n = {n}",
+        "kind": "InputError",
+    }
+
+
 def test_cover_past_exact_net_cap_exit_4(tmp_path):
     dist = [[abs(i - j) / 25.0 for j in range(26)] for i in range(26)]
     grid = {"n": 26, "dist": dist}

@@ -23,11 +23,9 @@ from bubbletree.curves import (
     annulus_path,
     anchor_points,
     apply_mobius,
-    chart_position,
     chart_positions,
     check_map_membership,
     classify,
-    coordinate_count,
     decomposition,
     decorate,
     embed,
@@ -114,15 +112,15 @@ def flat_zero_config(n, seed):
 
 def test_chart_position_same_vertex():
     p = star_point([(0.05, 0.01), (-0.03 + 0.02j, 0.01)])
-    assert chart_position(p, 1, 1, 1) == 0.05
-    assert chart_position(p, 1, 1, 2) == -0.03 + 0.02j
+    assert chart_positions(p, 1)[(1, 1)] == 0.05
+    assert chart_positions(p, 1)[(1, 2)] == -0.03 + 0.02j
 
 
 def test_chart_position_two_level_formula():
     _, p = chain2_point(0.1 + 0.2j, 0.05, 0.01 - 0.003j)
     expected = 0.05 + (0.1 + 0.2j) * (0.01 - 0.003j) * 0.04
-    assert abs(chart_position(p, 1, 2, 4) - expected) < 1e-15
-    assert chart_position(p, 2, 2, 4) == 0.04
+    assert abs(chart_positions(p, 1)[(2, 4)] - expected) < 1e-15
+    assert chart_positions(p, 2)[(2, 4)] == 0.04
 
 
 def test_chart_position_three_level_formula():
@@ -137,18 +135,12 @@ def test_chart_position_three_level_formula():
         + p.gamma_of(1) * p.rho(1, 1) * p.gamma_of(2) * p.rho(2, 2)
         * p.z(3, e_leaf)
     )
-    assert abs(chart_position(p, 1, 3, e_leaf) - expected) < 1e-15
+    assert abs(chart_positions(p, 1)[(3, e_leaf)] - expected) < 1e-15
 
 
 def test_chart_position_zero_gluing_truncates():
     _, p = chain2_point(0.0, 0.05, 0.01)
-    assert chart_position(p, 1, 2, 4) == 0.05
-
-
-def test_chart_position_needs_descendant():
-    t, p = chain2_point(0.1, 0.05, 0.01)
-    with pytest.raises(InputError):
-        chart_position(p, 2, 1, 1)
+    assert chart_positions(p, 1)[(2, 4)] == 0.05
 
 
 def test_discriminant_single_vertex_is_center_difference():
@@ -218,7 +210,6 @@ def test_chart_positions_equal_the_path_walk_by_bits(depth):
             }
             assert got.keys() == want.keys()
             assert all(bits(got[k]) == bits(want[k]) for k in want)
-            assert all(bits(chart_position(q, u, *k)) == bits(want[k]) for k in want)
     got, want = fiber_discriminant(p), fiber_discriminant_reference(p)
     assert bits(got) == bits(want)
 
@@ -412,8 +403,9 @@ def test_params_validation():
 
 def test_coordinate_count():
     t = chain_tree(2)
-    assert coordinate_count(t) == 1 + 2 * 5
-    assert coordinate_count(star_tree(3)) == 6
+    assert len(t.full_edges) + 2 * len(t.coordinate_pairs()) == 1 + 2 * 5
+    s = star_tree(3)
+    assert len(s.full_edges) + 2 * len(s.coordinate_pairs()) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +490,7 @@ def test_section_matches_fiber_from_root():
     _, p = chain2_point(0.2, 0.05, 0.01)
     for e in (2, 3, 4, 5):
         u = p.tree.e_minus[e]
-        root_val = chart_position(p, p.tree.root_vertex, u, e)
+        root_val = chart_positions(p, p.tree.root_vertex)[(u, e)]
         q = fiber_from_root(p, ProjPoint(root_val, 1.0))
         s = section(p, e)
         assert max(sphere_distance(q.at(v), s.at(v)) for v in (1, 2)) < 1e-9

@@ -20,6 +20,7 @@ from helpers import (
     point_bits,
     screen_cases,
     sphere_net_points_reference,
+    sphere_pairwise,
     traversal_cases,
     triangle_failure_reference,
 )
@@ -34,7 +35,6 @@ from bubbletree.nets import (
     Net,
     ProjPoint,
     SphereSample,
-    exact_nu,
     farthest_first,
     fibonacci_sphere_points,
     graph_hausdorff,
@@ -47,7 +47,6 @@ from bubbletree.nets import (
     sphere_distance,
     sphere_distances,
     sphere_net,
-    sphere_pairwise,
     sphere_sample,
 )
 
@@ -286,7 +285,7 @@ def test_greedy_at_least_exact():
     for _ in range(10):
         space = random_metric_space(rng, 20)
         gamma = rng.uniform(0.5, 3.0)
-        assert greedy_net(space, gamma).size >= exact_nu(space, gamma)
+        assert greedy_net(space, gamma).size >= minimal_net(space, gamma).size
 
 
 @pytest.mark.parametrize("space, start", traversal_cases())
@@ -321,12 +320,12 @@ def test_farthest_first_reads_rows_lazily():
 
 def test_exact_nu_small_cases():
     single = FiniteMetricSpace([[0.0]])
-    assert exact_nu(single, 0.5) == 1
+    assert minimal_net(single, 0.5).size == 1
     pair = FiniteMetricSpace([[0.0, 5.0], [5.0, 0.0]])
-    assert exact_nu(pair, 1.0) == 2
-    assert exact_nu(pair, 6.0) == 1
+    assert minimal_net(pair, 1.0).size == 2
+    assert minimal_net(pair, 6.0).size == 1
     # strictness: radius equal to the separation still needs one per point
-    assert exact_nu(pair, 5.0) == 2
+    assert minimal_net(pair, 5.0).size == 2
 
 
 def test_exact_nu_monotone_and_subset_bound():
@@ -335,17 +334,17 @@ def test_exact_nu_monotone_and_subset_bound():
         space = random_metric_space(rng, 15)
         g1 = rng.uniform(0.3, 2.0)
         g2 = g1 + rng.uniform(0.1, 2.0)
-        assert exact_nu(space, g1) >= exact_nu(space, g2)
+        assert minimal_net(space, g1).size >= minimal_net(space, g2).size
         idx = rng.sample(range(space.n), rng.randint(1, space.n))
         sub = FiniteMetricSpace(space.dist[np.ix_(idx, idx)], labels=idx)
-        assert exact_nu(sub, 2 * g1) <= exact_nu(space, g1)
+        assert minimal_net(sub, 2 * g1).size <= minimal_net(space, g1).size
 
 
 def test_exact_nu_cap():
     rng = random.Random(43)
     space = random_metric_space(rng, EXACT_NU_CAP + 1)
     with pytest.raises(ResourceCapError):
-        exact_nu(space, 1.0)
+        minimal_net(space, 1.0)
 
 
 def test_minimal_net_is_valid_net():
@@ -364,8 +363,8 @@ def test_union_bound_against_exact():
         left = FiniteMetricSpace(space.dist[:cut, :cut], labels=range(cut))
         right = FiniteMetricSpace(space.dist[cut:, cut:], labels=range(cut, 12))
         gamma = rng.uniform(0.5, 3.0)
-        bound = sum([exact_nu(left, gamma), exact_nu(right, gamma)])
-        assert exact_nu(space, gamma) <= bound
+        bound = sum([minimal_net(left, gamma).size, minimal_net(right, gamma).size])
+        assert minimal_net(space, gamma).size <= bound
 
 
 def test_net_rejects_bad_cover():

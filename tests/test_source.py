@@ -5,6 +5,7 @@ import io
 import tokenize
 from collections import Counter
 from pathlib import Path
+from typing import Mapping
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bubbletree"
@@ -145,6 +146,38 @@ def unreferenced_names(modules: dict[str, str], readers: list[str]) -> dict[str,
     }
 
 
+# The public names that nothing in src/ or bench/ reads, each with its role
+# in the paper: constructions that only the tests exercise.  Any other such
+# name is a wrapper nobody needs and fails the rule below.
+UNREAD_PUBLIC = {
+    "bubbles.reduce_at": "one reduction step: rescale a cluster to a standard configuration",
+    "bubbles.select_bubble_points": "the bubble points a concentration profile selects",
+    "curves.neck_area_factor": "the flat area form |gamma| (e^2s + e^-2s) on a neck cylinder",
+    "curves.neck_path": "the certified short path across a neck",
+    "curves.round_flat_area_ratio": "the round-to-flat area ratio, within [1, 4] on the disc",
+    "curves.stabilize_four_marked": "the four-point invariant of a stabilized nodal fiber",
+    "nets.mapspace_distance": "the metric in which the map-space cover's cells are small",
+    "trees.edge_counts": "the stability chain |E_int| + 1 = |V| <= sum(deg)/3 <= |E_ext| - 2",
+    "trees.reglue": "the inverse of split, rejoining pieces along their cut edges",
+}
+
+
+def surface_faults(modules: dict[str, str], readers: list[str], allowed: Mapping) -> list[str]:
+    """The breaches of the rule that every public name has a reader: a name
+    that nothing reads and allowed does not list, and an entry of allowed,
+    keyed module.name, that names no unread public name (the name is gone,
+    or something reads it now)."""
+    unread = {
+        f"{Path(module).stem}.{name}"
+        for module, names in unreferenced_names(modules, readers).items()
+        for name in names
+    }
+    return sorted(
+        [f"{name} is public and nothing reads it" for name in unread - allowed.keys()]
+        + [f"stale allowlist entry {name}" for name in allowed.keys() - unread]
+    )
+
+
 def test_code_lines_skips_blanks_comments_and_docstrings():
     sample = (
         '"""Module docstring,\n'
@@ -207,6 +240,32 @@ def test_unreferenced_names_skips_reads_inside_the_definition():
     }
 
 
+def test_surface_rule_on_a_synthetic_package():
+    modules = {
+        "a.py": "def used():\n    pass\ndef listed():\n    pass\ndef unlisted():\n    pass\n",
+        "b.py": "from a import used\nused()\n",
+    }
+    listed = {"a.listed": "role"}
+    # an unlisted, unread name fails; a listed one passes
+    assert surface_faults(modules, [], listed) == ["a.unlisted is public and nothing reads it"]
+    full = {**listed, "a.unlisted": "role"}
+    assert surface_faults(modules, [], full) == []
+    # a stale entry fails, whether its name is missing or now read
+    assert surface_faults(modules, [], {**full, "a.gone": "role"}) == [
+        "stale allowlist entry a.gone"
+    ]
+    assert surface_faults(modules, ["from a import listed\nlisted()\n"], full) == [
+        "stale allowlist entry a.listed"
+    ]
+
+
+def test_every_unread_public_name_has_a_role_in_the_paper():
+    # a public wrapper that nothing uses is surface to learn and keep for no one
+    modules = {path.name: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text("utf-8") for path in sorted(BENCH.glob("*.py"))]
+    assert surface_faults(modules, readers, UNREAD_PUBLIC) == []
+
+
 def test_unread_locals_reports_only_dead_assignments():
     tree = ast.parse(
         "def f(xs):\n"
@@ -243,10 +302,3 @@ if __name__ == "__main__":
         total += count
         print(f"{path.name:14} {count:5}")
     print(f"{'total':14} {total:5}")
-    # a report, not a check: what the library offers that nothing uses
-    modules = {path.name: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
-    readers = [path.read_text("utf-8") for path in sorted(BENCH.glob("*.py"))]
-    print("\npublic names that nothing in src/ or bench/ reads:")
-    for name, unread in unreferenced_names(modules, readers).items():
-        if unread:
-            print(f"{name:14} {', '.join(unread)}")

@@ -11,6 +11,7 @@ from helpers import (
     ReferenceTree,
     assert_tree_facts,
     assert_tree_matches_reference,
+    canonical_key,
     oracle_count_stable_rooted,
     split_components_reference,
 )
@@ -20,11 +21,9 @@ from bubbletree.trees import (
     RootedTree,
     Tree,
     TreeError,
-    canonical_key,
     edge_counts,
     enumerate_stable_rooted,
     nearest_common_ancestor,
-    orient,
     positive_path,
     reglue,
     split,
@@ -136,11 +135,10 @@ def test_edge_count_examples():
 
 def test_orientation_trivial_examples():
     t = one_vertex_tree(1)
-    assert orient(t)[0] == {0: +1}
+    assert (t.e_plus[0], t.e_minus[0]) == (0, None)
 
     c = RootedTree(Tree([0, 1], {0: (0,), 1: (0, 1), 2: (1,), 3: (1,)}), 0)
-    signs = orient(c)[1]
-    assert signs == {0: -1, 1: +1}
+    assert (c.e_plus[1], c.e_minus[1]) == (1, 0)
 
 
 def _all_valid_orientations(t: RootedTree):
@@ -179,7 +177,11 @@ def test_orientation_unique_exhaustive():
         assert len(t.edges) <= 5
         valid = _all_valid_orientations(t)
         assert len(valid) == 1
-        assert valid[0] == orient(t)
+        # +1 at the positive endpoint, -1 at the negative one
+        assert valid[0] == {
+            e: {v: s for v, s in ((t.e_plus[e], +1), (t.e_minus[e], -1)) if v is not None}
+            for e in t.edges
+        }
 
 
 def test_orientation_on_random_tree():
@@ -199,9 +201,8 @@ def test_orientation_on_random_tree():
     t = RootedTree(Tree(vertices, boundary), root)
     for v in t.vertices:
         assert t.parent_edge[v] in t.edges
-    signs = orient(t)
     for v in t.vertices:
-        pos = [e for e, s in signs.items() if s.get(v) == +1]
+        pos = [e for e in t.edges if t.e_plus[e] == v]
         assert len(pos) == 1 and pos[0] == t.parent_edge[v]
 
 
@@ -274,7 +275,7 @@ def test_positive_path():
     assert positive_path(t, 0, 0) == (0,)
     assert positive_path(t, 0, 2) == (0, 1, 2)
     assert positive_path(t, 2, 0) is None
-    assert trees.path_edges(t, (0, 1, 2)) == (1, 2)
+    assert (t.parent_edge[1], t.parent_edge[2]) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
