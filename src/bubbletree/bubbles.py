@@ -374,6 +374,15 @@ def reduce(
     bound |z - R(z)| <= 4 eps^2 rho_p(R(z)), the radius bound rho(z) <= 4 eps
     rho_p(R(z)), and that centers with satellites use exactly the cutoff
     radius.
+
+    Certificate: the distance matrix |x - y| passes FiniteMetricSpace's
+    checks without them (u = 2^-53).  IEEE negation is exact and
+    x - x = 0, so it is exactly symmetric with a zero diagonal; standardness
+    puts every point in the closed eps disc, so entries are finite and at
+    most 2 eps.  The differences round by u and hypot by under one ulp, so
+    each entry is within a factor 1 +- 3u of the exact distance, plus a few
+    2^-1074 when subnormal, and the triangle inequality holds within about
+    7u (d_ij + d_jk), far inside its 1e-9 tolerance.
     """
     eps = _check_eps(eps)
     if not is_standard(cfg, eps):
@@ -381,7 +390,7 @@ def reduce(
     pts = cfg.points
     n = len(pts)
     _, rad, dist = cfg._arrays
-    space = FiniteMetricSpace(dist, labels=pts)
+    space = FiniteMetricSpace._certified(dist, pts)
     base = 4.0 * eps**3
     sel, r_idx = cluster_select(space, lambda i: base**i, pts.index(0))
     k = len(sel)

@@ -209,11 +209,14 @@ def _complex(re, im) -> np.ndarray:
 class FiniteMetricSpace:
     """Finite metric space given by an explicit distance matrix.
 
-    Validates symmetry, zero diagonal, nonnegativity, and the triangle
-    inequality on construction.  The last is O(n^3) arithmetic in O(n^2)
-    memory: about 3.5 ms at n = 128, 40 ms at n = 300 and 2.1 s at n = 1000 on
-    a 2-vCPU VM, so spaces of a few hundred points build in well under a
-    second.  labels carries one opaque payload per point.
+    Validates symmetry, zero diagonal, nonnegativity, the label count and
+    the triangle inequality on construction.  The last is O(n^3) arithmetic
+    in O(n^2) memory: about 4 ms at n = 128, 42 ms at n = 300, 0.25 s at
+    n = 512 and 2.0 s at n = 1000 (best of 2-7 on a 2-vCPU x86-64 VM, numpy
+    2.4), so spaces of a few hundred points build in well under a second.
+    bubbles.reduce, whose matrix of point distances is a metric by the proof
+    in its docstring, takes the private _certified path and skips all of
+    it.  labels carries one opaque payload per point.
     """
 
     __slots__ = ("dist", "labels")
@@ -238,6 +241,9 @@ class FiniteMetricSpace:
             raise InputError("distance matrix must be symmetric")
         d = (d + d.T) / 2.0
         np.fill_diagonal(d, 0.0)
+        self.labels = tuple(labels) if labels is not None else tuple(range(n))
+        if len(self.labels) != n:
+            raise InputError("labels must match the point count")
         # d[i,k] <= d[i,j] + d[j,k] + tol for all i, j, k.  Rounding is
         # monotone, so the check holds for every middle point j exactly when
         # it holds for the smallest sum over j.  Row j of the symmetric d is
@@ -255,9 +261,17 @@ class FiniteMetricSpace:
                     raise InputError(f"triangle inequality fails through point {j}")
         d.setflags(write=False)
         self.dist = d
-        self.labels = tuple(labels) if labels is not None else tuple(range(n))
-        if len(self.labels) != n:
-            raise InputError("labels must match the point count")
+
+    @classmethod
+    def _certified(cls, dist: np.ndarray, labels: tuple) -> "FiniteMetricSpace":
+        """The space of a float matrix that its caller has proved passes
+        every check above and is exactly symmetric with a zero diagonal, so
+        that the checked construction would keep its bits; it is neither
+        checked nor copied, only made a read-only view."""
+        space = object.__new__(cls)
+        space.dist, space.labels = dist.view(), labels
+        space.dist.setflags(write=False)
+        return space
 
     @property
     def n(self) -> int:
@@ -303,9 +317,12 @@ class Net:
 
     On a finite base (a FiniteMetricSpace or a SphereSample) a net is its
     indices, distinct, in [0, n) and at least one (else InputError); its
-    points are base.labels there, and construction verifies the strict
-    covering property.  A net of the continuous sphere has points, a
-    SphereSample, and no base, and its construction guarantees the cover.
+    points are base.labels there, and Net(...) verifies the strict covering
+    property.  greedy_net and minimal_net skip that check and hold a
+    certificate instead, the farthest-point traversal's stopping distance
+    and the exact search's full cover (see their docstrings).  A net of the
+    continuous sphere has points, a SphereSample, and no base, and its
+    construction guarantees the cover.
     """
 
     radius: float
@@ -334,6 +351,15 @@ class Net:
             raise VerificationError(
                 f"not a net: covering distance {cov} >= radius {self.radius}"
             )
+
+    @classmethod
+    def _certified(cls, radius: float, indices: tuple, base) -> "Net":
+        """The net of distinct indices into a finite base whose covering
+        distance its caller has proved below radius, without the check."""
+        net = object.__new__(cls)
+        points = tuple(base.labels[i] for i in indices)
+        vars(net).update(radius=radius, indices=indices, base=base, points=points)
+        return net
 
     @property
     def size(self) -> int:
@@ -450,6 +476,14 @@ def greedy_net(space, gamma: float) -> Net:
     minimal.  On sphere points a centre is measured only where
     _lower_screened's screen says a minimum can move, with the unscreened
     traversal's indices and distances.
+
+    Certificate: the traversal yields distinct indices and stops at the
+    first d < gamma, d the largest of the minima over the prefix (Gonzalez
+    1985: every prefix is a net at the next distance).  Those minima are
+    the full rows' bit for bit (_lower_screened), so d is the covering
+    distance: exactly on a matrix base, whose dist is symmetric, and on
+    sphere points up to the operand order of sphere_distances, which
+    covering_distance() keeps.  Exhausting the base leaves distance 0.
     """
     require_scale("net radius gamma", gamma)
     finite = isinstance(space, FiniteMetricSpace)
@@ -460,7 +494,7 @@ def greedy_net(space, gamma: float) -> Net:
         if d < gamma:
             break
         chosen.append(j)
-    return Net(radius=gamma, indices=tuple(chosen), base=base)
+    return Net._certified(gamma, tuple(chosen), base)
 
 
 def sphere_net(gamma: float) -> Net:
@@ -519,6 +553,10 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
 
     Branch-and-bound over the set cover by open gamma-balls, seeded with the
     greedy net as an upper bound.  Refuses spaces above EXACT_NU_CAP points.
+
+    Certificate: the search keeps a choice only at covered == full over the
+    balls dist < gamma, which is the strict covering predicate itself (dist
+    is symmetric), and otherwise keeps greedy_net's certified indices.
     """
     require_scale("net radius gamma", gamma)
     n = space.n
@@ -551,7 +589,7 @@ def minimal_net(space: FiniteMetricSpace, gamma: float) -> Net:
             chosen.pop()
 
     search(0, [])
-    return Net(radius=gamma, indices=tuple(sorted(best)), base=space)
+    return Net._certified(gamma, tuple(sorted(best)), space)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,10 @@ class RootedTree:
     tree and proves it connected: a full edge leading back to a vertex the
     walk has reached, or a vertex left unreached, is "tree is not connected"
     (with |V| - 1 full edges, a cycle implies a second component).
+    ``_shape_to_tree``, whose numbering proves the boundary valid, takes
+    the private ``_certified`` path: it skips the checks before the
+    full-edge count, with the copy of the boundary they make, and shares
+    the rest with the checked construction.
 
     ``vertices`` is sorted, ``edges`` sorted with ``full_edges`` and
     ``half_edges`` among them, and ``incident`` maps each vertex to its edges
@@ -88,9 +92,24 @@ class RootedTree:
             bd[int(e)] = ends_t
         if not incident:
             raise TreeError("tree needs at least one vertex")
+        self._orient(bd, incident, tuple(sorted(bd)), root_edge)
+
+    @classmethod
+    def _certified(cls, boundary: dict[int, tuple[int, ...]], n: int) -> "RootedTree":
+        """The tree rooted at edge 0 of a boundary whose every edge its
+        caller has proved to have 1 or 2 distinct endpoints among the
+        vertices 0 .. n - 1, with the edge ids ascending in insertion order."""
+        t = object.__new__(cls)
+        t._orient(boundary, {v: [] for v in range(n)}, tuple(boundary), 0)
+        return t
+
+    def _orient(self, bd: dict, incident: dict, edges: tuple, root_edge: int) -> None:
+        """Tabulate the boundary bd, whose edges are checked (incident keys
+        its sorted vertices, each with an empty list; edges is sorted), and
+        run the remaining checks and the walk."""
         vs = self.vertices = tuple(incident)
         self.boundary = bd
-        self.edges = tuple(sorted(bd))
+        self.edges = edges
         full, half = [], []
         for e in self.edges:
             (full if len(bd[e]) == 2 else half).append(e)
@@ -398,6 +417,14 @@ def _shapes(n: int) -> tuple[Shape, ...]:
 
 
 def _shape_to_tree(shape: Shape) -> RootedTree:
+    """The rooted tree of a shape, its vertices numbered in preorder and
+    each edge numbered after the edges below it.
+
+    Certificate: each edge is added once, ascending, with one endpoint or
+    two distinct ones, all among the vertices numbered; each vertex but 0
+    is joined to its parent by exactly one full edge, so there are |V| - 1
+    full edges and the tree is connected; edge 0 is a half edge at vertex 0.
+    """
     vertices: list[int] = []
     # edge 0 is the root edge, at vertex 0: the first vertex build numbers
     boundary: dict[int, tuple[int, ...]] = {0: (0,)}
@@ -411,7 +438,7 @@ def _shape_to_tree(shape: Shape) -> RootedTree:
         return v
 
     build(shape)
-    return RootedTree(Tree(vertices, boundary), 0)
+    return RootedTree._certified(boundary, len(vertices))
 
 
 def enumerate_stable_rooted(n: int) -> list[RootedTree]:

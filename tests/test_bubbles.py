@@ -3,8 +3,9 @@
 import cmath
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -481,6 +482,65 @@ class TestReduce:
         exact = [[abs(u - v) for v in cfg.points] for u in cfg.points]
         assert np.array_equal(space.dist, np.array(exact))
         assert space.labels == cfg.points
+
+    def test_certified_space_equals_the_checked_construction(self, monkeypatch):
+        seen = []
+
+        def spy(space, a, s):
+            seen.append(space)
+            return cluster_select(space, a, s)
+
+        monkeypatch.setattr(bubbles, "cluster_select", spy)
+        rng = random.Random(2002)
+        cfgs = [flat_standard(rng, EPS, n) for n in (32, 64, 100, 128, 150)]
+        cfgs += [random_standard(random.Random(1), EPS, 154)]
+        cfgs += [random_standard(random.Random(200), EPS, 200)]
+        for cfg in cfgs:
+            reduce(cfg, EPS)
+            space = seen.pop()
+            checked = FiniteMetricSpace(cfg._arrays[2], labels=cfg.points)
+            assert space.dist.tobytes() == checked.dist.tobytes()
+            assert space.labels == checked.labels
+            assert not space.dist.flags.writeable
+
+    def test_distance_matrix_meets_its_certificate_on_near_collinear_points(self):
+        """The matrix reduce trusts, against mpmath: exactly symmetric with
+        a zero diagonal, each entry within a factor 1 +- 3u of the exact
+        distance plus 4 * 2^-1074, each triangle within 7u (d_ij + d_jk),
+        and the checked construction keeps its bits."""
+        u, tiny = 2.0**-53, 2.0**-1074
+        rng = random.Random(2002)
+        sets = []
+        for scale in (EPS, 1e-3, 1e-100, 1e-300):
+            direction = cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi))
+            jitter = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(10)]
+            sets.append([
+                scale * (rng.uniform(-1.0, 1.0) * direction + 1e-13 * w) for w in jitter
+            ])
+        sets.append([complex(rng.uniform(-EPS, EPS), 0.0) for _ in range(10)])
+        sets.append([complex(k, 0.0) * tiny for k in (0, 1, 2, 5, 9, 14)])
+        sets.append([complex(k, k) * tiny for k in range(7)])
+        sets.append([complex(k, 3 * k) * 2.0**-1070 for k in range(-3, 4)])
+        sets.append([complex(0.1 + k * 2.0**-56, 0.05 + 3 * k * 2.0**-57) for k in range(8)])
+        with mpmath.workprec(200):
+            for pts in sets:
+                cfg = flat(pts)
+                d = cfg._arrays[2]
+                assert np.array_equal(d, d.T) and not np.diag(d).any()
+                exact = [
+                    [mpmath.hypot(mpmath.mpf(x.real) - y.real, mpmath.mpf(x.imag) - y.imag)
+                     for y in cfg.points]
+                    for x in cfg.points
+                ]
+                got = [[mpmath.mpf(x) for x in row] for row in d.tolist()]
+                n = cfg.size
+                for i, k in product(range(n), repeat=2):
+                    assert abs(got[i][k] - exact[i][k]) <= 3 * u * exact[i][k] + 4 * tiny
+                for i, j, k in product(range(n), repeat=3):
+                    excess = got[i][k] - got[i][j] - got[j][k]
+                    assert excess <= 7 * u * (exact[i][j] + exact[j][k]) + 12 * tiny
+                checked = FiniteMetricSpace(d, labels=cfg.points)
+                assert checked.dist.tobytes() == d.tobytes()
 
 
 class TestReduceAt:

@@ -222,6 +222,15 @@ def test_triangle_check_names_the_first_middle_point_like_the_loop():
     assert seen == {True, False}
 
 
+def test_metric_space_checks_the_label_count_before_the_triangles():
+    # a space with both faults names its labels, before the cubic check runs
+    bad_triangle = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    with pytest.raises(InputError, match="^labels must match the point count$"):
+        FiniteMetricSpace(bad_triangle, labels="ab")
+    with pytest.raises(InputError, match="^triangle inequality fails through point 1$"):
+        FiniteMetricSpace(bad_triangle, labels="abc")
+
+
 def test_hausdorff_basics():
     line = lambda a, b: np.abs(np.subtract.outer(a, b))
     assert hausdorff_from_matrix(line([0.0, 1.0], [0.0, 1.0])) == 0.0
@@ -538,6 +547,14 @@ def test_covering_distance_in_blocks_matches_full_matrix(n, gamma):
 SCREEN_CASES = screen_cases()
 
 
+def assert_passes_the_net_check(net):
+    """A net from a certified path passes Net's own check, with the same
+    points, and its exact covering distance lies below its radius."""
+    checked = Net(radius=net.radius, indices=net.indices, base=net.base)
+    assert checked.points == net.points
+    assert net.covering_distance() < net.radius
+
+
 @pytest.mark.parametrize("pts, gamma", SCREEN_CASES.values(), ids=SCREEN_CASES.keys())
 def test_screened_greedy_net_matches_unscreened_bits(pts, gamma):
     order, points, cov = greedy_net_reference(pts, gamma)
@@ -545,6 +562,29 @@ def test_screened_greedy_net_matches_unscreened_bits(pts, gamma):
     assert net.indices == tuple(j for j, _ in order)
     assert net.points == points
     assert net.covering_distance().hex() == cov.hex()
+    assert_passes_the_net_check(net)
+
+
+@pytest.mark.parametrize("space, start", traversal_cases())
+def test_certified_nets_pass_the_check_at_every_traversal_distance(space, start):
+    # gamma at each distance a traversal yields, and one ulp to either side,
+    # puts the strict stop d < gamma on its edge, ties included
+    for _, d in farthest_first(space.lower, space.n, start):
+        for gamma in (math.nextafter(d, 0.0), d, math.nextafter(d, math.inf)):
+            if 0.0 < gamma < math.inf:
+                assert_passes_the_net_check(greedy_net(space, gamma))
+                if space.n <= EXACT_NU_CAP:
+                    assert_passes_the_net_check(minimal_net(space, gamma))
+
+
+def test_certified_nets_pass_the_check_on_random_spaces():
+    rng = random.Random(1985)
+    for _ in range(60):
+        space = random_metric_space(rng, rng.randint(1, 18))
+        gamma = rng.choice((rng.uniform(0.1, 15.0), rng.choice(space.dist.ravel())))
+        if gamma > 0.0:
+            assert_passes_the_net_check(greedy_net(space, gamma))
+            assert_passes_the_net_check(minimal_net(space, gamma))
 
 
 def test_screened_greedy_net_keeps_operand_orders():

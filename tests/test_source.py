@@ -178,6 +178,62 @@ def surface_faults(modules: dict[str, str], readers: list[str], allowed: Mapping
     )
 
 
+# The functions allowed to call a trusted constructor (a method named
+# _certified, which skips the checks of the public one), each with what it
+# builds.  Each states its proof in a "Certificate:" paragraph of its
+# docstring, and the tests run the public check on what it builds.
+CERTIFIED_CALLERS = {
+    "bubbles.reduce": "the FiniteMetricSpace of a standard configuration's moduli matrix",
+    "nets.greedy_net": "the Net that the farthest-point traversal stops at",
+    "nets.minimal_net": "the Net whose balls the exact search found to cover",
+    "trees._shape_to_tree": "the RootedTree whose boundary a shape's numbering makes valid",
+}
+
+
+def certified_callers(module: ast.Module) -> dict[str, ast.AST]:
+    """The functions of a module that call a trusted constructor, an
+    attribute named _certified, by dotted name (Class.method, outer.inner,
+    or <module> for a call outside any function), each with its definition."""
+    found = {}
+
+    def visit(node: ast.AST, name: str, owner: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name, child)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "_certified"
+            ):
+                found.setdefault(name or "<module>", owner)
+            visit(child, name, owner)
+
+    visit(module, "", module)
+    return found
+
+
+def certificate_faults(modules: dict[str, str], allowed: Mapping) -> list[str]:
+    """The breaches of the rule that only the functions allowed lists, keyed
+    module.function, call a trusted constructor, and that each states its
+    proof: a call from any other function, an allowed caller whose
+    docstring has no "Certificate:", and an entry that calls none."""
+    callers = {
+        f"{Path(module).stem}.{name}": node
+        for module, source in modules.items()
+        for name, node in certified_callers(ast.parse(source)).items()
+    }
+    unproved = [
+        name for name in callers.keys() & allowed.keys()
+        if "Certificate:" not in (ast.get_docstring(callers[name]) or "")
+    ]
+    return sorted(
+        [f"{name} calls a trusted constructor unlisted" for name in callers.keys() - allowed.keys()]
+        + [f"{name} states no Certificate: in its docstring" for name in unproved]
+        + [f"stale allowlist entry {name}" for name in allowed.keys() - callers.keys()]
+    )
+
+
 def test_code_lines_skips_blanks_comments_and_docstrings():
     sample = (
         '"""Module docstring,\n'
@@ -264,6 +320,53 @@ def test_every_unread_public_name_has_a_role_in_the_paper():
     modules = {path.name: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
     readers = [path.read_text("utf-8") for path in sorted(BENCH.glob("*.py"))]
     assert surface_faults(modules, readers, UNREAD_PUBLIC) == []
+
+
+def test_certificate_rule_on_a_synthetic_package():
+    modules = {
+        "a.py": (
+            "def proved():\n"
+            '    """Builds one.\n\n    Certificate: by construction."""\n'
+            "    return C._certified()\n"
+            "def unproved():\n"
+            '    """Builds one."""\n'
+            "    return [C._certified() for _ in range(2)]\n"
+            "def checked():\n"
+            '    """Certificate: nothing to skip."""\n'
+            "    return C()\n"
+            "class K:\n"
+            "    def make(self):\n"
+            "        def inner():\n"
+            "            return C._certified()\n"
+            "        return inner\n"
+        ),
+        "b.py": "x = C._certified()\n",
+    }
+    allowed = {"a.proved": "role", "a.unproved": "role"}
+    # an unlisted caller fails, nested or at top level; a listed caller
+    # fails without its proof
+    assert certificate_faults(modules, allowed) == [
+        "a.K.make.inner calls a trusted constructor unlisted",
+        "a.unproved states no Certificate: in its docstring",
+        "b.<module> calls a trusted constructor unlisted",
+    ]
+    # listing a caller is not enough without its proof, and an entry whose
+    # function calls no trusted constructor is stale
+    full = {**allowed, "a.K.make.inner": "role", "b.<module>": "role"}
+    assert certificate_faults(modules, {**full, "a.checked": "role"}) == [
+        "a.K.make.inner states no Certificate: in its docstring",
+        "a.unproved states no Certificate: in its docstring",
+        "b.<module> states no Certificate: in its docstring",
+        "stale allowlist entry a.checked",
+    ]
+
+
+def test_only_listed_callers_take_a_trusted_path_and_each_states_its_proof():
+    # a trusted path skips checks, so each use must be one whose proof is
+    # written down where a reader of the caller sees it
+    modules = {path.name: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
+    modules.update((path.name, path.read_text("utf-8")) for path in sorted(BENCH.glob("*.py")))
+    assert certificate_faults(modules, CERTIFIED_CALLERS) == []
 
 
 def test_unread_locals_reports_only_dead_assignments():

@@ -82,6 +82,22 @@ def test_enumerated_trees_store_their_facts():
             assert (again.order, again.children) == (t.order, t.children)
 
 
+def test_certified_trees_equal_the_checked_construction_slot_by_slot():
+    # the certified path skips the boundary checks; every slot, its type and
+    # every list, tuple and dict order equal the checked construction's
+    for n in range(2, 10):
+        for t in enumerate_stable_rooted(n):
+            want = RootedTree(Tree(t.vertices, t.boundary), 0)
+            assert list(t.boundary) == sorted(t.boundary)
+            for name in RootedTree.__slots__:
+                got, expected = getattr(t, name), getattr(want, name)
+                assert type(got) is type(expected), name
+                if isinstance(expected, dict):
+                    assert list(got.items()) == list(expected.items()), name
+                else:
+                    assert got == expected, name
+
+
 def test_enumeration_bounds():
     for n in range(2, 8):
         count = len(enumerate_stable_rooted(n))
