@@ -323,6 +323,18 @@ def cluster_select(
     net point within a(|Zp|).  Pairwise distances in Zp exceed a(|Zp| - 1);
     the halving of the scale sequence makes the retraction unambiguous.  Only
     the rungs read, a(0) .. a(|Zp|), must be positive, finite and halving.
+
+    Certificate: with k = |Zp|, the net is separated and retracts every
+    point without a check of either.  The matrix is exactly symmetric with
+    a zero diagonal on both constructors of FiniteMetricSpace.  The
+    traversal admits the point of rank i only when its minimum over the
+    earlier points, read from the same entries, exceeds a(i), and the
+    halving check gives a(i) >= a(k - 1) for i < k, so net points lie
+    farther than a(k - 1) apart.  It stops at the first d <= a(k), d the
+    largest minimum over the unselected points, or after selecting every
+    point, and a net point's own entry is 0 < a(k): every point has a net
+    point within a(k).  Only uniqueness is checked, because the space may
+    break the triangle inequality by its 1e-9 tolerance.
     """
     n = space.n
     s = int(s)
@@ -342,18 +354,9 @@ def cluster_select(
         if i + 1 <= k and avals[i + 1] > 0.5 * ai:
             raise InputError(f"a({i + 1}) exceeds a({i})/2; sequence must halve")
 
-    sub = space.dist[np.ix_(selected, selected)]
-    close_pairs = np.argwhere(np.triu(sub <= avals[k - 1], 1))
-    if close_pairs.size:
-        x, y = (selected[i] for i in close_pairs[0])
-        raise VerificationError(
-            f"net points {x}, {y} are within a({k - 1}); selection is broken"
-        )
     within = space.dist[:, selected] <= avals[k]
-    for x in np.flatnonzero(within.sum(axis=1) != 1):  # the first bad row raises
+    for x in np.flatnonzero(within.sum(axis=1) > 1):  # the first bad row raises
         close = [selected[i] for i in np.flatnonzero(within[x])]
-        if not close:
-            raise VerificationError(f"no net point within a({k}) of point {x}")
         raise VerificationError(
             f"ambiguous retraction: net points {close} all within a({k}) "
             f"of point {x}"
@@ -382,7 +385,10 @@ def reduce(
     most 2 eps.  The differences round by u and hypot by under one ulp, so
     each entry is within a factor 1 +- 3u of the exact distance, plus a few
     2^-1074 when subnormal, and the triangle inequality holds within about
-    7u (d_ij + d_jk), far inside its 1e-9 tolerance.
+    7u (d_ij + d_jk), far inside its 1e-9 tolerance.  k >= 2 without a
+    check: a(0) = 1 admits the point 0 at distance inf, and standardness
+    puts the farthest point from 0 at |z| >= eps (1 - 1e-12), beyond
+    a(1) = 4 eps^3 <= eps / 16, so it is admitted too.
     """
     eps = _check_eps(eps)
     if not is_standard(cfg, eps):
@@ -394,10 +400,6 @@ def reduce(
     base = 4.0 * eps**3
     sel, r_idx = cluster_select(space, lambda i: base**i, pts.index(0))
     k = len(sel)
-    if k < 2:
-        raise VerificationError(
-            "a standard configuration must produce at least two centers"
-        )
     centers = tuple(pts[i] for i in sel)
     retraction = {pts[i]: pts[r_idx[i]] for i in range(n)}
     cutoff = base**k / (4.0 * eps * eps)
@@ -517,6 +519,10 @@ def associate_tree(cfg: BubbleConfiguration, eps: float) -> TreeAssociation:
     radii.  Vertices and edges are numbered in depth-first order with root
     edge 0 and root vertex 1.  The root's reduction rejects a configuration
     that is not standard.
+
+    Certificate: the tree is stable without a check, because every vertex
+    that build makes has its in-edge plus one edge per center of its
+    reduction, which has k >= 2 centers (see reduce).
     """
     eps = _check_eps(eps)
 
@@ -555,8 +561,6 @@ def associate_tree(cfg: BubbleConfiguration, eps: float) -> TreeAssociation:
     root_vertex = build(cfg, {z: z for z in cfg.points}, None, 0)
     vertices = sorted({v for ends in boundary.values() for v in ends})
     rooted = RootedTree(Tree(vertices, boundary), 0)
-    if not rooted.is_stable():
-        raise VerificationError("associated tree is unstable")
     point = ModuliPoint(rooted, gamma, zr)
     return TreeAssociation(rooted, point, root_vertex, edge_to_bubble)
 
@@ -603,7 +607,9 @@ def verify_association(
     the chart positions of the external non-root edges, seen from the root
     vertex, must match the bubble points one to one within 1e-9 and agree with
     edge_to_bubble; every gluing coordinate must be nonzero.  Failures are
-    reported, not raised.
+    reported, not raised, with one exception until the ladder is stored in
+    log form (ROADMAP item 1a): a vertex degree whose floor (4 eps^3)^deg is
+    not a positive double (deg >= 154 at eps = 1/8) raises InputError.
     """
     eps = _check_eps(eps)
     rooted = assoc.tree

@@ -31,7 +31,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -588,17 +588,9 @@ class SplitFiber:
 
 
 def _restrict_point(p: ModuliPoint, piece: SplitPiece) -> ModuliPoint:
-    sub = piece.tree
-    gamma = {}
-    for e in sub.full_edges:
-        origin = piece.edge_origin[e]
-        gamma[e] = p.gamma_of(origin)
-    zr = {}
-    for v, e in sub.coordinate_pairs():
-        origin = piece.edge_origin[e]
-        if isinstance(origin, tuple):
-            origin = origin[0]
-        zr[(v, e)] = p.zr[(v, origin)]
+    sub, origin = piece.tree, piece.edge_origin
+    gamma = {e: p.gamma_of(origin[e]) for e in sub.full_edges}
+    zr = {(v, e): p.zr[(v, origin[e])] for v, e in sub.coordinate_pairs()}
     return ModuliPoint(sub, gamma, zr)
 
 
@@ -620,11 +612,12 @@ def split_fiber(p: ModuliPoint) -> SplitFiber:
         for v in sub.piece.tree.vertices:
             comp_of_vertex[v] = i
 
+    # a cut half, keyed by its cut edge and its one endpoint
     by_origin: dict[tuple[int, int], tuple[int, int]] = {}
     for i, sub in enumerate(components):
         for e, origin in sub.piece.edge_origin.items():
-            if isinstance(origin, tuple):
-                by_origin[origin] = (i, e)
+            if origin != e:
+                by_origin[(origin, sub.piece.tree.boundary[e][0])] = (i, e)
 
     nodes = []
     for e in sorted(cut):
@@ -1275,16 +1268,24 @@ def _locate_component(sf: SplitFiber, p: ModuliPoint, q: FiberPoint) -> int:
     t = p.tree
     far = ProjPoint(1.0, 0.0)
     moved = [w for w in t.vertices if sphere_distance(q.at(w), far) > RESIDUAL_TOL]
+    current = _descend(
+        sf, t, lambda top: any(positive_path(t, top, w) is not None for w in moved)
+    )
+    return sf.components[current].piece.tree.root_vertex
+
+
+def _descend(sf: SplitFiber, t: RootedTree, beyond: Callable[[int], bool]) -> int:
+    """The component reached from the root component by entering, while
+    there is one, the first node of the current component (in sf.nodes
+    order) whose child side, headed by vertex e+ of its edge, is beyond."""
     current = sf.component_of_vertex[t.root_vertex]
     while True:
         for node in sf.nodes:
-            if node.parent_component == current and any(
-                positive_path(t, t.e_plus[node.edge], w) is not None for w in moved
-            ):
+            if node.parent_component == current and beyond(t.e_plus[node.edge]):
                 current = node.child_component
                 break
         else:
-            return sf.components[current].piece.tree.root_vertex
+            return current
 
 
 def stabilize_four_marked(
@@ -1297,6 +1298,11 @@ def stabilize_four_marked(
     three.  When the stable model splits the marks two against two, returns
     the anchor of the partner sharing a component with the fourth mark: the
     boundary value at which that pair collides.
+
+    Certificate: some component isolates the marks without a check.  The
+    descent stops only where every child side holds at most 2 marks, and
+    the side above holds none at the root component and at most 1 below
+    it, because the descent entered that component with 3 or more past it.
     """
     if len(marks) != 4:
         raise InputError("need exactly four marked points")
@@ -1314,17 +1320,8 @@ def stabilize_four_marked(
         # the marks on the component headed by vertex top or on one below it
         return {i for i in range(4) if positive_path(t, top, heads[i]) is not None}
 
-    # descend while some child component has at least three marks past it;
-    # the root's subtree holds all four, so no side above ever holds three
-    current = sf.component_of_vertex[t.root_vertex]
-    while True:
-        for node in sf.nodes:
-            if node.parent_component == current and len(past(t.e_plus[node.edge])) >= 3:
-                current = node.child_component
-                break
-        else:
-            break
-
+    # descend while some child component has at least three marks past it
+    current = _descend(sf, t, lambda top: len(past(top)) >= 3)
     root_vertex = sf.components[current].piece.tree.root_vertex
     sides = [
         (past(t.e_plus[node.edge]), node.parent_point.at(root_vertex))
@@ -1335,8 +1332,6 @@ def stabilize_four_marked(
     sides.append((set(range(4)) - past(root_vertex), ProjPoint(1.0, 0.0)))
 
     for far_marks, _ in sides:
-        if len(far_marks) >= 3:
-            raise VerificationError("no stable component isolates the marks")
         if len(far_marks) == 2:
             pair = far_marks if 3 in far_marks else set(range(4)) - far_marks
             return UNIT_TARGETS[(pair - {3}).pop()]

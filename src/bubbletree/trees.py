@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import InputError, ResourceCapError
 
 
 class TreeError(ValueError):
@@ -269,13 +269,14 @@ def _edge_below(t: RootedTree, u: int, v: int, e: int) -> int:
 class SplitPiece:
     """One component of a split tree.
 
-    edge_origin maps every edge id of the piece to either the original edge id
-    or, for the two replacements of a cut full edge e, the pair (e, vertex).
+    edge_origin maps every edge id of the piece to its original edge id.
+    The two replacements of a cut full edge e are the half edges whose new
+    id, past every original id, maps to e; each has one endpoint.
     """
 
     tree: RootedTree
     marking: Marking
-    edge_origin: dict[int, int | tuple[int, int]]
+    edge_origin: dict[int, int]
 
 
 def split(t: RootedTree, marking: Marking, cut: Iterable[int]) -> list[SplitPiece]:
@@ -319,7 +320,7 @@ def split(t: RootedTree, marking: Marking, cut: Iterable[int]) -> list[SplitPiec
     for v in t.vertices:
         verts[comp[v]].append(v)
     boundaries: list[dict[int, tuple[int, ...]]] = [dict() for _ in range(n_comp)]
-    origins: list[dict[int, int | tuple[int, int]]] = [dict() for _ in range(n_comp)]
+    origins: list[dict[int, int]] = [dict() for _ in range(n_comp)]
     roots = [0] * n_comp
     marks: list[set[int]] = [set() for _ in range(n_comp)]
     for h, cid in number.items():
@@ -338,7 +339,7 @@ def split(t: RootedTree, marking: Marking, cut: Iterable[int]) -> list[SplitPiec
     for (e, v), new_e in new_half.items():
         cid = comp[v]
         boundaries[cid][new_e] = (v,)
-        origins[cid][new_e] = (e, v)
+        origins[cid][new_e] = e
         marks[cid].add(new_e)
 
     return [
@@ -361,13 +362,12 @@ def reglue(pieces: Sequence[SplitPiece]) -> RootedTree:
         vertices.update(piece.tree.vertices)
         for e in piece.tree.edges:
             origin = piece.edge_origin[e]
-            if isinstance(origin, tuple):
-                cut_e, v = origin
-                halves_by_cut.setdefault(cut_e, []).append(v)
+            if origin != e:
+                halves_by_cut.setdefault(origin, []).append(piece.tree.boundary[e][0])
             else:
-                boundary[origin] = list(piece.tree.boundary[e])
+                boundary[e] = list(piece.tree.boundary[e])
                 if e == piece.tree.root_edge:
-                    root_edge = origin
+                    root_edge = e
     for cut_e, ends in halves_by_cut.items():
         if len(ends) != 2:
             raise TreeError(f"cut edge {cut_e} does not have both sides present")
@@ -462,12 +462,18 @@ def tree_count_bound(n: int) -> tuple[int, float]:
 
     Returns (2^(n-2) * catalan(n), (2^n / sqrt(n))^3 / (4 sqrt(3))); the first
     is the sharper combinatorial bound, the second its closed-form relaxation.
+    From n = 346 the closed form is past double range, and InputError names n.
     """
     if n < 2:
         raise TreeError("need n >= 2")
+    try:
+        closed_form = (2.0**n / math.sqrt(n)) ** 3 / (4.0 * math.sqrt(3.0))
+    except OverflowError:
+        raise InputError(
+            f"n = {n} is too large: (2^n / sqrt(n))^3 is not a finite double"
+        ) from None
     catalan = math.comb(2 * n, n) // (n + 1)
     combinatorial = (2 ** (n - 2)) * catalan
-    closed_form = (2.0**n / math.sqrt(n)) ** 3 / (4.0 * math.sqrt(3.0))
     return combinatorial, closed_form
 
 

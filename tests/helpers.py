@@ -337,7 +337,7 @@ def split_components_reference(t: RootedTree, marking: Marking, cut) -> list:
     for (e, v), new_e in new_half.items():
         cid = comp[v]
         boundaries[cid][new_e] = (v,)
-        origins[cid][new_e] = (e, v)
+        origins[cid][new_e] = e
         marks[cid].add(new_e)
         if v == t.e_plus[e]:
             roots[cid] = new_e

@@ -470,6 +470,13 @@ class TestCurveCoverCount:
         with pytest.raises(InputError):
             curve_cover_count(0.5, 3, 1.0, DEFAULT_CONSTANTS, -1)
 
+    @pytest.mark.parametrize("delta", [1e-160, 1e-170])
+    def test_underflowing_delta_is_named(self, delta):
+        # delta^2 is subnormal at 1e-160 (4 / delta^2 = inf, which blamed mu)
+        # and 0 at 1e-170 (a bare ZeroDivisionError)
+        with pytest.raises(InputError, match=f"delta = {delta} is too small"):
+            curve_cover_count(delta, 3, 3.0)
+
 
 class TestTwoLevelCounts:
     def test_curve_tower_just_past_double_range(self):
@@ -547,6 +554,20 @@ class TestSphereNetBound:
             sphere_net_bound(0.0)
         with pytest.raises(InputError):
             sphere_net_bound(math.pi)
+
+    @pytest.mark.parametrize("gamma", [1e-10, 1e-8, 1e-7, 1e-3, 1.0, 3.0])
+    def test_first_form_matches_mpmath(self, gamma):
+        # 1 - cos(gamma/2) cancelled: a ZeroDivisionError at 1e-8 and 1e-10
+        # and 2.4% off at 1e-7; the sine form is within a few ulps
+        with mpmath.workdps(50):
+            want = 2 / (1 - mpmath.cos(mpmath.mpf(gamma) / 2))
+        exact_form, weak_form = sphere_net_bound(gamma)
+        assert exact_form == pytest.approx(float(want), rel=1e-15)
+        assert exact_form < weak_form
+
+    def test_gamma_past_double_range_is_named(self):
+        with pytest.raises(InputError, match="gamma = 1e-160 is too small"):
+            sphere_net_bound(1e-160)
 
 
 def grid_space(xs):

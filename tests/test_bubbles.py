@@ -417,6 +417,18 @@ class TestClusterSelect:
         with pytest.raises(InputError, match="range"):
             cluster_select(space, lambda i: 0.5**i, 3)
 
+    def test_ambiguous_retraction_inside_the_triangle_tolerance(self):
+        # d(0, 1) exceeds d(0, 2) + d(2, 1) by 5e-11, inside the 1e-9
+        # tolerance, so point 2 lies within a(2) of both net points
+        space = FiniteMetricSpace(
+            [[0, 2.5e-10, 1e-10], [2.5e-10, 0, 1e-10], [1e-10, 1e-10, 0]]
+        )
+        with pytest.raises(VerificationError) as info:
+            cluster_select(space, lambda i: 4e-10 * 2.0**-i, 0)
+        assert str(info.value) == (
+            "ambiguous retraction: net points [0, 1] all within a(2) of point 2"
+        )
+
 
 class TestReduce:
     def test_two_point_example(self):
@@ -706,6 +718,18 @@ class TestAssociateTree:
         assert report.ok, report.summary()
         config = {"bubble": jsonio.bubble_to_json(cfg, EPS), "delta": 0.5}
         assert pipeline.run_pipeline(config, tmp_path, seed=0).ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InputError,
+        reason="ROADMAP item 1a: (4 eps^3)^k underflows from k = 154, so flat "
+        "n = 153 fails in verify_association and n = 160 in associate_tree",
+    )
+    @pytest.mark.parametrize("size", [153, 160])
+    def test_flat_levels_at_the_ladder_underflow_verify(self, size):
+        cfg = flat_standard(random.Random(size), EPS, size)
+        assoc = associate_tree(cfg, EPS)
+        assert verify_association(cfg, assoc, EPS).ok
 
     def test_flat_level_of_154_reads_the_underflowed_rung(self):
         cfg = flat_standard(random.Random(154), EPS, 154)

@@ -23,7 +23,12 @@ from bubbletree.bounds import choose_lambda
 from bubbletree.bubbles import associate_tree
 from bubbletree.cli import main
 from bubbletree.curves import DECORATION_CAP
-from bubbletree.jsonio import bubble_from_json, bubble_to_json, dumps
+from bubbletree.jsonio import (
+    association_to_json,
+    bubble_from_json,
+    bubble_to_json,
+    dumps,
+)
 from bubbletree.nets import SPHERE_NET_CAP
 from bubbletree.pipeline import STAGES
 
@@ -392,6 +397,127 @@ def test_infinite_scales_exit_3_naming_the_quantity(tmp_path, argv, quantity):
     assert fail["kind"] == "InputError"
     assert fail["error"].startswith(quantity)
     assert fail["error"].endswith("finite, got inf")
+
+
+def _two_level_association(edit=None):
+    assoc = association_to_json(associate_tree(*bubble_from_json(TWO_LEVEL_BUBBLE)))
+    if edit is not None:
+        edit(assoc)
+    return assoc
+
+
+def _two_level_point(edit):
+    return _two_level_association(lambda assoc: edit(assoc["point"]))["point"]
+
+
+def _drop_first(table):
+    del table[next(iter(table))]
+
+
+# the file payloads that the table below names with "@name"
+BAD_PAYLOADS = {
+    "list": lambda: [],
+    "cover-no-space-w": lambda: {
+        k: v for k, v in COVER_INSTANCE.items() if k != "space_w"
+    },
+    "cover-no-members": lambda: {**COVER_INSTANCE, "members": []},
+    "cover-base-index": lambda: {
+        **COVER_INSTANCE, "members": [{"t": 1, "fiber": [0], "values": [0]}]
+    },
+    "cover-fiber-index": lambda: {
+        **COVER_INSTANCE, "members": [{"t": 0, "fiber": [2], "values": [0]}]
+    },
+    "cover-value-index": lambda: {
+        **COVER_INSTANCE, "members": [{"t": 0, "fiber": [0], "values": [2]}]
+    },
+    "no-bubble": lambda: {"delta": 0.5},
+    "overrides-list": lambda: {"bubble": TWO_LEVEL_BUBBLE, "gamma_overrides": []},
+    "overrides-unknown": lambda: {
+        "bubble": TWO_LEVEL_BUBBLE, "gamma_overrides": {"99": [0.0, 0.0]}
+    },
+    "start-number": lambda: {"delta": 0.5, "start": 1, "end": {}},
+    "marked-number": lambda: _two_level_point(lambda p: p["tree"].update(marked=5)),
+    "gamma-missing": lambda: _two_level_point(lambda p: _drop_first(p["gamma"])),
+    "zr-missing": lambda: _two_level_point(lambda p: _drop_first(p["zr"])),
+    "bubble": lambda: TWO_LEVEL_BUBBLE,
+    "assoc-missing-edge": lambda: _two_level_association(
+        lambda assoc: _drop_first(assoc["edge_to_bubble"])
+    ),
+}
+
+COVER = ["cover", "--lambda", "1.0", "--delta", "0.6", "--instance"]
+PIPELINE = ["pipeline", "--out-dir", "OUT", "--config"]
+# id: (argv, BUBBLETREE_SEED, exit code, a fragment of the message)
+REJECTED = {
+    "cover-not-object": (
+        [*COVER, "@list"], None, 3, "cover instance must be a JSON object"),
+    "cover-no-space": (
+        [*COVER, "@cover-no-space-w"], None, 3, "cover instance is missing 'space_w'"),
+    "cover-no-members": (
+        [*COVER, "@cover-no-members"], None, 3, "needs a nonempty 'members' list"),
+    "cover-base-index": (
+        [*COVER, "@cover-base-index"], None, 3, "member 0: base index 1 out of range"),
+    "cover-fiber-index": (
+        [*COVER, "@cover-fiber-index"], None, 3, "member 0: fiber index out of range"),
+    "cover-value-index": (
+        [*COVER, "@cover-value-index"], None, 3, "member 0: value index out of range"),
+    "pipeline-not-object": (
+        [*PIPELINE, "@list"], None, 3, "pipeline config must be a JSON object"),
+    "pipeline-no-bubble": (
+        [*PIPELINE, "@no-bubble"], None, 3, "missing the key 'bubble'"),
+    "overrides-not-object": (
+        [*PIPELINE, "@overrides-list"], None, 3, "gamma_overrides must be a JSON object"),
+    "overrides-unknown-edge": (
+        [*PIPELINE, "@overrides-unknown"], None, 3,
+        "gamma_overrides mention unknown edges [99]"),
+    "seed-not-integer": (
+        ["paths", "--random", "1"], "x", 3, "BUBBLETREE_SEED must be an integer, got 'x'"),
+    "paths-both": (
+        ["paths", "--instance", "@list", "--random", "1"], None, 3,
+        "paths needs exactly one of --instance or --random"),
+    "paths-neither": (
+        ["paths"], None, 3, "paths needs exactly one of --instance or --random"),
+    "consts-not-object": (
+        ["bounds", "consts", "--consts", "@list"], None, 3,
+        "constants must be a JSON object"),
+    "require-key-not-object": (
+        ["paths", "--instance", "@list"], None, 3, "paths instance must be a JSON object"),
+    "require-key-wrong-type": (
+        ["paths", "--instance", "@start-number"], None, 3,
+        "paths instance['start'] must be of type dict"),
+    "marked-not-list": (
+        ["decorate", "--m", "1", "--point", "@marked-number"], None, 3,
+        "tree['marked'] must be a list"),
+    "gamma-misses-edge": (
+        ["decorate", "--m", "1", "--point", "@gamma-missing"], None, 3,
+        "gamma keys must be exactly the full edges"),
+    "zr-misses-edge": (
+        ["decorate", "--m", "1", "--point", "@zr-missing"], None, 3,
+        "zr keys must be exactly the (vertex, child edge) pairs"),
+    "curve-delta-zero-square": (
+        ["bounds", "curve", "--mu", "3", "--delta", "1e-170"], None, 3,
+        "delta = 1e-170 is too small"),
+    "curve-delta-subnormal-square": (
+        ["bounds", "curve", "--mu", "3", "--delta", "1e-160"], None, 3,
+        "delta = 1e-160 is too small"),
+    "edge-to-bubble-keys": (
+        ["verify-association", "--config", "@bubble", "--assoc", "@assoc-missing-edge"],
+        None, 2, "differ from the external non-root edges"),
+}
+
+
+@pytest.mark.parametrize("argv, seed, code, fragment", REJECTED.values(), ids=REJECTED)
+def test_rejected_inputs_name_their_fault(tmp_path, monkeypatch, argv, seed, code, fragment):
+    monkeypatch.delenv("BUBBLETREE_SEED", raising=False)
+    if seed is not None:
+        monkeypatch.setenv("BUBBLETREE_SEED", seed)
+    files = {"OUT": str(tmp_path / "out")}
+    for tok in argv:
+        if tok.startswith("@"):
+            files[tok] = write(tmp_path, f"{tok[1:]}.json", BAD_PAYLOADS[tok[1:]]())
+    got, out, err = invoke([files.get(tok, tok) for tok in argv])
+    assert got == code
+    assert fragment in out + err
 
 
 def associate_files(tmp_path, bubble):

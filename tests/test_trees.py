@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from helpers import (
     oracle_count_stable_rooted,
     split_components_reference,
 )
-from bubbletree.errors import ResourceCapError
+from bubbletree.errors import InputError, ResourceCapError
 from bubbletree.trees import (
     Marking,
     RootedTree,
@@ -117,6 +118,14 @@ def test_count_bound_values():
     assert tree_count_bound(3)[0] == 10
     assert tree_count_bound(2)[0] == 2
     assert tree_count_bound(6)[0] == 2112
+
+
+def test_count_bound_past_double_range_names_n():
+    # (2^n / sqrt(n))^3 overflowed as a bare OverflowError from n = 346
+    assert math.isfinite(tree_count_bound(345)[1])
+    for n in (346, 400):
+        with pytest.raises(InputError, match=f"n = {n} is too large"):
+            tree_count_bound(n)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +323,13 @@ def test_split_chain():
     assert set(by_root_vertex) == {0, 1}
     # component of the positive endpoint is rooted at the new half edge
     far = by_root_vertex[1]
-    assert far.edge_origin[far.tree.root_edge] == (1, 1)
+    assert far.edge_origin[far.tree.root_edge] == 1 != far.tree.root_edge
+    assert far.tree.boundary[far.tree.root_edge] == (1,)
     near = by_root_vertex[0]
     assert near.tree.root_edge == 0
     # both replacement half edges are marked
     for p in pieces:
-        new_halves = {e for e, o in p.edge_origin.items() if isinstance(o, tuple)}
+        new_halves = {e for e, o in p.edge_origin.items() if o != e}
         assert new_halves <= p.marking.marked
 
 
