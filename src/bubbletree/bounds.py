@@ -428,22 +428,17 @@ def sphere_net_bound(gamma: float) -> tuple[float, float]:
     The first is computed as 1 / sin^2(gamma/4), which equals it and does
     not cancel at small gamma.  It never exceeds the second for gamma in
     (0, pi), since sin x >= 0.9 x on (0, pi/4] and 0.8 x would do.
-    InputError names gamma where either form is not a finite double.
+    InputError names gamma where 8 pi / gamma^2 is not a finite double; the
+    first form, below the second, is finite wherever the second is.
     """
     gamma = float(gamma)
     if not 0.0 < gamma < math.pi:
         raise InputError(f"gamma must lie in (0, pi), got {gamma}")
-    try:
-        exact_form = 1.0 / math.sin(gamma / 4.0) ** 2
-        weak_form = 8.0 * math.pi / (gamma * gamma)
-    except ZeroDivisionError:
-        exact_form = weak_form = math.inf
-    if not (math.isfinite(exact_form) and math.isfinite(weak_form)):
+    if not gamma * gamma >= 8.0 * math.pi / sys.float_info.max:
         raise InputError(
-            f"gamma = {gamma} is too small: 1 / sin^2(gamma/4) or "
-            "8 pi / gamma^2 is not a finite double"
+            f"gamma = {gamma} is too small: 8 pi / gamma^2 is not a finite double"
         )
-    return exact_form, weak_form
+    return 1.0 / math.sin(gamma / 4.0) ** 2, 8.0 * math.pi / (gamma * gamma)
 
 
 def mapspace_count(nu_t: int, nu_w: int, nu_z: int) -> LogNumber:

@@ -6,10 +6,9 @@ first line never ran.  Only the standard library is used.  Tests that run
 the package in a subprocess are not traced, so their raises count as
 unreached.  Tracing makes the suite about three times slower.
 
-    PYTHONPATH=src python tests/reach.py [pytest args]
+    PYTHONPATH=src python tests/reach.py
 
-Extra arguments go to pytest in place of the default ``-q -p
-no:cacheprovider``.  The exit status is pytest's.
+The exit status is pytest's.
 """
 
 import ast
@@ -49,8 +48,8 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     return int(status), ran
 
 
-def main(argv: list[str]) -> int:
-    status, ran = traced_run(argv or ["-q", "-p", "no:cacheprovider"])
+def main() -> int:
+    status, ran = traced_run(["-q", "-p", "no:cacheprovider"])
     total = 0
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
@@ -64,4 +63,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
