@@ -4,29 +4,25 @@ Everything here is closed-form arithmetic: the admissible energy scale lambda,
 the per-tree membership and Lipschitz scales, the decoration budget, and the
 covering counts for a single tree's map space and for the full moduli space.
 Counts grow as towers, so each is one LogNumber with two levels: at level 1
-the natural log of the count, with an exact big-integer mirror whenever the
-value is an integer of at most a million digits; at level 2, once that log
-itself overflows a double (every decoration budget the pipeline meets), the
-log of the log.  Each count formula is written once and returns whichever
-level its value needs; a count whose log log overflows too raises
-InputError.  The geometric constants of the target manifold are
-user configuration with a neutral default profile; they are not computable
-here.
+the natural log of the count; at level 2, once that log itself overflows a
+double (every decoration budget the pipeline meets), the log of the log.
+Each count formula is written once and returns whichever level its value
+needs; a count whose log log overflows too raises InputError.  The
+geometric constants of the target manifold are user configuration with a
+neutral default profile; they are not computable here.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .bubbles import _check_eps, association_params
 from .curves import CompactnessParams
-from .errors import InputError, VerificationError, require_scale
+from .errors import InputError, require_scale
 from .trees import RootedTree
-
-DIGIT_CAP = 10**6
 
 # natural-log threshold beyond which log1p(e^t) and t agree to double precision
 _LOG1P_EXACT = 50.0
@@ -81,39 +77,20 @@ DEFAULT_CONSTANTS = GeometryConstants()
 class LogNumber:
     """Positive count N in two-level level-index form (Clenshaw & Olver 1984).
 
-    At level 1, value is ln N, and exact, when present, is N itself (kept only
-    up to DIGIT_CAP digits); the log and the mirror are checked for
-    consistency and comparisons prefer the exact form.  At level 2, value is
-    ln ln N: the count's log itself is past double range, so ln and log10
-    raise and only loglog10 is defined.  A count goes to level 2 only once its
-    log overflows, so ordering compares the level first.
+    At level 1, value is ln N.  At level 2, value is ln ln N: the count's log
+    itself is past double range, so ln and log10 raise and only loglog10 is
+    defined.  A count goes to level 2 only once its log overflows, so
+    ordering compares the level first and then the value.
     """
 
     value: float
-    exact: int | None = None
-    level: int = 1
+    level: int = field(default=1, kw_only=True)
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise InputError(f"log value must be finite, got {self.value}")
         if self.level not in (1, 2):
             raise InputError(f"level must be 1 or 2, got {self.level}")
-        if self.exact is not None:
-            if self.exact < 1:
-                raise InputError("exact mirror must be a positive integer")
-            ref = math.log(self.exact)
-            # absolute only for N = 1, 2 (ln N < 1), logs exact to an ulp of 1
-            if abs(self.ln - ref) > 1e-9 * max(1.0, abs(ref)):
-                raise VerificationError(
-                    f"log value {self.ln} disagrees with exact mirror (log {ref})"
-                )
-
-    @classmethod
-    def from_int(cls, n: int) -> "LogNumber":
-        if n < 1:
-            raise InputError("count must be a positive integer")
-        keep = n if n.bit_length() * math.log10(2.0) <= DIGIT_CAP else None
-        return cls(math.log(n), keep)
 
     @property
     def ln(self) -> float:
@@ -139,8 +116,6 @@ class LogNumber:
     def __lt__(self, other: "LogNumber") -> bool:
         if self.level != other.level:
             return self.level < other.level
-        if self.exact is not None and other.exact is not None:
-            return self.exact < other.exact
         return self.value < other.value
 
     def __le__(self, other: "LogNumber") -> bool:
@@ -148,22 +123,10 @@ class LogNumber:
 
 
 def _log1p_exp(ln_x: float) -> float:
-    """log(1 + x) for x given by its log; exact to double precision."""
+    """log(1 + x) for x given by its log; accurate to double precision."""
     if ln_x > _LOG1P_EXACT:
         return ln_x
     return math.log1p(math.exp(ln_x))
-
-
-def _mirror_power(base: float, exponent: float) -> int | None:
-    """base ** exponent as an exact integer when that is representable."""
-    if not (float(base).is_integer() and float(exponent).is_integer()):
-        return None
-    b, e = int(base), int(exponent)
-    if b < 1 or e < 0:
-        return None
-    if e * math.log10(max(b, 2)) > DIGIT_CAP:
-        return None
-    return b**e
 
 
 @dataclass(frozen=True)
@@ -308,7 +271,7 @@ def total_cover_count(
     if nu_k < 0 or m < 0 or ell < 0:
         raise InputError("nu_K, m and ell must be nonnegative")
     if g.sigma == 0.0 or nu_k == 0:
-        return LogNumber(0.0, 1)
+        return LogNumber(0.0)
     cells = math.comb(m + ell, 3)
     per_layer = math.log(8.0 * math.pi) + 2.0 * lip.ln - 2.0 * math.log(delta)
     try:
@@ -323,14 +286,7 @@ def total_cover_count(
             "count exceeds log-log space: its log log is e^"
             f"{math.log(cells) + math.log(2.0) + math.log(half):.6g}"
         )
-    total = _tower(0.0, ln_expo, _target_factor_log(delta, g, nu_k))
-    if total.level == 2:
-        return total
-    try:
-        base = 1.0 + g.sigma * delta ** (-2.0 * g.dim_half) * nu_k
-    except OverflowError:
-        return total
-    return LogNumber(total.value, _mirror_power(base, math.exp(ln_expo)))
+    return _tower(0.0, ln_expo, _target_factor_log(delta, g, nu_k))
 
 
 def total_cover_loglog(
@@ -403,7 +359,7 @@ def curve_cover_count(
                 f"mu = {mu:.6g} is too large: {term} is not a finite double"
             )
     if g.sigma == 0.0 or nu_k == 0:
-        total = LogNumber(ln_cells, _mirror_power(4.0 / (delta * delta), mu - 1))
+        total = LogNumber(ln_cells)
     else:
         ln_expo = ln_patch + math.log(mu + 1)
         total = _tower(ln_cells, ln_expo, _target_factor_log(delta, g, nu_k))
@@ -450,8 +406,4 @@ def mapspace_count(nu_t: int, nu_w: int, nu_z: int) -> LogNumber:
         raise InputError("the base net must have at least one point")
     if nu_w < 0 or nu_z < 0:
         raise InputError("net sizes must be nonnegative")
-    ln = math.log(nu_t) + nu_z * math.log1p(nu_w)
-    exact = None
-    if nu_z * math.log10(max(nu_w + 1, 2)) <= DIGIT_CAP:
-        exact = nu_t * (1 + nu_w) ** nu_z
-    return LogNumber(ln, exact)
+    return LogNumber(math.log(nu_t) + nu_z * math.log1p(nu_w))

@@ -734,8 +734,7 @@ def mapspace_cover(
         )
 
     a_idx, b_idx, c_idx = net_a.indices, net_b.indices, net_c.indices
-    from .bounds import mapspace_count  # bounds imports bubbles, which imports nets
-    count_bound = mapspace_count(len(a_idx), len(c_idx), len(b_idx)).exact
+    count_bound = len(a_idx) * (1 + len(c_idx)) ** len(b_idx)
 
     cells: dict = {}
     budget = MAPSPACE_CELL_CAP
@@ -763,7 +762,8 @@ def mapspace_cover(
         budget -= cell_count
         if budget < 0:
             raise ResourceCapError(
-                f"cell enumeration exceeds {MAPSPACE_CELL_CAP} assignments"
+                f"cell enumeration needs {MAPSPACE_CELL_CAP - budget} assignments "
+                f"at member {k}, over the cap {MAPSPACE_CELL_CAP}"
             )
         for a in anchors:
             for h in itertools.product(*options):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bubbletree.bounds import (
     DEFAULT_CONSTANTS,
-    DIGIT_CAP,
     GeometryConstants,
     LogNumber,
     choose_lambda,
@@ -24,7 +23,7 @@ from bubbletree.bounds import (
     total_cover_count,
     total_cover_loglog,
 )
-from bubbletree.errors import InputError, VerificationError
+from bubbletree.errors import InputError
 from bubbletree.jsonio import dumps
 from bubbletree.nets import FiberMap, FiniteMetricSpace, mapspace_cover, sphere_net
 from helpers import chain_tree, star_tree
@@ -83,38 +82,28 @@ class TestGeometryConstants:
 
 class TestLogNumber:
     def test_from_int(self):
-        n = LogNumber.from_int(10)
-        assert n.exact == 10
+        n = LogNumber(math.log(10))
         assert n.ln == math.log(10)
         assert n.log10 == pytest.approx(1.0, rel=1e-15)
-
-    def test_mirror_must_match_log(self):
-        with pytest.raises(VerificationError):
-            LogNumber(math.log(10), 11)
 
     def test_rejects_bad_values(self):
         with pytest.raises(InputError):
             LogNumber(math.inf)
-        with pytest.raises(InputError):
-            LogNumber(0.0, 0)
-        with pytest.raises(InputError):
-            LogNumber.from_int(0)
-
-    def test_huge_int_drops_mirror(self):
-        n = LogNumber.from_int(10 ** (DIGIT_CAP + 10))
-        assert n.exact is None
-        assert n.ln == pytest.approx((DIGIT_CAP + 10) * math.log(10), rel=1e-12)
+        # the level is keyword-only, so a second positional argument fails
+        with pytest.raises(TypeError):
+            LogNumber(0.0, 2)
 
     @given(st.integers(1, 10**30), st.integers(1, 10**30))
     @settings(max_examples=60, deadline=None)
     def test_comparisons_consistent(self, a, b):
-        la, lb = LogNumber.from_int(a), LogNumber.from_int(b)
-        assert (la < lb) == (a < b)
-        assert (la <= lb) == (a <= b)
-        # dropping one mirror falls back to the log ordering
-        bare = LogNumber(lb.ln)
-        if abs(la.ln - lb.ln) > 1e-12 * max(1.0, abs(lb.ln)):
-            assert (la < bare) == (a < b)
+        la, lb = LogNumber(math.log(a)), LogNumber(math.log(b))
+        if la.value == lb.value:
+            # counts within the log's rounding of each other tie
+            assert la <= lb and lb <= la
+            assert abs(a - b) <= 1e-13 * max(a, b)
+        else:
+            assert (la < lb) == (a < b)
+            assert (la <= lb) == (a <= b)
 
     @given(
         st.floats(-1e308, 1.7e308),
@@ -126,7 +115,7 @@ class TestLogNumber:
         low, high = LogNumber(ln), LogNumber(lnln, level=2)
         assert low < high and low <= high
         assert not high < low and not high <= low
-        assert LogNumber.from_int(10**400) < high
+        assert LogNumber(math.log(10**400)) < high
         other = LogNumber(lnln2, level=2)
         assert (high < other) == (lnln < lnln2)
 
@@ -151,7 +140,7 @@ class TestLogNumber:
 
     def test_loglog10_needs_a_count_above_one(self):
         with pytest.raises(InputError):
-            LogNumber(0.0, 1).loglog10
+            LogNumber(0.0).loglog10
 
 
 class TestChooseLambda:
@@ -289,7 +278,7 @@ class TestDecorationBudget:
             decoration_budget(0, 1.0, 1.0, c_abs=5.0)
 
 
-ONE = LogNumber.from_int(1)
+ONE = LogNumber(math.log(1))
 
 
 class TestTotalCoverCount:
@@ -297,7 +286,6 @@ class TestTotalCoverCount:
         # m + ell < 3 leaves a single factor of the plain base
         g = GeometryConstants(dim_half=1)
         n = total_cover_count(1.0, g, nu_k=9, lip=ONE, m=2, ell=0)
-        assert n.exact == 10
         assert n.ln == pytest.approx(math.log(10), rel=1e-15)
 
     def test_two_to_the_eight_pi(self):
@@ -306,12 +294,10 @@ class TestTotalCoverCount:
         assert n.log10 == pytest.approx(7.5657, abs=1e-4)
         oracle = mpmath.log(mpmath.power(2, 8 * mpmath.pi))
         assert n.ln == pytest.approx(float(oracle), rel=1e-12)
-        assert n.exact is None
 
     def test_sigma_zero_gives_one(self):
         g = GeometryConstants(sigma=0.0)
-        n = total_cover_count(0.5, g, nu_k=7, lip=LogNumber.from_int(3), m=5, ell=2)
-        assert n.exact == 1
+        n = total_cover_count(0.5, g, nu_k=7, lip=LogNumber(math.log(3)), m=5, ell=2)
         assert n.ln == 0.0
 
     def test_big_float_oracle(self):
@@ -330,14 +316,14 @@ class TestTotalCoverCount:
 
     def test_monotone_in_delta(self):
         g = GeometryConstants(dim_half=1)
-        lip = LogNumber.from_int(2)
+        lip = LogNumber(math.log(2))
         grid = [0.2, 0.35, 0.5, 0.7, 0.9, 1.0]
         values = [total_cover_count(d, g, 3, lip, 3, 0).ln for d in grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_monotone_in_counts(self):
         g = GeometryConstants(dim_half=1)
-        lip = LogNumber.from_int(2)
+        lip = LogNumber(math.log(2))
         by_nu = [total_cover_count(0.9, g, nu, lip, 3, 0).ln for nu in range(1, 8)]
         assert by_nu == sorted(by_nu)
         by_m = [total_cover_count(0.9, g, 2, lip, m, 0).ln for m in range(3, 9)]
@@ -350,7 +336,7 @@ class TestTotalCoverCount:
 
     def test_overflow_diagnostic(self):
         g = GeometryConstants(dim_half=1)
-        n = total_cover_count(1.0, g, 1, LogNumber.from_int(10), m=100, ell=0)
+        n = total_cover_count(1.0, g, 1, LogNumber(math.log(10)), m=100, ell=0)
         assert n.level == 2
         with pytest.raises(InputError, match="log space"):
             n.ln
@@ -422,7 +408,7 @@ class TestCurveCoverCount:
         g = GeometryConstants(sigma=0.0)
         for mu in range(3, 8):
             out = curve_cover_count(1.0, mu, 1.0, g)
-            assert out.total.exact == 4 ** (mu - 1)
+            assert out.total.ln == pytest.approx(math.log(4 ** (mu - 1)), rel=1e-15)
             assert out.regions == mu + 1
             assert out.log_cells == pytest.approx((mu - 1) * math.log(4), rel=1e-15)
 
@@ -432,7 +418,7 @@ class TestCurveCoverCount:
             assert mu == len(tree.incident_pairs())
             out = curve_cover_count(1.0, mu, 1.0, GeometryConstants(sigma=0.0))
             assert out.regions == mu + 1
-            assert out.total.exact == 4 ** (mu - 1)
+            assert out.total.ln == pytest.approx(math.log(4 ** (mu - 1)), rel=1e-15)
 
     def test_big_float_oracle(self):
         out = curve_cover_count(0.5, 3, 1.0, DEFAULT_CONSTANTS, nu_k=1)
@@ -577,12 +563,10 @@ def grid_space(xs):
 class TestMapspaceCount:
     def test_trivial_codomain(self):
         n = mapspace_count(1, 0, 5)
-        assert n.exact == 1
         assert n.ln == 0.0
 
     def test_small_product(self):
         n = mapspace_count(2, 3, 2)
-        assert n.exact == 32
         assert n.ln == pytest.approx(math.log(32), rel=1e-15)
 
     def test_matches_cover_bound(self):
@@ -600,19 +584,17 @@ class TestMapspaceCount:
             counted = mapspace_count(
                 cover.net_t.size, cover.net_w.size, cover.net_z.size
             )
-            assert counted.exact == cover.count_bound
-            assert len(cover.sets) <= counted.exact
+            assert counted.ln == pytest.approx(math.log(cover.count_bound), rel=1e-12)
+            assert len(cover.sets) <= cover.count_bound
 
     @given(st.integers(1, 50), st.integers(0, 50), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
-    def test_exact_mirror_agrees(self, nu_t, nu_w, nu_z):
+    def test_log_agrees_with_the_exact_product(self, nu_t, nu_w, nu_z):
         n = mapspace_count(nu_t, nu_w, nu_z)
-        assert n.exact == nu_t * (1 + nu_w) ** nu_z
-        assert n.ln == pytest.approx(math.log(n.exact), rel=1e-12)
+        assert n.ln == pytest.approx(math.log(nu_t * (1 + nu_w) ** nu_z), rel=1e-12)
 
-    def test_digit_cap_drops_mirror(self):
+    def test_two_million_digit_count(self):
         n = mapspace_count(2, 9, 2 * 10**6)
-        assert n.exact is None
         assert n.ln == pytest.approx(math.log(2) + 2e6 * math.log(10), rel=1e-12)
 
     def test_rejects_bad_inputs(self):

@@ -62,8 +62,10 @@ def invoke_json(argv):
 
 
 def write(tmp_path, name, payload):
+    # a str payload is written as it stands: JSON text that dumps refuses,
+    # such as the infinite number 1e999
     target = tmp_path / name
-    target.write_text(dumps(payload), encoding="utf-8")
+    target.write_text(payload if isinstance(payload, str) else dumps(payload), encoding="utf-8")
     return str(target)
 
 
@@ -414,6 +416,10 @@ def _drop_first(table):
     del table[next(iter(table))]
 
 
+def _line(xs):
+    return {"n": len(xs), "dist": [[abs(a - b) for b in xs] for a in xs]}
+
+
 # the file payloads that the table below names with "@name"
 BAD_PAYLOADS = {
     "list": lambda: [],
@@ -443,6 +449,19 @@ BAD_PAYLOADS = {
     "assoc-missing-edge": lambda: _two_level_association(
         lambda assoc: _drop_first(assoc["edge_to_bubble"])
     ),
+    "space-inf": lambda: '{"n": 2, "dist": [[0.0, 1e999], [1e999, 0.0]]}',
+    "bubble-inf": lambda: (
+        '{"eps": 0.125, "points": [{"z": [1e999, 0.0], "rho": 0.0}, '
+        '{"z": [0.125, 0.0], "rho": 0.0}]}'
+    ),
+    # W's minimal 1-net is {0.5, 1.5}, both within 1 of the member's value
+    # 1.0, so each of Z's 25 points, its own net point, has 2 choices
+    "cover-cell-cap": lambda: {
+        "space_t": {"n": 1, "dist": [[0.0]]},
+        "space_z": _line([3.0 * i for i in range(25)]),
+        "space_w": _line([0.0, 0.5, 1.0, 1.5, 2.0]),
+        "members": [{"t": 0, "fiber": list(range(25)), "values": [2] * 25}],
+    },
 }
 
 COVER = ["cover", "--lambda", "1.0", "--delta", "0.6", "--instance"]
@@ -503,6 +522,14 @@ REJECTED = {
     "edge-to-bubble-keys": (
         ["verify-association", "--config", "@bubble", "--assoc", "@assoc-missing-edge"],
         None, 2, "differ from the external non-root edges"),
+    "net-distance-inf": (
+        ["net", "--space", "@space-inf", "--gamma", "0.5"], None, 3,
+        "distances must be finite"),
+    "associate-coordinate-inf": (
+        ["associate", "--config", "@bubble-inf"], None, 3, "is not finite"),
+    "cover-cell-cap": (
+        ["cover", "--lambda", "1", "--delta", "1", "--instance", "@cover-cell-cap"], None, 4,
+        "cell enumeration needs 33554432 assignments at member 0, over the cap 2000000"),
 }
 
 

@@ -714,7 +714,7 @@ def test_pipeline_checks_membership_once_per_params(tmp_path, monkeypatch):
         calls.append((p, c))
         return in_compact_subset(p, c)
 
-    for module in (curves, bubbles, pipeline):
+    for module in (curves, bubbles):
         monkeypatch.setattr(module, "in_compact_subset", counted)
     cfg = random_standard(random.Random(30), EPS, 8)
     config = {"bubble": jsonio.bubble_to_json(cfg, EPS), "delta": 0.5}
@@ -722,8 +722,9 @@ def test_pipeline_checks_membership_once_per_params(tmp_path, monkeypatch):
         calls.clear()
         report = pipeline.run_pipeline(config, tmp_path / str(seed), seed=seed)
         assert report.ok
-        # one check at the association scales (verify-association) and one
-        # at the membership scales, which the decomposition stage reads again
+        # one check at the association scales (verify-association, whose
+        # report the membership stage writes) and one at the equal membership
+        # scales, in the decomposition stage
         assert len(calls) == 2
         (p1, c1), (p2, c2) = calls
         assert p1 is p2 and c1 is not c2

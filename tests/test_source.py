@@ -105,6 +105,32 @@ def unread_locals(tree: ast.AST) -> list[tuple[str, int, str]]:
     return sorted(found, key=lambda f: (f[1], f[2]))
 
 
+def import_faults(module: ast.Module) -> list[tuple[int, str]]:
+    """(line, fault) for every import inside a function, and for every name
+    an import binds that the module never reads.  An import from __future__
+    binds no name to read."""
+    read = {
+        n.id for n in ast.walk(module) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    imports = (ast.Import, ast.ImportFrom)
+    found = []
+    for node in ast.walk(module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                (n.lineno, f"import inside {node.name}")
+                for n in _own_scope(node)
+                if isinstance(n, imports)
+            ]
+        if isinstance(node, imports) and getattr(node, "module", None) != "__future__":
+            bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+            found += [
+                (node.lineno, f"{name} is imported and never read")
+                for name in bound
+                if name not in read
+            ]
+    return sorted(found)
+
+
 def names_read(node: ast.AST) -> Counter:
     """How often each identifier is read below node, as a name or as an
     attribute."""
@@ -386,6 +412,39 @@ def test_unread_locals_reports_only_dead_assignments():
         "    return g\n"
     )
     assert unread_locals(tree) == [("f", 2, "dead"), ("g", 9, "inner"), ("f", 11, "x")]
+
+
+def test_import_faults_on_a_synthetic_module():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Mapping, Sequence\n"
+        "def f(x: Mapping):\n"
+        "    from json import dumps\n"
+        "    def g():\n"
+        "        import re\n"
+        "        return re, os\n"
+        "    return dumps(x), g\n"
+    )
+    # a name read only in an annotation or in a nested function counts
+    assert import_faults(tree) == [
+        (3, "np is imported and never read"),
+        (4, "Sequence is imported and never read"),
+        (6, "import inside f"),
+        (8, "import inside g"),
+    ]
+
+
+def test_no_module_in_the_package_imports_in_a_function_or_imports_a_name_it_never_reads():
+    # an import inside a function hides a cycle between modules, and a name
+    # imported and never read is a dependency for nothing
+    faults = [
+        f"{path.name}:{line} {fault}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, fault in import_faults(ast.parse(path.read_text("utf-8")))
+    ]
+    assert faults == []
 
 
 def test_no_function_in_the_package_assigns_a_local_it_never_reads():
