@@ -41,6 +41,7 @@ from .nets import (
     FiniteMetricSpace,
     ProjPoint,
     _complex,
+    _normal,
     hopf_units,
     sphere_distance,
     sphere_distances,
@@ -321,11 +322,16 @@ class FiberPoint:
         )
 
     def at(self, v: int) -> ProjPoint:
-        return self.coords[v]
+        """The coordinate at v; InputError if the point has none there, as a
+        point of another tree may not."""
+        try:
+            return self.coords[v]
+        except KeyError:
+            raise InputError(f"fiber point has no coordinate at vertex {v}") from None
 
     def affine(self, v: int) -> complex | None:
         """Chart value at v, or None for the point at infinity."""
-        pt = self.coords[v]
+        pt = self.at(v)
         return None if pt.y == 0 else pt.x / pt.y
 
 
@@ -346,7 +352,7 @@ class FiberBatch:
     @classmethod
     def of(cls, t: RootedTree, points: Sequence[FiberPoint]) -> "FiberBatch":
         """The given points of a fiber over the tree t, as a batch."""
-        pts = [q.coords[v] for q in points for v in t.vertices]
+        pts = [q.at(v) for q in points for v in t.vertices]
         shape = (len(points), len(t.vertices))
         xs = np.array([a.x for a in pts], dtype=complex).reshape(shape)
         ys = np.array([a.y for a in pts], dtype=complex).reshape(shape)
@@ -356,13 +362,23 @@ class FiberBatch:
         return len(self.xs)
 
     def __getitem__(self, i):
+        """Row i as a FiberPoint, or a slice as a FiberBatch.
+
+        Certificate: the row already holds what FiberPoint stores, so it is
+        set as it is (normalizing it once more could flip the sign of a
+        zero).  Each pair is a normalized coordinate, one slot exactly 1, as
+        the class docstring requires: every batch is built from FiberPoints
+        (of), by _fiber_batch, whose _normalize divides as
+        ProjPoint.normalized does, or from rows of those (a slice,
+        anchor_points, decorate).  tolist gives complex slots from the
+        complex arrays.
+        """
         if isinstance(i, slice):
             return FiberBatch(self.vertices, self.xs[i], self.ys[i])
-        # the row already holds what FiberPoint stores; normalizing it once
-        # more could flip the sign of a zero, so the row is set as it is
         q = object.__new__(FiberPoint)
         row = zip(self.vertices, self.xs[i].tolist(), self.ys[i].tolist())
-        object.__setattr__(q, "coords", {v: ProjPoint(a, b) for v, a, b in row})
+        coords = {v: ProjPoint._certified(a, b) for v, a, b in row}
+        object.__setattr__(q, "coords", coords)
         return q
 
 
@@ -403,7 +419,7 @@ def _child_coord(p: ModuliPoint, parent: ProjPoint, u: int, e: int) -> ProjPoint
     den = p.gamma_of(e) * p.rho(u, e) * parent.y
     if num == 0 and den == 0:
         raise _node_error(p.tree, p.tree.e_plus[e])
-    return ProjPoint(num, den).normalized()
+    return _normal(num, den)
 
 
 def _parent_coord(p: ModuliPoint, child: ProjPoint, u: int, e: int) -> ProjPoint:
@@ -414,7 +430,7 @@ def _parent_coord(p: ModuliPoint, child: ProjPoint, u: int, e: int) -> ProjPoint
         # degenerate edge with the child at infinity: the whole child
         # component sits over the node
         return ProjPoint(p.z(u, e), 1.0)
-    return ProjPoint(num, den).normalized()
+    return _normal(num, den)
 
 
 def _complete(p: ModuliPoint, coords: dict[int, ProjPoint], v: int) -> FiberPoint:
@@ -642,7 +658,7 @@ def _phi_component(p: ModuliPoint, q: FiberPoint, u: int, e: int) -> ProjPoint:
     den = p.rho(u, e) * a.y
     if num == 0 and den == 0:
         raise VerificationError(f"rescaled chart at ({u}, {e}) is degenerate")
-    return ProjPoint(num, den).normalized()
+    return _normal(num, den)
 
 
 def embed(p: ModuliPoint, q: FiberPoint) -> dict[tuple[int, int], ProjPoint]:
@@ -708,7 +724,9 @@ class ThickThinDecomposition:
     gives two verdicts on a point's chart value at v: column 2k, inside its
     closed disc, and 2k + 1, outside its open disc (infinity is outside every
     disc).  table[r] lists the columns whose conjunction is membership in
-    regions[r], as region_contains defines it (see _region_terms).
+    regions[r], as region_contains defines it (see _region_terms).  rims
+    lists per vertex v the circles in the chart of v, as (v, ((column 2k,
+    center, radius), ...)), for classify.
     """
 
     point: ModuliPoint
@@ -716,6 +734,7 @@ class ThickThinDecomposition:
     circles: Mapping[tuple[int, int], tuple[complex, float]]
     regions: tuple[Region, ...]
     table: tuple[tuple[int, ...], ...]
+    rims: tuple[tuple[int, tuple[tuple[int, complex, float], ...]], ...]
 
     def classify(self, q: FiberPoint) -> tuple[Region, ...]:
         """All regions containing q.
@@ -728,10 +747,20 @@ class ThickThinDecomposition:
         no distance is computed at its vertex.  Every verdict there is the
         one at infinity: the unit circle's by definition, and each child
         disc's since |z| + r <= 3 theta <= 1/2 (checked by decomposition,
-        within EQ_SLACK) puts the value farther than 1/2 + r from z.
+        within EQ_SLACK) puts the value farther than 1/2 + r from z.  So
+        every column starts at its verdict at infinity, (inside, outside) =
+        (False, True), and _disc_verdicts runs only on the circles of the
+        vertices whose chart value _outside_unit_as_none keeps.
+
+        A point with no coordinate at a vertex of the tree raises
+        InputError naming the vertex.
         """
-        val = {v: _outside_unit_as_none(q.affine(v)) for v in self.point.tree.vertices}
-        ok = [b for (v, _), c in self.circles.items() for b in _disc_verdicts(val[v], *c)]
+        ok = [False, True] * len(self.circles)
+        for v, rims in self.rims:
+            x = _outside_unit_as_none(q.affine(v))
+            if x is not None:
+                for col, center, radius in rims:
+                    ok[col], ok[col + 1] = _disc_verdicts(x, center, radius)
         hit = ok.__getitem__
         return tuple(r for r, cols in zip(self.regions, self.table) if all(map(hit, cols)))
 
@@ -798,7 +827,11 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
     table = tuple(
         tuple(column[pair] + out for pair, out in _region_terms(t, r)) for r in regions
     )
-    dec = ThickThinDecomposition(p, c, circles, tuple(regions), table)
+    rims = tuple(
+        (v, tuple((column[(v, e)], *circles[(v, e)]) for e in t.incident[v]))
+        for v in t.vertices
+    )
+    dec = ThickThinDecomposition(p, c, circles, tuple(regions), table, rims)
     object.__setattr__(p, "_member", (c, kept[1], dec))
     return dec
 

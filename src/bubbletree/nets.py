@@ -80,10 +80,38 @@ class ProjPoint:
     def norm(self) -> float:
         return math.hypot(abs(self.x), abs(self.y))
 
+    @classmethod
+    def _certified(cls, x: complex, y: complex) -> "ProjPoint":
+        """The point [x : y] of two complex slots that its caller has proved
+        not both zero, without the conversions and the check."""
+        pt = object.__new__(cls)
+        _set_x(pt, x)
+        _set_y(pt, y)
+        return pt
+
     def normalized(self) -> "ProjPoint":
-        if abs(self.y) >= abs(self.x) * (1.0 - TIE_RTOL):
-            return ProjPoint(self.x / self.y, 1.0)
-        return ProjPoint(1.0, self.y / self.x)
+        return _normal(self.x, self.y)
+
+
+# the slot setters of the frozen class, which _certified calls directly
+_set_x, _set_y = ProjPoint.x.__set__, ProjPoint.y.__set__
+
+
+def _normal(x: complex, y: complex) -> ProjPoint:
+    """ProjPoint(x, y).normalized() for complex x and y, not both zero.
+
+    Certificate: both slots are complex, since a quotient of complex
+    numbers is complex and 1 + 0j is what the checked path makes of 1.0.
+    The slot divided by is the nonzero one of larger modulus: y is taken
+    when |y| >= |x| (1 - TIE_RTOL), which a zero y meets only with a zero
+    x; x is taken when that fails, so |x| > 0 or a modulus is NaN.  A NaN x
+    is not zero; a NaN y over a zero x raises ZeroDivisionError, as the
+    checked path does.  So the checked construction would keep these bits
+    and pass its check.
+    """
+    if abs(y) >= abs(x) * (1.0 - TIE_RTOL):
+        return ProjPoint._certified(x / y, 1 + 0j)
+    return ProjPoint._certified(1 + 0j, y / x)
 
 
 def sphere_distance(p: ProjPoint, q: ProjPoint) -> float:

@@ -1,6 +1,7 @@
 """Curve-family tests: fibers, membership, regions, paths, stabilization."""
 
 import cmath
+import hashlib
 import math
 import random
 import struct
@@ -863,6 +864,72 @@ def test_classify_reads_a_value_outside_the_unit_disc_as_infinity():
                 for x in map(q.affine, kids)
             )
     assert outside >= 10 * len(kids)
+
+
+def classify_edge_cases():
+    """(p, c, dec, points) on chain members: points at infinity in every
+    chart, at the root value infinity, on each boundary circle of the
+    decomposition, and with a NaN chart value at one vertex or all."""
+    rng = random.Random(2611)
+    out = []
+    for depth in (2, 4, 6):
+        tree = chain_tree(depth)
+        c = default_params(tree)
+        p = random_member(tree, c, rng)
+        dec = decomposition(p, c)
+        pts = [section(p, tree.root_edge), fiber_from_root(p, INF)]
+        for (v, _), (center, radius) in dec.circles.items():
+            for turn in (0.3, 2.9):
+                rim = ProjPoint(center + cmath.rect(radius, turn), 1.0)
+                pts.append(curves._fiber_through(p, v, rim))
+        nan = ProjPoint(complex(math.nan, 0.0), 1.0)
+        pts.append(fiber_from_root(p, nan))
+        inner = fiber_from_root(p, ProjPoint(0.2 + 0.1j, 1.0)).coords
+        pts += [FiberPoint({**inner, v: nan}) for v in tree.vertices]
+        out.append((p, c, dec, pts))
+    return out
+
+
+def test_classify_equals_the_region_contains_scan_at_the_edge_cases():
+    two = nowhere = 0
+    for p, c, dec, pts in classify_edge_cases():
+        for q in pts:
+            want = tuple(r for r in dec.regions if region_contains(p, r, q))
+            assert dec.classify(q) == want
+            assert classify(p, c, q) == want
+            two += len(want) == 2
+            nowhere += not want
+    # circle points land in two regions; a NaN chart value is in none
+    # containing its vertex, and an all-NaN point in no region at all
+    assert two >= 60 and nowhere >= 6
+
+
+def other_tree_point():
+    """A member of chain_tree(4) and a point of a chain_tree(3) member,
+    which has no coordinate at vertex 4."""
+    rng = random.Random(4)
+    small, big = chain_tree(3), chain_tree(4)
+    c = default_params(big)
+    q = fiber_from_root(random_member(small, default_params(small), rng), INF)
+    return random_member(big, c, rng), c, q
+
+
+def test_classify_names_the_vertex_a_point_of_another_tree_lacks():
+    p, c, q = other_tree_point()
+    with pytest.raises(InputError, match="no coordinate at vertex 4"):
+        classify(p, c, q)
+
+
+def test_region_contains_names_the_vertex_a_point_of_another_tree_lacks():
+    p, _, q = other_tree_point()
+    with pytest.raises(InputError, match="no coordinate at vertex 4"):
+        region_contains(p, Region("thick", vertex=4), q)
+
+
+def test_fiber_batch_names_the_vertex_a_point_of_another_tree_lacks():
+    p, _, q = other_tree_point()
+    with pytest.raises(InputError, match="no coordinate at vertex 4"):
+        FiberBatch.of(p.tree, [q])
 
 
 def kernel_pairs(rng, n):
@@ -2050,3 +2117,47 @@ def test_check_map_missing_budget_is_input_error():
             p, c, SampledMap(two_point_target(), ((q, 0),)), {0}, 0.5, {},
             1.0, Marking(frozenset()),
         )
+
+
+# sha256 over the float.hex of every chart value of seeded fiber_from_root
+# and neck_param samples, every classify result and every worst sampled
+# ratio of check_map_membership (a zero budget rejects each region that has
+# a sampled pair and reports its worst ratio): a change to the scalar fiber
+# path that moves a bit must say why and record the new value
+GOLDEN_FIBERS_DIGEST = (
+    "7a65d7ae27131fbd550b36caef17d4ba6f56c4de5feb0b2cbb2bc2eaa73b64f8"
+)
+
+
+def test_fibers_path_golden_digest():
+    rng = random.Random(26)
+    digest = hashlib.sha256()
+    for depth in (2, 3, 4, 6, 8, 10):
+        tree = chain_tree(depth)
+        c = default_params(tree)
+        p = random_member(tree, c, rng)
+        samples = [fiber_from_root(p, INF), fiber_from_root(p, ProjPoint(0.0, 1.0))]
+        for _ in range(16):
+            r = math.exp(rng.uniform(math.log(1e-4), math.log(10.0)))
+            z = cmath.rect(r, rng.uniform(0.0, 2.0 * math.pi))
+            samples.append(fiber_from_root(p, ProjPoint(z, 1.0)))
+        for e in tree.full_edges:
+            big_r = -0.5 * math.log(abs(p.gamma_of(e)))
+            for s in (-big_r, rng.uniform(-big_r, big_r), big_r):
+                samples.append(neck_param(p, e, s, rng.uniform(0.0, 2.0 * math.pi)))
+        for q in samples:
+            for v in tree.vertices:
+                a = q.at(v)
+                parts = (a.x.real, a.x.imag, a.y.real, a.y.imag)
+                digest.update(" ".join(map(float.hex, parts)).encode() + b"\n")
+            digest.update(f"{classify(p, c, q)}\n".encode())
+        target = FiniteMetricSpace.from_sphere([q.at(tree.root_vertex) for q in samples])
+        smap = SampledMap(target, tuple((q, i) for i, q in enumerate(samples)))
+        verdict = check_map_membership(
+            p, c, smap, range(len(samples)), 1.0, region_budgets(p, c, 0.0), 1.0,
+            Marking(),
+        )
+        assert verdict.lipschitz_rejections
+        for region, seen, _ in verdict.lipschitz_rejections:
+            digest.update(f"{region} {seen.hex()}\n".encode())
+    assert digest.hexdigest() == GOLDEN_FIBERS_DIGEST

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bubbletree.errors import InputError, ResourceCapError, VerificationError
@@ -28,6 +29,7 @@ from bubbletree import nets
 from bubbletree.nets import (
     EXACT_NU_CAP,
     SPHERE_NET_CAP,
+    TIE_RTOL,
     _lower_screened,
     _sphere_lowering,
     FiberMap,
@@ -174,6 +176,54 @@ def test_projpoint_normalization_scale_invariant(x, y, c):
     q = ProjPoint(c * x, c * y).normalized()
     assert abs(p.x - q.x) <= 1e-9 * max(1.0, abs(p.x))
     assert abs(p.y - q.y) <= 1e-9 * max(1.0, abs(p.y))
+
+
+def checked_normalization(x: complex, y: complex) -> ProjPoint:
+    """ProjPoint(x, y).normalized() as the checked constructor builds it:
+    divide by the slot of larger modulus (math.hypot of its parts), y on a
+    tie within TIE_RTOL, and build the result through ProjPoint(...)."""
+    if math.hypot(y.real, y.imag) >= math.hypot(x.real, x.imag) * (1.0 - TIE_RTOL):
+        return ProjPoint(x / y, 1.0)
+    return ProjPoint(1.0, y / x)
+
+
+def slot_bits(pt: ProjPoint) -> tuple[str, ...]:
+    assert type(pt.x) is complex and type(pt.y) is complex
+    return tuple(map(float.hex, (pt.x.real, pt.x.imag, pt.y.real, pt.y.imag)))
+
+
+# signed zeros, subnormals, +-1e300 and doubles between as the parts of a
+# slot (abs of a slot near the top of the double range overflows)
+SLOT_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+SLOTS = st.builds(complex, SLOT_PARTS, SLOT_PARTS)
+
+
+@st.composite
+def tied_slots(draw):
+    """(x, y) with |y| within a few TIE_RTOL of |x|: y is x turned and
+    scaled by 1 + d, or x's parts swapped and negated (an exact tie)."""
+    x = draw(SLOTS)
+    if draw(st.booleans()):
+        d = draw(st.floats(-3.0 * TIE_RTOL, 3.0 * TIE_RTOL))
+        turn = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        return x, x * turn * (1.0 + d)
+    return x, complex(-x.imag, x.real)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(SLOTS, SLOTS), tied_slots()))
+@example(pair=(1 + 33j, 33 + 1j))
+@example(pair=(-0.0 - 0.0j, 1e300 - 1e300j))
+@example(pair=(5e-324 + 0j, -0.0 + 5e-324j))
+def test_normal_equals_the_checked_normalization_by_bits(pair):
+    # the trusted nets._normal must build what the checked path builds,
+    # sign of zero included, or FiberPoint's coordinates would move
+    x, y = pair
+    assume(x != 0 or y != 0)
+    assert slot_bits(nets._normal(x, y)) == slot_bits(checked_normalization(x, y))
 
 
 def test_metric_space_validation():
