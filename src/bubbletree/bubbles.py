@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -216,9 +217,12 @@ def select_bubble_points(
     r is the threshold radius.  While uncovered candidates exist that keep
     the required separation from everything selected, the one with minimal
     threshold radius (ties by (re, im)) is adjoined with rho = r.  Seeds keep
-    radius zero.  The selection count obeys |T| <= |seeds| + floor(mass /
-    lambda^2), checked since the floor is taken of a rounded quotient, and
-    the threshold balls of the added points are disjoint.
+    radius zero.  The threshold balls of the added points are disjoint, and
+    the selection count obeys |T| <= |seeds| + floor(M / need) in exact
+    arithmetic, with M the exact sum of the atom masses and need the double
+    lambda * lambda that threshold_radius captures.  The bound is checked,
+    since threshold_radius sums a ball's masses in floating point and can
+    credit it with need when its exact mass falls short.
 
     Certificate: the added balls are disjoint and every candidate above the
     cut is covered, with no check after the loop.  An added y passed quarter
@@ -251,7 +255,8 @@ def select_bubble_points(
 
     bound = len(profile.seeds)
     if hot:
-        bound += math.floor(profile.measure.total_mass / (lam * lam))
+        mass = sum(Fraction(m) for _, m in profile.measure.atoms)
+        bound += math.floor(mass / Fraction(lam * lam))
     while True:
         pool = [z for z in hot if z not in rho and separated(z)]
         if not pool:
@@ -445,9 +450,10 @@ def reduce_at(
 ) -> tuple[BubbleConfiguration, float, AffineMap]:
     """Rescale the cluster of center x back to a standard configuration.
 
-    gamma = sup |z - x| / (eps rho_p(x)) over the cluster lies in (0, 4 eps];
-    the chart Phi(w) = x + gamma rho_p(x) w identifies the new configuration
-    with the cluster.  Only centers with at least two points reduce.
+    gamma = sup |z - x| / (eps rho_p(x)) over the cluster lies in (0, 4 eps]
+    up to rounding (see _rescale_cluster); the chart Phi(w) = x + gamma
+    rho_p(x) w identifies the new configuration with the cluster.  Only
+    centers with at least two points reduce.
     """
     eps = _check_eps(eps)
     _, retraction, rho_p, _ = reduce(cfg, eps)
@@ -465,15 +471,31 @@ def reduce_at(
 def _rescale_cluster(
     cfg: BubbleConfiguration, eps: float, x: complex, cluster: list, rho_x: float
 ) -> tuple[BubbleConfiguration, float, AffineMap]:
-    """reduce_at's rescaling of the cluster of center x, of two or more points."""
+    """reduce_at's rescaling of the cluster of center x, of two or more
+    points, as reduce returned it.
+
+    Certificate: gamma lies in (0, 4 eps] and the output is standard, up
+    to rounding, with no check of either.  The cluster holds a z != x, and
+    reduce retracts z to x only when the rounded |z - x| <= a(k) = (4
+    eps^3)^k > 0; a center with satellites has rho_x = a(k) / (4 eps^2), as
+    reduce verified.  So gamma = max |z - x| / (eps rho_x) <= 4 eps, and
+    gamma > 0: a positive double over eps rho_x = a(k) / (4 eps), which lies
+    in [2 a(k), 1).  The map w = (z - x) / (gamma rho_x) scales every
+    distance and radius of the cluster by one factor, so the exact images
+    keep each inequality of is_standard, with w = 0 at x and |w| = eps at
+    the farthest point; the cluster's separation leaves radii of at most
+    eps^3 / 4.  Rounding moves gamma and the images by a few u while the
+    cutoff is a normal double, and by more when it is subnormal, so a check
+    of either would reject members: a sibling pair at its slack edge, far
+    closer to each other than to x, loses the slack to the rounding of
+    w - w'.  verify_association's membership check reads gamma against
+    tau = 4 eps.  The output is marked standard at eps.
+    """
     gamma = max(abs(z - x) for z in cluster) / (eps * rho_x)
-    if not (gamma > 0.0 and _leq(gamma, 4.0 * eps)):
-        raise VerificationError(f"gluing scale {gamma} escapes (0, 4 eps]")
     phi = AffineMap(x, gamma * rho_x)
     new_radius = {phi.invert(z): cfg.radius[z] / phi.scale for z in cluster}
     out = BubbleConfiguration(tuple(new_radius), new_radius)
-    if not is_standard(out, eps):
-        raise VerificationError(f"reduction at {x} is not standard")
+    object.__setattr__(out, "_standard_eps", eps)
     return out, gamma, phi
 
 

@@ -351,8 +351,12 @@ class FiberBatch:
 
     @classmethod
     def of(cls, t: RootedTree, points: Sequence[FiberPoint]) -> "FiberBatch":
-        """The given points of a fiber over the tree t, as a batch."""
+        """The given points of a fiber over the tree t, as a batch.  A point
+        missing a vertex of t, or with one t lacks, raises InputError."""
         pts = [q.at(v) for q in points for v in t.vertices]
+        for q in points:
+            if len(q.coords) != len(t.vertices):
+                _reject_extra_vertex(t, q)
         shape = (len(points), len(t.vertices))
         xs = np.array([a.x for a in pts], dtype=complex).reshape(shape)
         ys = np.array([a.y for a in pts], dtype=complex).reshape(shape)
@@ -380,6 +384,15 @@ class FiberBatch:
         coords = {v: ProjPoint._certified(a, b) for v, a, b in row}
         object.__setattr__(q, "coords", coords)
         return q
+
+
+def _reject_extra_vertex(t: RootedTree, q: FiberPoint) -> None:
+    """InputError naming the least vertex of q that t lacks, if any."""
+    extra = set(q.coords).difference(t.vertices)
+    if extra:
+        raise InputError(
+            f"fiber point has a coordinate at vertex {min(extra)}, which the tree lacks"
+        )
 
 
 def fiber_residual(p: ModuliPoint, q: FiberPoint) -> float:
@@ -746,14 +759,15 @@ class ThickThinDecomposition:
         A chart value outside the closed unit disc is read as infinity, so
         no distance is computed at its vertex.  Every verdict there is the
         one at infinity: the unit circle's by definition, and each child
-        disc's since |z| + r <= 3 theta <= 1/2 (checked by decomposition,
-        within EQ_SLACK) puts the value farther than 1/2 + r from z.  So
-        every column starts at its verdict at infinity, (inside, outside) =
-        (False, True), and _disc_verdicts runs only on the circles of the
-        vertices whose chart value _outside_unit_as_none keeps.
+        disc's since the membership inequalities |z| <= theta and |rho| <=
+        2 theta, each within EQ_SLACK, give |z| + r <= 1/2 + 1e-12, which
+        puts the value farther than r + 1/2 - 1e-12 from z.  So every column
+        starts at its verdict at infinity, (inside, outside) = (False,
+        True), and _disc_verdicts runs only on the circles of the vertices
+        whose chart value _outside_unit_as_none keeps.
 
-        A point with no coordinate at a vertex of the tree raises
-        InputError naming the vertex.
+        A point with no coordinate at a vertex of the tree, or with one at
+        a vertex the tree lacks, raises InputError naming the vertex.
         """
         ok = [False, True] * len(self.circles)
         for v, rims in self.rims:
@@ -761,6 +775,9 @@ class ThickThinDecomposition:
             if x is not None:
                 for col, center, radius in rims:
                     ok[col], ok[col + 1] = _disc_verdicts(x, center, radius)
+        # every vertex was found, so a longer point has one the tree lacks
+        if len(q.coords) != len(self.rims):
+            _reject_extra_vertex(self.point.tree, q)
         hit = ok.__getitem__
         return tuple(r for r, cols in zip(self.regions, self.table) if all(map(hit, cols)))
 
@@ -784,14 +801,20 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
 
     One thick region per vertex (the unit disc minus the open child discs),
     one neck per full edge, one end per external edge.  Verifies membership
-    first, then the geometric facts the regions rely on: every child disc
-    stays inside the half-disc, and dilations of sibling discs by any factor
-    below 1/tau remain disjoint.
+    and builds the regions.
 
     The checks run once per (p, c) pair: the passing membership report and
-    then the checked decomposition are kept on p and read again for the same
-    params object; other params are checked afresh, and a failed check keeps
+    then the decomposition are kept on p and read again for the same params
+    object; other params are checked afresh, and a failed check keeps
     nothing.
+
+    Certificate: the geometric facts the regions rely on are the membership
+    inequalities, with no check of their own.  Every child disc stays inside
+    the half disc: |z| <= theta and |rho| <= 2 theta, each within EQ_SLACK,
+    give |z| + |rho| <= 3 theta (1 + 2 EQ_SLACK) <= 1/2 + 1e-12.  Dilations
+    of sibling discs by any factor below 1/tau stay disjoint: that is the
+    sibling separation |rho_e| + |rho_f| <= tau |z_e - z_f| divided by tau,
+    within EQ_SLACK.
     """
     kept = p._member
     if kept is None or kept[0] is not c:
@@ -803,23 +826,6 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
         return kept[2]
     t = p.tree
     circles = {(v, e): _circle(p, v, e) for v, e in t.incident_pairs()}
-    for v in t.vertices:
-        kids = t.child_edges(v)
-        for e in kids:
-            z, r = circles[(v, e)]
-            if not _leq(abs(z) + r, 3.0 * c.theta):
-                raise VerificationError(
-                    f"child disc ({v},{e}) leaves the half disc: |z| + r = "
-                    f"{abs(z) + r} > {3 * c.theta}"
-                )
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                zi, ri = circles[(v, kids[i])]
-                zj, rj = circles[(v, kids[j])]
-                if not _leq((ri + rj) / c.tau, abs(zi - zj)):
-                    raise VerificationError(
-                        f"dilated discs ({v},{kids[i]}) and ({v},{kids[j]}) collide"
-                    )
     regions = [Region("thick", vertex=v) for v in t.vertices]
     regions += [Region("neck", edge=e) for e in t.full_edges]
     regions += [Region("end", edge=e) for e in t.half_edges]
@@ -878,8 +884,9 @@ def region_contains(p: ModuliPoint, region: Region, q: FiberPoint) -> bool:
     the open unit disc of e+; on the fiber this is the annulus between the
     two boundary circles of the edge.  End at the root edge: outside the
     open unit disc of the root vertex; end at another external edge: inside
-    the closed disc of (e-, e).  A region that does not fit the tree of p
-    raises InputError.
+    the closed disc of (e-, e).  A region that does not fit the tree of p,
+    or a point with a coordinate at a vertex the tree lacks, raises
+    InputError.
     """
     t = p.tree
     if region.kind == "thick":
@@ -888,6 +895,7 @@ def region_contains(p: ModuliPoint, region: Region, q: FiberPoint) -> bool:
         fits = region.edge in (t.full_edges if region.kind == "neck" else t.half_edges)
     if not fits:
         raise InputError(f"region {region} does not fit the tree")
+    _reject_extra_vertex(t, q)
     return all(
         _disc_verdicts(q.affine(pair[0]), *_circle(p, *pair))[out]
         for pair, out in _region_terms(t, region)

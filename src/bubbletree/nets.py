@@ -53,6 +53,8 @@ class ProjPoint:
     modulus, so one slot is exactly 1.0 and max(|x|, |y|) = 1.  Moduli that
     agree to TIE_RTOL count as a tie and y is preferred, so rounding in a
     rescaled copy [c*x : c*y] of a tie cannot flip the chosen slot.
+    A slot whose modulus exceeds the double range is rejected; NaN slots
+    are kept.
     """
 
     x: complex
@@ -63,6 +65,9 @@ class ProjPoint:
         object.__setattr__(self, "y", complex(self.y))
         if self.x == 0 and self.y == 0:
             raise InputError("projective point needs a nonzero coordinate")
+        for name, slot in (("x", self.x), ("y", self.y)):
+            if math.hypot(slot.real, slot.imag) == math.inf:
+                raise InputError(f"the modulus of slot {name} = {slot} is not a finite double")
 
     @classmethod
     def from_affine(cls, z: complex) -> "ProjPoint":

@@ -2,13 +2,16 @@
 
 Runs the Tier-1 suite in this process under sys.settrace, records every
 line of the package that runs, and prints per module each ``raise`` whose
-first line never ran.  Only the standard library is used.  Tests that run
-the package in a subprocess are not traced, so their raises count as
-unreached.  Tracing makes the suite about three times slower.
+first line never ran, with its enclosing function, as in
+``curves.py:820 decomposition: raise ...``.  Only the standard library is
+used.  Tests that run the package in a subprocess are not traced, so their
+raises count as unreached.  Tracing makes the suite about three times
+slower.
 
     PYTHONPATH=src python tests/reach.py
 
-The exit status is pytest's.
+The exit status is pytest's when the suite fails, else 1 if any raise is
+listed and 0 if none is.
 """
 
 import ast
@@ -22,9 +25,22 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bubbletree"
 
 
-def raise_lines(source: str) -> list[int]:
-    """First line of every raise statement, in order."""
-    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Raise))
+def raise_lines(source: str) -> list[tuple[int, str]]:
+    """(first line, qualified name of the enclosing function) of every
+    raise statement, in order; "<module>" outside any function."""
+    found = []
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, names + [child.name])
+                continue
+            if isinstance(child, ast.Raise):
+                found.append((child.lineno, ".".join(names) or "<module>"))
+            visit(child, names)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
 
 
 def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
@@ -54,12 +70,12 @@ def main() -> int:
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
-        missed = [i for i in raise_lines(source) if i not in ran[str(path)]]
+        missed = [(i, name) for i, name in raise_lines(source) if i not in ran[str(path)]]
         total += len(missed)
-        for i in missed:
-            print(f"{path.name}:{i}: {lines[i - 1].strip()}")
+        for i, name in missed:
+            print(f"{path.name}:{i} {name}: {lines[i - 1].strip()}")
     print(f"{total} raise statements not executed")
-    return status
+    return status or int(total > 0)
 
 
 if __name__ == "__main__":

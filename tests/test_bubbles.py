@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import mpmath
@@ -202,7 +203,8 @@ def profile_coverage_holds(profile, eps, lam, cfg):
             for x in cfg.points
         ), f"candidate {z} uncovered"
     added = [z for z in cfg.points if z not in seeds]
-    bound = len(seeds) + math.floor(profile.measure.total_mass / (lam * lam))
+    mass = sum(Fraction(m) for _, m in profile.measure.atoms)
+    bound = len(seeds) + math.floor(mass / Fraction(lam * lam))
     assert len(cfg.points) <= bound
     for x, y in combinations(added, 2):
         assert abs(x - y) >= cfg.radius[x] + cfg.radius[y]
@@ -241,6 +243,25 @@ class TestSelectBubblePoints:
         profile = ConcentrationProfile(m, ((0.5, 100.0),), ())
         with pytest.raises(InputError, match="outside"):
             select_bubble_points(profile, EPS, self.LAM)
+
+    def test_mass_bound_is_floored_in_exact_arithmetic(self):
+        # lam * lam rounds above lam^2; the rounded total of three atoms of
+        # that mass over it reads 2.9999999999999996, while the exact
+        # bound is 3
+        lam = 0.0074938602910670435
+        atoms = tuple((0.1 * cmath.exp(2j * math.pi * j / 3), lam * lam) for j in range(3))
+        hot = tuple((z, 2 * lam / EPS**2) for z, _ in atoms)
+        cfg = select_bubble_points(ConcentrationProfile(EnergyMeasure(atoms), hot, ()), EPS, lam)
+        assert set(cfg.points) == {z for z, _ in atoms}
+
+    def test_mass_bound_catches_a_ball_credited_by_rounding(self):
+        # the two atoms' rounded sum is lambda^2 = 1 while their exact sum
+        # is 1 - 2^-54, so the one ball selected breaks the exact bound 0
+        atoms = ((0j, 0.5), (0.01 + 0j, math.nextafter(0.5, 0.0)))
+        profile = ConcentrationProfile(EnergyMeasure(atoms), ((0j, 1.0 / EPS**2),), ())
+        message = "^selected more than 0 points; the mass bound is broken$"
+        with pytest.raises(VerificationError, match=message):
+            select_bubble_points(profile, EPS, 1.0)
 
     def test_random_profiles_satisfy_all_postconditions(self):
         rng = random.Random(7121)
@@ -565,7 +586,7 @@ class TestReduceAt:
         assert phi.scale == pytest.approx(d / EPS, rel=1e-12)
         assert sub.points[0] == 0
         assert abs(sub.points[1] - EPS) <= 1e-12
-        assert is_standard(sub, EPS)
+        assert is_standard_reference(sub, EPS)
 
     def test_affine_map_round_trip(self):
         phi = AffineMap(0.3 + 0.1j, 0.02)
@@ -598,11 +619,38 @@ class TestReduceAt:
                 assert max(abs(z) for z in sub.points) == pytest.approx(
                     EPS, rel=1e-12
                 )
-                assert is_standard(sub, EPS)
+                assert is_standard_reference(sub, EPS)
                 assert len(sub.points) == len(cluster)
                 for w in sub.points:
                     assert any(abs(phi(w) - z) <= 1e-15 for z in cluster)
         assert seen >= 20
+
+    def test_sibling_pair_at_its_slack_edge_reduces(self):
+        # z1 and z2 are 3.2e-9 apart and 4e-5 from the center 0, with radii
+        # at the slack edge of eps^2/4 |z1 - z2|: rescaling rounds w1 - w2
+        # by more than that slack, and the check of the rescaled
+        # configuration rejected this standard one
+        z1 = -2.9250860471007905e-05 + 2.7794698954978617e-05j
+        z2 = -2.9254088569675297e-05 + 2.779463879113319e-05j
+        r = 6.305975140644212e-12
+        cfg = BubbleConfiguration((0, z1, z2, EPS), {0: 0.0, z1: r, z2: r, EPS: 0.0})
+        assert is_standard_reference(cfg, EPS)
+        sub, gamma, phi = reduce_at(cfg, EPS, 0)
+        assert len(sub.points) == 3 and 0.0 < gamma <= 4.0 * EPS
+        assert not is_standard_reference(sub, EPS)
+        assert verify_association(cfg, associate_tree(cfg, EPS), EPS).ok
+
+    def test_subnormal_cutoff_gamma_is_reported_by_membership(self):
+        # 79 centers at eps = 0.03 make the cutoff (4 eps^3)^79 / (4 eps^2)
+        # subnormal; its rounding puts the satellite's gamma 4.5e-12 above
+        # 4 eps, which reduce_at returns and verify_association reports
+        eps = 0.03
+        ring = [eps * cmath.exp(2j * math.pi * j / 78) for j in range(78)]
+        cfg = flat(ring + [0.0, 4.369952169e-314])
+        _, gamma, _ = reduce_at(cfg, eps, 0)
+        assert gamma == pytest.approx(4.0 * eps, rel=1e-11) and gamma > 4.0 * eps
+        report = verify_association(cfg, associate_tree(cfg, eps), eps)
+        assert not report.ok and f"|gamma[40]| = {gamma} > tau" in report.summary()
 
 
 class TestAssociateTree:
@@ -673,7 +721,9 @@ class TestAssociateTree:
             nested += len(assoc.tree.vertices) > 1
         assert nested >= 10
 
-    def test_one_standardness_check_per_vertex(self, monkeypatch):
+    def test_one_standardness_check_per_association(self, monkeypatch):
+        # the root's: every child configuration comes from _rescale_cluster
+        # marked standard by its certificate
         checked = []
 
         def counted(cfg, eps):
@@ -682,12 +732,15 @@ class TestAssociateTree:
 
         monkeypatch.setattr(bubbles, "is_type_eps", counted)
         rng = random.Random(2105)
+        nested = 0
         for _ in range(20):
             cfg = random_standard(rng, EPS, rng.randrange(4, 16))
             cfg = BubbleConfiguration(cfg.points, cfg.radius)  # nothing kept
             checked.clear()
             assoc = associate_tree(cfg, EPS)
-            assert len(checked) == len(assoc.tree.vertices)
+            assert len(checked) == 1 and checked[0] is cfg
+            nested += len(assoc.tree.vertices) > 1
+        assert nested >= 5
 
     @pytest.mark.parametrize("size", [128, 150])
     def test_wide_flat_configurations(self, size):

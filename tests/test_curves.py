@@ -51,7 +51,14 @@ from bubbletree.curves import (
 )
 from bubbletree.errors import InputError, ResourceCapError, VerificationError
 from bubbletree.nets import FiniteMetricSpace, ProjPoint, sphere_distance
-from bubbletree.trees import Marking, diverging_pairs, enumerate_stable_rooted, positive_path
+from bubbletree.trees import (
+    Marking,
+    RootedTree,
+    Tree,
+    diverging_pairs,
+    enumerate_stable_rooted,
+    positive_path,
+)
 
 from helpers import (
     anchor_points_reference,
@@ -623,6 +630,28 @@ def test_embed_rejects_off_fiber_points():
         embed(p, FiberPoint({1: ProjPoint(0.3, 1.0), 2: ProjPoint(0.9, 1.0)}))
 
 
+def degenerate_chart_point():
+    """chain2_point with rho_{1,1} = 0, and the point of its fiber with
+    value [z_{1,1} : 1] at vertex 1 and [1 : 0] at vertex 2: the
+    disc-rescaled chart at (1, 1) is [0 : 0] there."""
+    _, p = chain2_point(0.1, 0.05, 0.0)
+    return p, FiberPoint({1: ProjPoint(0.05, 1.0), 2: INF})
+
+
+def test_embed_rejects_a_degenerate_rescaled_chart():
+    p, q = degenerate_chart_point()
+    with pytest.raises(VerificationError, match=r"^rescaled chart at \(1, 1\) is degenerate$"):
+        embed(p, q)
+
+
+def test_region_distance_rejects_a_degenerate_rescaled_chart():
+    p, q = degenerate_chart_point()
+    neck = Region("neck", edge=1)
+    assert region_contains(p, neck, q)
+    with pytest.raises(VerificationError, match=r"^rescaled chart at \(1, 1\) is degenerate$"):
+        region_distance(p, neck, q, q)
+
+
 # ---------------------------------------------------------------------------
 # thick-thin decomposition
 # ---------------------------------------------------------------------------
@@ -644,6 +673,70 @@ def test_decomposition_rejects_nonmember():
     t, p = chain2_point(0.9, 0.05, 0.01)
     with pytest.raises(VerificationError, match="member"):
         decomposition(p, default_params(t))
+
+
+# a member whose sibling radius sum sits at the slack edge of tau |z - z'|:
+# the sum over tau, compared with |z - z'|, rounds past EQ_SLACK
+SLACK_EDGE_MEMBER = (
+    [
+        ((-0.04639297648317945 + 0.056445549532174025j), 0.014107698930753882),
+        ((0.021321240263676156 - 0.015527995970740048j), 0.033046149806719126),
+    ],
+    CompactnessParams(theta=0.10843459619849978, tau=0.4771687404593269, alpha={1: 1e-7}),
+)
+
+
+def one_child_chain(depth):
+    """A path of vertices 1..depth, each with one child edge: edge v joins
+    v to v + 1, and the last vertex carries one half edge."""
+    edges = {0: (1,), **{v: (v, v + 1) for v in range(1, depth)}, depth: (depth,)}
+    return RootedTree(Tree(list(range(1, depth + 1)), edges), 0)
+
+
+def slack_edge_points(rng):
+    """(p, c) at the slack edge of each membership inequality: sibling
+    pairs on a star whose radius sum lies within 2e-12 relative of tau
+    |z_e - z_f|, and one-child chains whose center and radius moduli are
+    theta and 2 theta, times 1 or 1 + 1e-12; the pinned member first."""
+    zr, c = SLACK_EDGE_MEMBER
+    out = [(star_point(zr), c)]
+    for _ in range(1500):
+        theta, tau = rng.uniform(0.01, 1 / 6), rng.uniform(0.05, 0.5)
+        ze, zf = (cmath.rect(theta * math.sqrt(rng.random()), rng.uniform(0, 7)) for _ in "ef")
+        edge = tau * abs(ze - zf) * (1 + rng.uniform(-2e-12, 2e-12))
+        w = rng.uniform(0.05, 0.95)
+        pairs = [(ze, cmath.rect(edge * w, rng.uniform(0, 7))),
+                 (zf, cmath.rect(edge * (1 - w), rng.uniform(0, 7)))]
+        out.append((star_point(pairs), CompactnessParams(theta, tau, {1: 1e-7})))
+    for depth in (1, 2, 3):
+        t = one_child_chain(depth)
+        for _ in range(100):
+            theta, tau = rng.uniform(0.01, 1 / 6), rng.uniform(0.05, 0.5)
+            zm, rm = (theta * rng.choice((1.0, 1 + 1e-12)) for _ in "zr")
+            zr = {pair: (cmath.rect(zm, rng.uniform(0, 7)), cmath.rect(2 * rm, rng.uniform(0, 7)))
+                  for pair in t.coordinate_pairs()}
+            gamma = {e: cmath.rect(tau * rng.random(), rng.uniform(0, 7)) for e in t.full_edges}
+            c = CompactnessParams(theta, tau, {v: 1e-7 for v in t.vertices})
+            out.append((ModuliPoint(t, gamma, zr), c))
+    return out
+
+
+def test_members_at_the_slack_edge_decompose_and_classify_every_probe():
+    rng = random.Random(2712)
+    points = slack_edge_points(rng)
+    kept = 0
+    for p, c in points:
+        if not in_compact_subset(p, c).ok:
+            continue
+        kept += 1
+        dec = decomposition(p, c)
+        rims = [z + cmath.rect(abs(r), rng.uniform(0, 7)) for z, r in p.zr.values()]
+        roots = [0j, cmath.rect(1.0, rng.uniform(0, 7))] + rims
+        roots += [cmath.rect(math.sqrt(rng.random()), rng.uniform(0, 7)) for _ in range(4)]
+        for val in (v for v in roots if abs(v) <= 1.0):
+            assert dec.classify(fiber_from_root(p, ProjPoint(val, 1.0)))
+    # the edge is straddled: some points fail membership, most pass
+    assert 1000 <= kept < len(points)
 
 
 def test_classify_plain_examples():
@@ -1863,6 +1956,17 @@ def test_decorate_ring_candidate_at_a_node_raises_like_reference():
     for fn in (decorate, decorate_reference):
         with pytest.raises(VerificationError, match="vertex 2 sits at the node of edge 2"):
             fn(p, [], 3 * mu + 5)
+
+
+def test_anchor_at_a_node_raises():
+    # gamma vanishes on edge 1, and the first anchor of the sibling pair
+    # (1, 2), rho + z = 0.01 - 0.05, is z_{1,1} = -0.04: it sits at the node
+    zr = {(1, 1): (-0.04, 0.01), (1, 2): (-0.05, 0.01), (1, 3): (0.09, 0.004),
+          (2, 4): (0.04, 0.004), (2, 5): (-0.04, 0.004)}
+    p = ModuliPoint(chain_tree(2), {1: 0.0}, zr)
+    message = "^coordinate at vertex 1 sits at the node of edge 1;"
+    with pytest.raises(VerificationError, match=message):
+        anchor_points(p)
 
 
 def test_decorate_exhaustion_counts_each_kind_of_skip():

@@ -669,9 +669,11 @@ def test_screened_lowering_matches_full_rows(base_first):
 
 
 def test_greedy_net_rejects_non_finite_coordinates():
-    for bad in (ProjPoint(math.nan, 1.0), ProjPoint(math.inf, 1.0)):
-        with pytest.raises(InputError, match="coordinates must be finite"):
-            greedy_net(fibonacci_sphere_points(5) + [bad], 0.5)
+    with pytest.raises(InputError, match="coordinates must be finite"):
+        greedy_net(fibonacci_sphere_points(5) + [ProjPoint(math.nan, 1.0)], 0.5)
+    # an infinite slot does not make a point
+    with pytest.raises(InputError, match=r"slot x = \(inf\+0j\) is not a finite double"):
+        ProjPoint(math.inf, 1.0)
 
 
 def test_screened_covering_check_is_strict():

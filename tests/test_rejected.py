@@ -9,16 +9,19 @@ import pytest
 from bubbletree.bubbles import AffineMap, ConcentrationProfile, EnergyMeasure
 from bubbletree.curves import (
     UNIT_TARGETS,
+    FiberBatch,
     Region,
+    classify,
     fiber_from_root,
     four_point_value,
     mobius_through,
     neck_chart_values,
+    region_contains,
     section,
 )
 from bubbletree.errors import InputError
 from bubbletree.nets import FiniteMetricSpace, ProjPoint, fibonacci_sphere_points
-from bubbletree.trees import TreeError, tree_count_bound
+from bubbletree.trees import Marking, TreeError, reglue, split, tree_count_bound
 
 from helpers import chain_tree, default_params, random_member
 
@@ -39,6 +42,20 @@ def neck_values(root):
     p = chain_member()
     return neck_chart_values(p, 1, fiber_from_root(p, root(p)))
 
+
+def with_larger_tree_point(judge):
+    """judge(p, c, q) for a chain_tree(3) member p, its params c, and a
+    point q of a chain_tree(4) member, which has a coordinate at vertex 4."""
+    rng = random.Random(4)
+    small, big = chain_tree(3), chain_tree(4)
+    q = fiber_from_root(random_member(big, default_params(big), rng), INF)
+    c = default_params(small)
+    return judge(random_member(small, c, rng), c, q)
+
+
+# the two pieces of chain_tree(2) cut at edge 1: the root piece, then vertex 2's
+CHAIN_PIECES = split(chain_tree(2), Marking(), [1])
+EXTRA_VERTEX = "fiber point has a coordinate at vertex 4, which the tree lacks"
 
 REJECTED = {
     "energy-no-atoms": (
@@ -84,6 +101,26 @@ REJECTED = {
         lambda: FiniteMetricSpace([[0.0, 1.0]]), InputError, "distance matrix must be square"),
     "tree-count-below-two": (
         lambda: tree_count_bound(1), TreeError, "need n >= 2"),
+    "reglue-one-side-of-a-cut": (
+        lambda: reglue(CHAIN_PIECES[:1]), TreeError,
+        "cut edge 1 does not have both sides present"),
+    "reglue-no-root-piece": (
+        lambda: reglue([]), TreeError, "no piece carries the original root edge"),
+    "projpoint-slot-overflows": (
+        lambda: ProjPoint(1.3e308 + 1.3e308j, 1.0), InputError,
+        "the modulus of slot x = (1.3e+308+1.3e+308j) is not a finite double"),
+    "projpoint-slot-infinite": (
+        lambda: ProjPoint(1.0, complex(0.0, -math.inf)), InputError,
+        "the modulus of slot y = -infj is not a finite double"),
+    "classify-extra-vertex": (
+        lambda: with_larger_tree_point(classify), InputError, EXTRA_VERTEX),
+    "region-contains-extra-vertex": (
+        lambda: with_larger_tree_point(
+            lambda p, c, q: region_contains(p, Region("thick", vertex=1), q)),
+        InputError, EXTRA_VERTEX),
+    "fiber-batch-extra-vertex": (
+        lambda: with_larger_tree_point(lambda p, c, q: FiberBatch.of(p.tree, [q])),
+        InputError, EXTRA_VERTEX),
 }
 
 
