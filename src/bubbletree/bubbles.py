@@ -29,7 +29,6 @@ from .curves import (
     CompactnessParams,
     MembershipReport,
     ModuliPoint,
-    _first_false,
     _leq,
     _leq_array,
     _moduli,
@@ -150,6 +149,8 @@ class EnergyMeasure:
 
     @property
     def total_mass(self) -> float:
+        """The rounded sum of the atom masses, kept for display;
+        threshold_radius compares exact sums."""
         return sum(m for _, m in self.atoms)
 
 
@@ -157,25 +158,28 @@ def threshold_radius(m: EnergyMeasure, w: complex, lam: float) -> float:
     """Smallest radius whose closed ball about w captures mass lambda^2.
 
     The infimum is attained because the ball mass is a right-continuous step
-    function of the radius; it is 1-Lipschitz in w.
+    function of the radius; it is 1-Lipschitz in w.  The total and the
+    running ball mass are compared with the double lambda * lambda in exact
+    arithmetic of the same doubles, so rounding never credits a ball with
+    mass it lacks, and the loop stops at the latest on the last atom.
     """
     lam = float(lam)
     require_scale("lambda", lam)
     need = lam * lam
     w = complex(w)
-    if m.total_mass < need:
+    masses = [Fraction(mass) for _, mass in m.atoms]
+    short = Fraction(need) - sum(masses)
+    if short > 0:
         raise InputError(
-            f"total mass {m.total_mass} is below lambda^2 = {need}: "
-            "no threshold radius exists (constant-map case)"
+            f"total mass {m.total_mass} is below lambda^2 = {need} by "
+            f"{float(short):.3g}: no threshold radius exists (constant-map case)"
         )
-    acc = 0.0
-    pairs = sorted((abs(z - w), mass) for z, mass in m.atoms)
-    for d, mass in pairs:
+    acc = 0
+    for d, mass in sorted(zip((abs(z - w) for z, _ in m.atoms), masses)):
         acc += mass
         if acc >= need:
-            return d
-    # summation-order rounding can leave acc a hair short; the full ball works
-    return pairs[-1][0]
+            break
+    return d
 
 
 @dataclass(frozen=True)
@@ -217,12 +221,7 @@ def select_bubble_points(
     r is the threshold radius.  While uncovered candidates exist that keep
     the required separation from everything selected, the one with minimal
     threshold radius (ties by (re, im)) is adjoined with rho = r.  Seeds keep
-    radius zero.  The threshold balls of the added points are disjoint, and
-    the selection count obeys |T| <= |seeds| + floor(M / need) in exact
-    arithmetic, with M the exact sum of the atom masses and need the double
-    lambda * lambda that threshold_radius captures.  The bound is checked,
-    since threshold_radius sums a ball's masses in floating point and can
-    credit it with need when its exact mass falls short.
+    radius zero.
 
     Certificate: the added balls are disjoint and every candidate above the
     cut is covered, with no check after the loop.  An added y passed quarter
@@ -231,7 +230,10 @@ def select_bubble_points(
     rounded sum.  A selected candidate, seed or added, covers itself.  Any
     other candidate z ends unseparated; the earliest selected x that it is
     not separated from is a seed (rho = 0 <= r(z)) or was picked while z was
-    in the pool, so rho(x) = r(x) <= r(z).
+    in the pool, so rho(x) = r(x) <= r(z).  Hence |T| <= |seeds| + floor(M /
+    need) in exact arithmetic, with M the exact sum of the atom masses and
+    need the double lambda * lambda: threshold_radius gives each added point
+    a ball of exact mass at least need, and disjoint balls share no atom.
     """
     eps = _check_eps(eps)
     lam = float(lam)
@@ -253,10 +255,6 @@ def select_bubble_points(
     def separated(z: complex) -> bool:
         return all(quarter * abs(z - x) >= r[z] + rho[x] for x in points)
 
-    bound = len(profile.seeds)
-    if hot:
-        mass = sum(Fraction(m) for _, m in profile.measure.atoms)
-        bound += math.floor(mass / Fraction(lam * lam))
     while True:
         pool = [z for z in hot if z not in rho and separated(z)]
         if not pool:
@@ -264,10 +262,6 @@ def select_bubble_points(
         z_star = min(pool, key=lambda z: (r[z], z.real, z.imag))
         points.append(z_star)
         rho[z_star] = r[z_star]
-        if len(points) > bound:
-            raise VerificationError(
-                f"selected more than {bound} points; the mass bound is broken"
-            )
     return BubbleConfiguration(tuple(points), rho)
 
 
@@ -366,15 +360,29 @@ def reduce(
 
     Returns the cluster centers Tp, the retraction R of every point to its
     center, the enlarged center radii rho_p with rho_p(x) = max{(4 eps^3)^k /
-    (4 eps^2), rho(x) / (4 eps)} for k = |Tp|, and k itself.  Verifies the
-    separation 2 eps |x - y| >= rho_p(x) + rho_p(y), the cluster diameter
-    bound |z - R(z)| <= 4 eps^2 rho_p(R(z)), the radius bound rho(z) <= 4 eps
-    rho_p(R(z)), and that centers with satellites use exactly the cutoff
-    radius.
+    (4 eps^2), rho(x) / (4 eps)} for k = |Tp|, and k itself.
 
-    Certificate: the distance matrix |x - y| passes FiniteMetricSpace's
-    checks without them (u = 2^-53).  IEEE negation is exact and
-    x - x = 0, so it is exactly symmetric with a zero diagonal; standardness
+    Certificate: the reduction lemma's four inequalities hold without a
+    check, in exact arithmetic.  With a(i) = (4 eps^3)^i, cluster_select
+    puts the centers more than a(k - 1) apart and every satellite z within
+    a(k) of its center x, and cutoff = a(k) / (4 eps^2) = eps a(k - 1).
+    (1) Separation 2 eps |x - y| >= rho_p(x) + rho_p(y): the cutoff is below
+    eps |x - y|, and type eps gives rho(x) / (4 eps) <= (eps / 16) |x - y|,
+    so each rho_p is below eps |x - y|.  (2) Cluster disc |z - x| <= a(k) =
+    4 eps^2 cutoff <= 4 eps^2 rho_p(x).  (3) Radius budget rho(z) <= 4 eps
+    rho_p(x): at a center by the definition of rho_p, and at a satellite
+    type eps gives rho(z) <= (eps^2 / 4) a(k) <= 4 eps cutoff.  (4) A center
+    with a satellite has rho(x) / (4 eps) <= (eps^3 / 4) cutoff < cutoff by
+    the same bound, so its rho_p is exactly the cutoff.  While the cutoff is
+    a normal double these hold far inside EQ_SLACK; once a rung is
+    subnormal, the rounded cutoff and 2 eps |x - y| can break (1) beyond
+    EQ_SLACK (by 56% on one such configuration at eps = 0.05), so a check
+    of it would reject standard input.  verify_association reads the
+    sibling separation at tau = 4 eps, twice as loose.
+
+    The distance matrix |x - y| passes FiniteMetricSpace's checks without
+    them (u = 2^-53).  IEEE negation is exact and x - x = 0, so it is
+    exactly symmetric with a zero diagonal; standardness
     puts every point in the closed eps disc, so entries are finite and at
     most 2 eps.  The differences round by u and hypot by under one ulp, so
     each entry is within a factor 1 +- 3u of the exact distance, plus a few
@@ -388,40 +396,14 @@ def reduce(
     if not is_standard(cfg, eps):
         raise InputError("reduction requires a standard configuration")
     pts = cfg.points
-    n = len(pts)
-    _, rad, dist = cfg._arrays
-    space = FiniteMetricSpace._certified(dist, pts)
+    space = FiniteMetricSpace._certified(cfg._arrays[2], pts)
     base = 4.0 * eps**3
     sel, r_idx = cluster_select(space, lambda i: base**i, pts.index(0))
     k = len(sel)
     centers = tuple(pts[i] for i in sel)
-    retraction = {pts[i]: pts[r_idx[i]] for i in range(n)}
+    retraction = {pts[i]: pts[j] for i, j in r_idx.items()}
     cutoff = base**k / (4.0 * eps * eps)
     rho_p = {x: max(cutoff, cfg.radius[x] / (4.0 * eps)) for x in centers}
-
-    # the first offender named is the first failing center pair in (x, y)
-    # order, else the first failing point, with its first failing check
-    rp = np.array([rho_p[x] for x in centers])
-    ok = _leq_array(rp[:, None] + rp, 2.0 * eps * dist[np.ix_(sel, sel)])
-    bad = np.flatnonzero(np.triu(~ok, 1))
-    if bad.size:
-        i, j = divmod(int(bad[0]), k)
-        raise VerificationError(
-            f"centers {centers[i]}, {centers[j]} violate the 2 eps separation bound"
-        )
-    r = np.fromiter(r_idx.values(), dtype=np.intp, count=n)
-    rp_of = rp[np.searchsorted(sel, r)]  # rho_p at each point's center
-    own = np.arange(n)
-    in_disc = _leq_array(dist[own, r], 4.0 * eps * eps * rp_of)
-    in_budget = _leq_array(rad, 4.0 * eps * rp_of)
-    i = _first_false(in_disc & in_budget & ((r == own) | (rp_of == cutoff)))
-    if i is not None:
-        z, x = pts[i], pts[r[i]]
-        if not in_disc[i]:
-            raise VerificationError(f"point {z} strays outside its cluster disc")
-        if not in_budget[i]:
-            raise VerificationError(f"radius at {z} exceeds its cluster budget")
-        raise VerificationError(f"center {x} has satellites but a non-cutoff radius")
     return centers, retraction, rho_p, k
 
 
@@ -477,8 +459,8 @@ def _rescale_cluster(
     Certificate: gamma lies in (0, 4 eps] and the output is standard, up
     to rounding, with no check of either.  The cluster holds a z != x, and
     reduce retracts z to x only when the rounded |z - x| <= a(k) = (4
-    eps^3)^k > 0; a center with satellites has rho_x = a(k) / (4 eps^2), as
-    reduce verified.  So gamma = max |z - x| / (eps rho_x) <= 4 eps, and
+    eps^3)^k > 0; a center with satellites has rho_x = a(k) / (4 eps^2), by
+    reduce's certificate.  So gamma = max |z - x| / (eps rho_x) <= 4 eps, and
     gamma > 0: a positive double over eps rho_x = a(k) / (4 eps), which lies
     in [2 a(k), 1).  The map w = (z - x) / (gamma rho_x) scales every
     distance and radius of the cluster by one factor, so the exact images
@@ -620,7 +602,9 @@ def verify_association(
     edge_to_bubble; every gluing coordinate must be nonzero.  Failures are
     reported, not raised, with one exception until the ladder is stored in
     log form (ROADMAP item 1a): a vertex degree whose floor (4 eps^3)^deg is
-    not a positive double (deg >= 154 at eps = 1/8) raises InputError.
+    not a positive double raises InputError.  That is the first degree
+    above 1075 / log2(1 / (4 eps^3)): 154 at eps = 1/8, 135 at 0.1, 99 at
+    0.05 and 82 at 0.03.
     """
     eps = _check_eps(eps)
     rooted = assoc.tree

@@ -300,7 +300,7 @@ def in_compact_subset(p: ModuliPoint, c: CompactnessParams) -> MembershipReport:
             2 * n + len(sep) + i + 1,
         )
     report = MembershipReport(True, None, 2 * n + len(sep) + len(full))
-    if p._member is None or p._member[0] is not c:
+    if p._member is None or p._member[0] != c:
         object.__setattr__(p, "_member", (c, report, None))
     return report
 
@@ -803,10 +803,11 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
     one neck per full edge, one end per external edge.  Verifies membership
     and builds the regions.
 
-    The checks run once per (p, c) pair: the passing membership report and
-    then the decomposition are kept on p and read again for the same params
-    object; other params are checked afresh, and a failed check keeps
-    nothing.
+    The checks run once per point and params value: the passing membership
+    report and then the decomposition are kept on p and read again for
+    params equal to the kept ones, as the association and membership scales
+    of one tree and eps are; other params are checked afresh, and a failed
+    check keeps nothing.
 
     Certificate: the geometric facts the regions rely on are the membership
     inequalities, with no check of their own.  Every child disc stays inside
@@ -817,7 +818,7 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
     within EQ_SLACK.
     """
     kept = p._member
-    if kept is None or kept[0] is not c:
+    if kept is None or kept[0] != c:
         report = in_compact_subset(p, c)
         if not report.ok:
             raise VerificationError(f"not a member: {report.first_violation}")

@@ -1263,30 +1263,6 @@ def renormalize_base_reference(cfg, eps):
     return maxd / eps, x_star
 
 
-def reduce_checks_reference(cfg, eps, sel, r_idx):
-    """reduce's checks on the selection (sel, r_idx) of cluster_select, as
-    the pair loop over the centers and the loop over the points.  Returns
-    the first failure message, or None."""
-    pts = cfg.points
-    k = len(sel)
-    centers = tuple(pts[i] for i in sel)
-    retraction = {pts[i]: pts[r_idx[i]] for i in range(len(pts))}
-    cutoff = (4.0 * eps**3) ** k / (4.0 * eps * eps)
-    rho_p = {x: max(cutoff, cfg.radius[x] / (4.0 * eps)) for x in centers}
-    for x, y in itertools.combinations(centers, 2):
-        if not _leq(rho_p[x] + rho_p[y], 2.0 * eps * abs(x - y)):
-            return f"centers {x}, {y} violate the 2 eps separation bound"
-    for z in pts:
-        x = retraction[z]
-        if not _leq(abs(z - x), 4.0 * eps * eps * rho_p[x]):
-            return f"point {z} strays outside its cluster disc"
-        if not _leq(cfg.radius[z], 4.0 * eps * rho_p[x]):
-            return f"radius at {z} exceeds its cluster budget"
-        if z != x and rho_p[x] != cutoff:
-            return f"center {x} has satellites but a non-cutoff radius"
-    return None
-
-
 def position_errors_reference(cfg, assoc):
     """verify_association's position errors, walking one path per edge and
     taking each nearest bubble point with min over a shrinking list; NaN

@@ -8,6 +8,13 @@ used.  Tests that run the package in a subprocess are not traced, so their
 raises count as unreached.  Tracing makes the suite about three times
 slower.
 
+A line counts as executed only when it runs while no attribute of a
+bubbletree module or class is monkeypatched: a check that only a faked
+collaborator can reach guards nothing the real code produces.  Patches of
+the environment, the working directory or other modules still count.  The
+raises reached only under such a patch are listed under their own heading
+and count as not executed.
+
     PYTHONPATH=src python tests/reach.py
 
 The exit status is pytest's when the suite fails, else 1 if any raise is
@@ -16,6 +23,7 @@ listed and 0 if none is.
 
 import ast
 import sys
+import types
 from collections import defaultdict
 from pathlib import Path
 
@@ -43,14 +51,49 @@ def raise_lines(source: str) -> list[tuple[int, str]]:
     return sorted(found)
 
 
-def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit status and the lines run per file of the package."""
+def in_package(target) -> bool:
+    """Whether a monkeypatch target is a bubbletree module or class, or a
+    dotted name inside the package."""
+    if isinstance(target, str):
+        name = target
+    elif isinstance(target, types.ModuleType):
+        name = target.__name__
+    else:
+        name = getattr(target, "__module__", None) or ""
+    return name.split(".")[0] == "bubbletree"
+
+
+def watch_patches() -> set:
+    """Make pytest's MonkeyPatch keep, in the returned set, every instance
+    that has set an attribute of the package and not yet been undone."""
+    live = set()
+    setattr_, undo = pytest.MonkeyPatch.setattr, pytest.MonkeyPatch.undo
+
+    def watched_setattr(self, target, *args, **kwargs):
+        setattr_(self, target, *args, **kwargs)
+        if in_package(target):
+            live.add(self)
+
+    def watched_undo(self):
+        undo(self)
+        live.discard(self)
+
+    pytest.MonkeyPatch.setattr = watched_setattr
+    pytest.MonkeyPatch.undo = watched_undo
+    return live
+
+
+def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]], dict[str, set[int]]]:
+    """pytest's exit status and the lines run per file of the package,
+    apart and while an attribute of the package was monkeypatched."""
     prefix = str(SRC)
     ran: dict[str, set[int]] = defaultdict(set)
+    faked: dict[str, set[int]] = defaultdict(set)
+    live = watch_patches()
 
     def local(frame, event, _arg):
         if event == "line":
-            ran[frame.f_code.co_filename].add(frame.f_lineno)
+            (faked if live else ran)[frame.f_code.co_filename].add(frame.f_lineno)
         return local
 
     def start(frame, _event, _arg):
@@ -61,19 +104,26 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
         status = pytest.main(args)
     finally:
         sys.settrace(None)
-    return int(status), ran
+    return int(status), ran, faked
 
 
 def main() -> int:
-    status, ran = traced_run(["-q", "-p", "no:cacheprovider"])
-    total = 0
+    status, ran, faked = traced_run(["-q", "-p", "no:cacheprovider"])
+    unreached, patched_only = [], []
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
-        missed = [(i, name) for i, name in raise_lines(source) if i not in ran[str(path)]]
-        total += len(missed)
-        for i, name in missed:
-            print(f"{path.name}:{i} {name}: {lines[i - 1].strip()}")
+        for i, name in raise_lines(source):
+            if i not in ran[str(path)]:
+                where = patched_only if i in faked[str(path)] else unreached
+                where.append(f"{path.name}:{i} {name}: {lines[i - 1].strip()}")
+    for line in unreached:
+        print(line)
+    if patched_only:
+        print("reached only while an attribute of the package is monkeypatched:")
+        for line in patched_only:
+            print(line)
+    total = len(unreached) + len(patched_only)
     print(f"{total} raise statements not executed")
     return status or int(total > 0)
 

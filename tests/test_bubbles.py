@@ -41,7 +41,6 @@ from helpers import (
     is_type_eps_reference,
     position_errors_reference,
     random_standard,
-    reduce_checks_reference,
     renormalize_base_reference,
     slack_edges,
     star_tree,
@@ -136,6 +135,14 @@ class TestTypePredicates:
             is_type_eps(flat((0,)), 0.2)
 
 
+# two atoms whose rounded total is 1.0 while the exact one is 1 - 2^-54
+TWO_ATOMS_SHORT_BY_ROUNDING = ((0j, 0.5), (0.01 + 0j, math.nextafter(0.5, 0.0)))
+SHORT_BY_ROUNDING = (
+    r"^total mass 1\.0 is below lambda\^2 = 1\.0 by 5\.55e-17: no threshold "
+    r"radius exists \(constant-map case\)$"
+)
+
+
 class TestThresholdRadius:
     LAM = 0.3
 
@@ -167,6 +174,14 @@ class TestThresholdRadius:
         m = EnergyMeasure(((0, 0.5 * self.LAM**2),))
         with pytest.raises(InputError, match="constant"):
             threshold_radius(m, 0, self.LAM)
+
+    def test_mass_short_only_in_exact_arithmetic_rejected(self):
+        # a rounded running sum reaches 1.0 at the second atom and would
+        # return the radius 0.01
+        m = EnergyMeasure(TWO_ATOMS_SHORT_BY_ROUNDING)
+        assert m.total_mass == 1.0
+        with pytest.raises(InputError, match=SHORT_BY_ROUNDING):
+            threshold_radius(m, 0, 1.0)
 
     def test_lambda_must_be_positive(self):
         m = EnergyMeasure(((0, 1.0),))
@@ -254,13 +269,13 @@ class TestSelectBubblePoints:
         cfg = select_bubble_points(ConcentrationProfile(EnergyMeasure(atoms), hot, ()), EPS, lam)
         assert set(cfg.points) == {z for z, _ in atoms}
 
-    def test_mass_bound_catches_a_ball_credited_by_rounding(self):
+    def test_mass_short_only_in_exact_arithmetic_is_the_constant_map(self):
         # the two atoms' rounded sum is lambda^2 = 1 while their exact sum
-        # is 1 - 2^-54, so the one ball selected breaks the exact bound 0
-        atoms = ((0j, 0.5), (0.01 + 0j, math.nextafter(0.5, 0.0)))
-        profile = ConcentrationProfile(EnergyMeasure(atoms), ((0j, 1.0 / EPS**2),), ())
-        message = "^selected more than 0 points; the mass bound is broken$"
-        with pytest.raises(VerificationError, match=message):
+        # is 1 - 2^-54, so no ball holds mass lambda^2
+        profile = ConcentrationProfile(
+            EnergyMeasure(TWO_ATOMS_SHORT_BY_ROUNDING), ((0j, 1.0 / EPS**2),), ()
+        )
+        with pytest.raises(InputError, match=SHORT_BY_ROUNDING):
             select_bubble_points(profile, EPS, 1.0)
 
     def test_random_profiles_satisfy_all_postconditions(self):
@@ -483,6 +498,23 @@ class TestReduce:
                 assert cfg.radius[z] <= 4.0 * EPS * rho_p[x] * (1 + 1e-12)
                 if z != x:
                     assert rho_p[x] == cutoff
+
+    def test_subnormal_rung_keeps_a_standard_configuration(self):
+        # the satellite sits 1 ulp above the subnormal rung a(78) at eps =
+        # 0.03; the rounded cutoff a(79) / (4 eps^2) exceeds eps |p| by
+        # 2.8e-11 relative, beyond the slack of the 2 eps separation of 0
+        # and p, which the membership check reads at tau = 4 eps
+        eps = 0.03
+        p = complex(math.nextafter((4.0 * eps**3) ** 78, 1.0))
+        ring = [eps * cmath.exp(2j * math.pi * (j + 0.5) / 77) for j in range(77)]
+        cfg = flat([0j, p] + ring)
+        assert is_standard(cfg, eps)
+        _, _, rho_p, _ = reduce(cfg, eps)
+        assert rho_p[0j] + rho_p[p] > 2.0 * eps * abs(p) * (1 + 1e-12)
+        assoc = associate_tree(cfg, eps)
+        assert assoc.tree.vertices == (1,)
+        report = verify_association(cfg, assoc, eps)
+        assert report.summary() == "association verified"
 
     def test_nearest_point_stays_in_cluster(self):
         rng = random.Random(14002)
@@ -775,14 +807,15 @@ class TestAssociateTree:
     @pytest.mark.xfail(
         strict=True,
         raises=InputError,
-        reason="ROADMAP item 1a: (4 eps^3)^k underflows from k = 154, so flat "
-        "n = 153 fails in verify_association and n = 160 in associate_tree",
+        reason="ROADMAP item 1a: (4 eps^3)^k underflows from k = 154 at eps = "
+        "1/8 and k = 82 at eps = 0.03, so flat n = 153 (81) fails in "
+        "verify_association and n = 160 (82) in associate_tree",
     )
-    @pytest.mark.parametrize("size", [153, 160])
-    def test_flat_levels_at_the_ladder_underflow_verify(self, size):
-        cfg = flat_standard(random.Random(size), EPS, size)
-        assoc = associate_tree(cfg, EPS)
-        assert verify_association(cfg, assoc, EPS).ok
+    @pytest.mark.parametrize("eps, size", [(EPS, 153), (EPS, 160), (0.03, 81), (0.03, 82)])
+    def test_flat_levels_at_the_ladder_underflow_verify(self, eps, size):
+        cfg = flat_standard(random.Random(size), eps, size)
+        assoc = associate_tree(cfg, eps)
+        assert verify_association(cfg, assoc, eps).ok
 
     def test_flat_level_of_154_reads_the_underflowed_rung(self):
         cfg = flat_standard(random.Random(154), EPS, 154)
@@ -986,57 +1019,6 @@ class TestArrayChecksMatchScalarLoops:
             _, kappa, x_star = renormalize(cfg, EPS)
             ref_kappa, ref_x = renormalize_base_reference(cfg, EPS)
             assert (kappa, x_star) == (ref_kappa, ref_x)
-
-    def test_reduce_checks_name_the_same_offender(self, monkeypatch):
-        """reduce with cluster_select's selection held fixed and the radii
-        (and sometimes one retraction) redrawn, so that every check can
-        fail: the verdict and message match the loops'."""
-        rng = random.Random(9003)
-        outcomes = {}
-        selection = {}
-        monkeypatch.setattr(bubbles, "cluster_select", lambda *args: selection["sel"])
-        # the redrawn radii break standardness; the checks under test follow it
-        monkeypatch.setattr(bubbles, "is_standard", lambda cfg, eps: True)
-        for _ in range(400):
-            cfg = random_standard(rng, EPS, rng.randrange(3, 14))
-            space = FiniteMetricSpace.from_points(cfg.points, lambda u, v: abs(u - v))
-            base = lambda i: (4.0 * EPS**3) ** i
-            sel, r_idx = cluster_select(space, base, cfg.points.index(0))
-            if rng.random() < 0.3:
-                r_idx[rng.randrange(cfg.size)] = rng.choice(sel)
-            selection["sel"] = (sel, r_idx)
-            k = len(sel)
-            cutoff = (4.0 * EPS**3) ** k / (4.0 * EPS * EPS)
-            radius = dict(cfg.radius)
-            for z in rng.sample(cfg.points, rng.randrange(1, 3)):
-                x = cfg.points[r_idx[cfg.points.index(z)]]
-                kind = rng.randrange(4)
-                if kind == 0:  # a large radius anywhere
-                    radius[z] = cutoff * 10 ** rng.uniform(-1.0, 6.0)
-                elif kind == 1:  # a satellite's radius at its budget
-                    radius[z] = rng.choice(slack_edges(4.0 * EPS * cutoff))
-                elif kind == 2 and z != x:  # a center's radius past the cutoff
-                    grow = rng.choice((0.0, 1e-13, 1e-3))
-                    radius[x] = 4.0 * EPS * cutoff * (1.0 + grow)
-                else:  # a center pair at the separation bound
-                    y = cfg.points[rng.choice(sel)]
-                    if y != x:
-                        gap = 2.0 * EPS * abs(x - y) - cutoff
-                        radius[x] = 4.0 * EPS * rng.choice(slack_edges(max(gap, 0.0)))
-            if k < 2:
-                continue
-            cfg = BubbleConfiguration(cfg.points, radius)
-            expected = reduce_checks_reference(cfg, EPS, sel, r_idx)
-            try:
-                reduce(cfg, EPS)
-                message = None
-            except VerificationError as exc:
-                message = str(exc)
-            assert message == expected
-            last_word = None if message is None else message.split()[-1]
-            outcomes[last_word] = outcomes.get(last_word, 0) + 1
-        # pass, separation, cluster disc, radius budget and cutoff all occur
-        assert set(outcomes) == {None, "bound", "disc", "budget", "radius"}, outcomes
 
     @pytest.mark.parametrize(
         "make, size",

@@ -817,11 +817,9 @@ def test_pipeline_checks_membership_once_per_params(tmp_path, monkeypatch):
         report = pipeline.run_pipeline(config, tmp_path / str(seed), seed=seed)
         assert report.ok
         # one check at the association scales (verify-association, whose
-        # report the membership stage writes) and one at the equal membership
-        # scales, in the decomposition stage
-        assert len(calls) == 2
-        (p1, c1), (p2, c2) = calls
-        assert p1 is p2 and c1 is not c2
+        # report the membership stage writes); the decomposition stage's
+        # membership scales are equal, distinct params and reuse it
+        assert len(calls) == 1
 
 
 def check_path_cases():
@@ -1117,9 +1115,13 @@ def test_classify_checks_membership_once_per_params(monkeypatch):
     hits = [classify(p, c, q) for q in qs]
     assert len(calls) == 1
     assert hits == [classify_reference(p, q) for q in qs]
-    # equal but distinct params are checked afresh
+    # equal but distinct params reuse the check
     twin = CompactnessParams(c.theta, c.tau, c.alpha)
     assert classify(p, twin, qs[0]) == hits[0]
+    assert len(calls) == 1
+    # unequal params are checked afresh
+    looser = CompactnessParams(c.theta, c.tau, {v: a / 2 for v, a in c.alpha.items()})
+    assert classify(p, looser, qs[0]) == hits[0]
     assert len(calls) == 2
 
 
