@@ -373,9 +373,9 @@ class FiberBatch:
         zero).  Each pair is a normalized coordinate, one slot exactly 1, as
         the class docstring requires: every batch is built from FiberPoints
         (of), by _fiber_batch, whose _normalize divides as
-        ProjPoint.normalized does, or from rows of those (a slice,
-        anchor_points, decorate).  tolist gives complex slots from the
-        complex arrays.
+        ProjPoint.normalized does, or from rows of those (a slice, or
+        decorate's marked points, anchors and ring points).  tolist gives
+        complex slots from the complex arrays.
         """
         if isinstance(i, slice):
             return FiberBatch(self.vertices, self.xs[i], self.ys[i])
@@ -396,9 +396,12 @@ def _reject_extra_vertex(t: RootedTree, q: FiberPoint) -> None:
 
 
 def fiber_residual(p: ModuliPoint, q: FiberPoint) -> float:
-    """Largest relative defect of the gluing equations at q."""
+    """Largest relative defect of the gluing equations at q; NaN if q has
+    a NaN coordinate or a defect is NaN."""
     if set(q.coords) != set(p.tree.vertices):
         raise InputError("fiber point must carry one coordinate per vertex")
+    if any(cmath.isnan(a.x) or cmath.isnan(a.y) for a in q.coords.values()):
+        return math.nan
     worst = 0.0
     for e in p.tree.full_edges:
         u, v = p.tree.e_minus[e], p.tree.e_plus[e]
@@ -406,13 +409,18 @@ def fiber_residual(p: ModuliPoint, q: FiberPoint) -> float:
         lhs = (a.x - p.z(u, e) * a.y) * b.y
         rhs = p.gamma_of(e) * p.rho(u, e) * b.x * a.y
         den = max(1.0, abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / den)
+        defect = abs(lhs - rhs) / den
+        if math.isnan(defect):
+            return defect
+        worst = max(worst, defect)
     return worst
 
 
 def _require_on_fiber(p: ModuliPoint, q: FiberPoint) -> None:
+    """VerificationError unless the residual of q is at most RESIDUAL_TOL,
+    which a NaN residual is not."""
     res = fiber_residual(p, q)
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:
         raise VerificationError(f"point is off the fiber: residual {res}")
 
 
@@ -507,44 +515,59 @@ def _normalize(x: np.ndarray, y: np.ndarray):
     return np.where(y_big, q, 1.0), np.where(y_big, 1.0, q)
 
 
-def _fiber_batch(p: ModuliPoint, v: int, x: np.ndarray, y: np.ndarray):
-    """_fiber_through for the N points with chart coordinates [x : y] at v.
+def _fiber_batch(p: ModuliPoint, src, x: np.ndarray, y: np.ndarray):
+    """_fiber_through for N points: row i has chart coordinates
+    [x[i] : y[i]] at vertex src[i] (an int src applies to every row).
+
+    An up pass visits the vertices in reverse preorder and lifts each row
+    from its source to the root by _parent_coord's arithmetic; a down pass
+    visits them in preorder and fills each row's other vertices by
+    _child_coord's.  At each vertex only the rows that take the step there
+    are computed, each through the operations of its own _fiber_through,
+    so every value is bit-identical to the scalar one.
 
     Returns the points as a FiberBatch, and per point the vertex whose
     coordinate _child_coord rejects at a node (where _fiber_through raises),
     or -1.  A rejected point's later coordinates are meaningless.
     """
     t = p.tree
-    coords = {v: _normalize(x, y)}
-    cur = v
-    while cur != t.root_vertex:
-        e = t.parent_edge[cur]
+    n = len(x)
+    src = np.broadcast_to(src, n)
+    # one row of coordinates per vertex, in the order of vertices, each
+    # starting as the normalized start: every row keeps it at its source
+    cols_x, cols_y = (np.tile(a, (len(t.vertices), 1)) for a in _normalize(x, y))
+    xs, ys = dict(zip(t.vertices, cols_x)), dict(zip(t.vertices, cols_y))
+    known = {w: [np.flatnonzero(src == w)] for w in t.vertices}
+    # up: the rows known at w, those whose source lies in its subtree, are
+    # lifted to w's parent
+    for w in reversed(t.order[1:]):
+        rows = known[w] = np.concatenate(known[w])
+        e = t.parent_edge[w]
         u = t.e_minus[e]
         z, gr = p.z(u, e), p.gamma_of(e) * p.rho(u, e)
-        cx, cy = coords[cur]
+        cx, cy = xs[w][rows], ys[w][rows]
         num = _cmul(z, cy) + _cmul(gr, cx)
         hit = (num == 0) & (cy == 0)
         nx, ny = _normalize(num, np.where(hit, 1.0, cy))
-        coords[u] = np.where(hit, z, nx), np.where(hit, 1.0, ny)
-        cur = u
-    node = np.full(len(x), -1)
-    for w in t.order:
-        if w in coords:
-            continue
+        xs[u][rows], ys[u][rows] = np.where(hit, z, nx), np.where(hit, 1.0, ny)
+        known[u].append(rows)
+    # down: every other row of w comes from w's parent
+    node = np.full(n, -1)
+    for w in t.order[1:]:
+        need = np.ones(n, dtype=bool)
+        need[known[w]] = False
+        rows = np.flatnonzero(need)
         e = t.parent_edge[w]
         u = t.e_minus[e]
-        px, py = coords[u]
+        px, py = xs[u][rows], ys[u][rows]
         num = px - _cmul(p.z(u, e), py)
         den = _cmul(p.gamma_of(e) * p.rho(u, e), py)
         hit = (num == 0) & (den == 0)
-        node[hit & (node < 0)] = w
-        coords[w] = _normalize(num, np.where(hit, 1.0, den))
+        first = node[rows]
+        node[rows] = np.where(hit & (first < 0), w, first)
+        xs[w][rows], ys[w][rows] = _normalize(num, np.where(hit, 1.0, den))
     # FiberPoint normalizes the coordinates _fiber_through hands it once more
-    xs, ys = _normalize(
-        np.stack([coords[w][0] for w in t.vertices], axis=1),
-        np.stack([coords[w][1] for w in t.vertices], axis=1),
-    )
-    return FiberBatch(t.vertices, xs, ys), node
+    return FiberBatch(t.vertices, *_normalize(cols_x.T, cols_y.T)), node
 
 
 def fiber_from_root(p: ModuliPoint, t: ProjPoint) -> FiberPoint:
@@ -1394,36 +1417,28 @@ def stabilize_four_marked(
 # ---------------------------------------------------------------------------
 
 
-def anchor_points(
-    p: ModuliPoint,
-) -> tuple[list[tuple[tuple[int, int], int]], FiberBatch]:
-    """Three circle-anchored points per incident pair.
+def _anchor_starts(p: ModuliPoint):
+    """Three circle-anchored starts per incident pair.
 
     For each (v, e) the three unit-circle anchors are pulled back through
-    the chart at that pair; the results sit on the boundary circles of the
-    decomposition.  Returns the (pair, anchor index) label of every point
-    and the points as one FiberBatch in the same order.  The anchors of one
-    vertex v are propagated in one batch.
+    the chart at that pair; the fiber points through them sit on the
+    boundary circles of the decomposition.  Returns the (pair, anchor index)
+    label of every start and, in the same order, its vertex and chart
+    coordinates [x : y] there, as _fiber_batch takes them.
     """
     t = p.tree
-    labels, xs, ys = [], [], []
-    for v in t.vertices:
-        plain = []
-        for e in t.incident[v]:
-            for k, target in enumerate(UNIT_TARGETS):
-                if t.e_plus[e] == v:
-                    plain.append((target.x, target.y))
-                else:
-                    x = target.x * p.rho(v, e) + p.z(v, e) * target.y
-                    plain.append((x, target.y))
-                labels.append(((v, e), k))
-        batch, node = _fiber_batch(p, v, *np.array(plain, dtype=complex).T)
-        hits = np.flatnonzero(node >= 0)
-        if hits.size:
-            raise _node_error(t, int(node[hits[0]]))
-        xs.append(batch.xs)
-        ys.append(batch.ys)
-    return labels, FiberBatch(t.vertices, np.concatenate(xs), np.concatenate(ys))
+    labels, src, plain = [], [], []
+    for v, e in t.incident_pairs():
+        for k, target in enumerate(UNIT_TARGETS):
+            if t.e_plus[e] == v:
+                plain.append((target.x, target.y))
+            else:
+                x = target.x * p.rho(v, e) + p.z(v, e) * target.y
+                plain.append((x, target.y))
+            labels.append(((v, e), k))
+            src.append(v)
+    x, y = np.array(plain, dtype=complex).T
+    return labels, np.array(src), x, y
 
 
 FILL_SKIP_LIMIT = 64
@@ -1489,9 +1504,16 @@ def decorate(p: ModuliPoint, marked: Sequence[FiberPoint], m: int) -> FiberBatch
     within RESIDUAL_TOL of each other in the charts is measured again by
     embedded_distance, which also reads the disc-rescaled charts and is
     never smaller; the points collide only when that distance is within
-    RESIDUAL_TOL too.  Fails if m is below the anchor count, the ring skips
-    exceed the limit, or two points collide; refuses m above DECORATION_CAP
-    before building any point.
+    RESIDUAL_TOL too.  The anchors, each from its own vertex, and every
+    ring candidate the fill can reach, from the root, are built by one
+    _fiber_batch.
+
+    Fails, in this order: if m is below the anchor count or above
+    DECORATION_CAP (before building any point), or a marked point is off
+    the fiber; if an anchor sits at a node (the first such anchor names
+    it); if a ring candidate the fill reaches sits at a node or the ring
+    skips exceed the limit, whichever comes first in candidate order; if
+    two points collide.
     """
     t = p.tree
     mu = len(t.incident_pairs())
@@ -1501,7 +1523,7 @@ def decorate(p: ModuliPoint, marked: Sequence[FiberPoint], m: int) -> FiberBatch
         raise ResourceCapError(f"m = {m} exceeds the decoration cap {DECORATION_CAP}")
     for q in marked:
         _require_on_fiber(p, q)
-    labels, anchors = anchor_points(p)
+    labels, src, x, y = _anchor_starts(p)
 
     # every ring candidate the fill can reach: it stops once extra points
     # are accepted, or at the candidate after the last allowed skip
@@ -1517,13 +1539,22 @@ def decorate(p: ModuliPoint, marked: Sequence[FiberPoint], m: int) -> FiberBatch
     for e in t.child_edges(v0):
         gap = vals - p.z(v0, e)
         in_disc |= np.hypot(gap.real, gap.imag) < abs(p.rho(v0, e))
-    ring, node = _fiber_batch(p, v0, vals, np.ones_like(vals))
+
+    # the anchors, each from its own vertex, then the ring candidates from
+    # the root, in one batch; the first anchor at a node raises
+    src = np.concatenate([src, np.full(len(vals), v0)])
+    x, y = np.concatenate([x, vals]), np.concatenate([y, np.ones_like(vals)])
+    built, node = _fiber_batch(p, src, x, y)
+    hits = np.flatnonzero(node[: len(labels)] >= 0)
+    if hits.size:
+        raise _node_error(t, int(node[hits[0]]))
+    node = node[len(labels):]
 
     # one row per point: the marked points, the anchors, every ring candidate
     given = FiberBatch.of(t, marked)
-    xs = np.concatenate([given.xs, anchors.xs, ring.xs])
-    ys = np.concatenate([given.ys, anchors.ys, ring.ys])
-    n_fixed = len(marked) + len(anchors)
+    xs = np.concatenate([given.xs, built.xs])
+    ys = np.concatenate([given.ys, built.ys])
+    n_fixed = len(marked) + len(labels)
     ns = np.hypot(np.abs(xs), np.abs(ys))
     pairs = _near_pairs(xs, ys, ns, FILL_SEPARATION, given.vertices.index(v0))
 

@@ -22,7 +22,6 @@ from bubbletree.curves import (
     Region,
     SampledMap,
     annulus_path,
-    anchor_points,
     apply_mobius,
     chart_positions,
     check_map_membership,
@@ -457,6 +456,31 @@ def test_fiber_residual_detects_perturbation():
     q = fiber_from_root(p, ProjPoint(0.3, 1.0))
     bad = FiberPoint({1: q.at(1), 2: ProjPoint(q.at(2).x + 0.01, q.at(2).y)})
     assert fiber_residual(p, bad) > 1e-9
+
+
+def test_fiber_residual_is_nan_at_a_nan_coordinate():
+    # max(worst, nan) keeps worst, so a NaN coordinate once read 0.0 (at
+    # every vertex) or about 1e-30 (at the root only) and passed as on the
+    # fiber; decorate then built NaN rows
+    tree = chain_tree(3)
+    p = random_member(tree, default_params(tree), random.Random(1))
+    nan = ProjPoint(complex(math.nan, math.nan), 1.0)
+    q = fiber_from_root(p, ProjPoint(0.3, 1.0))
+    everywhere = FiberPoint({v: nan for v in tree.vertices})
+    at_root = FiberPoint({**q.coords, tree.root_vertex: nan})
+    star = star_point([(0.05, 0.01), (-0.05, 0.01)])
+    no_gamma = ModuliPoint(tree, {**p.gamma, 1: math.nan}, p.zr)
+    assert math.isnan(fiber_residual(star, FiberPoint({1: nan})))
+    assert math.isnan(fiber_residual(no_gamma, q))
+    message = "^point is off the fiber: residual nan$"
+    for bad in (everywhere, at_root):
+        assert math.isnan(fiber_residual(p, bad))
+        with pytest.raises(VerificationError, match=message):
+            decorate(p, [bad], 60)
+        with pytest.raises(VerificationError, match=message):
+            embed(p, bad)
+        with pytest.raises(VerificationError, match=message):
+            stabilize_four_marked(p, [q, bad, q, q])
 
 
 def test_fiber_from_root_rejects_degenerate_gluing():
@@ -1707,9 +1731,19 @@ def test_stabilize_errors():
 # ---------------------------------------------------------------------------
 
 
+def anchor_batch(p):
+    """The labels of decorate's anchors and the anchors as a FiberBatch,
+    from curves._anchor_starts through curves._fiber_batch; none may sit
+    at a node."""
+    labels, src, x, y = curves._anchor_starts(p)
+    batch, node = curves._fiber_batch(p, src, x, y)
+    assert (node < 0).all()
+    return labels, batch
+
+
 def test_decorate_anchor_points_sit_on_circles():
     p = star_point([(0.05, 0.01), (-0.05, 0.01)])
-    labels, batch = anchor_points(p)
+    labels, batch = anchor_batch(p)
     for ((v, e), _), q in zip(labels, batch):
         val = q.affine(v)
         if p.tree.e_plus[e] == v:
@@ -1757,11 +1791,48 @@ def test_decorate_refuses_m_over_the_cap_before_building(monkeypatch):
     def no_points(*args):
         raise AssertionError("decorate built points past its cap")
 
-    monkeypatch.setattr(curves, "anchor_points", no_points)
+    monkeypatch.setattr(curves, "_fiber_batch", no_points)
     m = curves.DECORATION_CAP + 1
     with pytest.raises(ResourceCapError) as info:
         decorate(p, [], m)
     assert str(info.value) == f"m = {m} exceeds the decoration cap {curves.DECORATION_CAP}"
+
+
+def test_decorate_builds_its_points_in_one_fiber_batch(monkeypatch):
+    calls = []
+    real = curves._fiber_batch
+
+    def counted(p, src, x, y):
+        calls.append(len(x))
+        return real(p, src, x, y)
+
+    monkeypatch.setattr(curves, "_fiber_batch", counted)
+    for tree in (star_tree(4), chain_tree(3, 3), chain_tree(8)):
+        p = random_member(tree, default_params(tree), random.Random(6))
+        mu = len(tree.incident_pairs())
+        for extra in (0, 40):
+            calls.clear()
+            assert len(decorate(p, [section(p, 0)], 3 * mu + extra)) == 1 + 3 * mu + extra
+            # the anchors and every ring candidate the fill can reach
+            assert calls == [3 * mu + extra + curves.FILL_SKIP_LIMIT + 1]
+
+
+# sha256 of the xs then ys bytes of a decoration with m = 1000 on a seeded
+# member of chain_tree(8), deeper than the pipeline digest's trees of 2-4
+# vertices: a change to the batched fiber path that moves a bit must say why
+# and record the new value
+GOLDEN_DECORATION_DIGEST = (
+    "e8912b865207ef01a36be71e6785c76d137fe056fd6774463f1d3e9ac47fd82f"
+)
+
+
+def test_decoration_golden_digest_on_a_deep_tree():
+    tree = chain_tree(8)
+    p = random_member(tree, default_params(tree), random.Random(8))
+    batch = decorate(p, (), 1000)
+    digest = hashlib.sha256(batch.xs.tobytes())
+    digest.update(batch.ys.tobytes())
+    assert digest.hexdigest() == GOLDEN_DECORATION_DIGEST
 
 
 def test_decorate_skip_limit():
@@ -1808,18 +1879,23 @@ def test_fiber_batch_rows_keep_the_stored_signed_zeros():
     assert chart_bits([FiberPoint(batch[0].coords)]) != want
 
 
-def fiber_batch_bits(p, v, starts):
+def fiber_batch_bits(p, src, starts):
     """Scalar _fiber_through and the rows of curves._fiber_batch's FiberBatch
     on the same starts, as chart bits, with the scalar error text in place of
-    a rejected point."""
+    a rejected point.  src is the vertex of every start, or a list of one
+    vertex per start."""
+    srcs = src if isinstance(src, list) else [src] * len(starts)
     want = []
-    for q in starts:
+    for v, q in zip(srcs, starts):
         try:
             want.append(chart_bits([curves._fiber_through(p, v, q)])[0])
         except VerificationError as exc:
             want.append(str(exc))
     batch, node = curves._fiber_batch(
-        p, v, np.array([q.x for q in starts]), np.array([q.y for q in starts])
+        p,
+        np.array(src),
+        np.array([q.x for q in starts]),
+        np.array([q.y for q in starts]),
     )
     assert len(batch) == len(starts)
     got = chart_bits(batch)
@@ -1831,10 +1907,12 @@ def fiber_batch_bits(p, v, starts):
 
 def test_fiber_batch_matches_scalar_propagation():
     rng = random.Random(17)
+    shuffle = random.Random(29)
     for tree in (star_tree(3), chain_tree(2), chain_tree(3, 3), chain_tree(5)):
         c = default_params(tree)
         for zero in ((), tuple(tree.full_edges[:1]), tuple(tree.full_edges)):
             p = random_member(tree, c, rng, zero_edges=zero)
+            mixed = []
             for v in tree.vertices:
                 starts = [
                     ProjPoint(1.0, 0.0),
@@ -1861,6 +1939,11 @@ def test_fiber_batch_matches_scalar_propagation():
                     starts += [ProjPoint(x, y), ProjPoint(y, x)]
                 got, want = fiber_batch_bits(p, v, starts)
                 assert got == want
+                mixed += [(v, q) for q in starts]
+            # every start from every vertex in one shuffled batch
+            shuffle.shuffle(mixed)
+            got, want = fiber_batch_bits(p, [v for v, _ in mixed], [q for _, q in mixed])
+            assert got == want
 
 
 def test_fiber_batch_reports_each_node_like_scalar():
@@ -1872,6 +1955,22 @@ def test_fiber_batch_reports_each_node_like_scalar():
     assert got == want
     assert "vertex 1 sits at the node of edge 1" in got[0]
     assert isinstance(got[1], list)
+    # mixed sources: gamma vanishes on edge 2, from vertex 2 to vertex 3, so
+    # a start at infinity at vertex 3 lifts to [z_{2,2} : 1] at vertex 2
+    srcs = [2, 3, 1, 3, 1, 2]
+    starts = [ProjPoint(0.1, 1.0), INF, ProjPoint(p.z(1, 1), 1.0),
+              ProjPoint(0.4j, 1.0), ProjPoint(-0.3, 1.0), INF]
+    got, want = fiber_batch_bits(p, srcs, starts)
+    assert got == want
+    assert "vertex 1 sits at the node of edge 1" in got[2]
+    assert curves._fiber_through(p, 3, INF).affine(2) == p.z(2, 2)
+    # with z_{2,2} = 0 the row past the node of edge 1 meets the node of
+    # edge 2 too: the first node is the one named
+    q = ModuliPoint(tree, p.gamma, {**p.zr, (2, 2): (0.0, p.rho(2, 2))})
+    starts = [ProjPoint(q.z(1, 1), 1.0), ProjPoint(0.5, 1.0)]
+    got, want = fiber_batch_bits(q, [1, 2], starts)
+    assert got == want
+    assert "vertex 1 sits at the node of edge 1" in got[0]
 
 
 def test_decorate_matches_scalar_reference():
@@ -1911,7 +2010,7 @@ def test_decorate_duplicate_marks_raise_like_reference():
     mu = len(tree.incident_pairs())
     q = fiber_from_root(p, ProjPoint(0.2 + 0.1j, 1.0))
     twin = fiber_from_root(p, ProjPoint(0.2 + 0.1j, 1.0))
-    anchor = anchor_points(p)[1][4]
+    anchor = anchor_batch(p)[1][4]
     for marked, pair in (([q, twin], "0 and 1"), ([q, anchor], "1 and 6")):
         for fn in (decorate, decorate_reference):
             with pytest.raises(VerificationError, match=f"points {pair} collide"):
@@ -1924,7 +2023,7 @@ def test_anchor_points_match_scalar_reference():
         c = default_params(tree)
         for zero in ((), tuple(tree.full_edges)):
             p = random_member(tree, c, rng, zero_edges=zero)
-            labels, batch = anchor_points(p)
+            labels, batch = anchor_batch(p)
             want = anchor_points_reference(p)
             assert labels == [label[:2] for label in want]
             assert chart_bits(batch) == chart_bits([q for *_, q in want])
@@ -1954,7 +2053,7 @@ def test_decorate_ring_candidate_at_a_node_raises_like_reference():
     probe = ModuliPoint(tree, gamma, zr)
     zr[(2, 2)] = (curves._fiber_through(probe, 1, ProjPoint(val, 1.0)).affine(2), 0.01)
     p = ModuliPoint(tree, gamma, zr)
-    anchor_points(p)  # the anchors stay clear of the node
+    anchor_batch(p)  # the anchors stay clear of the node
     for fn in (decorate, decorate_reference):
         with pytest.raises(VerificationError, match="vertex 2 sits at the node of edge 2"):
             fn(p, [], 3 * mu + 5)
@@ -1966,9 +2065,21 @@ def test_anchor_at_a_node_raises():
     zr = {(1, 1): (-0.04, 0.01), (1, 2): (-0.05, 0.01), (1, 3): (0.09, 0.004),
           (2, 4): (0.04, 0.004), (2, 5): (-0.04, 0.004)}
     p = ModuliPoint(chain_tree(2), {1: 0.0}, zr)
+    labels, src, x, y = curves._anchor_starts(p)
+    _, node = curves._fiber_batch(p, src, x, y)
+    assert node.tolist().count(2) == 1 and labels[node.tolist().index(2)] == ((1, 2), 0)
+    mu = len(p.tree.incident_pairs())
     message = "^coordinate at vertex 1 sits at the node of edge 1;"
     with pytest.raises(VerificationError, match=message):
-        anchor_points(p)
+        decorate(p, [], 3 * mu)
+    # marked points on the ring's candidates at 0.9 and -0.9 exhaust its
+    # skips once the anchor is moved off the node; at the node, the anchor
+    # error still comes first
+    for z, error in ((-0.05, message), (-0.051, "ring fill exhausted after 64")):
+        q = ModuliPoint(chain_tree(2), {1: 0.0}, {**zr, (1, 2): (z, 0.01)})
+        blockers = [curves._fiber_through(q, 1, ProjPoint(a, 1.0)) for a in (0.9, -0.9)]
+        with pytest.raises(VerificationError, match=error):
+            decorate(q, blockers, 3 * mu + 5)
 
 
 def test_decorate_exhaustion_counts_each_kind_of_skip():
@@ -2103,7 +2214,7 @@ def test_decorate_names_anchors_that_really_coincide():
     pair = min(p.zr, key=lambda k: abs(p.rho(*k)))
     radius = abs(p.rho(*pair))
     assert radius < math.ulp(abs(p.z(*pair)))
-    labels, batch = anchor_points(p)
+    labels, batch = anchor_batch(p)
     twins = [q for (where, _), q in zip(labels, batch) if where == pair]
     assert chart_bits(twins[:1]) == chart_bits(twins[1:2])
     mu = len(p.tree.incident_pairs())

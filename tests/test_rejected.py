@@ -10,8 +10,10 @@ from bubbletree.bubbles import AffineMap, ConcentrationProfile, EnergyMeasure
 from bubbletree.curves import (
     UNIT_TARGETS,
     FiberBatch,
+    FiberPoint,
     Region,
     classify,
+    decorate,
     fiber_from_root,
     four_point_value,
     mobius_through,
@@ -19,7 +21,7 @@ from bubbletree.curves import (
     region_contains,
     section,
 )
-from bubbletree.errors import InputError
+from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiniteMetricSpace, ProjPoint, fibonacci_sphere_points
 from bubbletree.trees import Marking, TreeError, reglue, split, tree_count_bound
 
@@ -51,6 +53,14 @@ def with_larger_tree_point(judge):
     q = fiber_from_root(random_member(big, default_params(big), rng), INF)
     c = default_params(small)
     return judge(random_member(small, c, rng), c, q)
+
+
+def decorate_nan_point():
+    """decorate on chain_member() with a marked point whose coordinate at
+    every vertex is NaN."""
+    p = chain_member()
+    nan = ProjPoint(complex(math.nan, math.nan), 1.0)
+    return decorate(p, [FiberPoint({v: nan for v in p.tree.vertices})], 60)
 
 
 # the two pieces of chain_tree(2) cut at edge 1: the root piece, then vertex 2's
@@ -118,6 +128,8 @@ REJECTED = {
         lambda: with_larger_tree_point(
             lambda p, c, q: region_contains(p, Region("thick", vertex=1), q)),
         InputError, EXTRA_VERTEX),
+    "decorate-nan-marked-point": (
+        decorate_nan_point, VerificationError, "point is off the fiber: residual nan"),
     "fiber-batch-extra-vertex": (
         lambda: with_larger_tree_point(lambda p, c, q: FiberBatch.of(p.tree, [q])),
         InputError, EXTRA_VERTEX),
