@@ -100,7 +100,7 @@ class ModuliPoint:
 
     gamma maps every full edge to its gluing coordinate; zr maps every pair
     (v, e) with e a child edge of v to the pair (z_{v,e}, rho_{v,e}).  Index
-    sets must match the tree exactly.
+    sets must match the tree exactly, and every coordinate must be finite.
     """
 
     tree: RootedTree
@@ -122,6 +122,13 @@ class ModuliPoint:
             raise InputError("gamma keys must be exactly the full edges")
         if set(pairs) != set(self.tree.coordinate_pairs()):
             raise InputError("zr keys must be exactly the (vertex, child edge) pairs")
+        for e, c in g.items():
+            if not cmath.isfinite(c):
+                raise InputError(f"gamma[{e}] = {c} is not finite")
+        for (v, e), zr in pairs.items():
+            for name, c in zip(("z", "rho"), zr):
+                if not cmath.isfinite(c):
+                    raise InputError(f"{name}[{v},{e}] = {c} is not finite")
 
     def z(self, v: int, e: int) -> complex:
         return self.zr[(v, e)][0]
@@ -303,6 +310,15 @@ def in_compact_subset(p: ModuliPoint, c: CompactnessParams) -> MembershipReport:
     if p._member is None or p._member[0] != c:
         object.__setattr__(p, "_member", (c, report, None))
     return report
+
+
+def _membership(p: ModuliPoint, c: CompactnessParams) -> MembershipReport:
+    """in_compact_subset(p, c), read from p for params equal to the kept
+    ones; a passing report leaves params equal to c kept on p."""
+    kept = p._member
+    if kept is not None and kept[0] == c:
+        return kept[1]
+    return in_compact_subset(p, c)
 
 
 # ---------------------------------------------------------------------------
@@ -840,14 +856,11 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
     sibling separation |rho_e| + |rho_f| <= tau |z_e - z_f| divided by tau,
     within EQ_SLACK.
     """
-    kept = p._member
-    if kept is None or kept[0] != c:
-        report = in_compact_subset(p, c)
-        if not report.ok:
-            raise VerificationError(f"not a member: {report.first_violation}")
-        kept = (c, report, None)
-    if kept[2] is not None:
-        return kept[2]
+    report = _membership(p, c)
+    if not report.ok:
+        raise VerificationError(f"not a member: {report.first_violation}")
+    if p._member[2] is not None:
+        return p._member[2]
     t = p.tree
     circles = {(v, e): _circle(p, v, e) for v, e in t.incident_pairs()}
     regions = [Region("thick", vertex=v) for v in t.vertices]
@@ -862,7 +875,7 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
         for v in t.vertices
     )
     dec = ThickThinDecomposition(p, c, circles, tuple(regions), table, rims)
-    object.__setattr__(p, "_member", (c, kept[1], dec))
+    object.__setattr__(p, "_member", (c, report, dec))
     return dec
 
 
@@ -1686,7 +1699,8 @@ def check_map_membership(
     a definitive rejection naming the region, a pass only means "not
     refuted"); and each end energy for external edges outside the given
     marking reaches (eta * lambda0)^2, reported "unchecked" when energies
-    are missing.
+    are missing.  The membership report is kept on p and read again for
+    params equal to the kept ones, as in decomposition.
 
     Cost: one region_matrix pass over the samples, then per region one
     vector of distortions over its sample pairs.  Every distance equals the
@@ -1697,7 +1711,7 @@ def check_map_membership(
     np.arcsin differs from math.asin on 202,226 of 2.4M values in [0, 1),
     and np.hypot from math.hypot on 6,190 of 1M pairs in [0, 2)^2.
     """
-    report = in_compact_subset(p, c)
+    report = _membership(p, c)
     allowed = set(target_subset)
     offender = next(
         (i for i, (_, tgt) in enumerate(smap.samples) if tgt not in allowed), None

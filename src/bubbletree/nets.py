@@ -438,12 +438,13 @@ def _net_indices(indices, n: int) -> tuple:
     return ks
 
 
-def _lower_screened(mind, cosm, base: SphereSample, j: int, base_first: bool) -> None:
-    """Lower mind in place to the sphere distances from row j of base,
-    measuring only the rows whose screen g = U @ U_j exceeds cosm =
-    cos(mind) - SCREEN_MARGIN (-inf while mind is inf), which it keeps in
-    step.  sphere_distances takes the base first when base_first: complex
-    products round by operand order.
+def _lower_screened(mind, cosm, base, j: int, base_first: bool) -> None:
+    """Lower mind in place to the sphere distances from row j of base (a
+    SphereSample, or the rows a _SphereLowering keeps: anything with its
+    xs, ys, ns and u), measuring only the rows whose screen g = U @ U_j
+    exceeds cosm = cos(mind) - SCREEN_MARGIN (-inf while mind is inf),
+    which it keeps in step.  sphere_distances takes the base first when
+    base_first: complex products round by operand order.
 
     Margin (u = 2^-53; norms within 2^+-500, beyond which the formula itself
     errs and only the covering check's soundness holds).  hopf_units bounds
@@ -469,35 +470,74 @@ def _lower_screened(mind, cosm, base: SphereSample, j: int, base_first: bool) ->
     cosm[idx] = np.cos(low) - SCREEN_MARGIN
 
 
-def _sphere_lowering(base: SphereSample):
-    """farthest_first's lowering step on a sphere sample, through the screen."""
-    cosm = np.full(base.n, -math.inf)
+class _SphereLowering:
+    """farthest_first's lowering step on a sphere sample, through the screen;
+    keep(rows) drops every other row from the screen's u, xs, ys, ns and
+    cosm."""
 
-    def lower(mind, j):
-        _lower_screened(mind, cosm, base, j, base_first=False)
-        cosm[j] = math.inf  # j leaves with mind[j] = -inf: it must never pass
+    def __init__(self, base: SphereSample):
+        self.u, self.xs, self.ys, self.ns = base.u, base.xs, base.ys, base.ns
+        self.cosm = np.full(base.n, -math.inf)
 
-    return lower
+    def __call__(self, mind, j):
+        _lower_screened(mind, self.cosm, self, j, base_first=False)
+        self.cosm[j] = math.inf  # j leaves with mind[j] = -inf: it must never pass
+
+    def keep(self, rows):
+        # each array holds one column per row
+        vars(self).update({name: a[..., rows] for name, a in vars(self).items()})
 
 
-def farthest_first(lower: Callable[[np.ndarray, int], None], n: int, start: int):
+class _MatrixLowering:
+    """FiniteMetricSpace.lower, which reads only dist; keep(rows) drops every
+    other row and column of dist."""
+
+    __call__ = FiniteMetricSpace.lower
+
+    def __init__(self, space: FiniteMetricSpace):
+        self.dist = space.dist
+
+    def keep(self, rows):
+        self.dist = self.dist[np.ix_(rows, rows)]
+
+
+def farthest_first(lower: Callable, n: int, start: int, floor: float = -math.inf):
     """Gonzalez's farthest-point traversal of n points, from start.
 
-    lower(mind, j) lowers mind in place to the distances from point j to
-    all n points (FiniteMetricSpace.lower for a matrix).  Lazily yields
-    (index, distance to the points yielded before it; inf for start), each
-    index the farthest point not yet yielded, ties to the lowest index.  Every
-    prefix is a net at the next distance; lower runs only as it advances.
+    lower(mind, j) lowers mind in place to the distances from row j to
+    every row, the rows being the n points until a floor drops some
+    (FiniteMetricSpace.lower for a matrix).  Lazily yields (index, distance
+    to the points yielded before it; inf for start), each index the
+    farthest point not yet yielded, ties to the lowest index.  Every prefix
+    is a net at the next distance; lower runs only as it advances.
+
+    The traversal ends before the first distance below floor (none by
+    default).  A row whose minimum is below floor can only go lower, so it
+    is never the farthest at a distance that is yielded.  With a finite
+    floor, every 16 steps, once a quarter of the rows have a minimum below
+    it, they are dropped from mind and from lower by lower.keep(kept), kept
+    the other rows in ascending order; yielded rows map back to the n
+    points.  The kept rows hold the same minima in the same order, so the
+    yields are those of the traversal without a floor, cut at the floor.
     """
     mind = np.full(n, math.inf)
+    rows = np.arange(n)  # the point of each kept row
     j, d = int(start), math.inf
-    for _ in range(n - 1):
-        yield j, d
+    for step in range(1, n):
+        yield int(rows[j]), d
         lower(mind, j)
         mind[j] = -math.inf
-        j = int(np.argmax(mind))
+        if step % 16 == 0 and floor > -math.inf:
+            (kept,) = (mind >= floor).nonzero()
+            # with no row kept, the argmax below ends the traversal
+            if 0 < 4 * len(kept) <= 3 * len(mind):
+                lower.keep(kept)
+                mind, rows = mind[kept], rows[kept]
+        j = int(mind.argmax())
         d = float(mind[j])
-    yield j, d
+        if d < floor:
+            return
+    yield int(rows[j]), d
 
 
 def greedy_net(space, gamma: float) -> Net:
@@ -508,7 +548,8 @@ def greedy_net(space, gamma: float) -> Net:
     The result is always a valid gamma-net of the given base; it need not be
     minimal.  On sphere points a centre is measured only where
     _lower_screened's screen says a minimum can move, with the unscreened
-    traversal's indices and distances.
+    traversal's indices and distances.  The traversal's floor is gamma, so
+    it screens only the points that can still be chosen.
 
     Certificate: the traversal yields distinct indices and stops at the
     first d < gamma, d the largest of the minima over the prefix (Gonzalez
@@ -517,17 +558,21 @@ def greedy_net(space, gamma: float) -> Net:
     distance: exactly on a matrix base, whose dist is symmetric, and on
     sphere points up to the operand order of sphere_distances, which
     covering_distance() keeps.  Exhausting the base leaves distance 0.
+    The floor changes none of this.  A dropped row's minimum is below gamma
+    and can only go lower, so it is never the argmax of a step whose
+    distance is at least gamma, the only steps read.  Kept rows stay in
+    ascending order with the same minima, from the same sphere_distances
+    call shape (centre as a scalar, survivors as 1-D arrays, centre first),
+    so ties still go to the lowest index.  And the largest kept minimum is
+    below gamma exactly when the largest of all is, so the traversal stops
+    at the same step.
     """
     require_scale("net radius gamma", gamma)
     finite = isinstance(space, FiniteMetricSpace)
     base = space if finite else sphere_sample(space)
-    lower = space.lower if finite else _sphere_lowering(base)
-    chosen = []
-    for j, d in farthest_first(lower, base.n, 0):
-        if d < gamma:
-            break
-        chosen.append(j)
-    return Net._certified(gamma, tuple(chosen), base)
+    lower = _MatrixLowering(space) if finite else _SphereLowering(base)
+    chosen = tuple(j for j, _ in farthest_first(lower, base.n, 0, gamma))
+    return Net._certified(gamma, chosen, base)
 
 
 def sphere_net(gamma: float) -> Net:

@@ -110,11 +110,19 @@ class RootedTree:
         vs = self.vertices = tuple(incident)
         self.boundary = bd
         self.edges = edges
-        full, half = [], []
-        for e in self.edges:
-            (full if len(bd[e]) == 2 else half).append(e)
-            for v in bd[e]:
+        # far[e] ^ x is the other end of the full edge e from its end x
+        full, half, far = [], [], {}
+        for e in edges:
+            ends = bd[e]
+            if len(ends) == 2:
+                v, w = ends
+                full.append(e)
+                far[e] = v ^ w
                 incident[v].append(e)
+                incident[w].append(e)
+            else:
+                half.append(e)
+                incident[ends[0]].append(e)
         self.full_edges = tuple(full)
         self.half_edges = tuple(half)
         self.incident = incident
@@ -141,23 +149,24 @@ class RootedTree:
         while stack:
             v = stack.pop()
             order.append(v)
-            up = parent_edge[v]
-            children[v] = down = tuple(e for e in incident[v] if e != up)
+            down = incident[v].copy()
+            down.remove(parent_edge[v])
+            children[v] = down = tuple(down)
+            below = depth[v] + 1
             kids = []
             for e in down:
-                ends = bd[e]
                 e_minus[e] = v
-                if len(ends) == 2:
-                    w = ends[0] if ends[1] == v else ends[1]
+                if e in far:
+                    w = far[e] ^ v
                     if w in parent_edge:
                         raise TreeError("tree is not connected")
                     e_plus[e] = w
-                    parent_edge[w] = e
-                    depth[w] = depth[v] + 1
+                    parent_edge[w], depth[w] = e, below
                     kids.append(w)
                 else:
                     e_plus[e] = None
-            stack.extend(reversed(kids))
+            kids.reverse()
+            stack += kids
         if len(order) != len(vs):
             raise TreeError("tree is not connected")
         self.order = tuple(order)

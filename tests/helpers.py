@@ -703,13 +703,13 @@ def greedy_net_reference(points, gamma):
     return tuple(order), tuple(net), float(near.max())
 
 
-def screen_cases():
-    """{id: (sphere points, gamma)} for families that stress the sphere screen of
+def screen_families():
+    """{name: sphere points} for families that stress the sphere screen of
     nets.greedy_net: exact ties on symmetric and unrotated Fibonacci sets,
     duplicates, 1e-13 perturbations, the points 0, 1, -1 and infinity,
-    unnormalized coordinates, 1e-3 clusters, and radii from 2 down to 1e-6.
-    On the line of three points 1e-5 apart at gamma 1e-6, a chosen centre
-    passes the screen of a later one."""
+    unnormalized coordinates and 1e-3 clusters.  On the line of three points
+    1e-5 apart at gamma 1e-6, a chosen centre passes the screen of a later
+    one."""
     rng = random.Random(2003)
     special = [ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(-1.0, 1.0),
                ProjPoint.infinity()]
@@ -731,7 +731,7 @@ def screen_cases():
         for _ in range(25)
     ] + [ProjPoint(1.0, 1e-3 * rng.uniform(-1, 1)) for _ in range(25)]
     line = [ProjPoint(0.3 + 0.2j + k * 1e-5, 1.0) for k in (0, 2, 1)]
-    families = {
+    return {
         "octahedron": octahedron,
         "fibonacci": fib,
         "fibonacci-7": fibonacci_sphere_points(7),
@@ -742,10 +742,15 @@ def screen_cases():
         "clusters": clusters,
         "line": line + special,
     }
+
+
+def screen_cases():
+    """{id: (sphere points, gamma)}: every screen_families() family at radii
+    from 2 down to 1e-6."""
     gammas = (2.0, 1.0, 0.3, 0.05, 1e-3, 1e-4, 1e-6)
     return {
         f"{name}-{gamma:g}": (pts, gamma)
-        for name, pts in families.items()
+        for name, pts in screen_families().items()
         for gamma in gammas
     }
 

@@ -469,9 +469,9 @@ def test_fiber_residual_is_nan_at_a_nan_coordinate():
     everywhere = FiberPoint({v: nan for v in tree.vertices})
     at_root = FiberPoint({**q.coords, tree.root_vertex: nan})
     star = star_point([(0.05, 0.01), (-0.05, 0.01)])
-    no_gamma = ModuliPoint(tree, {**p.gamma, 1: math.nan}, p.zr)
+    with pytest.raises(InputError):
+        ModuliPoint(tree, {**p.gamma, 1: math.nan}, p.zr)
     assert math.isnan(fiber_residual(star, FiberPoint({1: nan})))
-    assert math.isnan(fiber_residual(no_gamma, q))
     message = "^point is off the fiber: residual nan$"
     for bad in (everywhere, at_root):
         assert math.isnan(fiber_residual(p, bad))
@@ -1180,12 +1180,22 @@ def test_check_map_membership_checks_membership_once(monkeypatch):
     smap = SampledMap(target, tuple((q, i) for i, q in enumerate(samples)))
     lam = {r: 10.0 for r in decomposition(p, c).regions}
     calls = count_membership_checks(monkeypatch)
-    for n in (1, 2):
-        verdict = check_map_membership(
-            fresh, c, smap, range(len(samples)), 1.0, lam, 1.0, Marking()
+
+    def check(params):
+        return check_map_membership(
+            fresh, params, smap, range(len(samples)), 1.0, lam, 1.0, Marking()
         )
-        assert verdict.membership.ok
-        assert len(calls) == n
+
+    first = check(c)
+    assert first.membership.ok and len(calls) == 1
+    # a second call and equal but distinct params read the kept report
+    for params in (c, CompactnessParams(c.theta, c.tau, c.alpha)):
+        assert check(params).membership is first.membership
+        assert len(calls) == 1
+    # unequal params are checked afresh
+    looser = CompactnessParams(c.theta, c.tau, {v: a / 2 for v, a in c.alpha.items()})
+    assert check(looser).membership.ok
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from helpers import (
     grid_space,
     point_bits,
     screen_cases,
+    screen_families,
     sphere_net_points_reference,
     sphere_pairwise,
     traversal_cases,
@@ -31,7 +32,8 @@ from bubbletree.nets import (
     SPHERE_NET_CAP,
     TIE_RTOL,
     _lower_screened,
-    _sphere_lowering,
+    _MatrixLowering,
+    _SphereLowering,
     FiberMap,
     FiniteMetricSpace,
     Net,
@@ -637,6 +639,75 @@ def test_certified_nets_pass_the_check_on_random_spaces():
             assert_passes_the_net_check(minimal_net(space, gamma))
 
 
+class RowCounting:
+    """A lowering that records the row count of each step and checks that
+    every array of the inner lowering keeps one column per row."""
+
+    def __init__(self, inner):
+        self.inner, self.rows = inner, []
+
+    def __call__(self, mind, j):
+        self.rows.append(len(mind))
+        assert {a.shape[-1] for a in vars(self.inner).values()} == {len(mind)}
+        self.inner(mind, j)
+
+    def keep(self, rows):
+        self.inner.keep(rows)
+
+
+# nets of more than 16 points whose traversal drops rows below the floor:
+# exact ties, duplicates with the four special points, and 1e-3 clusters
+FAMILIES = screen_families()
+FLOOR_CASES = {
+    "fibonacci-2000-0.1": (fibonacci_sphere_points(2000), 0.1),
+    "duplicates-0.1": (FAMILIES["duplicates"], 0.1),
+    "clusters-0.0003": (FAMILIES["clusters"], 3e-4),
+}
+
+
+@pytest.mark.parametrize("pts, gamma", FLOOR_CASES.values(), ids=FLOOR_CASES.keys())
+def test_floor_keeps_every_bit_of_the_unscreened_net(pts, gamma):
+    order, points, cov = greedy_net_reference(pts, gamma)
+    net = greedy_net(pts, gamma)
+    assert net.size > 16
+    assert net.indices == tuple(j for j, _ in order)
+    assert net.points == points
+    assert net.covering_distance().hex() == cov.hex()
+    lower = RowCounting(_SphereLowering(sphere_sample(pts)))
+    assert list(farthest_first(lower, len(pts), 0, gamma)) == list(order)
+    assert min(lower.rows) < len(pts)
+
+
+def test_floor_keeps_the_reference_prefix_on_a_matrix():
+    space = grid_space([complex(x, y) for x in range(9) for y in range(9)])
+    order = farthest_first_reference(space, 0)
+    for gamma in (1.0, 1.5, 2.0):
+        prefix = list(itertools.takewhile(lambda jd: jd[1] >= gamma, order))
+        lower = RowCounting(_MatrixLowering(space))
+        assert list(farthest_first(lower, space.n, 0, gamma)) == prefix
+        assert len(prefix) > 16 and min(lower.rows) < space.n
+        assert greedy_net(space, gamma).indices == tuple(j for j, _ in prefix)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _SphereLowering(sphere_sample(fibonacci_sphere_points(400))),
+     lambda: _MatrixLowering(grid_space([complex(x, y) for x in range(20) for y in range(20)]))],
+    ids=["sphere", "matrix"],
+)
+def test_floor_drops_rows_and_no_floor_drops_none(make):
+    lower = RowCounting(make())
+    steps = list(farthest_first(lower, 400, 0))
+    assert len(steps) == 400 and set(lower.rows) == {400}
+    floor = 0.5 * steps[40][1]
+    lower = RowCounting(make())
+    prefix = itertools.takewhile(lambda jd: jd[1] >= floor, steps)
+    assert list(farthest_first(lower, 400, 0, floor)) == list(prefix)
+    assert lower.rows[:16] == [400] * 16
+    assert lower.rows[-1] < 400
+    assert lower.rows == sorted(lower.rows, reverse=True)
+
+
 def test_screened_greedy_net_keeps_operand_orders():
     # the traversal measures centre against base and the covering check base
     # against net point; on one of these sets of 40 either swap shows
@@ -645,7 +716,7 @@ def test_screened_greedy_net_keeps_operand_orders():
         pts = gaussian_sphere_points(rng, 200)
         for gamma in (1.0, 0.3):
             order, _, cov = greedy_net_reference(pts, gamma)
-            steps = farthest_first(_sphere_lowering(sphere_sample(pts)), len(pts), 0)
+            steps = farthest_first(_SphereLowering(sphere_sample(pts)), len(pts), 0)
             assert list(itertools.islice(steps, len(order))) == list(order)
             assert greedy_net(pts, gamma).covering_distance().hex() == cov.hex()
 

@@ -11,6 +11,7 @@ from bubbletree.curves import (
     UNIT_TARGETS,
     FiberBatch,
     FiberPoint,
+    ModuliPoint,
     Region,
     classify,
     decorate,
@@ -53,6 +54,13 @@ def with_larger_tree_point(judge):
     q = fiber_from_root(random_member(big, default_params(big), rng), INF)
     c = default_params(small)
     return judge(random_member(small, c, rng), c, q)
+
+
+def chain_member_with(gamma=None, zr=None):
+    """ModuliPoint on chain_member()'s tree with its gamma and zr updated by
+    these entries."""
+    p = chain_member()
+    return ModuliPoint(p.tree, {**p.gamma, **(gamma or {})}, {**p.zr, **(zr or {})})
 
 
 def decorate_nan_point():
@@ -128,6 +136,12 @@ REJECTED = {
         lambda: with_larger_tree_point(
             lambda p, c, q: region_contains(p, Region("thick", vertex=1), q)),
         InputError, EXTRA_VERTEX),
+    "moduli-point-nan-gamma": (
+        lambda: chain_member_with(gamma={1: math.nan}), InputError,
+        "gamma[1] = (nan+0j) is not finite"),
+    "moduli-point-infinite-rho": (
+        lambda: chain_member_with(zr={(1, 1): (0.1, complex(0.0, math.inf))}), InputError,
+        "rho[1,1] = infj is not finite"),
     "decorate-nan-marked-point": (
         decorate_nan_point, VerificationError, "point is off the fiber: residual nan"),
     "fiber-batch-extra-vertex": (
