@@ -328,14 +328,25 @@ def _membership(p: ModuliPoint, c: CompactnessParams) -> MembershipReport:
 
 @dataclass(frozen=True, eq=False)
 class FiberPoint:
-    """A point of one curve of the family: one projective point per vertex."""
+    """A point of one curve of the family: one projective point per vertex.
+
+    Its coordinates are normalized once, when it is built: here from the
+    given coordinates, or by a builder that proves it made them normalized
+    (_certified)."""
 
     coords: Mapping[int, ProjPoint]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coords", {int(v): pt.normalized() for v, pt in self.coords.items()}
-        )
+        coords = {int(v): pt.normalized() for v, pt in self.coords.items()}
+        object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _certified(cls, coords: dict[int, ProjPoint]) -> "FiberPoint":
+        """The point of the given coordinates, int keys and normalized
+        ProjPoints as its caller has proved, kept as they are."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "coords", coords)
+        return q
 
     def at(self, v: int) -> ProjPoint:
         """The coordinate at v; InputError if the point has none there, as a
@@ -391,15 +402,12 @@ class FiberBatch:
         (of), by _fiber_batch, whose _normalize divides as
         ProjPoint.normalized does, or from rows of those (a slice, or
         decorate's marked points, anchors and ring points).  tolist gives
-        complex slots from the complex arrays.
+        complex slots from the complex arrays, and the vertices are ints.
         """
         if isinstance(i, slice):
             return FiberBatch(self.vertices, self.xs[i], self.ys[i])
-        q = object.__new__(FiberPoint)
         row = zip(self.vertices, self.xs[i].tolist(), self.ys[i].tolist())
-        coords = {v: ProjPoint._certified(a, b) for v, a, b in row}
-        object.__setattr__(q, "coords", coords)
-        return q
+        return FiberPoint._certified({v: ProjPoint._certified(a, b) for v, a, b in row})
 
 
 def _reject_extra_vertex(t: RootedTree, q: FiberPoint) -> None:
@@ -466,14 +474,23 @@ def _parent_coord(p: ModuliPoint, child: ProjPoint, u: int, e: int) -> ProjPoint
     if num == 0 and den == 0:
         # degenerate edge with the child at infinity: the whole child
         # component sits over the node
-        return ProjPoint(p.z(u, e), 1.0)
+        return _normal(p.z(u, e), 1 + 0j)
     return _normal(num, den)
 
 
 def _complete(p: ModuliPoint, coords: dict[int, ProjPoint], v: int) -> FiberPoint:
     """The fiber point through the given coordinates, v among them: the
     others are propagated up the parent chain of v, then down every branch
-    still missing."""
+    still missing.  The given coordinates must be normalized, and each one
+    is normalized once: by its caller for those given, by _parent_coord or
+    _child_coord for the rest.
+
+    Certificate: every coordinate is a ProjPoint of _normal, so normalized:
+    the callers (_fiber_through, section, neck_param) build the given ones
+    by _normal, and each propagated one is the _normal that _parent_coord
+    or _child_coord returns.  The keys are the tree's int vertices, and each
+    is set once, since the walks skip the vertices already set.
+    """
     t = p.tree
     while v != t.root_vertex:
         e = t.parent_edge[v]
@@ -485,7 +502,7 @@ def _complete(p: ModuliPoint, coords: dict[int, ProjPoint], v: int) -> FiberPoin
             e = t.parent_edge[w]
             u = t.e_minus[e]
             coords[w] = _child_coord(p, coords[u], u, e)
-    return FiberPoint(coords)
+    return FiberPoint._certified(coords)
 
 
 def _fiber_through(p: ModuliPoint, v: int, coord: ProjPoint) -> FiberPoint:
@@ -564,8 +581,7 @@ def _fiber_batch(p: ModuliPoint, src, x: np.ndarray, y: np.ndarray):
         cx, cy = xs[w][rows], ys[w][rows]
         num = _cmul(z, cy) + _cmul(gr, cx)
         hit = (num == 0) & (cy == 0)
-        nx, ny = _normalize(num, np.where(hit, 1.0, cy))
-        xs[u][rows], ys[u][rows] = np.where(hit, z, nx), np.where(hit, 1.0, ny)
+        xs[u][rows], ys[u][rows] = _normalize(np.where(hit, z, num), np.where(hit, 1.0, cy))
         known[u].append(rows)
     # down: every other row of w comes from w's parent
     node = np.full(n, -1)
@@ -582,8 +598,7 @@ def _fiber_batch(p: ModuliPoint, src, x: np.ndarray, y: np.ndarray):
         first = node[rows]
         node[rows] = np.where(hit & (first < 0), w, first)
         xs[w][rows], ys[w][rows] = _normalize(num, np.where(hit, 1.0, den))
-    # FiberPoint normalizes the coordinates _fiber_through hands it once more
-    return FiberBatch(t.vertices, *_normalize(cols_x.T, cols_y.T)), node
+    return FiberBatch(t.vertices, cols_x.T, cols_y.T), node
 
 
 def fiber_from_root(p: ModuliPoint, t: ProjPoint) -> FiberPoint:
@@ -615,7 +630,7 @@ def section(p: ModuliPoint, e: int) -> FiberPoint:
         return FiberPoint({v: ProjPoint(1.0, 0.0) for v in t.vertices})
     u = t.e_minus[e]
     chain = positive_path(t, t.root_vertex, u)
-    coords = {w: ProjPoint(chart_positions(p, w)[(u, e)], 1.0) for w in chain}
+    coords = {w: _normal(chart_positions(p, w)[(u, e)], 1 + 0j) for w in chain}
     return _complete(p, coords, t.root_vertex)
 
 
@@ -776,9 +791,14 @@ class ThickThinDecomposition:
     gives two verdicts on a point's chart value at v: column 2k, inside its
     closed disc, and 2k + 1, outside its open disc (infinity is outside every
     disc).  table[r] lists the columns whose conjunction is membership in
-    regions[r], as region_contains defines it (see _region_terms).  rims
-    lists per vertex v the circles in the chart of v, as (v, ((column 2k,
-    center, radius), ...)), for classify.
+    regions[r], as region_contains defines it (see _region_terms).
+
+    rims lists per vertex v, for classify, the circles in the chart of v
+    and the regions whose inside term sits at v, as (v, ((column 2k,
+    center, radius), ...), (r, ...)): the thick region of v, and the neck
+    and end of each edge e with e- = v.  always lists the regions with no
+    inside term, which is the root end alone.  Each region is in exactly
+    one of these lists, by index in ascending order.
     """
 
     point: ModuliPoint
@@ -786,7 +806,8 @@ class ThickThinDecomposition:
     circles: Mapping[tuple[int, int], tuple[complex, float]]
     regions: tuple[Region, ...]
     table: tuple[tuple[int, ...], ...]
-    rims: tuple[tuple[int, tuple[tuple[int, complex, float], ...]], ...]
+    rims: tuple[tuple[int, tuple[tuple[int, complex, float], ...], tuple[int, ...]], ...]
+    always: tuple[int, ...]
 
     def classify(self, q: FiberPoint) -> tuple[Region, ...]:
         """All regions containing q.
@@ -805,20 +826,29 @@ class ThickThinDecomposition:
         True), and _disc_verdicts runs only on the circles of the vertices
         whose chart value _outside_unit_as_none keeps.
 
+        Only the regions listed at those kept vertices, and the always
+        list, are tested, in region order.  An unlisted region fails: its
+        inside term sits at a vertex v that was not kept, so that term's
+        column is still its verdict at infinity, False, and the conjunction
+        of table fails on it.  So the regions that hold are the ones that
+        the full scan of table would return, in the same order.
+
         A point with no coordinate at a vertex of the tree, or with one at
         a vertex the tree lacks, raises InputError naming the vertex.
         """
         ok = [False, True] * len(self.circles)
-        for v, rims in self.rims:
+        picks = list(self.always)
+        for v, rims, listed in self.rims:
             x = _outside_unit_as_none(q.affine(v))
             if x is not None:
                 for col, center, radius in rims:
                     ok[col], ok[col + 1] = _disc_verdicts(x, center, radius)
+                picks += listed
         # every vertex was found, so a longer point has one the tree lacks
         if len(q.coords) != len(self.rims):
             _reject_extra_vertex(self.point.tree, q)
-        hit = ok.__getitem__
-        return tuple(r for r, cols in zip(self.regions, self.table) if all(map(hit, cols)))
+        hit, table = ok.__getitem__, self.table
+        return tuple(self.regions[r] for r in sorted(picks) if all(map(hit, table[r])))
 
     def region_matrix(self, batch: FiberBatch) -> np.ndarray:
         """classify on every point of a batch, as an (N, R) boolean array."""
@@ -867,14 +897,16 @@ def decomposition(p: ModuliPoint, c: CompactnessParams) -> ThickThinDecompositio
     regions += [Region("neck", edge=e) for e in t.full_edges]
     regions += [Region("end", edge=e) for e in t.half_edges]
     column = {pair: 2 * k for k, pair in enumerate(circles)}
-    table = tuple(
-        tuple(column[pair] + out for pair, out in _region_terms(t, r)) for r in regions
-    )
+    terms = [_region_terms(t, r) for r in regions]
+    table = tuple(tuple(column[pair] + out for pair, out in ts) for ts in terms)
+    # the vertex of each region's inside term, which comes first, or None
+    home = [None if ts[0][1] else ts[0][0][0] for ts in terms]
+    listed = {v: tuple(r for r, h in enumerate(home) if h == v) for v in (*t.vertices, None)}
     rims = tuple(
-        (v, tuple((column[(v, e)], *circles[(v, e)]) for e in t.incident[v]))
+        (v, tuple((column[(v, e)], *circles[(v, e)]) for e in t.incident[v]), listed[v])
         for v in t.vertices
     )
-    dec = ThickThinDecomposition(p, c, circles, tuple(regions), table, rims)
+    dec = ThickThinDecomposition(p, c, circles, tuple(regions), table, rims, listed[None])
     object.__setattr__(p, "_member", (c, report, dec))
     return dec
 
@@ -898,7 +930,8 @@ def _outside_unit_as_none(x: complex | None) -> complex | None:
 def _region_terms(t: RootedTree, region: Region):
     """region_contains as terms ((v, e), outside) that must all hold, each
     a _disc_verdicts entry on the circle of (v, e); v's unit circle is the
-    circle of (v, its parent edge)."""
+    circle of (v, its parent edge).  A region has at most one inside term
+    (outside = 0), and it comes first."""
     v, e = region.vertex, region.edge
     if region.kind == "thick":
         return [((v, t.parent_edge[v]), 0)] + [((v, f), 1) for f in t.child_edges(v)]
@@ -1023,15 +1056,11 @@ def neck_param(p: ModuliPoint, e: int, s: float, t_angle: float) -> FiberPoint:
         raise InputError(f"|s| = {abs(s)} exceeds the neck half-length {big_r}")
     if not math.isfinite(t_angle):
         raise InputError(f"the neck angle t must be finite, got {t_angle}")
-    delta = math.sqrt(mod)
-    phase = cmath.exp(0.5j * cmath.phase(g))
-    z_u = delta * phase * cmath.exp(-(s + 1j * t_angle))
-    z_v = delta * phase * cmath.exp(s + 1j * t_angle)
+    delta_phase = math.sqrt(mod) * cmath.exp(0.5j * cmath.phase(g))
+    z_u = delta_phase * cmath.exp(-(s + 1j * t_angle))
+    z_v = delta_phase * cmath.exp(s + 1j * t_angle)
     u, v = t.e_minus[e], t.e_plus[e]
-    coords = {
-        u: ProjPoint(p.z(u, e) + p.rho(u, e) * z_u, 1.0),
-        v: ProjPoint(1.0, z_v),
-    }
+    coords = {u: _normal(p.z(u, e) + p.rho(u, e) * z_u, 1 + 0j), v: _normal(1 + 0j, z_v)}
     return _complete(p, coords, u)
 
 

@@ -1107,7 +1107,9 @@ def section_reference(p: ModuliPoint, e: int) -> FiberPoint:
         return FiberPoint({v: ProjPoint(1.0, 0.0) for v in t.vertices})
     u = t.e_minus[e]
     chain = positive_path(t, t.root_vertex, u)
-    coords = {w: ProjPoint(chart_position_reference(p, w, u, e), 1.0) for w in chain}
+    coords = {
+        w: ProjPoint(chart_position_reference(p, w, u, e), 1.0).normalized() for w in chain
+    }
     return _complete(p, coords, t.root_vertex)
 
 

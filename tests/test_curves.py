@@ -49,7 +49,7 @@ from bubbletree.curves import (
     stabilize_four_marked,
 )
 from bubbletree.errors import InputError, ResourceCapError, VerificationError
-from bubbletree.nets import FiniteMetricSpace, ProjPoint, sphere_distance
+from bubbletree.nets import TIE_RTOL, FiniteMetricSpace, ProjPoint, _normal, sphere_distance
 from bubbletree.trees import (
     Marking,
     RootedTree,
@@ -2350,9 +2350,11 @@ def test_check_map_missing_budget_is_input_error():
 # and neck_param samples, every classify result and every worst sampled
 # ratio of check_map_membership (a zero budget rejects each region that has
 # a sampled pair and reports its worst ratio): a change to the scalar fiber
-# path that moves a bit must say why and record the new value
+# path that moves a bit must say why and record the new value.  It last
+# moved when neck_param began to propagate e+'s subtree from its normalized
+# start (test_neck_end_at_plus_r_propagates_from_the_normalized_start).
 GOLDEN_FIBERS_DIGEST = (
-    "7a65d7ae27131fbd550b36caef17d4ba6f56c4de5feb0b2cbb2bc2eaa73b64f8"
+    "eb916786617baa13555c252cf26def0a06e417d714a5d03e4b5b26193a6e0119"
 )
 
 
@@ -2388,3 +2390,144 @@ def test_fibers_path_golden_digest():
         for region, seen, _ in verdict.lipschitz_rejections:
             digest.update(f"{region} {seen.hex()}\n".encode())
     assert digest.hexdigest() == GOLDEN_FIBERS_DIGEST
+
+
+def neck_end_start(p, e, s, t_angle):
+    """The chart value z'_v at e+ of neck_param(p, e, s, t_angle), by the
+    same operations."""
+    g = p.gamma_of(e)
+    delta = math.sqrt(abs(g))
+    phase = cmath.exp(0.5j * cmath.phase(g))
+    return delta * phase * cmath.exp(s + 1j * t_angle)
+
+
+def certificate_cases():
+    """(p, points) on members of chain trees of depths 2 to 32 and of every
+    stable rooted tree with 6 boundary edges: fiber_from_root at 0, at
+    infinity and at random values of all scales, every section, neck_param
+    at s = -R, 0 and +R on every full edge, and the rows of one _fiber_batch
+    from random starts and infinity at every vertex, near-ties of
+    nets.TIE_RTOL among them.  Then with every z twenty times as large, so
+    chart positions and nodes lie outside the unit disc: every section, and
+    with every gamma zero as well, where a child at infinity lifts to
+    [z : 1], the points through infinity at each vertex below the root and
+    the rows of the same batch but for those at a node."""
+    rng = random.Random(3160)
+    trees = [chain_tree(d) for d in (2, 3, 4, 8, 16, 32)] + enumerate_stable_rooted(6)
+    out = []
+    for tree in trees:
+        p = random_member(tree, default_params(tree), rng)
+        roots = [INF, ProjPoint(0.0, 1.0)]
+        roots += [ProjPoint(cmath.rect(10 ** rng.uniform(-4, 4), rng.uniform(0, 7)), 1.0)
+                  for _ in range(6)]
+        points = [fiber_from_root(p, a) for a in roots]
+        points += [section(p, e) for e in tree.half_edges]
+        for e in tree.full_edges:
+            big_r = -0.5 * math.log(abs(p.gamma_of(e)))
+            points += [neck_param(p, e, s, rng.uniform(0, 7)) for s in (-big_r, 0.0, big_r)]
+        src, starts = [], []
+        for v in tree.vertices:
+            src += [v] * 10
+            starts.append((1.0, 0.0))
+            for _ in range(3):
+                r = rng.uniform(1e-3, 1e3)
+                x = cmath.rect(r, rng.uniform(-math.pi, math.pi))
+                near = cmath.rect(r * (1.0 - rng.uniform(0.0, 1e-12)), rng.uniform(-7, 7))
+                starts += [(x, 1.0), (x, near), (near, x)]
+        x, y = (np.array(a, dtype=complex) for a in zip(*starts))
+        batch, node = curves._fiber_batch(p, np.array(src), x, y)
+        assert max(node) < 0
+        out.append((p, points + list(batch)))
+        if tree.full_edges:
+            zr = {pair: (20 * z, rho) for pair, (z, rho) in p.zr.items()}
+            big = ModuliPoint(tree, p.gamma, zr)
+            out.append((big, [section(big, e) for e in tree.half_edges]))
+            nodal = ModuliPoint(tree, {e: 0j for e in tree.full_edges}, zr)
+            points = [curves._fiber_through(nodal, v, INF) for v in tree.order[1:]]
+            batch, node = curves._fiber_batch(nodal, np.array(src), x, y)
+            out.append((nodal, points + [batch[i] for i in np.flatnonzero(node < 0)]))
+    return out
+
+
+def test_fiber_points_hold_normalized_coordinates():
+    # what FiberPoint._certified trusts: one slot is exactly 1 + 0j, and
+    # normalizing again changes at most the sign of a zero
+    one = struct.pack("<dd", 1.0, 0.0)
+    checked = 0
+    for p, points in certificate_cases():
+        for q in points:
+            assert sorted(q.coords) == sorted(p.tree.vertices)
+            for a in q.coords.values():
+                assert type(a.x) is complex and type(a.y) is complex
+                slots = [struct.pack("<dd", z.real, z.imag) for z in (a.x, a.y)]
+                assert one in slots
+                again = _normal(a.x, a.y)
+                assert (again.x, again.y) == (a.x, a.y)
+                checked += 1
+    assert checked > 20_000
+
+
+def test_neck_end_at_plus_r_propagates_from_the_normalized_start():
+    # at s = +R, |z'_v| lies within TIE_RTOL of 1, so e+'s start normalizes
+    # to [1 / z'_v : 1]; its subtree comes from that start, bit for bit, and
+    # in some cases not from the raw start [1 : z'_v], which is why the
+    # fibers digest moved when the start was first normalized
+    rng = random.Random(2611)
+    raw_differs = tied = 0
+    for depth in (2, 4, 6, 8, 10):
+        tree = chain_tree(depth)
+        for _ in range(4):
+            p = random_member(tree, default_params(tree), rng)
+            for e in tree.full_edges:
+                big_r = -0.5 * math.log(abs(p.gamma_of(e)))
+                t_angle = rng.uniform(0.0, 2.0 * math.pi)
+                z_v = neck_end_start(p, e, big_r, t_angle)
+                tied += abs(abs(z_v) - 1.0) <= TIE_RTOL
+                v = tree.e_plus[e]
+                got = neck_param(p, e, big_r, t_angle)
+                want = curves._fiber_through(p, v, _normal(1 + 0j, z_v))
+                below = [w for w in tree.vertices if v in positive_path(tree, tree.root_vertex, w)]
+                assert chart_bits([FiberPoint._certified({w: got.at(w) for w in below})]) == (
+                    chart_bits([FiberPoint._certified({w: want.at(w) for w in below})])
+                )
+                for f in set(tree.child_edges(v)).intersection(tree.full_edges):
+                    a = curves._child_coord(p, ProjPoint(1.0, z_v), v, f)
+                    b = got.at(tree.e_plus[f])
+                    raw_differs += (a.x, a.y) != (b.x, b.y)
+    assert tied == sum(4 * (d - 1) for d in (2, 4, 6, 8, 10))
+    assert raw_differs > 0
+
+
+def test_classify_tests_the_regions_listed_at_kept_vertices():
+    # points whose chart values stay inside the closed unit disc at two or
+    # more vertices, so classify reads several vertices' region lists:
+    # neck points at s = -R and +R, sections and values on child circles
+    rng = random.Random(4160)
+    several = 0
+    for depth in (2, 3, 5, 8, 12):
+        tree = chain_tree(depth)
+        c = default_params(tree)
+        p = random_member(tree, c, rng)
+        dec = decomposition(p, c)
+        lists = [r for _, _, listed in dec.rims for r in listed] + list(dec.always)
+        assert sorted(lists) == list(range(len(dec.regions)))
+        assert [dec.regions[r] for r in dec.always] == [Region("end", edge=tree.root_edge)]
+        samples = [section(p, e) for e in tree.half_edges]
+        for e in tree.full_edges:
+            big_r = -0.5 * math.log(abs(p.gamma_of(e)))
+            samples += [neck_param(p, e, s, rng.uniform(0, 7)) for s in (-big_r, big_r)]
+        for (v, e), (center, radius) in dec.circles.items():
+            if tree.e_minus[e] == v:
+                rim = ProjPoint(center + radius * cmath.exp(1j * rng.uniform(0, 7)), 1.0)
+                samples.append(curves._fiber_through(p, v, rim))
+        for q in samples:
+            kept = sum(
+                curves._outside_unit_as_none(q.affine(v)) is not None for v in tree.vertices
+            )
+            several += kept >= 2
+            want = classify_reference(p, q)
+            assert dec.classify(q) == want
+            assert want == tuple(r for r in dec.regions if region_contains(p, r, q))
+            assert want
+    assert several >= 100
+

@@ -140,6 +140,41 @@ def test_sphere_distance_triangle_inequality_bulk():
         assert dac <= dab + dbc + 1e-12
 
 
+def sphere_distance_oracle(a: complex, b: complex):
+    """The sphere distance of two affine points in 200-bit arithmetic."""
+    with mpmath.workprec(200):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        s = abs(a - b) / mpmath.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+        return 2 * mpmath.asin(s)
+
+
+@pytest.mark.xfail(
+    raises=InputError,
+    strict=True,
+    reason="sphere_distance loses about sqrt(u) near antipodes (ROADMAP item 17)",
+)
+def test_from_sphere_accepts_near_antipodal_points_of_the_sphere_metric():
+    # z and w are within 4.3e-8 of antipodal and c lies 2.1e-7 from w: the
+    # exact distances pass every triangle inequality with 2.5e-8 to spare,
+    # far above the 1e-9 tolerance, but sphere_distance(z, w) rounds to pi
+    # and the checked construction refuses the space
+    affine = [
+        0.06406972739636581 - 0.09124272785467775j,
+        -5.154375903083923 + 7.340426461068948j,
+        -5.154373341916201 + 7.340418251221695j,
+    ]
+    exact = [[sphere_distance_oracle(a, b) for b in affine] for a in affine]
+    slack = min(
+        exact[i][k] + exact[k][j] - exact[i][j]
+        for i, j, k in itertools.permutations(range(3))
+    )
+    assert slack > 2e-8
+    pts = [ProjPoint.from_affine(a) for a in affine]
+    assert sphere_distance(pts[0], pts[1]) == math.pi
+    space = FiniteMetricSpace.from_sphere(pts)
+    assert np.abs(np.array(exact, dtype=float) - space.dist).max() < 1e-12
+
+
 def test_metric_space_from_sphere_matches_sphere_distance():
     rng = random.Random(5)
     pts = [ProjPoint(1.0, 0.0), ProjPoint(0.0, 1.0)] + [

@@ -210,7 +210,8 @@ def surface_faults(modules: dict[str, str], readers: list[str], allowed: Mapping
 # docstring, and the tests run the public check on what it builds.
 CERTIFIED_CALLERS = {
     "bubbles.reduce": "the FiniteMetricSpace of a standard configuration's moduli matrix",
-    "curves.FiberBatch.__getitem__": "the ProjPoints of a batch row, normalized when built",
+    "curves.FiberBatch.__getitem__": "the FiberPoint of a batch row, normalized when built",
+    "curves._complete": "the FiberPoint of coordinates that _normal built, each once",
     "nets._normal": "the ProjPoint of a normalized pair of complex slots",
     "nets.greedy_net": "the Net that the farthest-point traversal stops at",
     "nets.minimal_net": "the Net whose balls the exact search found to cover",
