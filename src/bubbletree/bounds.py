@@ -178,7 +178,9 @@ def membership_scales(
 ) -> MapScales:
     """theta = eps, tau = 4 eps, alpha_v = (4 eps^3)^deg(v), eta = lambda /
     (3 sqrt(C) lambda0), Lambda_v = (9 pi sqrt(C) / eps^2) / alpha_v and
-    Lambda_e = M / eps^2."""
+    Lambda_e = M / eps^2.  Where (4 eps^3)^deg underflows, alpha_v is the
+    stand-in 5e-324 (see bubbles.association_params), and Lambda_v overflows
+    to the InputError below."""
     lam = float(lam)
     require_scale("lambda", lam)
     if not tree.is_stable():

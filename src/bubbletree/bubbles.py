@@ -311,6 +311,15 @@ def cluster_select(
     net point within a(|Zp|).  Pairwise distances in Zp exceed a(|Zp| - 1);
     the halving of the scale sequence makes the retraction unambiguous.  Only
     the rungs read, a(0) .. a(|Zp|), must be positive, finite and halving.
+    A rung is a float or an exact Fraction, and every comparison of one is
+    exact.  The traversal compares double distances with the rung itself.
+    Halving reads 2 a(i+1) > a(i): doubling is exact short of overflow, so
+    for normal doubles this is the verdict of a(i+1) > a(i) / 2, and it stays
+    exact where a(i) is subnormal and 0.5 a(i) rounds (at eps = 0.07,
+    reduce's a(113) is 5e-324, and 0.5 * 5e-324 is 0.0).  The retraction
+    compares the matrix with the largest double not above a(k): float(a(k)),
+    one step down when it rounded up.  A double d lies within that double
+    exactly when d <= a(k).
 
     Certificate: with k = |Zp|, the net is separated and retracts every
     point without a check of either.  The matrix is exactly symmetric with
@@ -328,21 +337,22 @@ def cluster_select(
     s = int(s)
     if not 0 <= s < n:
         raise InputError(f"base point index {s} out of range")
-    avals = [float(a(i)) for i in range(n + 1)]
-    selected = []
+    avals, selected = [a(0)], []
     for j, d in farthest_first(space.lower, n, s):
-        if not d > avals[len(selected)]:
+        if not d > avals[-1]:
             break
         selected.append(j)
+        avals.append(a(len(selected)))
 
     k = len(selected)
-    for i, ai in enumerate(avals[: k + 1]):
+    for i, ai in enumerate(avals):
         if not (math.isfinite(ai) and ai > 0.0):
             raise InputError(f"a({i}) = {ai} must be positive and finite")
-        if i + 1 <= k and avals[i + 1] > 0.5 * ai:
+        if i + 1 <= k and 2 * avals[i + 1] > ai:
             raise InputError(f"a({i + 1}) exceeds a({i})/2; sequence must halve")
 
-    within = space.dist[:, selected] <= avals[k]
+    cut = float(avals[k])
+    within = space.dist[:, selected] <= (math.nextafter(cut, 0) if cut > avals[k] else cut)
     for x in np.flatnonzero(within.sum(axis=1) > 1):  # the first bad row raises
         close = [selected[i] for i in np.flatnonzero(within[x])]
         raise VerificationError(
@@ -363,9 +373,17 @@ def reduce(
     (4 eps^2), rho(x) / (4 eps)} for k = |Tp|, and k itself.
 
     Certificate: the reduction lemma's four inequalities hold without a
-    check, in exact arithmetic.  With a(i) = (4 eps^3)^i, cluster_select
-    puts the centers more than a(k - 1) apart and every satellite z within
-    a(k) of its center x, and cutoff = a(k) / (4 eps^2) = eps a(k - 1).
+    check, in exact arithmetic.  The rung a(i) = (4 eps^3)^i is the double
+    base**i while that is nonzero and the exact Fraction(base) ** i past it,
+    so the ladder is one number per rung and no read of it underflows.
+    cluster_select puts the centers more than a(k - 1) apart and every
+    satellite z within a(k) of its center x, and cutoff = a(k) / (4 eps^2) =
+    eps a(k - 1).  When base**k underflows, the exact a(k) lies below
+    2^-1074, so only a distance of 0 lies within it; distinct doubles have a
+    nonzero difference under gradual underflow, so every cluster is a
+    singleton, the cutoff rounds to 0.0 and rho_p = rho / (4 eps).  Then (2)
+    and (4) are vacuous, (3) is the definition of rho_p, and (1) reads
+    (rho(x) + rho(y)) / (4 eps) <= (eps / 16) |x - y| by type eps.
     (1) Separation 2 eps |x - y| >= rho_p(x) + rho_p(y): the cutoff is below
     eps |x - y|, and type eps gives rho(x) / (4 eps) <= (eps / 16) |x - y|,
     so each rho_p is below eps |x - y|.  (2) Cluster disc |z - x| <= a(k) =
@@ -398,7 +416,7 @@ def reduce(
     pts = cfg.points
     space = FiniteMetricSpace._certified(cfg._arrays[2], pts)
     base = 4.0 * eps**3
-    sel, r_idx = cluster_select(space, lambda i: base**i, pts.index(0))
+    sel, r_idx = cluster_select(space, lambda i: base**i or Fraction(base) ** i, pts.index(0))
     k = len(sel)
     centers = tuple(pts[i] for i in sel)
     retraction = {pts[i]: pts[j] for i, j in r_idx.items()}
@@ -560,10 +578,18 @@ def associate_tree(cfg: BubbleConfiguration, eps: float) -> TreeAssociation:
 
 def association_params(tree: RootedTree, eps: float) -> CompactnessParams:
     """Membership scales for tree associations: theta = eps, tau = 4 eps and
-    the per-vertex radius floor (4 eps^3)^deg(v)."""
+    the per-vertex radius floor alpha_v = (4 eps^3)^deg(v).
+
+    Where the double (4 eps^3)^deg underflows to 0.0, alpha_v is the stand-in
+    5e-324 = 2^-1074, the least positive double.  The exact floor then lies
+    below 2^-1074 and no double lies between it and the stand-in, so
+    alpha_v <= |rho| gives the exact verdict for every double |rho|: true
+    from 5e-324 up, false at 0, where the 1e-12 relative slack rounds to 0.
+    CompactnessParams keeps its 0 < alpha check.
+    """
     eps = _check_eps(eps)
     base = 4.0 * eps**3
-    alpha = {v: base ** tree.degree(v) for v in tree.vertices}
+    alpha = {v: base ** tree.degree(v) or math.ulp(0.0) for v in tree.vertices}
     return CompactnessParams(theta=eps, tau=4.0 * eps, alpha=alpha)
 
 
@@ -600,11 +626,7 @@ def verify_association(
     the chart positions of the external non-root edges, seen from the root
     vertex, must match the bubble points one to one within 1e-9 and agree with
     edge_to_bubble; every gluing coordinate must be nonzero.  Failures are
-    reported, not raised, with one exception until the ladder is stored in
-    log form (ROADMAP item 1a): a vertex degree whose floor (4 eps^3)^deg is
-    not a positive double raises InputError.  That is the first degree
-    above 1075 / log2(1 / (4 eps^3)): 154 at eps = 1/8, 135 at 0.1, 99 at
-    0.05 and 82 at 0.03.
+    reported, not raised.
     """
     eps = _check_eps(eps)
     rooted = assoc.tree

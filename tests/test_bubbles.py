@@ -29,7 +29,7 @@ from bubbletree.bubbles import (
     threshold_radius,
     verify_association,
 )
-from bubbletree.curves import ModuliPoint
+from bubbletree.curves import ModuliPoint, in_compact_subset
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiniteMetricSpace
 from helpers import (
@@ -465,6 +465,25 @@ class TestClusterSelect:
             "ambiguous retraction: net points [0, 1] all within a(2) of point 2"
         )
 
+    def test_halving_is_exact_from_a_subnormal_to_a_fraction_rung(self):
+        # a(1) = 5e-324 = 2^-1074, where 0.5 * a(1) rounds to 0.0; the
+        # exact rung 2^-1075 is half of it, 1.5 * 2^-1075 is more than half
+        space = FiniteMetricSpace.from_points([0.0, 1.0], lambda u, v: abs(u - v))
+        a = lambda i: (0.4, 5e-324, Fraction(1, 2**1075))[i]
+        assert cluster_select(space, a, 0) == ((0, 1), {0: 0, 1: 1})
+        a = lambda i: (0.4, 5e-324, Fraction(3, 2**1076))[i]
+        with pytest.raises(InputError) as info:
+            cluster_select(space, a, 0)
+        assert str(info.value) == "a(2) exceeds a(1)/2; sequence must halve"
+
+    def test_retraction_reads_the_largest_double_not_above_a_fraction_rung(self):
+        # a(2) = 0.75 * 2^-1074 rounds up to 5e-324, which would put point 2
+        # within a(2) of both net points; no double lies in (0, a(2)]
+        space = FiniteMetricSpace([[0, 1e-10, 0], [1e-10, 0, 5e-324], [0, 5e-324, 0]])
+        a = lambda i: (1.0, 1e-11, Fraction(3, 2**1076))[i]
+        assert float(a(2)) == 5e-324
+        assert cluster_select(space, a, 0) == ((0, 1), {0: 0, 1: 1, 2: 0})
+
 
 class TestReduce:
     def test_two_point_example(self):
@@ -684,6 +703,19 @@ class TestReduceAt:
         report = verify_association(cfg, associate_tree(cfg, eps), eps)
         assert not report.ok and f"|gamma[40]| = {gamma} > tau" in report.summary()
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1c: exact rungs do not mend it; rho_p is a disc "
+        "radius held as a subnormal double with few significant bits",
+    )
+    def test_subnormal_cutoff_gamma_stays_within_tau(self):
+        eps = 0.03
+        ring = [eps * cmath.exp(2j * math.pi * j / 78) for j in range(78)]
+        cfg = flat(ring + [0.0, 4.369952169e-314])
+        report = verify_association(cfg, associate_tree(cfg, eps), eps)
+        assert report.summary() == "association verified"
+
 
 class TestAssociateTree:
     def test_base_case_example(self):
@@ -804,24 +836,46 @@ class TestAssociateTree:
         config = {"bubble": jsonio.bubble_to_json(cfg, EPS), "delta": 0.5}
         assert pipeline.run_pipeline(config, tmp_path, seed=0).ok
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=InputError,
-        reason="ROADMAP item 1a: (4 eps^3)^k underflows from k = 154 at eps = "
-        "1/8 and k = 82 at eps = 0.03, so flat n = 153 (81) fails in "
-        "verify_association and n = 160 (82) in associate_tree",
+    # (4 eps^3)^k underflows to 0.0 from k = 154, 135, 114, 99 and 82 at eps
+    # = 1/8, 0.1, 0.07, 0.05 and 0.03; at 0.07, a(113) = 5e-324 and
+    # 0.5 * a(113) rounds to 0.0
+    @pytest.mark.parametrize(
+        "eps, size",
+        [
+            (EPS, 153), (EPS, 154), (EPS, 160), (EPS, 200), (EPS, 512),
+            (0.1, 135), (0.07, 114), (0.05, 99), (0.03, 81), (0.03, 82),
+        ],
     )
-    @pytest.mark.parametrize("eps, size", [(EPS, 153), (EPS, 160), (0.03, 81), (0.03, 82)])
     def test_flat_levels_at_the_ladder_underflow_verify(self, eps, size):
         cfg = flat_standard(random.Random(size), eps, size)
         assoc = associate_tree(cfg, eps)
         assert verify_association(cfg, assoc, eps).ok
 
     def test_flat_level_of_154_reads_the_underflowed_rung(self):
+        # the double a(154) is 0.0, the exact rung 2^-1078: only a distance
+        # of 0 lies within it, so every point is its own centre, and the
+        # underflowed cutoff leaves rho_p = rho / (4 eps)
         cfg = flat_standard(random.Random(154), EPS, 154)
-        with pytest.raises(InputError) as info:
-            associate_tree(cfg, EPS)
-        assert str(info.value) == "a(154) = 0.0 must be positive and finite"
+        centers, retraction, rho_p, k = reduce(cfg, EPS)
+        assert k == 154 and centers == cfg.points
+        assert retraction == {z: z for z in cfg.points}
+        assert rho_p == {z: cfg.radius[z] / (4.0 * EPS) for z in cfg.points}
+        assoc = associate_tree(cfg, EPS)
+        assert assoc.tree.vertices == (1,) and assoc.tree.degree(1) == 155
+        report = verify_association(cfg, assoc, EPS)
+        assert report.summary() == "association verified"
+
+    @pytest.mark.parametrize("seed, size", [(0, 400), (1, 154)])
+    def test_nested_levels_at_the_ladder_underflow_verify(self, seed, size):
+        # each draw has a vertex of degree 154 or more, whose floor
+        # (4 eps^3)^deg underflows
+        cfg = random_standard(random.Random(seed), EPS, size)
+        assoc = associate_tree(cfg, EPS)
+        tree = assoc.tree
+        assert len(tree.vertices) > 1
+        assert max(tree.degree(v) for v in tree.vertices) >= 154
+        report = verify_association(cfg, assoc, EPS)
+        assert report.summary() == "association verified"
 
     def test_nonstandard_input_rejected(self):
         with pytest.raises(InputError, match="standard"):
@@ -844,6 +898,24 @@ class TestVerifyAssociation:
         assert params.theta == EPS
         assert params.tau == 0.5
         assert params.alpha == {1: (4.0 * EPS**3) ** 3}
+
+    @pytest.mark.parametrize("eps, degree", [(EPS, 154), (EPS, 300), (0.03, 82), (0.03, 120)])
+    @pytest.mark.parametrize("r", [0.0, 5e-324, 1e-323, 1e-310])
+    def test_underflowed_alpha_gives_the_exact_verdict(self, eps, degree, r):
+        # (4 eps^3)^deg lies below 2^-1074, so its stand-in 5e-324 compares
+        # with every double |rho| as the exact floor does
+        tree = star_tree(degree - 1)
+        params = association_params(tree, eps)
+        assert params.alpha == {1: 5e-324}
+        zr = {
+            (1, e): (eps * cmath.exp(2j * math.pi * e / degree), complex(r))
+            for e in range(1, degree)
+        }
+        report = in_compact_subset(ModuliPoint(tree, {}, zr), params)
+        exact = Fraction(4.0 * eps**3) ** degree <= Fraction(r)
+        assert report.ok == exact
+        if not exact:
+            assert report.first_violation == f"|rho[1,1]| = {r} < alpha[1] = 5e-324"
 
     def test_alpha_floor_holds_at_a_high_degree_root(self):
         # six flat points hang off one root vertex of degree 7, where the

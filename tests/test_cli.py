@@ -32,7 +32,7 @@ from bubbletree.jsonio import (
 from bubbletree.nets import SPHERE_NET_CAP
 from bubbletree.pipeline import STAGES
 
-from helpers import random_standard
+from helpers import flat_standard, random_standard
 
 BASE_BUBBLE = {
     "eps": 0.125,
@@ -1252,6 +1252,24 @@ def test_pipeline_names_an_overflowing_lambda_v(tmp_path, no_env_seed, seed, ver
         rf"Lambda_v at vertex {vertex} \(degree {degree}\) is not a finite double: "
         r"alpha_v = \S+e-3\d\d, Lambda_v = inf",
         data["stages"][2]["detail"],
+    )
+
+
+@pytest.mark.parametrize("eps, size", [(0.125, 160), (0.03, 82)])
+def test_pipeline_past_the_ladder_underflow_stops_at_params(tmp_path, no_env_seed, eps, size):
+    # the flat level associates and verifies with alpha_v the stand-in
+    # 5e-324, so Lambda_v = (9 pi sqrt(C) / eps^2) / alpha_v overflows;
+    # a log-form Lambda_v is the next range edge (ROADMAP item 1d)
+    cfg = flat_standard(random.Random(size), eps, size)
+    path = write(tmp_path, "flat.json", {"bubble": bubble_to_json(cfg, eps)})
+    run = tmp_path / "run"
+    got, data = invoke_json(["pipeline", "--config", path, "--out-dir", str(run)])
+    assert got == 3
+    assert [s["name"] for s in data["stages"]] == ["associate", "verify-association", "params"]
+    assert [s["verdict"] for s in data["stages"]] == ["pass", "pass", "fail"]
+    assert data["stages"][2]["detail"] == (
+        f"Lambda_v at vertex 1 (degree {size + 1}) is not a finite double: "
+        "alpha_v = 4.94066e-324, Lambda_v = inf"
     )
 
 
