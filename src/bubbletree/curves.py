@@ -983,9 +983,9 @@ def classify(
 
 def _region_distances(p: ModuliPoint, region: Region, batch: FiberBatch, rows, i, j):
     """region_distance from batch row rows[i[k]] to rows[j[k]] for index
-    arrays i and j, bit for bit: the components in the scalar order (the
-    thick region's chart; per edge endpoint, the plain chart at e+ and the
-    disc-rescaled one at e-), then their max (no distance is NaN)."""
+    arrays i and j: the components in the scalar order (the thick region's
+    chart; per edge endpoint, the plain chart at e+ and the disc-rescaled
+    one at e-), then their max (no distance is NaN)."""
     t, at, e = p.tree, batch.vertices.index, region.edge
     out = None
     for u in [region.vertex] if region.kind == "thick" else t.boundary[e]:
@@ -995,22 +995,9 @@ def _region_distances(p: ModuliPoint, region: Region, batch: FiberBatch, rows, i
             if np.any((num == 0) & (den == 0)):
                 raise VerificationError(f"rescaled chart at ({u}, {e}) is degenerate")
             x, y = _normalize(num, den)
-        d = _pair_distances(x, y, i, j)
+        d = sphere_distances(x[i], y[i], x[j], y[j])
         out = d if out is None else np.maximum(out, d)
     return out
-
-
-def _pair_distances(x: np.ndarray, y: np.ndarray, i, j) -> np.ndarray:
-    """sphere_distance from [x[i] : y[i]] to [x[j] : y[j]] for index arrays
-    i and j, bit for bit (see check_map_membership)."""
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    norm = np.array(list(map(math.hypot, _moduli(x).tolist(), _moduli(y).tolist())))
-    re = (xr[i] * yr[j] - xi[i] * yi[j]) - (yr[i] * xr[j] - yi[i] * xi[j])
-    im = (xr[i] * yi[j] + xi[i] * yr[j]) - (yr[i] * xi[j] + yi[i] * xr[j])
-    s = np.hypot(re, im) / (norm[i] * norm[j])
-    # min(1.0, s) as Python takes it: NaN becomes 1.0
-    s = np.where(s < 1.0, s, 1.0)
-    return 2.0 * np.array(list(map(math.asin, s.tolist())))
 
 
 def region_distance(
@@ -1494,11 +1481,11 @@ DECORATION_CAP = 100_000
 FILL_SEPARATION = 1e-6
 
 
-def _near_pairs(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, below: float, col: int):
+def _near_pairs(xs: np.ndarray, ys: np.ndarray, below: float, col: int):
     """Row pairs i < k within `below` of each other in the charts.
 
-    Rows hold (x, y, norm) per vertex as nets.sphere_coords returns them;
-    the chart distance is the max over vertices of the sphere distance.
+    Rows hold the normalized chart values (x, y) per vertex; the chart
+    distance is the max over vertices of the sphere distance.
     Returns (i, k, distance) in row-major order, in O(n log n + candidates)
     by a fixed-radius sweep (Bentley, Stanat & Williams 1977).  As unit
     vectors of R^3 the rows' chord is at most the sphere distance d, so a
@@ -1506,13 +1493,14 @@ def _near_pairs(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, below: float, co
     vertex.  Sorted by the widest-spread coordinate at vertex column col,
     each row meets the later rows within reach of it there, and a pair is a
     candidate while its chord is within reach at every vertex; every
-    candidate is measured by sphere_distances.  Reach is below + 1e-12: for
-    below <= 1 a measured pair's exact chord exceeds below by under 1e-14
-    (nets._lower_screened), and rounding moves a unit vector by under 32u,
-    4e-15 (nets.hopf_units).
+    candidate is measured by sphere_distances.  Reach is below + 1e-12: a
+    measured pair's exact distance, and so its chord, exceeds below by under
+    42u, 4.7e-15 (nets.sphere_distances), and rounding moves a unit vector
+    by under 32u, 3.6e-15 (nets.hopf_units), so its computed gap at every
+    vertex is within below + 1.2e-14.
     """
     n, n_verts = xs.shape
-    units = hopf_units(xs, ys, ns)
+    units = hopf_units(xs, ys, np.hypot(np.abs(xs), np.abs(ys)))
     reach = below + 1e-12
     key = units[np.ptp(units[:, :, col], axis=1).argmax(), :, col]
     order = np.argsort(key, kind="stable")
@@ -1526,7 +1514,7 @@ def _near_pairs(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, below: float, co
         gap = units[:, i, v] - units[:, k, v]
         close = np.einsum("jp,jp->p", gap, gap) <= reach * reach
         i, k = i[close], k[close]
-    dist = sphere_distances(xs[i], ys[i], ns[i], xs[k], ys[k], ns[k]).max(axis=1)
+    dist = sphere_distances(xs[i], ys[i], xs[k], ys[k]).max(axis=1)
     keep = dist < below
     i, k, dist = i[keep], k[keep], dist[keep]
     row_major = np.lexsort((k, i))
@@ -1597,8 +1585,7 @@ def decorate(p: ModuliPoint, marked: Sequence[FiberPoint], m: int) -> FiberBatch
     xs = np.concatenate([given.xs, built.xs])
     ys = np.concatenate([given.ys, built.ys])
     n_fixed = len(marked) + len(labels)
-    ns = np.hypot(np.abs(xs), np.abs(ys))
-    pairs = _near_pairs(xs, ys, ns, FILL_SEPARATION, given.vertices.index(v0))
+    pairs = _near_pairs(xs, ys, FILL_SEPARATION, given.vertices.index(v0))
 
     near: dict[int, list[int]] = {}
     for i, k, _ in pairs:
@@ -1733,12 +1720,8 @@ def check_map_membership(
 
     Cost: one region_matrix pass over the samples, then per region one
     vector of distortions over its sample pairs.  Every distance equals the
-    scalar sphere_distance by bits: the cross term is CPython's complex
-    product taken part by part (numpy's complex product may fuse a
-    multiply-add), its modulus np.hypot of the parts (which is complex
-    abs), while the norms and the arcsine stay in math.  On uniform inputs
-    np.arcsin differs from math.asin on 202,226 of 2.4M values in [0, 1),
-    and np.hypot from math.hypot on 6,190 of 1M pairs in [0, 2)^2.
+    scalar sphere_distance by bits: every form calls the kernel
+    nets.sphere_distances.
     """
     report = _membership(p, c)
     allowed = set(target_subset)

@@ -11,6 +11,12 @@ minimum can move), exact minimal nets, a latitude-band net of the sphere,
 the distance max(d_T, graph Hausdorff) between members of a family of maps,
 and the cover of a family of Lipschitz maps over a base by explicit cells.
 Continuous spaces enter only through finite samplings supplied by the caller.
+
+Every sphere distance, scalar or array, comes from one kernel,
+sphere_distances: d = 2 atan2(|x_p y_q - y_p x_q|, |conj(x_p) x_q +
+conj(y_p) y_q|).  For norms in NORM_RANGE = [2^-511, 2^511], the domain a
+SphereSample checks, it lies within 42u = 4.7e-15 of the exact distance over
+all of [0, pi] (u = 2^-53), near antipodes included.
 """
 
 from __future__ import annotations
@@ -40,8 +46,12 @@ SPHERE_NET_CAP = 500_000
 # relative gap below which ProjPoint.normalized treats |x| and |y| as tied
 TIE_RTOL = 1e-12
 
-# cosine slack of the sphere screen (_lower_screened); rounding needs < 1e-13
+# cosine slack of the sphere screen (_lower_screened); rounding needs < 1.3e-14
 SCREEN_MARGIN = 1e-9
+
+# the norms a SphereSample accepts: every product of two is a normal double
+# at most 2^1022, where sphere_distances keeps its error bound
+NORM_RANGE = (2.0**-511, 2.0**511)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,14 +86,6 @@ class ProjPoint:
     @classmethod
     def infinity(cls) -> "ProjPoint":
         return cls(1.0, 0.0)
-
-    def to_affine(self) -> complex:
-        if self.y == 0:
-            raise InputError("[1:0] has no affine coordinate")
-        return self.x / self.y
-
-    def norm(self) -> float:
-        return math.hypot(abs(self.x), abs(self.y))
 
     @classmethod
     def _certified(cls, x: complex, y: complex) -> "ProjPoint":
@@ -120,40 +122,56 @@ def _normal(x: complex, y: complex) -> ProjPoint:
 
 
 def sphere_distance(p: ProjPoint, q: ProjPoint) -> float:
-    """Geodesic distance on the round sphere of total area 4*pi.
-
-    Equals 2*arcsin(|x_p y_q - y_p x_q| / (||p|| ||q||)); symmetric, with
-    diameter pi attained exactly at antipodal pairs.
+    """Geodesic distance on the round sphere of total area 4*pi, in [0, pi]
+    with pi at antipodal pairs: 2 atan2(|x_p y_q - y_p x_q|, |conj(x_p) x_q
+    + conj(y_p) y_q|), within 42u = 4.7e-15 of the exact distance for norms
+    in NORM_RANGE, which only a SphereSample checks.  It is sphere_distances
+    on one-element arrays, so it has the array forms' bits (a call on 0-d
+    arrays can round the complex products differently).
     """
-    cross = abs(p.x * q.y - p.y * q.x)
-    s = cross / (p.norm() * q.norm())
-    # rounding can push the sine ratio epsilon above 1
-    return 2.0 * math.asin(min(1.0, s))
+    return float(sphere_distances(*np.array([[p.x], [p.y], [q.x], [q.y]]))[0])
 
 
 def sphere_coords(points: Sequence[ProjPoint]):
-    """Arrays (x, y, norm) of homogeneous coordinates, one entry per point."""
+    """Arrays (x, y) of homogeneous coordinates, one entry per point."""
     xs = np.array([p.x for p in points], dtype=complex)
-    ys = np.array([p.y for p in points], dtype=complex)
-    return xs, ys, np.hypot(np.abs(xs), np.abs(ys))
+    return xs, np.array([p.y for p in points], dtype=complex)
 
 
-def sphere_distances(ax, ay, an, bx, by, bn) -> np.ndarray:
-    """sphere_distance on broadcast arrays: a and b are (x, y, norm) triples
-    as sphere_coords returns them, or any broadcastable slices of such."""
-    cross = np.abs(ax * by - ay * bx)
-    # the ratio is >= 0 or NaN; rounding can push it epsilon above 1
-    return 2.0 * np.arcsin(np.minimum(cross / (an * bn), 1.0))
+def sphere_distances(ax, ay, bx, by) -> np.ndarray:
+    """The sphere distance of [ax : ay] and [bx : by] on broadcast arrays of
+    homogeneous coordinates: 2 atan2(S, C) with S = |ax by - ay bx| and C =
+    |conj(ax) bx + conj(ay) by|.  A NaN coordinate gives pi.  The complex
+    products round by operand order, so swapping a and b can move a bit.
+
+    By Lagrange's identity the exact S and C are N sin(theta/2) and N
+    cos(theta/2), theta the distance and N = ||a|| ||b||.  Error bound (u =
+    2^-53; norms in NORM_RANGE, so u N >= 2^-1075 and no part exceeds N <=
+    2^1022).  A part of a complex product z w errs by 2u |z||w|, and the two
+    products of S or of C have |z||w| summing to at most N (Cauchy-Schwarz):
+    2u N per part, plus u N for the sum and 4u N for the underflow of its
+    four real products (each under 2^-1075 <= u N).  So S and C each err by
+    under sqrt(2) 7u N + 3u N (numpy's complex abs) < 13u N, the computed
+    pair lies within 19u N of (S, C), whose length is N, and its angle
+    within 19u of theta/2; atan2 rounds by at most an ulp, 2u.  So |d -
+    theta| < 2 (19u + 2u) = 42u, 4.7e-15, over all of [0, pi]; 200-bit
+    oracle checks see at most 4.4e-16.  Arcsine forms of S / N lose half
+    their digits near pi instead.
+    """
+    s = np.abs(ax * by - ay * bx)
+    c = np.abs(ax.conj() * bx + ay.conj() * by)
+    # atan2 of two nonnegatives rounds to at most pi/2; fmin turns NaN to pi
+    return np.fmin(2.0 * np.arctan2(s, c), math.pi)
 
 
 def hopf_units(xs, ys, ns) -> np.ndarray:
     """Hopf images (2 a conj(b), |a|^2 - |b|^2) of the normalized points
-    [a : b] = [x : y] / norm, on a new first axis (xs, ys, ns broadcast as
-    from sphere_coords): unit vectors of R^3 whose dot product is the cosine
-    of the sphere distance and whose chord is at most that distance.
+    [a : b] = [x : y] / norm, on a new first axis (xs, ys and their norms
+    ns broadcast): unit vectors of R^3 whose dot product is the cosine of
+    the sphere distance and whose chord is at most that distance.
 
-    Error bound, which both sphere screens cite (u = 2^-53; norms within
-    2^+-500, so ns is normal and underflow adds under 2^-1000).  numpy's
+    Error bound, which both sphere screens cite (u = 2^-53; norms in
+    NORM_RANGE, so ns is normal and underflow adds under 2^-1000).  numpy's
     complex abs errs by 3u and hypot by 2u, so ns errs by 5u, and x / ns
     rounds twice (through 1 / ns): a coordinate of a or b errs by 7u
     relative.  A component of 2 a conj(b) sums two products, 14u from the
@@ -170,8 +188,9 @@ def hopf_units(xs, ys, ns) -> np.ndarray:
 
 class SphereSample:
     """Sphere points as arrays: xs and ys their homogeneous coordinates, ns
-    their norms as sphere_coords gives them, nonempty, finite and nonzero
-    (else InputError).  u, their (3, n) hopf_units, is made on first read.
+    their norms, at least one, each norm in NORM_RANGE (else InputError
+    naming the first point outside, NaN, zero and infinite norms included).
+    u, their (3, n) hopf_units, is made on first read.
     len gives n; indexing, and so iterating, gives each point as a ProjPoint
     of labels: the points a sample was made from, or for a sample made from
     arrays the rows as ProjPoints, built on first read.
@@ -181,10 +200,16 @@ class SphereSample:
         ns = np.hypot(np.abs(xs), np.abs(ys))
         if not len(ns):
             raise InputError("need at least one point")
-        if not np.all(np.isfinite(ns)):
-            raise InputError("sphere point coordinates must be finite")
-        if not ns.all():
-            raise InputError("projective point needs a nonzero coordinate")
+        low, high = NORM_RANGE
+        (out,) = (~((low <= ns) & (ns <= high))).nonzero()
+        if out.size:
+            k = out[0]
+            fault = (
+                "coordinates must be finite" if not np.isfinite(ns[k])
+                else "needs a nonzero coordinate" if ns[k] == 0
+                else f"has norm {ns[k]:.4g}, outside [2^-511, 2^511]"
+            )
+            raise InputError(f"sphere point {k} = [{xs[k]} : {ys[k]}] {fault}")
         self.xs, self.ys, self.ns = xs, ys, ns
         if labels is not None:
             self.labels = labels
@@ -214,8 +239,7 @@ class SphereSample:
 def sphere_sample(points: Sequence) -> SphereSample:
     """The SphereSample of ProjPoints or (x, y) pairs, as ProjPoints its labels."""
     labels = tuple(p if isinstance(p, ProjPoint) else ProjPoint(*p) for p in points)
-    xs, ys, _ = sphere_coords(labels)
-    return SphereSample(xs, ys, labels)
+    return SphereSample(*sphere_coords(labels), labels)
 
 
 def fibonacci_sphere_points(n: int) -> list[ProjPoint]:
@@ -313,9 +337,6 @@ class FiniteMetricSpace:
     def distance(self, i: int, j: int) -> float:
         return float(self.dist[i, j])
 
-    def diameter(self) -> float:
-        return float(self.dist.max())
-
     def lower(self, mind: np.ndarray, j: int) -> None:
         """Lower mind in place to the distances from point j."""
         np.minimum(mind, self.dist[j], out=mind)
@@ -332,9 +353,16 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_sphere(cls, points: Sequence[ProjPoint]) -> "FiniteMetricSpace":
+        """The space of sphere points (ProjPoints or (x, y) pairs, their
+        norms in NORM_RANGE) under the sphere distance, its labels the
+        points: the matrix sphere_distances gives, row point first, through
+        the checked construction.  Each entry lies within 42u = 4.7e-15 of
+        the exact distance, near antipodes too, so the matrix breaks no
+        triangle inequality by more than 126u, far inside its 1e-9
+        tolerance.
+        """
         s = sphere_sample(points)
-        a = s.xs[:, None], s.ys[:, None], s.ns[:, None]
-        return cls(sphere_distances(*a, s.xs, s.ys, s.ns), labels=s.labels)
+        return cls(sphere_distances(s.xs[:, None], s.ys[:, None], s.xs, s.ys), labels=s.labels)
 
 
 def hausdorff_from_matrix(d: np.ndarray) -> float:
@@ -441,30 +469,26 @@ def _net_indices(indices, n: int) -> tuple:
 def _lower_screened(mind, cosm, base, j: int, base_first: bool) -> None:
     """Lower mind in place to the sphere distances from row j of base (a
     SphereSample, or the rows a _SphereLowering keeps: anything with its
-    xs, ys, ns and u), measuring only the rows whose screen g = U @ U_j
-    exceeds cosm = cos(mind) - SCREEN_MARGIN (-inf while mind is inf),
-    which it keeps in step.  sphere_distances takes the base first when
-    base_first: complex products round by operand order.
+    xs, ys and u), measuring only the rows whose screen g = U @ U_j exceeds
+    cosm = cos(mind) - SCREEN_MARGIN (-inf while mind is inf), which it
+    keeps in step.  sphere_distances takes the base first when base_first:
+    complex products round by operand order.
 
-    Margin (u = 2^-53; norms within 2^+-500, beyond which the formula itself
-    errs and only the covering check's soundness holds).  hopf_units bounds
-    |g - cos theta| by 67u, theta the exact angle.  The sine ratio s errs by
-    20u absolutely: the two complex products by 3u norm_a norm_b, their
-    difference and its abs by 1.5u and 3u, and the norms (5u each), their
-    product and the quotient by 12u relative.  cos(2 arcsin s) = 1 - 2 s^2
-    moves 4 per unit of s and d = 2 arcsin s rounds within 2 pi u, so
-    |cos d - cos theta| <= 87u near 0 and near pi alike.  If d < m, both in
-    [0, pi], then cos d > cos m, so g > cos m - 154u > cosm + SCREEN_MARGIN -
-    160u (numpy's cos errs by 4u, the subtraction by 2u).  Every point whose
-    minimum moves passes, with a factor of over 50,000 to spare, so the
-    minima are those of the full row bit for bit.
+    Margin (u = 2^-53; norms in NORM_RANGE, as a SphereSample checks).
+    hopf_units bounds |g - cos theta| by 67u, theta the exact angle, and
+    sphere_distances bounds |d - theta| by 42u, so |cos d - cos theta| <=
+    42u (cos is 1-Lipschitz), near 0 and near pi alike.  If d < m, both in
+    [0, pi], then cos d > cos m, so g > cos m - 109u > cosm + SCREEN_MARGIN
+    - 115u (numpy's cos errs by 4u, the subtraction by 2u).  Every point
+    whose minimum moves passes, with a factor of over 75,000 to spare, so
+    the minima are those of the full row bit for bit.
     """
-    xs, ys, ns = base.xs, base.ys, base.ns
+    xs, ys = base.xs, base.ys
     (idx,) = (base.u[:, j] @ base.u > cosm).nonzero()
     if base_first:
-        d = sphere_distances(xs[idx], ys[idx], ns[idx], xs[j], ys[j], ns[j])
+        d = sphere_distances(xs[idx], ys[idx], xs[j], ys[j])
     else:
-        d = sphere_distances(xs[j], ys[j], ns[j], xs[idx], ys[idx], ns[idx])
+        d = sphere_distances(xs[j], ys[j], xs[idx], ys[idx])
     low = np.minimum(mind[idx], d)
     mind[idx] = low
     cosm[idx] = np.cos(low) - SCREEN_MARGIN
@@ -472,11 +496,10 @@ def _lower_screened(mind, cosm, base, j: int, base_first: bool) -> None:
 
 class _SphereLowering:
     """farthest_first's lowering step on a sphere sample, through the screen;
-    keep(rows) drops every other row from the screen's u, xs, ys, ns and
-    cosm."""
+    keep(rows) drops every other row from the screen's u, xs, ys and cosm."""
 
     def __init__(self, base: SphereSample):
-        self.u, self.xs, self.ys, self.ns = base.u, base.xs, base.ys, base.ns
+        self.u, self.xs, self.ys = base.u, base.xs, base.ys
         self.cosm = np.full(base.n, -math.inf)
 
     def __call__(self, mind, j):

@@ -596,15 +596,14 @@ def farthest_first_reference(space, start):
 
 def sphere_pairwise(a: Sequence[ProjPoint], b: Sequence[ProjPoint]) -> np.ndarray:
     """Matrix of sphere distances, rows indexing a and columns indexing b."""
-    ax, ay, an = sphere_coords(a)
-    bx, by, bn = sphere_coords(b)
-    return sphere_distances(ax[:, None], ay[:, None], an[:, None], bx, by, bn)
+    ax, ay = sphere_coords(a)
+    return sphere_distances(ax[:, None], ay[:, None], *sphere_coords(b))
 
 
 def gaussian_sphere_points(rng, n):
     """n points whose two coordinates are both complex Gaussians, where the
     two operand orders of nets.sphere_distances round differently in about
-    one pair of eight."""
+    one pair of six."""
     return [
         ProjPoint(complex(rng.gauss(0, 1), rng.gauss(0, 1)),
                   complex(rng.gauss(0, 1), rng.gauss(0, 1)))
@@ -657,19 +656,15 @@ def point_bits(points):
 
 
 def greedy_net_reference(points, gamma):
-    """nets.greedy_net on sphere points as it was before the screen, kept
-    verbatim: the traversal lowers its minima by full rows, one per centre,
-    and the covering distance takes every (base, net) pair in column blocks
-    of 64, through the formula with np.clip, with each net point's own entry
-    set to 0 after.
+    """nets.greedy_net on sphere points as it was before the screen: the
+    traversal lowers its minima by full rows, one per centre, and the
+    covering distance takes every (base, net) pair in column blocks of 64,
+    through nets.sphere_distances, with each net point's own entry set to 0
+    after.
 
     Returns (order, points, covering distance), order holding the
     traversal's (index, distance) pairs of the net points.
     """
-
-    def distances(ax, ay, an, bx, by, bn):
-        cross = np.abs(ax * by - ay * bx)
-        return 2.0 * np.arcsin(np.clip(cross / (an * bn), 0.0, 1.0))
 
     def traversal(row, n, start):
         mind = np.full(n, math.inf)
@@ -683,8 +678,8 @@ def greedy_net_reference(points, gamma):
         yield j, d
 
     pts = [p if isinstance(p, ProjPoint) else ProjPoint(*p) for p in points]
-    xs, ys, norms = sphere_coords(pts)
-    row = lambda i: distances(xs[i], ys[i], norms[i], xs, ys, norms)
+    xs, ys = sphere_coords(pts)
+    row = lambda i: sphere_distances(xs[i], ys[i], xs, ys)
     order = []
     for j, d in traversal(row, len(pts), 0):
         if d < gamma:
@@ -692,12 +687,12 @@ def greedy_net_reference(points, gamma):
         order.append((j, d))
     net = [pts[i] for i, _ in order]
 
-    ax, ay, an = (a[:, None] for a in sphere_coords(pts))
-    bx, by, bn = sphere_coords(net)
+    ax, ay = (a[:, None] for a in sphere_coords(pts))
+    bx, by = sphere_coords(net)
     near = np.full(len(pts), math.inf)
     for j in range(0, len(net), 64):
         cols = slice(j, j + 64)
-        d = distances(ax, ay, an, bx[cols], by[cols], bn[cols])
+        d = sphere_distances(ax, ay, bx[cols], by[cols])
         np.minimum(near, d.min(axis=1), out=near)
     near[[i for i, _ in order]] = 0.0
     return tuple(order), tuple(net), float(near.max())
@@ -1036,13 +1031,13 @@ def decorate_reference(p, marked, m):
     return points
 
 
-def near_pairs_reference(xs, ys, ns, below):
+def near_pairs_reference(xs, ys, below):
     """curves._near_pairs by brute force: every pair i < k in row-major
     order, measured as the max over vertices of sphere_distances."""
     out = []
     for i in range(len(xs) - 1):
         rest = slice(i + 1, None)
-        dist = sphere_distances(xs[i], ys[i], ns[i], xs[rest], ys[rest], ns[rest])
+        dist = sphere_distances(xs[i], ys[i], xs[rest], ys[rest])
         dist = dist.max(axis=1)
         k = np.flatnonzero(dist < below)
         out.extend(zip([i] * k.size, (k + i + 1).tolist(), dist[k].tolist()))

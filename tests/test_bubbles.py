@@ -278,6 +278,17 @@ class TestSelectBubblePoints:
         with pytest.raises(InputError, match=SHORT_BY_ROUNDING):
             select_bubble_points(profile, EPS, 1.0)
 
+    def test_candidates_separated_only_at_half_eps_squared_give_one_pick(self):
+        # threshold radii of about 3e-4 each, 0.1 apart: (eps^2/4) 0.1 =
+        # 3.9e-4 is below their sum 6e-4, so the first pick covers the
+        # other; at eps^2/2, 7.8e-4, the two would count as separated
+        atoms = ((3e-4, self.LAM**2), (0.1003, self.LAM**2))
+        hot = ((0.0, 100.0), (0.1, 100.0))
+        cfg = select_bubble_points(ConcentrationProfile(EnergyMeasure(atoms), hot, ()), EPS, self.LAM)
+        ((z, r),) = cfg.radius.items()
+        assert cfg.points == (z,) and r == pytest.approx(3e-4)
+        assert EPS**2 / 4 * 0.1 < 2 * r <= EPS**2 / 2 * 0.1
+
     def test_random_profiles_satisfy_all_postconditions(self):
         rng = random.Random(7121)
         cut = self.LAM / (EPS * EPS)

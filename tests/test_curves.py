@@ -49,7 +49,14 @@ from bubbletree.curves import (
     stabilize_four_marked,
 )
 from bubbletree.errors import InputError, ResourceCapError, VerificationError
-from bubbletree.nets import TIE_RTOL, FiniteMetricSpace, ProjPoint, _normal, sphere_distance
+from bubbletree.nets import (
+    TIE_RTOL,
+    FiniteMetricSpace,
+    ProjPoint,
+    _normal,
+    sphere_distance,
+    sphere_distances,
+)
 from bubbletree.trees import (
     Marking,
     RootedTree,
@@ -654,6 +661,21 @@ def test_embed_rejects_off_fiber_points():
         embed(p, FiberPoint({1: ProjPoint(0.3, 1.0), 2: ProjPoint(0.9, 1.0)}))
 
 
+def test_embed_refuses_a_residual_of_1e_8():
+    # RESIDUAL_TOL is 1e-9: a point ten times as far off the fiber is
+    # refused, as it would not be under a tolerance of 1e-7
+    _, p = chain2_point(0.1, 0.05, 0.01)
+    q = fiber_from_root(p, ProjPoint(0.3, 1.0))
+
+    def moved(delta):
+        return FiberPoint({1: ProjPoint(q.at(1).x + delta, q.at(1).y), 2: q.at(2)})
+
+    bad = moved(1e-8 * 1e-3 / fiber_residual(p, moved(1e-3)))
+    assert 0.9e-8 < fiber_residual(p, bad) < 1.1e-8
+    with pytest.raises(VerificationError, match="residual"):
+        embed(p, bad)
+
+
 def degenerate_chart_point():
     """chain2_point with rho_{1,1} = 0, and the point of its fiber with
     value [z_{1,1} : 1] at vertex 1 and [1 : 0] at vertex 2: the
@@ -1076,16 +1098,18 @@ def kernel_pairs(rng, n):
 
 
 def test_pair_distances_match_sphere_distance_bits():
+    # the scalar form and the array kernel, as _region_distances calls it on
+    # index arrays, agree bit for bit over the whole kernel range
     pairs = kernel_pairs(random.Random(10_000), 12_000)
     pts = [a for a, _ in pairs] + [b for _, b in pairs]
     x = np.array([q.x for q in pts], dtype=complex)
     y = np.array([q.y for q in pts], dtype=complex)
-    n = len(pairs)
-    got = curves._pair_distances(x, y, np.arange(n), n + np.arange(n)).tolist()
+    i, j = np.arange(len(pairs)), len(pairs) + np.arange(len(pairs))
+    got = sphere_distances(x[i], y[i], x[j], y[j]).tolist()
     want = [sphere_distance(a, b) for a, b in pairs]
     assert [struct.pack("<d", d) for d in got] == [struct.pack("<d", d) for d in want]
     assert min(want) == 0.0 and max(want) == math.pi
-    # a NaN sine ratio is clamped to 1, as min(1.0, nan) is
+    # a NaN coordinate measures pi, as far as any point
     assert want.count(math.pi) > 1 and not any(map(math.isnan, want))
 
 
@@ -2138,14 +2162,14 @@ def test_decorate_scans_without_scalar_distances(monkeypatch):
 
 
 def decorate_rows(monkeypatch, m):
-    """The (xs, ys, ns) rows decorate searches for near pairs on a
+    """The (xs, ys) rows decorate searches for near pairs on a
     chain_tree(4) member, and the root column it sorts them by."""
     seen = []
     real = curves._near_pairs
 
-    def spy(xs, ys, ns, below, col):
-        seen.append((xs, ys, ns, col))
-        return real(xs, ys, ns, below, col)
+    def spy(xs, ys, below, col):
+        seen.append((xs, ys, col))
+        return real(xs, ys, below, col)
 
     monkeypatch.setattr(curves, "_near_pairs", spy)
     tree = chain_tree(4)
@@ -2156,34 +2180,33 @@ def decorate_rows(monkeypatch, m):
 
 @pytest.mark.parametrize("m", [300, 4000])
 def test_near_pairs_match_brute_force_on_decorate_rows(monkeypatch, m):
-    xs, ys, ns, col = decorate_rows(monkeypatch, m)
-    wide = near_pairs_reference(xs, ys, ns, 1e-2)
+    xs, ys, col = decorate_rows(monkeypatch, m)
+    wide = near_pairs_reference(xs, ys, 1e-2)
     for below in (curves.FILL_SEPARATION, 1e-2):
-        got = curves._near_pairs(xs, ys, ns, below, col)
+        got = curves._near_pairs(xs, ys, below, col)
         assert got
         assert got == [pair for pair in wide if pair[2] < below]
 
 
 def test_near_pairs_keep_exact_duplicates(monkeypatch):
-    xs, ys, ns, col = decorate_rows(monkeypatch, 300)
+    xs, ys, col = decorate_rows(monkeypatch, 300)
     last = len(xs) - 1
     rows = np.random.default_rng(0).permutation(np.r_[0:last + 1, 0, 7, 7, 150, last])
-    xs, ys, ns = xs[rows], ys[rows], ns[rows]
-    got = curves._near_pairs(xs, ys, ns, curves.FILL_SEPARATION, col)
+    xs, ys = xs[rows], ys[rows]
+    got = curves._near_pairs(xs, ys, curves.FILL_SEPARATION, col)
     assert sum(d == 0.0 for _, _, d in got) >= 6
-    assert got == near_pairs_reference(xs, ys, ns, curves.FILL_SEPARATION)
+    assert got == near_pairs_reference(xs, ys, curves.FILL_SEPARATION)
 
 
 def test_near_pairs_read_every_vertex_when_the_root_chart_collapses(monkeypatch):
     # deep-vertex anchors can land on one node of the root chart: every row
     # then ties on the sort key, and only the other vertices part them
-    xs, ys, ns, col = decorate_rows(monkeypatch, 300)
+    xs, ys, col = decorate_rows(monkeypatch, 300)
     xs, ys = xs.copy(), ys.copy()
     xs[:, col], ys[:, col] = xs[0, col], ys[0, col]
-    ns = np.hypot(np.abs(xs), np.abs(ys))
     for below in (curves.FILL_SEPARATION, 1e-2):
-        got = curves._near_pairs(xs, ys, ns, below, col)
-        assert got == near_pairs_reference(xs, ys, ns, below)
+        got = curves._near_pairs(xs, ys, below, col)
+        assert got == near_pairs_reference(xs, ys, below)
 
 
 @pytest.mark.parametrize("step", [1e-6, 1e-3])
@@ -2194,12 +2217,11 @@ def test_near_pairs_cut_is_strict_to_the_ulp(step):
     # `below` is out, one ulp under it is in
     xs = 0.9 * np.exp(1j * (1.0 + step * np.arange(200)))[:, None]
     ys = np.ones_like(xs)
-    ns = np.hypot(np.abs(xs), np.abs(ys))
-    for i, k, d in near_pairs_reference(xs, ys, ns, 1.5 * step)[::37]:
+    for i, k, d in near_pairs_reference(xs, ys, 1.5 * step)[::37]:
         for below, inside in ((d, False), (np.nextafter(d, math.inf), True)):
-            got = curves._near_pairs(xs, ys, ns, below, 0)
+            got = curves._near_pairs(xs, ys, below, 0)
             assert ((i, k, d) in got) is inside
-            assert got == near_pairs_reference(xs, ys, ns, below)
+            assert got == near_pairs_reference(xs, ys, below)
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -2351,10 +2373,12 @@ def test_check_map_missing_budget_is_input_error():
 # ratio of check_map_membership (a zero budget rejects each region that has
 # a sampled pair and reports its worst ratio): a change to the scalar fiber
 # path that moves a bit must say why and record the new value.  It last
-# moved when neck_param began to propagate e+'s subtree from its normalized
-# start (test_neck_end_at_plus_r_propagates_from_the_normalized_start).
+# moved when every sphere distance became the atan2 kernel: 34 of the 39
+# worst ratios moved by a few ulps (a ratio of root-chart distances to
+# themselves now reads exactly 1.0), and every chart value and classify
+# result held.
 GOLDEN_FIBERS_DIGEST = (
-    "eb916786617baa13555c252cf26def0a06e417d714a5d03e4b5b26193a6e0119"
+    "f6c6b370cc01d7cf329e55e9793db492a6aba9465f644e74d2666e95bfba6322"
 )
 
 

@@ -29,6 +29,7 @@ from helpers import (
 from bubbletree import nets
 from bubbletree.nets import (
     EXACT_NU_CAP,
+    NORM_RANGE,
     SPHERE_NET_CAP,
     TIE_RTOL,
     _lower_screened,
@@ -129,48 +130,110 @@ def test_sphere_distance_matches_integration_oracle():
         assert direct == pytest.approx(integrated_distance(z, w), abs=1e-6)
 
 
+def near_antipodal_triples(rng, n):
+    """n affine triples (z, w, c) near antipodes: |z| in [0.01, 1], w the
+    antipode -1 / conj(z) times 1 + N(0, 1e-7) in each part, and c = w times
+    1 + N(0, 1e-6) in each part.  An arcsine of the sine ratio keeps only
+    about half the digits of such distances."""
+    def near(a, sigma):
+        return a * complex(1.0 + rng.gauss(0.0, sigma), rng.gauss(0.0, sigma))
+
+    out = []
+    for _ in range(n):
+        z = cmath.rect(rng.uniform(0.01, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+        w = near(-1.0 / z.conjugate(), 1e-7)
+        out.append((z, w, near(w, 1e-6)))
+    return out
+
+
 def test_sphere_distance_triangle_inequality_bulk():
     rng = np.random.default_rng(3)
-    raw = rng.normal(size=(10_000, 3, 4))
-    for trip in raw:
-        pts = [ProjPoint(complex(a, b), complex(c, d)) for a, b, c, d in trip]
+    gaussian = [
+        [ProjPoint(complex(a, b), complex(c, d)) for a, b, c, d in trip]
+        for trip in rng.normal(size=(10_000, 3, 4))
+    ]
+    antipodal = [
+        list(map(ProjPoint.from_affine, trip))
+        for trip in near_antipodal_triples(random.Random(17), 2_000)
+    ]
+    for pts in gaussian + antipodal:
         dab = sphere_distance(pts[0], pts[1])
         dbc = sphere_distance(pts[1], pts[2])
         dac = sphere_distance(pts[0], pts[2])
         assert dac <= dab + dbc + 1e-12
+        assert dab <= dac + dbc + 1e-12
+        assert dbc <= dab + dac + 1e-12
 
 
-def sphere_distance_oracle(a: complex, b: complex):
-    """The sphere distance of two affine points in 200-bit arithmetic."""
+def sphere_distance_oracle(p: ProjPoint, q: ProjPoint):
+    """The sphere distance of two ProjPoints in 200-bit arithmetic, as 2
+    asin of the sine ratio, which keeps over 90 bits even at antipodes."""
     with mpmath.workprec(200):
-        a, b = mpmath.mpc(a), mpmath.mpc(b)
-        s = abs(a - b) / mpmath.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
-        return 2 * mpmath.asin(s)
+        xp, yp, xq, yq = (mpmath.mpc(v) for v in (p.x, p.y, q.x, q.y))
+        norms = mpmath.sqrt((abs(xp) ** 2 + abs(yp) ** 2) * (abs(xq) ** 2 + abs(yq) ** 2))
+        return 2 * mpmath.asin(abs(xp * yq - yp * xq) / norms)
 
 
-@pytest.mark.xfail(
-    raises=InputError,
-    strict=True,
-    reason="sphere_distance loses about sqrt(u) near antipodes (ROADMAP item 17)",
-)
+def test_sphere_distance_within_1e_15_of_a_200_bit_oracle():
+    # over all of [0, pi]: Gaussian pairs, pairs within 1e-8 of coincident
+    # and of antipodal, and each at norms at both ends of NORM_RANGE
+    rng = random.Random(1975)
+    low, high = NORM_RANGE
+
+    def at_norm(p, end):
+        norm = math.hypot(abs(p.x), abs(p.y))
+        s = low / norm * (1.0 + 2.0**-50) if end == low else high / norm * (1.0 - 2.0**-50)
+        return ProjPoint(p.x * s, p.y * s)
+
+    pairs = []
+    for a in gaussian_sphere_points(rng, 600):
+        tiny = complex(rng.gauss(0.0, 1e-8), rng.gauss(0.0, 1e-8))
+        for b in (
+            gaussian_sphere_points(rng, 1)[0],
+            ProjPoint(a.x + tiny, a.y),
+            ProjPoint(-a.y.conjugate() + tiny, a.x.conjugate()),
+        ):
+            pairs.append((a, b))
+            pairs.append((at_norm(a, rng.choice((low, high))), at_norm(b, rng.choice((low, high)))))
+    base = sphere_sample([p for pair in pairs for p in pair])
+    assert np.all((low <= base.ns) & (base.ns <= high))
+    got = np.array([sphere_distance(a, b) for a, b in pairs])
+    want = np.array([float(sphere_distance_oracle(a, b)) for a, b in pairs])
+    assert want.min() < 1e-7 and want.max() > math.pi - 1e-7
+    assert np.all((0.0 <= got) & (got <= math.pi))
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_from_sphere_accepts_the_near_antipodal_sweep():
+    # every entry of every matrix lies within 1e-15 of the exact distance,
+    # so none breaks the triangle inequality, which the exact ones pass
+    worst = 0.0
+    for trip in near_antipodal_triples(random.Random(2031), 1_000):
+        pts = [ProjPoint.from_affine(a) for a in trip]
+        space = FiniteMetricSpace.from_sphere(pts)
+        exact = [[sphere_distance_oracle(a, b) for b in pts] for a in pts]
+        worst = max(worst, float(np.abs(np.array(exact, dtype=float) - space.dist).max()))
+    assert worst <= 1e-15
+
+
 def test_from_sphere_accepts_near_antipodal_points_of_the_sphere_metric():
     # z and w are within 4.3e-8 of antipodal and c lies 2.1e-7 from w: the
     # exact distances pass every triangle inequality with 2.5e-8 to spare,
-    # far above the 1e-9 tolerance, but sphere_distance(z, w) rounds to pi
-    # and the checked construction refuses the space
+    # far above the 1e-9 tolerance; an arcsine of the sine ratio rounded
+    # sphere_distance(z, w) to pi, and the checked construction refused
     affine = [
         0.06406972739636581 - 0.09124272785467775j,
         -5.154375903083923 + 7.340426461068948j,
         -5.154373341916201 + 7.340418251221695j,
     ]
-    exact = [[sphere_distance_oracle(a, b) for b in affine] for a in affine]
+    pts = [ProjPoint.from_affine(a) for a in affine]
+    exact = [[sphere_distance_oracle(a, b) for b in pts] for a in pts]
     slack = min(
         exact[i][k] + exact[k][j] - exact[i][j]
         for i, j, k in itertools.permutations(range(3))
     )
     assert slack > 2e-8
-    pts = [ProjPoint.from_affine(a) for a in affine]
-    assert sphere_distance(pts[0], pts[1]) == math.pi
+    assert abs(sphere_distance(pts[0], pts[1]) - float(exact[0][1])) <= 1e-15
     space = FiniteMetricSpace.from_sphere(pts)
     assert np.abs(np.array(exact, dtype=float) - space.dist).max() < 1e-12
 
@@ -195,10 +258,19 @@ def test_projpoint_normalized_form():
     assert p.x == 1.0  # larger-modulus slot becomes exactly one
     q = ProjPoint(1, -5j).normalized()
     assert q.y == 1.0
+    # the affine coordinate x / y is kept
+    assert p.x / p.y == pytest.approx((3 + 4j) / (1 - 2j))
     with pytest.raises(InputError):
         ProjPoint(0, 0)
-    with pytest.raises(InputError):
-        ProjPoint(1, 0).to_affine()
+
+
+def test_projpoint_moduli_a_relative_1e_11_apart_are_no_tie():
+    # TIE_RTOL is 1e-12: moduli 1e-11 apart in relative terms are not tied,
+    # so the larger x is the slot divided by, whichever way the point is
+    # turned; a tolerance of 1e-10 would prefer y
+    for turn in (1.0, 1j, (0.6 - 0.8j)):
+        p = ProjPoint(turn, turn * (1.0 - 1e-11)).normalized()
+        assert p.x == 1.0 and abs(p.y) < 1.0
 
 
 @given(
@@ -353,7 +425,7 @@ def test_hausdorff_symmetry_and_identity(seed, na, nb):
 def test_greedy_net_single_point_when_radius_huge():
     rng = random.Random(5)
     space = random_metric_space(rng, 10)
-    net = greedy_net(space, space.diameter() + 1.0)
+    net = greedy_net(space, space.dist.max() + 1.0)
     assert net.size == 1 and net.indices == (0,)
 
 
@@ -553,8 +625,8 @@ def test_net_on_a_sphere_sample_matches_brute_force(data):
         return
     # full base-first rows, called as the kernel calls sphere_distances:
     # numpy's complex products round by call shape as well as operand order
-    xs, ys, ns = base.xs, base.ys, base.ns
-    rows = [sphere_distances(xs, ys, ns, xs[j], ys[j], ns[j]) for j in idx]
+    xs, ys = base.xs, base.ys
+    rows = [sphere_distances(xs, ys, xs[j], ys[j]) for j in idx]
     brute = float(np.min(rows, axis=0).max())
     radius = {"at": brute, "above": math.nextafter(brute, math.inf),
               "half": brute / 2.0, "free": free}[rule]
@@ -915,6 +987,22 @@ def test_sphere_sample_rows_and_labels():
         Net(radius=1.0, points=tuple(pts))
 
 
+def test_sphere_sample_refuses_norms_outside_the_kernel_domain():
+    # antipodal points of norm 1.4e200 once measured NaN, which passes every
+    # comparison, so a one-point net of them and two others was accepted
+    far = [ProjPoint(1e200, 1e200), ProjPoint(1e200, -1e200), ProjPoint(1, 0), ProjPoint(0, 1)]
+    with pytest.raises(InputError, match=r"^sphere point 0 = \[\(1e\+200\+0j\) : .*outside"):
+        Net(radius=0.5, indices=(0,), base=sphere_sample(far))
+    low, high = NORM_RANGE
+    assert (low, high) == (2.0**-511, 2.0**511)
+    assert sphere_sample([ProjPoint(low, 0.0), ProjPoint(0.0, high)]).ns.tolist() == [low, high]
+    for norm in (math.nextafter(low, 0.0), math.nextafter(high, math.inf)):
+        with pytest.raises(InputError, match=r"^sphere point 1 = .* has norm .*, outside"):
+            sphere_sample([ProjPoint(1.0, 0.0), ProjPoint(0.0, norm)])
+    with pytest.raises(InputError, match=r"^sphere point 1 = \[\(nan\+0j\) .*must be finite"):
+        SphereSample(np.array([1.0, math.nan], complex), np.ones(2, complex))
+
+
 def test_metric_space_from_sphere_keeps_the_broadcast_bits():
     pts = gaussian_sphere_points(random.Random(19), 120)
     space = FiniteMetricSpace.from_sphere(pts)
@@ -925,7 +1013,7 @@ def test_metric_space_from_sphere_keeps_the_broadcast_bits():
 def test_covering_check_counts_a_net_point_as_zero_from_itself():
     def self_distance(pts):  # as the covering check measures it
         b = sphere_sample(pts)
-        return sphere_distances(b.xs, b.ys, b.ns, b.xs[0], b.ys[0], b.ns[0])[0]
+        return sphere_distances(b.xs, b.ys, b.xs[0], b.ys[0])[0]
 
     p = ProjPoint(
         0.9053558666731177 + 0.4463745723640113j,
