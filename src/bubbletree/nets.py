@@ -124,12 +124,14 @@ def _normal(x: complex, y: complex) -> ProjPoint:
 def sphere_distance(p: ProjPoint, q: ProjPoint) -> float:
     """Geodesic distance on the round sphere of total area 4*pi, in [0, pi]
     with pi at antipodal pairs: 2 atan2(|x_p y_q - y_p x_q|, |conj(x_p) x_q
-    + conj(y_p) y_q|), within 42u = 4.7e-15 of the exact distance for norms
-    in NORM_RANGE, which only a SphereSample checks.  It is sphere_distances
-    on one-element arrays, so it has the array forms' bits (a call on 0-d
-    arrays can round the complex products differently).
+    + conj(y_p) y_q|), within 42u = 4.7e-15 of the exact distance.  The
+    pair is a SphereSample, so a point whose norm lies outside NORM_RANGE
+    (NaN and zero norms included) is an InputError naming it.  It is
+    sphere_distances on one-element arrays, so it has the array forms' bits
+    (a call on 0-d arrays can round the complex products differently).
     """
-    return float(sphere_distances(*np.array([[p.x], [p.y], [q.x], [q.y]]))[0])
+    s = sphere_sample([p, q])
+    return float(sphere_distances(s.xs[:1], s.ys[:1], s.xs[1:], s.ys[1:])[0])
 
 
 def sphere_coords(points: Sequence[ProjPoint]):
@@ -333,9 +335,6 @@ class FiniteMetricSpace:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
 
     def lower(self, mind: np.ndarray, j: int) -> None:
         """Lower mind in place to the distances from point j."""

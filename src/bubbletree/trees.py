@@ -6,14 +6,15 @@ description of one, its vertex ids and boundary map; nothing about it is
 checked.  Rooting a description at a half edge (``RootedTree``) validates it
 and, in the same walk, induces the unique orientation in which every vertex
 is the positive endpoint of exactly one edge (its parent edge).  The module
-provides that construction, ancestor queries, positive paths, splitting
-along full edges, exhaustive enumeration of stable rooted trees up to
-root-preserving isomorphism, and the counting bounds used to control that
-enumeration.
+provides that construction, positive paths, the pairs of coordinate pairs
+that diverge at a vertex, splitting along full edges, exhaustive
+enumeration of stable rooted trees up to root-preserving isomorphism, and
+the counting bounds used to control that enumeration.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -74,7 +75,7 @@ class RootedTree:
     __slots__ = (
         "vertices", "boundary", "edges", "full_edges", "half_edges", "incident",
         "root_edge", "root_vertex", "parent_edge", "children", "e_minus", "e_plus",
-        "depth", "order", "_diverging",
+        "order", "_diverging",
     )
 
     def __init__(self, tree: Tree, root_edge: int):
@@ -143,7 +144,6 @@ class RootedTree:
         children = self.children = dict.fromkeys(vs)
         e_minus = self.e_minus = {root: None}
         e_plus = self.e_plus = {root: self.root_vertex}
-        depth = self.depth = {self.root_vertex: 0}
         order = []
         stack = [self.root_vertex]
         while stack:
@@ -152,7 +152,6 @@ class RootedTree:
             down = incident[v].copy()
             down.remove(parent_edge[v])
             children[v] = down = tuple(down)
-            below = depth[v] + 1
             kids = []
             for e in down:
                 e_minus[e] = v
@@ -161,7 +160,7 @@ class RootedTree:
                     if w in parent_edge:
                         raise TreeError("tree is not connected")
                     e_plus[e] = w
-                    parent_edge[w], depth[w] = e, below
+                    parent_edge[w] = e
                     kids.append(w)
                 else:
                     e_plus[e] = None
@@ -210,21 +209,8 @@ class Marking:
 
 
 # ---------------------------------------------------------------------------
-# ancestors and paths
+# paths and diverging pairs
 # ---------------------------------------------------------------------------
-
-
-def nearest_common_ancestor(t: RootedTree, v: int, w: int) -> int:
-    """Deepest vertex with positive paths to both v and w."""
-    a, b = v, w
-    while t.depth[a] > t.depth[b]:
-        a = t.e_minus[t.parent_edge[a]]
-    while t.depth[b] > t.depth[a]:
-        b = t.e_minus[t.parent_edge[b]]
-    while a != b:
-        a = t.e_minus[t.parent_edge[a]]
-        b = t.e_minus[t.parent_edge[b]]
-    return a
 
 
 def positive_path(t: RootedTree, u: int, v: int) -> tuple[int, ...] | None:
@@ -249,24 +235,27 @@ def positive_path(t: RootedTree, u: int, v: int) -> tuple[int, ...] | None:
 def diverging_pairs(t: RootedTree) -> np.ndarray:
     """Rows (k, i, j) over index pairs i < j into coordinate_pairs() whose
     pairs (v, e) and (v', e') hang below their nearest common ancestor u =
-    vertices[k] through different child edges (e itself when v = u).  Found
-    once per tree and kept on it, as one array of the smallest unsigned
-    type that holds the pair count, so that it stays small."""
+    vertices[k] through different child edges (e itself when v = u), in
+    ascending order of (i, j).  One pass from the leaves up: at u the group
+    of a child edge f is (u, f) followed by the pairs below f, and the rows
+    at u are the pairs across two groups.  Found once per tree and kept on
+    it, as one array of the smallest unsigned type that holds the pair
+    count, so that it stays small."""
     if t._diverging is None:
-        coords, index = t.coordinate_pairs(), {v: k for k, v in enumerate(t.vertices)}
-        rows = []
-        for i, (v, e) in enumerate(coords):
-            for j in range(i + 1, len(coords)):
-                u = nearest_common_ancestor(t, v, coords[j][0])
-                if _edge_below(t, u, v, e) != _edge_below(t, u, *coords[j]):
-                    rows += (index[u], i, j)
-        t._diverging = np.array(rows, np.min_scalar_type(len(coords))).reshape(-1, 3)
+        coords = t.coordinate_pairs()
+        index = {q: i for i, q in enumerate(coords)}
+        rank = {v: k for k, v in enumerate(t.vertices)}
+        # below[w]: the pairs at or below w; a half edge's e_plus is None
+        below, rows = {None: []}, []
+        for u in reversed(t.order):
+            groups = [[index[u, f], *below[t.e_plus[f]]] for f in t.children[u]]
+            for g, h in itertools.combinations(groups, 2):
+                rows += [(min(i, j), max(i, j), rank[u]) for i in g for j in h]
+            below[u] = list(itertools.chain.from_iterable(groups))
+        rows.sort()
+        table = [(k, i, j) for i, j, k in rows]
+        t._diverging = np.array(table, np.min_scalar_type(len(coords))).reshape(-1, 3)
     return t._diverging
-
-
-def _edge_below(t: RootedTree, u: int, v: int, e: int) -> int:
-    """Edge through which the pair (v, e) hangs below u; e itself when v = u."""
-    return e if v == u else t.parent_edge[positive_path(t, u, v)[1]]
 
 
 # ---------------------------------------------------------------------------

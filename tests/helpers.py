@@ -1,6 +1,7 @@
 """Shared builders and brute-force oracles for the test suite."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -49,7 +50,6 @@ from bubbletree.trees import (
     SplitPiece,
     Tree,
     TreeError,
-    nearest_common_ancestor,
     positive_path,
 )
 
@@ -183,7 +183,6 @@ class ReferenceRootedTree(ReferenceTree):
         "children",
         "e_minus",
         "e_plus",
-        "depth",
         "order",
         "_diverging",
     )
@@ -203,7 +202,6 @@ class ReferenceRootedTree(ReferenceTree):
         children: dict[int, list[int]] = {v: [] for v in self.vertices}
         e_minus: dict[int, int | None] = {self.root_edge: None}
         e_plus: dict[int, int | None] = {self.root_edge: self.root_vertex}
-        depth = {self.root_vertex: 0}
 
         incident: dict[int, list[int]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -226,7 +224,6 @@ class ReferenceRootedTree(ReferenceTree):
                     w = ends[0] if ends[1] == v else ends[1]
                     e_plus[e] = w
                     parent_edge[w] = e
-                    depth[w] = depth[v] + 1
                     kids.append(w)
                 else:
                     e_plus[e] = None
@@ -236,7 +233,6 @@ class ReferenceRootedTree(ReferenceTree):
         self.children = {v: tuple(es) for v, es in children.items()}
         self.e_minus = e_minus
         self.e_plus = e_plus
-        self.depth = depth
         self.order = tuple(order)
         # diverging_pairs, filled on first use
         self._diverging = None
@@ -574,7 +570,7 @@ def grid_space(values):
 
 
 def farthest_first_reference(space, start):
-    """Farthest-point traversal as a plain loop over space.distance.
+    """Farthest-point traversal as a plain loop over space.dist.
 
     Returns (index, distance to the indices before it) in insertion order,
     the first distance being inf; ties go to the lowest index.
@@ -586,7 +582,7 @@ def farthest_first_reference(space, start):
         for x in range(space.n):
             if x in chosen:
                 continue
-            d = min(space.distance(x, y) for y, _ in order)
+            d = min(space.dist[x, y] for y, _ in order)
             if d > bestd:
                 best, bestd = x, d
         order.append((best, bestd))
@@ -966,7 +962,10 @@ def stabilize_four_marked_reference(
 
 
 def _mark_distance(q1, q2):
-    return max(sphere_distance(q1.at(v), q2.at(v)) for v in q1.coords)
+    """The largest sphere distance between the two points' chart values,
+    in one kernel call over the vertices: the bits of the scalar calls."""
+    (ax, ay), (bx, by) = (sphere_coords([q.at(v) for v in q1.coords]) for q in (q1, q2))
+    return float(sphere_distances(ax, ay, bx, by).max())
 
 
 def anchor_points_reference(p):
@@ -1087,8 +1086,9 @@ def chart_position_reference(p: ModuliPoint, u: int, v: int, e: int) -> complex:
 
 
 def section_reference(p: ModuliPoint, e: int) -> FiberPoint:
-    """curves.section through chart_position_reference: the marked point of
-    the fiber attached to an external edge.
+    """curves.section as the telescoping it replaced: the marked point of
+    the fiber attached to an external edge, each ancestor chart value
+    telescoped on its own by chart_position_reference.
 
     The root edge marks [1:0] in every chart.  Any other external edge e at
     u = e- marks the disc center [z_{u,e} : 1] in the chart of u; ancestor
@@ -1108,25 +1108,46 @@ def section_reference(p: ModuliPoint, e: int) -> FiberPoint:
     return _complete(p, coords, t.root_vertex)
 
 
+def nearest_common_ancestor(t: RootedTree, v: int, w: int) -> int:
+    """Deepest vertex with positive paths to both v and w: the last vertex
+    that the paths from the root to v and to w share."""
+    root = t.root_vertex
+    shared = zip(positive_path(t, root, v), positive_path(t, root, w))
+    return [a for a, b in shared if a == b][-1]
+
+
 def _edge_below(t, u, v, e):
     return e if v == u else t.parent_edge[positive_path(t, u, v)[1]]
 
 
+def diverging_pairs_reference(t: RootedTree) -> np.ndarray:
+    """trees.diverging_pairs as the brute force it was: every index pair i <
+    j into coordinate_pairs(), kept when its two pairs hang below their
+    nearest common ancestor through different child edges."""
+    coords, index = t.coordinate_pairs(), {v: k for k, v in enumerate(t.vertices)}
+    # each walk depends only on its vertices, so it is made once
+    ancestor = functools.cache(functools.partial(nearest_common_ancestor, t))
+    below = functools.cache(functools.partial(_edge_below, t))
+    rows = []
+    for i, (v, e) in enumerate(coords):
+        for j in range(i + 1, len(coords)):
+            u = ancestor(v, coords[j][0])
+            if below(u, v, e) != below(u, *coords[j]):
+                rows += (index[u], i, j)
+    return np.array(rows, np.min_scalar_type(len(coords))).reshape(-1, 3)
+
+
 def fiber_discriminant_reference(p):
-    """curves.fiber_discriminant walking the path again for each side of
-    every pair."""
+    """curves.fiber_discriminant over the brute-force diverging pairs,
+    walking the path again for each side of every pair."""
     t = p.tree
     coords = t.coordinate_pairs()
     out = 1.0 + 0.0j
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            (v1, e1), (v2, e2) = coords[i], coords[j]
-            u = nearest_common_ancestor(t, v1, v2)
-            if _edge_below(t, u, v1, e1) == _edge_below(t, u, v2, e2):
-                continue
-            out *= chart_position_reference(p, u, v1, e1) - chart_position_reference(
-                p, u, v2, e2
-            )
+    for k, i, j in diverging_pairs_reference(t).tolist():
+        u, (v1, e1), (v2, e2) = t.vertices[k], coords[i], coords[j]
+        out *= chart_position_reference(p, u, v1, e1) - chart_position_reference(
+            p, u, v2, e2
+        )
     for e in t.full_edges:
         out *= p.rho(t.e_minus[e], e)
     return out
@@ -1218,7 +1239,7 @@ def lipschitz_reference(p, smap, lam, lambda0):
                 if d_dom <= 0.0:
                     continue
                 pairs += 1
-                d_cod = smap.target.distance(inside[i][1], inside[j][1])
+                d_cod = smap.target.dist[inside[i][1], inside[j][1]]
                 worst = max(worst, d_cod / d_dom)
         if worst > budget * (1.0 + EQ_SLACK):
             rejections.append((region, worst, budget))

@@ -124,12 +124,12 @@ def test_04_cluster_selection():
             k = len(net)
             assert base in net
             for x, y in itertools.combinations(net, 2):
-                assert space.distance(x, y) > a0 * ratio ** (k - 1)
+                assert space.dist[x, y] > a0 * ratio ** (k - 1)
             for x in range(n):
                 y = retraction[x]
                 assert y in net
-                assert space.distance(x, y) <= a0 * ratio**k
-                hits = [u for u in net if space.distance(x, u) <= a0 * ratio**k]
+                assert space.dist[x, y] <= a0 * ratio**k
+                hits = [u for u in net if space.dist[x, u] <= a0 * ratio**k]
                 assert hits == [y]
             for y in net:
                 assert retraction[y] == y

@@ -32,6 +32,7 @@ from bubbletree.bubbles import (
 from bubbletree.curves import ModuliPoint, in_compact_subset
 from bubbletree.errors import InputError, VerificationError
 from bubbletree.nets import FiniteMetricSpace
+from bubbletree.trees import positive_path
 from helpers import (
     assert_tree_facts,
     farthest_first_reference,
@@ -398,10 +399,10 @@ class TestClusterSelect:
             k = len(net)
             assert s in net
             for x, y in combinations(net, 2):
-                assert space.distance(x, y) > a0 * ratio ** (k - 1)
+                assert space.dist[x, y] > a0 * ratio ** (k - 1)
             for x in range(n):
                 assert retraction[x] in net
-                assert space.distance(x, retraction[x]) <= a0 * ratio**k
+                assert space.dist[x, retraction[x]] <= a0 * ratio**k
             for y in net:
                 assert retraction[y] == y
 
@@ -416,7 +417,7 @@ class TestClusterSelect:
             net, retraction = cluster_select(space, a, start)
             assert net == tuple(sorted(j for j, _ in order[:k]))
             assert retraction == {
-                x: min(net, key=lambda y: space.distance(x, y))
+                x: min(net, key=lambda y: space.dist[x, y])
                 for x in range(space.n)
             }
 
@@ -763,8 +764,9 @@ class TestAssociateTree:
         d2 = d1 * 1.0001
         cfg = flat((0, d1, d2, EPS))
         assoc = associate_tree(cfg, EPS)
-        depths = assoc.tree.depth
-        assert max(depths.values()) == 2
+        t = assoc.tree
+        paths = [positive_path(t, t.root_vertex, v) for v in t.vertices]
+        assert max(map(len, paths)) == 3
         assert len(assoc.tree.vertices) == 3
         report = verify_association(cfg, assoc, EPS)
         assert report.ok, report.summary()

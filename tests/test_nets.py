@@ -102,6 +102,18 @@ def random_metric_space(rng, n, labels=None):
     return FiniteMetricSpace.from_points(pts, lambda p, q: abs(p - q))
 
 
+def test_sphere_distance_refuses_what_a_sphere_sample_refuses():
+    # every product of these norms underflows, and atan2(0, 0) would read
+    # 0.0 for a pair 2.2143 apart
+    with pytest.raises(InputError, match=r"sphere point 0 = .* outside \[2\^-511"):
+        sphere_distance(ProjPoint(1e-300, 2e-300), ProjPoint(1e-300, 0))
+    with pytest.raises(InputError, match="sphere point 1 = .* must be finite"):
+        sphere_distance(ProjPoint(1, 0), ProjPoint(math.nan, 1))
+    assert sphere_distance(ProjPoint(1e-150, 2e-150), ProjPoint(1e-150, 0)) == pytest.approx(
+        2 * math.atan(2)
+    )
+
+
 def test_sphere_distance_antipodal_and_pole():
     assert sphere_distance(ProjPoint(1, 0), ProjPoint(0, 1)) == pytest.approx(math.pi)
     assert sphere_distance(ProjPoint(1, 1), ProjPoint(1, 0)) == pytest.approx(

@@ -198,7 +198,6 @@ UNREAD_PUBLIC = {
     "curves.neck_path": "the certified short path across a neck",
     "curves.round_flat_area_ratio": "the round-to-flat area ratio, within [1, 4] on the disc",
     "curves.stabilize_four_marked": "the four-point invariant of a stabilized nodal fiber",
-    "nets.FiniteMetricSpace.distance": "one entry of the metric, as the acceptance tests read it",
     "nets.mapspace_distance": "the metric in which the map-space cover's cells are small",
     "trees.edge_counts": "the stability chain |E_int| + 1 = |V| <= sum(deg)/3 <= |E_ext| - 2",
     "trees.reglue": "the inverse of split, rejoining pieces along their cut edges",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from bubbletree import trees
 from helpers import (
     ReferenceRootedTree,
@@ -13,6 +14,8 @@ from helpers import (
     assert_tree_facts,
     assert_tree_matches_reference,
     canonical_key,
+    diverging_pairs_reference,
+    nearest_common_ancestor,
     oracle_count_stable_rooted,
     split_components_reference,
 )
@@ -22,9 +25,9 @@ from bubbletree.trees import (
     RootedTree,
     Tree,
     TreeError,
+    diverging_pairs,
     edge_counts,
     enumerate_stable_rooted,
-    nearest_common_ancestor,
     positive_path,
     reglue,
     split,
@@ -286,6 +289,17 @@ def test_nca_examples():
     )
     assert nearest_common_ancestor(star, 1, 2) == 0
     assert nearest_common_ancestor(star, 1, 0) == 0
+
+
+def test_diverging_pairs_equal_the_brute_force():
+    # rows, their order and their dtype, on chains of 2 to 64 vertices and
+    # on every stable rooted tree with at most 8 half edges
+    chains = [helpers.chain_tree(2**k) for k in range(1, 7)]
+    every = [t for n in range(2, 8) for t in enumerate_stable_rooted(n)]
+    for t in chains + every:
+        got, want = diverging_pairs(t), diverging_pairs_reference(t)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
 
 
 def test_positive_path():
