@@ -43,6 +43,7 @@ from .nets import (
     _complex,
     _normal,
     hopf_units,
+    sphere_coords,
     sphere_distance,
     sphere_distances,
 )
@@ -750,13 +751,26 @@ def embed(p: ModuliPoint, q: FiberPoint) -> dict[tuple[int, int], ProjPoint]:
 
 
 def embedded_distance(p: ModuliPoint, q1: FiberPoint, q2: FiberPoint) -> float:
-    """Distance in the product of spheres: max over components."""
+    """Distance in the product of spheres: max over components, in one
+    sphere_distances call on the stacked components, so with the bits of
+    the scalar sphere_distance per component.  Its NORM_RANGE check would
+    add nothing: embed refuses a point off the fiber, NaN included
+    (_require_on_fiber), and its components are normalized, one slot of
+    modulus 1 and the other at most that, so every norm lies in [1, sqrt 2].
+    """
     e1, e2 = embed(p, q1), embed(p, q2)
-    return max(sphere_distance(e1[k], e2[k]) for k in e1)
+    (ax, ay), (bx, by) = (sphere_coords([e[k] for k in e1]) for e in (e1, e2))
+    return float(sphere_distances(ax, ay, bx, by).max())
 
 
 def _mark_distance(q1: FiberPoint, q2: FiberPoint) -> float:
-    return max(sphere_distance(q1.at(v), q2.at(v)) for v in q1.coords)
+    """The largest sphere distance between the coordinates of two fiber
+    points at each vertex, in one sphere_distances call, as
+    embedded_distance measures.  Its callers have refused NaN coordinates
+    (_require_on_fiber), and a FiberPoint's coordinates are normalized, so
+    every norm lies in [1, sqrt 2], inside NORM_RANGE."""
+    (ax, ay), (bx, by) = (sphere_coords([q.at(v) for v in q1.coords]) for q in (q1, q2))
+    return float(sphere_distances(ax, ay, bx, by).max())
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ of finite subsets from their cross-distance matrix, gamma-nets in the strict
 sense (d_H < gamma), on a finite base an index set into it, greedy nets as
 prefixes of one farthest-point traversal (shared with bubbles.cluster_select;
 on sphere samples it measures exactly only where a certified screen says a
-minimum can move), exact minimal nets, a latitude-band net of the sphere,
-the distance max(d_T, graph Hausdorff) between members of a family of maps,
-and the cover of a family of Lipschitz maps over a base by explicit cells.
+minimum can move, and drops the rows settled below gamma; the covering check
+measures through the same screen, centre first), exact minimal nets, a
+latitude-band net of the sphere, the distance max(d_T, graph Hausdorff)
+between members of a family of maps, and the cover of a family of Lipschitz
+maps over a base by explicit cells.
 Continuous spaces enter only through finite samplings supplied by the caller.
 
 Every sphere distance, scalar or array, comes from one kernel,
@@ -46,7 +48,7 @@ SPHERE_NET_CAP = 500_000
 # relative gap below which ProjPoint.normalized treats |x| and |y| as tied
 TIE_RTOL = 1e-12
 
-# cosine slack of the sphere screen (_lower_screened); rounding needs < 1.3e-14
+# cosine slack of the sphere screen (_SphereLowering); rounding needs < 1.3e-14
 SCREEN_MARGIN = 1e-9
 
 # the norms a SphereSample accepts: every product of two is a normal double
@@ -428,9 +430,10 @@ class Net:
     def covering_distance(self):
         """Exact d_H(points, base) on a finite base, else None: the directed
         distance from the base to the net, whose points belong to it.  On a
-        sphere sample each net point lowers fresh nearest distances through
-        _lower_screened, which is sound whatever the margin: a skipped pair
-        can only leave a distance too large, so a wrong screen could reject a
+        sphere sample each net point lowers nearest distances through a fresh
+        _SphereLowering, centre first as greedy_net's traversal measures
+        them.  Its screen is sound whatever the margin: a skipped pair can
+        only leave a distance too large, so a wrong screen could reject a
         valid net, never accept an invalid one.  A net point's own entry is
         exactly 0, as on a matrix base: the formula can round a point's
         distance to itself above a tiny radius.
@@ -440,10 +443,9 @@ class Net:
         if isinstance(self.base, FiniteMetricSpace):
             sub = self.base.dist[:, list(self.indices)]
             return float(sub.min(axis=1).max())
-        near = np.full(self.base.n, math.inf)
-        cosm = np.full(self.base.n, -math.inf)
+        near, lower = np.full(self.base.n, math.inf), _SphereLowering(self.base)
         for j in self.indices:
-            _lower_screened(near, cosm, self.base, j, base_first=True)
+            lower(near, j)
         near[list(self.indices)] = 0.0
         return float(near.max())
 
@@ -465,13 +467,15 @@ def _net_indices(indices, n: int) -> tuple:
     return ks
 
 
-def _lower_screened(mind, cosm, base, j: int, base_first: bool) -> None:
-    """Lower mind in place to the sphere distances from row j of base (a
-    SphereSample, or the rows a _SphereLowering keeps: anything with its
-    xs, ys and u), measuring only the rows whose screen g = U @ U_j exceeds
+class _SphereLowering:
+    """farthest_first's lowering step on a sphere sample, through a screen.
+
+    lower(mind, j) lowers mind in place to the sphere distances from row j,
+    centre first, measuring only the rows whose screen g = U @ U_j exceeds
     cosm = cos(mind) - SCREEN_MARGIN (-inf while mind is inf), which it
-    keeps in step.  sphere_distances takes the base first when base_first:
-    complex products round by operand order.
+    keeps in step; j's own cosm becomes inf, so j is never measured again
+    (the traversal sets its minimum to -inf, the covering check to 0).
+    keep(rows) drops every other row from u, xs, ys and cosm.
 
     Margin (u = 2^-53; norms in NORM_RANGE, as a SphereSample checks).
     hopf_units bounds |g - cos theta| by 67u, theta the exact angle, and
@@ -482,45 +486,21 @@ def _lower_screened(mind, cosm, base, j: int, base_first: bool) -> None:
     whose minimum moves passes, with a factor of over 75,000 to spare, so
     the minima are those of the full row bit for bit.
     """
-    xs, ys = base.xs, base.ys
-    (idx,) = (base.u[:, j] @ base.u > cosm).nonzero()
-    if base_first:
-        d = sphere_distances(xs[idx], ys[idx], xs[j], ys[j])
-    else:
-        d = sphere_distances(xs[j], ys[j], xs[idx], ys[idx])
-    low = np.minimum(mind[idx], d)
-    mind[idx] = low
-    cosm[idx] = np.cos(low) - SCREEN_MARGIN
-
-
-class _SphereLowering:
-    """farthest_first's lowering step on a sphere sample, through the screen;
-    keep(rows) drops every other row from the screen's u, xs, ys and cosm."""
 
     def __init__(self, base: SphereSample):
         self.u, self.xs, self.ys = base.u, base.xs, base.ys
         self.cosm = np.full(base.n, -math.inf)
 
     def __call__(self, mind, j):
-        _lower_screened(mind, self.cosm, self, j, base_first=False)
-        self.cosm[j] = math.inf  # j leaves with mind[j] = -inf: it must never pass
+        (idx,) = (self.u[:, j] @ self.u > self.cosm).nonzero()
+        d = sphere_distances(self.xs[j], self.ys[j], self.xs[idx], self.ys[idx])
+        mind[idx] = low = np.minimum(mind[idx], d)
+        self.cosm[idx] = np.cos(low) - SCREEN_MARGIN
+        self.cosm[j] = math.inf
 
     def keep(self, rows):
         # each array holds one column per row
         vars(self).update({name: a[..., rows] for name, a in vars(self).items()})
-
-
-class _MatrixLowering:
-    """FiniteMetricSpace.lower, which reads only dist; keep(rows) drops every
-    other row and column of dist."""
-
-    __call__ = FiniteMetricSpace.lower
-
-    def __init__(self, space: FiniteMetricSpace):
-        self.dist = space.dist
-
-    def keep(self, rows):
-        self.dist = self.dist[np.ix_(rows, rows)]
 
 
 def farthest_first(lower: Callable, n: int, start: int, floor: float = -math.inf):
@@ -528,19 +508,21 @@ def farthest_first(lower: Callable, n: int, start: int, floor: float = -math.inf
 
     lower(mind, j) lowers mind in place to the distances from row j to
     every row, the rows being the n points until a floor drops some
-    (FiniteMetricSpace.lower for a matrix).  Lazily yields (index, distance
-    to the points yielded before it; inf for start), each index the
-    farthest point not yet yielded, ties to the lowest index.  Every prefix
-    is a net at the next distance; lower runs only as it advances.
+    (FiniteMetricSpace.lower for a matrix, a _SphereLowering for a sphere
+    sample).  Lazily yields (index, distance to the points yielded before
+    it; inf for start), each index the farthest point not yet yielded, ties
+    to the lowest index.  Every prefix is a net at the next distance; lower
+    runs only as it advances.
 
     The traversal ends before the first distance below floor (none by
     default).  A row whose minimum is below floor can only go lower, so it
     is never the farthest at a distance that is yielded.  With a finite
     floor, every 16 steps, once a quarter of the rows have a minimum below
     it, they are dropped from mind and from lower by lower.keep(kept), kept
-    the other rows in ascending order; yielded rows map back to the n
-    points.  The kept rows hold the same minima in the same order, so the
-    yields are those of the traversal without a floor, cut at the floor.
+    the other rows in ascending order (a _SphereLowering's keep; a matrix
+    traversal takes no floor); yielded rows map back to the n points.  The
+    kept rows hold the same minima in the same order, so the yields are
+    those of the traversal without a floor, cut at the floor.
     """
     mind = np.full(n, math.inf)
     rows = np.arange(n)  # the point of each kept row
@@ -568,32 +550,36 @@ def greedy_net(space, gamma: float) -> Net:
     Accepts a FiniteMetricSpace or sphere points, which sphere_sample turns
     into the net's base once.  Deterministic: ties go to the lowest index.
     The result is always a valid gamma-net of the given base; it need not be
-    minimal.  On sphere points a centre is measured only where
-    _lower_screened's screen says a minimum can move, with the unscreened
-    traversal's indices and distances.  The traversal's floor is gamma, so
-    it screens only the points that can still be chosen.
+    minimal.  On a matrix the plain traversal is cut at the first distance
+    below gamma, as cluster_select cuts its own.  On sphere points a centre
+    is measured only where _SphereLowering's screen says a minimum can move,
+    with the unscreened traversal's indices and distances, and the
+    traversal's floor is gamma, so it screens only the points that can
+    still be chosen.
 
     Certificate: the traversal yields distinct indices and stops at the
     first d < gamma, d the largest of the minima over the prefix (Gonzalez
     1985: every prefix is a net at the next distance).  Those minima are
-    the full rows' bit for bit (_lower_screened), so d is the covering
-    distance: exactly on a matrix base, whose dist is symmetric, and on
-    sphere points up to the operand order of sphere_distances, which
-    covering_distance() keeps.  Exhausting the base leaves distance 0.
-    The floor changes none of this.  A dropped row's minimum is below gamma
-    and can only go lower, so it is never the argmax of a step whose
-    distance is at least gamma, the only steps read.  Kept rows stay in
-    ascending order with the same minima, from the same sphere_distances
-    call shape (centre as a scalar, survivors as 1-D arrays, centre first),
-    so ties still go to the lowest index.  And the largest kept minimum is
-    below gamma exactly when the largest of all is, so the traversal stops
-    at the same step.
+    the full rows' bit for bit (on sphere points by _SphereLowering's
+    margin), so d is the covering distance: on a matrix base, whose dist is
+    symmetric, and on sphere points, where covering_distance() lowers
+    through the same screen in the same operand order (centre first).
+    Exhausting the base leaves distance 0.  The sphere floor changes none
+    of this.  A dropped row's minimum is below gamma and can only go lower,
+    so it is never the argmax of a step whose distance is at least gamma,
+    the only steps read.  Kept rows stay in ascending order with the same
+    minima, from the same sphere_distances call shape (centre as a scalar,
+    survivors as 1-D arrays, centre first), so ties still go to the lowest
+    index.  And the largest kept minimum is below gamma exactly when the
+    largest of all is, so the traversal stops at the same step.
     """
     require_scale("net radius gamma", gamma)
-    finite = isinstance(space, FiniteMetricSpace)
-    base = space if finite else sphere_sample(space)
-    lower = _MatrixLowering(space) if finite else _SphereLowering(base)
-    chosen = tuple(j for j, _ in farthest_first(lower, base.n, 0, gamma))
+    if isinstance(space, FiniteMetricSpace):
+        base, steps = space, farthest_first(space.lower, space.n, 0)
+    else:
+        base = sphere_sample(space)
+        steps = farthest_first(_SphereLowering(base), base.n, 0, gamma)
+    chosen = tuple(j for j, _ in itertools.takewhile(lambda jd: jd[1] >= gamma, steps))
     return Net._certified(gamma, chosen, base)
 
 

@@ -569,24 +569,23 @@ def grid_space(values):
     return FiniteMetricSpace.from_points(list(values), lambda a, b: abs(a - b))
 
 
-def farthest_first_reference(space, start):
-    """Farthest-point traversal as a plain loop over space.dist.
+def farthest_first_reference(space, start, stop=-math.inf):
+    """Farthest-point traversal that recomputes, at every step, each point's
+    distance to the points chosen so far from space.dist.
 
     Returns (index, distance to the indices before it) in insertion order,
-    the first distance being inf; ties go to the lowest index.
+    the first distance being inf, and ends before the first distance below
+    stop (none by default); ties go to the lowest index.
     """
     order = [(start, math.inf)]
-    chosen = {start}
     while len(order) < space.n:
-        best, bestd = -1, -1.0
-        for x in range(space.n):
-            if x in chosen:
-                continue
-            d = min(space.dist[x, y] for y, _ in order)
-            if d > bestd:
-                best, bestd = x, d
-        order.append((best, bestd))
-        chosen.add(best)
+        chosen = [j for j, _ in order]
+        mind = space.dist[chosen].min(axis=0)
+        mind[chosen] = -math.inf
+        best = int(np.flatnonzero(mind == mind.max())[0])
+        if mind[best] < stop:
+            break
+        order.append((best, float(mind[best])))
     return order
 
 
@@ -654,9 +653,9 @@ def point_bits(points):
 def greedy_net_reference(points, gamma):
     """nets.greedy_net on sphere points as it was before the screen: the
     traversal lowers its minima by full rows, one per centre, and the
-    covering distance takes every (base, net) pair in column blocks of 64,
-    through nets.sphere_distances, with each net point's own entry set to 0
-    after.
+    covering distance takes the full row of each net point, centre first as
+    the traversal calls nets.sphere_distances, with each net point's own
+    entry set to 0 after.
 
     Returns (order, points, covering distance), order holding the
     traversal's (index, distance) pairs of the net points.
@@ -681,17 +680,11 @@ def greedy_net_reference(points, gamma):
         if d < gamma:
             break
         order.append((j, d))
-    net = [pts[i] for i, _ in order]
-
-    ax, ay = (a[:, None] for a in sphere_coords(pts))
-    bx, by = sphere_coords(net)
     near = np.full(len(pts), math.inf)
-    for j in range(0, len(net), 64):
-        cols = slice(j, j + 64)
-        d = sphere_distances(ax, ay, bx[cols], by[cols])
-        np.minimum(near, d.min(axis=1), out=near)
+    for j, _ in order:
+        np.minimum(near, row(j), out=near)
     near[[i for i, _ in order]] = 0.0
-    return tuple(order), tuple(net), float(near.max())
+    return tuple(order), tuple(pts[i] for i, _ in order), float(near.max())
 
 
 def screen_families():
@@ -959,6 +952,12 @@ def stabilize_four_marked_reference(
 # ---------------------------------------------------------------------------
 # decoration reference: the scalar loop that curves.decorate replaced
 # ---------------------------------------------------------------------------
+
+
+def max_sphere_distance_reference(a, b):
+    """The largest nets.sphere_distance over the paired points of a and b,
+    one scalar call per pair."""
+    return max(sphere_distance(p, q) for p, q in zip(a, b, strict=True))
 
 
 def _mark_distance(q1, q2):

@@ -80,6 +80,7 @@ from helpers import (
     flat_standard,
     in_compact_subset_reference,
     lipschitz_reference,
+    max_sphere_distance_reference,
     near_pairs_reference,
     random_member,
     random_standard,
@@ -2229,6 +2230,30 @@ def test_decorate_scans_without_scalar_distances(monkeypatch):
     p = random_member(tree, c, rng)
     monkeypatch.setattr(curves, "sphere_distance", scalar)
     assert len(decorate(p, [], 216)) == 216
+
+
+@pytest.mark.parametrize("depth", [2, 4, 8])
+def test_componentwise_distances_skip_the_scalar_form(monkeypatch, depth):
+    # embedded_distance and _mark_distance measure every component in one
+    # kernel call, with the bits of the per-component scalar maximum
+    rng = random.Random(depth)
+    tree = chain_tree(depth)
+    p = random_member(tree, default_params(tree), rng)
+    points = list(decorate(p, [], 3 * len(tree.incident_pairs()) + 12))
+    pairs = [tuple(rng.sample(points, 2)) for _ in range(30)] + [(points[0], points[0])]
+    want = [
+        (max_sphere_distance_reference(embed(p, a).values(), embed(p, b).values()),
+         max_sphere_distance_reference(a.coords.values(), [b.at(v) for v in a.coords]))
+        for a, b in pairs
+    ]
+
+    def scalar(*args):
+        raise AssertionError("scalar sphere_distance called")
+
+    monkeypatch.setattr(curves, "sphere_distance", scalar)
+    got = [(embedded_distance(p, a, b), curves._mark_distance(a, b)) for a, b in pairs]
+    assert [(e.hex(), m.hex()) for e, m in got] == [(e.hex(), m.hex()) for e, m in want]
+    assert all(e > 0.0 for e, _ in got[:-1]) and got[-1] == (0.0, 0.0)
 
 
 def decorate_rows(monkeypatch, m):

@@ -32,8 +32,6 @@ from bubbletree.nets import (
     NORM_RANGE,
     SPHERE_NET_CAP,
     TIE_RTOL,
-    _lower_screened,
-    _MatrixLowering,
     _SphereLowering,
     FiberMap,
     FiniteMetricSpace,
@@ -100,6 +98,22 @@ def random_metric_space(rng, n, labels=None):
     # random points in the plane give a genuine metric
     pts = [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
     return FiniteMetricSpace.from_points(pts, lambda p, q: abs(p - q))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+def test_self_distance_is_zero_in_every_call_shape(scale):
+    # numpy may round a complex product by call shape (FMA on one path);
+    # this point's distance to itself must still be 0 in every shape, or
+    # Net refuses its exact one-point net at the smallest radius
+    p = ProjPoint((3.87e-121 + 4.51e-121j) * scale, (5.26e-121 + 3.87e-121j) * scale)
+    base = sphere_sample([p, p])
+    xs, ys = base.xs, base.ys
+    assert sphere_distances(xs[0], ys[0], xs, ys).tolist() == [0.0, 0.0]
+    assert sphere_distances(xs, ys, xs[0], ys[0]).tolist() == [0.0, 0.0]
+    # from_sphere's call, before its constructor zeroes the diagonal
+    assert sphere_distances(xs[:, None], ys[:, None], xs, ys).tolist() == [[0.0] * 2] * 2
+    assert Net(radius=5e-324, indices=(0,), base=sphere_sample([p])).covering_distance() == 0.0
+    assert greedy_net([p, p], 5e-324).indices == (0,)
 
 
 def test_sphere_distance_refuses_what_a_sphere_sample_refuses():
@@ -635,10 +649,10 @@ def test_net_on_a_sphere_sample_matches_brute_force(data):
         with pytest.raises(InputError):
             Net(radius=free, indices=idx, base=base)
         return
-    # full base-first rows, called as the kernel calls sphere_distances:
+    # full centre-first rows, called as the traversal calls sphere_distances:
     # numpy's complex products round by call shape as well as operand order
     xs, ys = base.xs, base.ys
-    rows = [sphere_distances(xs, ys, xs[j], ys[j]) for j in idx]
+    rows = [sphere_distances(xs[j], ys[j], xs, ys) for j in idx]
     brute = float(np.min(rows, axis=0).max())
     radius = {"at": brute, "above": math.nextafter(brute, math.inf),
               "half": brute / 2.0, "free": free}[rule]
@@ -801,18 +815,38 @@ def test_floor_keeps_the_reference_prefix_on_a_matrix():
     space = grid_space([complex(x, y) for x in range(9) for y in range(9)])
     order = farthest_first_reference(space, 0)
     for gamma in (1.0, 1.5, 2.0):
-        prefix = list(itertools.takewhile(lambda jd: jd[1] >= gamma, order))
-        lower = RowCounting(_MatrixLowering(space))
-        assert list(farthest_first(lower, space.n, 0, gamma)) == prefix
-        assert len(prefix) > 16 and min(lower.rows) < space.n
+        prefix = itertools.takewhile(lambda jd: jd[1] >= gamma, order)
         assert greedy_net(space, gamma).indices == tuple(j for j, _ in prefix)
+
+
+def unit_square_space(n):
+    """The plane distances of n uniform points of the unit square, seeded by n."""
+    rng = random.Random(n)
+    z = np.array([complex(rng.random(), rng.random()) for _ in range(n)])
+    return FiniteMetricSpace(np.abs(z[:, None] - z))
+
+
+@pytest.mark.parametrize(
+    "make, gammas",
+    [(lambda: unit_square_space(25), (0.3, 0.1, 0.03)),
+     (lambda: unit_square_space(200), (0.3, 0.1, 0.03)),
+     (lambda: unit_square_space(1000), (0.3, 0.1, 0.03)),
+     # exact ties at every distance, and a cut at one of them (gamma = 1)
+     (lambda: grid_space([complex(x, y) for x in range(20) for y in range(20)]),
+      (3.0, 1.5, 1.0, 0.3))],
+    ids=["square-25", "square-200", "square-1000", "grid-20x20"],
+)
+def test_greedy_net_on_a_matrix_is_the_reference_prefix(make, gammas):
+    space = make()
+    for gamma in gammas:
+        order = farthest_first_reference(space, 0, gamma)
+        assert greedy_net(space, gamma).indices == tuple(j for j, _ in order)
 
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: _SphereLowering(sphere_sample(fibonacci_sphere_points(400))),
-     lambda: _MatrixLowering(grid_space([complex(x, y) for x in range(20) for y in range(20)]))],
-    ids=["sphere", "matrix"],
+    [lambda: _SphereLowering(sphere_sample(fibonacci_sphere_points(400)))],
+    ids=["sphere"],
 )
 def test_floor_drops_rows_and_no_floor_drops_none(make):
     lower = RowCounting(make())
@@ -828,8 +862,9 @@ def test_floor_drops_rows_and_no_floor_drops_none(make):
 
 
 def test_screened_greedy_net_keeps_operand_orders():
-    # the traversal measures centre against base and the covering check base
-    # against net point; on one of these sets of 40 either swap shows
+    # the traversal and the covering check both measure centre against
+    # base; on 11 of these 40 sets the base-first order rounds the covering
+    # distance apart
     rng = random.Random(2003)
     for _ in range(20):
         pts = gaussian_sphere_points(rng, 200)
@@ -840,21 +875,17 @@ def test_screened_greedy_net_keeps_operand_orders():
             assert greedy_net(pts, gamma).covering_distance().hex() == cov.hex()
 
 
-@pytest.mark.parametrize("base_first", [False, True])
-def test_screened_lowering_matches_full_rows(base_first):
+def test_screened_lowering_matches_full_rows():
+    # each centre leaves with minimum -inf, as farthest_first sets it
     rng = random.Random(1985)
     pts = gaussian_sphere_points(rng, 400)
-    base = sphere_sample(pts)
+    lower = _SphereLowering(sphere_sample(pts))
     mind = np.full(len(pts), math.inf)
-    cosm = np.full(len(pts), -math.inf)
     want = mind.copy()
     for k in rng.sample(range(len(pts)), 120):
-        _lower_screened(mind, cosm, base, k, base_first)
-        if base_first:
-            row = sphere_pairwise(pts, [pts[k]])[:, 0]
-        else:
-            row = sphere_pairwise([pts[k]], pts)[0]
-        np.minimum(want, row, out=want)
+        lower(mind, k)
+        np.minimum(want, sphere_pairwise([pts[k]], pts)[0], out=want)
+        mind[k] = want[k] = -math.inf
         assert mind.tobytes() == want.tobytes()
 
 

@@ -186,6 +186,23 @@ def unreferenced_names(modules: dict[str, str], readers: list[str]) -> dict[str,
     }
 
 
+def unread_private(modules: dict[str, str]) -> list[str]:
+    """module.name for every top-level function or class whose name starts
+    with _ that nothing in the modules reads outside its own definition.
+    Names are matched by identifier alone, as in unreferenced_names; an
+    import alone is no read."""
+    parsed = {Path(name).stem: ast.parse(source) for name, source in modules.items()}
+    read = sum(map(names_read, parsed.values()), Counter())
+    return sorted(
+        f"{name}.{stmt.name}"
+        for name, module in parsed.items()
+        for stmt in module.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and read[stmt.name] == names_read(stmt)[stmt.name]
+    )
+
+
 # The public names that nothing in src/ or bench/ reads, each with its role
 # in the paper (constructions that only the tests exercise), or the library
 # that calls an override.  Any other such name is a wrapper nobody needs and
@@ -385,6 +402,30 @@ def test_every_unread_public_name_has_a_role_in_the_paper():
     modules = {path.name: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
     readers = [path.read_text("utf-8") for path in sorted(BENCH.glob("*.py"))]
     assert surface_faults(modules, readers, UNREAD_PUBLIC) == []
+
+
+def test_private_rule_on_a_synthetic_package():
+    modules = {
+        "a.py": (
+            "def _helper(n):\n    return _helper(n - 1)\n"
+            "def _used():\n    pass\n"
+            "class _Kept:\n    pass\n"
+            "class _Left:\n    def method(self):\n        return _Left\n"
+            "def public():\n    def _nested():\n        pass\n    return _used()\n"
+            "_CONSTANT = 1\n"
+        ),
+        "b.py": "from a import _Kept, _helper\nx = _Kept\n",
+    }
+    # a read inside the definition, or an import alone, is no read; nested
+    # definitions and private constants are not checked
+    assert unread_private(modules) == ["a._Left", "a._helper"]
+
+
+def test_every_private_helper_has_a_reader_in_the_package():
+    # a private helper that only the tests call is code kept for no user;
+    # the tests do not count as readers, and there is no allowlist
+    modules = {path.name: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unread_private(modules) == []
 
 
 def test_certificate_rule_on_a_synthetic_package():
