@@ -30,6 +30,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -173,15 +174,19 @@ def position_gaps(p: ModuliPoint):
     below u through one shared child edge are skipped: their difference
     carries that edge's gluing factor, so it vanishes on nodal fibers and
     says nothing about the gluing data being degenerate.  The pairs are the
-    tree's diverging_pairs, found once per tree, and the positions below
-    each u come from one chart_positions descent.
+    tree's diverging_pairs, found once per tree.  The positions are one
+    (|V|, pairs) table, row k the chart_positions descent from vertex k,
+    and the differences one fancy-index subtraction on it, which rounds as
+    the scalar one does.
     """
     t = p.tree
     coords = t.coordinate_pairs()
-    below = functools.cache(functools.partial(chart_positions, p))
-    for k, i, j in diverging_pairs(t).tolist():
-        u, a, b = t.vertices[k], coords[i], coords[j]
-        yield u, a, b, below(u)[a] - below(u)[b]
+    rows = [chart_positions(p, u) for u in t.vertices]
+    table = np.array([[row.get(q, 0j) for q in coords] for row in rows])
+    k, i, j = diverging_pairs(t).T
+    gaps = (table[k, i] - table[k, j]).tolist()
+    us = [t.vertices[n] for n in k.tolist()]
+    yield from zip(us, [coords[n] for n in i.tolist()], [coords[n] for n in j.tolist()], gaps)
 
 
 def fiber_discriminant(p: ModuliPoint) -> complex:
@@ -193,10 +198,12 @@ def fiber_discriminant(p: ModuliPoint) -> complex:
     trees: on members of chains with two leaves per vertex it falls about
     45 decades per vertex, to 1e-236 to 1e-249 at 10 vertices, and it
     underflows to exactly 0.0 from 12 (ROADMAP item 1b).
+
+    Cost: one chart_positions descent per vertex, O(|V| depth) in all, and
+    one subtraction over the diverging pairs (position_gaps); the gaps are
+    then multiplied in pair order by math.prod, with no Python loop.
     """
-    out = 1.0 + 0.0j
-    for _, _, _, gap in position_gaps(p):
-        out *= gap
+    out = math.prod(map(operator.itemgetter(3), position_gaps(p)), start=1.0 + 0.0j)
     for e in p.tree.full_edges:
         out *= p.rho(p.tree.e_minus[e], e)
     return out
@@ -815,6 +822,9 @@ class ThickThinDecomposition:
     and end of each edge e with e- = v.  always lists the regions with no
     inside term, which is the root end alone.  Each region is in exactly
     one of these lists, by index in ascending order.
+
+    charts holds what check_map_membership reads besides these, made on
+    first read and kept.
     """
 
     point: ModuliPoint
@@ -824,6 +834,18 @@ class ThickThinDecomposition:
     table: tuple[tuple[int, ...], ...]
     rims: tuple[tuple[int, tuple[tuple[int, complex, float], ...], tuple[int, ...]], ...]
     always: tuple[int, ...]
+
+    @functools.cached_property
+    def charts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, rho, columns): the disc data of every child pair (_discs),
+        for a chart table (_chart_table), and per region r the table
+        columns (_chart_keys) of the one or two components that
+        region_distance compares on regions[r] (_charts), the one column
+        twice when there is one."""
+        t = self.point.tree
+        col = {key: k for k, key in enumerate(_chart_keys(t))}
+        ends = (_charts(t, r) for r in self.regions)
+        return (*_discs(self.point), np.array([[col[ks[0]], col[ks[-1]]] for ks in ends]))
 
     def classify(self, q: FiberPoint) -> tuple[Region, ...]:
         """All regions containing q.
@@ -997,23 +1019,46 @@ def classify(
     return decomposition(p, c).classify(q)
 
 
-def _region_distances(p: ModuliPoint, region: Region, batch: FiberBatch, rows, i, j):
-    """region_distance from batch row rows[i[k]] to rows[j[k]] for index
-    arrays i and j: the components in the scalar order (the thick region's
-    chart; per edge endpoint, the plain chart at e+ and the disc-rescaled
-    one at e-), then their max (no distance is NaN)."""
-    t, at, e = p.tree, batch.vertices.index, region.edge
-    out = None
-    for u in [region.vertex] if region.kind == "thick" else t.boundary[e]:
-        x, y = batch.xs[rows, at(u)], batch.ys[rows, at(u)]
-        if region.kind != "thick" and t.e_plus[e] != u:
-            num, den = x - _cmul(p.z(u, e), y), _cmul(p.rho(u, e), y)
-            if np.any((num == 0) & (den == 0)):
-                raise VerificationError(f"rescaled chart at ({u}, {e}) is degenerate")
-            x, y = _normalize(num, den)
-        d = sphere_distances(x[i], y[i], x[j], y[j])
-        out = d if out is None else np.maximum(out, d)
-    return out
+def _chart_keys(t: RootedTree) -> tuple:
+    """The columns of a chart table: every vertex, then every child pair."""
+    return (*t.vertices, *t.coordinate_pairs())
+
+
+def _charts(t: RootedTree, region: Region) -> tuple:
+    """The charts region_distance compares on region, in order, as chart
+    table keys: the thick region's vertex; per endpoint u of an edge e, u
+    for the plain chart at e+ and (u, e) for the disc-rescaled one at e-."""
+    if region.kind == "thick":
+        return (region.vertex,)
+    e = region.edge
+    return tuple(u if t.e_plus[e] == u else (u, e) for u in t.boundary[e])
+
+
+def _discs(p: ModuliPoint) -> np.ndarray:
+    """z and rho of every child pair, in coordinate_pairs order."""
+    return np.array([p.zr[k] for k in p.tree.coordinate_pairs()], complex).reshape(-1, 2).T
+
+
+def _chart_table(t: RootedTree, z: np.ndarray, rho: np.ndarray, batch: FiberBatch):
+    """Every row's chart at each key of _chart_keys: the plain chart at a
+    vertex, and at a child pair with disc data z and rho (_discs) the
+    disc-rescaled chart _normalize(x - z y, rho y) of the plain chart [x :
+    y] at its vertex.  Returns complex (N, keys) arrays x and y, and where
+    a rescaled chart is [0 : 0], which the arrays hold as [0 : 1]."""
+    at = np.searchsorted(t.vertices, [v for v, _ in t.coordinate_pairs()])
+    x, y = batch.xs[:, at], batch.ys[:, at]
+    num, den = x - _cmul(z, y), _cmul(rho, y)
+    bad = (num == 0) & (den == 0)
+    rx, ry = _normalize(num, np.where(bad, 1.0, den))
+    flat = np.zeros(batch.xs.shape, bool)
+    return np.hstack([batch.xs, rx]), np.hstack([batch.ys, ry]), np.hstack([flat, bad])
+
+
+def _chart_distances(x: np.ndarray, y: np.ndarray, slots, i, j) -> np.ndarray:
+    """region_distance from row i[k] to row j[k] of a chart table: per
+    component slot one sphere_distances call at the column slot[k], then
+    the max of the slots (no distance is NaN)."""
+    return np.max([sphere_distances(x[i, c], y[i, c], x[j, c], y[j, c]) for c in slots], axis=0)
 
 
 def region_distance(
@@ -1024,13 +1069,19 @@ def region_distance(
     Thick regions compare the plain chart values at the vertex; necks and
     ends take the max of the embedding components over the edge's endpoints.
     A point outside the region, or a region that does not fit the tree,
-    raises InputError.
+    raises InputError; a degenerate rescaled chart, VerificationError.
     """
     for q in (q1, q2):
         if not region_contains(p, region, q):
             raise InputError(f"point outside region {region}")
-    batch = FiberBatch.of(p.tree, (q1, q2))
-    return float(_region_distances(p, region, batch, [0, 1], [0], [1])[0])
+    t = p.tree
+    x, y, bad = _chart_table(t, *_discs(p), FiberBatch.of(t, (q1, q2)))
+    keys = _chart_keys(t)
+    cols = [keys.index(k) for k in _charts(t, region)]
+    for col in cols:
+        if bad[:, col].any():
+            raise VerificationError(f"rescaled chart at {keys[col]} is degenerate")
+    return float(_chart_distances(x, y, cols, [0], [1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1734,60 +1785,75 @@ def check_map_membership(
     are missing.  The membership report is kept on p and read again for
     params equal to the kept ones, as in decomposition.
 
-    Cost: one region_matrix pass over the samples, then per region one
-    vector of distortions over its sample pairs.  Every distance equals the
-    scalar sphere_distance by bits: every form calls the kernel
+    A sample whose target is not an index of a target point raises
+    InputError naming the sample, and a region without a budget raises
+    InputError when the regions are read, in order.
+
+    Cost: one region_matrix pass and one chart table (_chart_table) of the
+    samples; then the sample pairs of every region in one index list,
+    measured by one sphere_distances call per component slot, two in all,
+    and each region's worst ratio by one np.maximum.at.  Only the budgets
+    are read in a loop over the regions.  Every distance equals the scalar
+    sphere_distance by bits: every form calls the kernel
     nets.sphere_distances.
+
+    No rescaled chart of a member is [0 : 0], so unlike region_distance
+    this check refuses none.  A normalized chart value [x : y] has y = 1,
+    where rho y = rho and membership gives |rho| >= alpha (1 - 1e-12) > 0,
+    or x = 1 and |y| <= 1, where membership gives |z| <= theta (1 + 1e-12)
+    <= 1/6 + 1e-12, so x - z y has real part above 4/5.
     """
+    n = smap.target.n
+    index = np.array([tgt for _, tgt in smap.samples])
+    if index.dtype.kind not in "iu":  # not all ints: a float, a string or None
+        fits = [isinstance(t, (int, np.integer)) and 0 <= t < n for _, t in smap.samples]
+        index = np.array([t if ok else -1 for (_, t), ok in zip(smap.samples, fits)], int)
+    wrong = _first_false((0 <= index) & (index < n))
+    if wrong is not None:
+        raise InputError(f"sample {wrong} maps to {smap.samples[wrong][1]!r}, not a target index")
     report = _membership(p, c)
     allowed = set(target_subset)
-    offender = next(
-        (i for i, (_, tgt) in enumerate(smap.samples) if tgt not in allowed), None
-    )
+    offender = _first_false(np.array([tgt in allowed for _, tgt in smap.samples], bool))
 
     rejections = []
     pairs_checked = 0
     if report.ok:
         decomp = decomposition(p, c)
         batch = FiberBatch.of(p.tree, [q for q, _ in smap.samples])
-        targets = np.array([tgt for _, tgt in smap.samples])
-        for region, inside in zip(decomp.regions, decomp.region_matrix(batch).T):
+        inside = decomp.region_matrix(batch)
+        z, rho, charts = decomp.charts
+        x, y, _ = _chart_table(p.tree, z, rho, batch)
+        # every region's member pairs i < j, row-major, region by region:
+        # member m (sample rows[m] of region r[m]) pairs with the after[m]
+        # members that follow it in its region, m + 1 to m + after[m]
+        r, rows = np.nonzero(inside.T)
+        m = np.arange(len(r))
+        after = np.cumsum(inside.sum(axis=0))[r] - m - 1
+        first = np.repeat(m, after)
+        second = np.arange(len(first)) + np.repeat(m + 1 - np.cumsum(after) + after, after)
+        r, i, j = r[first], rows[first], rows[second]
+        d_dom = _chart_distances(x, y, charts[r].T, i, j)
+        keep = d_dom > 0.0
+        pairs_checked = int(keep.sum())
+        with np.errstate(over="ignore"):
+            ratio = smap.target.dist[index[i[keep]], index[j[keep]]] / d_dom[keep]
+        # each region's max from 0.0, as in a scalar loop; no ratio is below 0
+        worst = np.zeros(len(decomp.regions))
+        np.maximum.at(worst, r[keep], ratio)
+        for region, seen in zip(decomp.regions, worst.tolist()):
             if region not in lam:
                 raise InputError(f"no Lipschitz budget for region {region}")
             budget = lam[region] * lambda0
-            members = np.flatnonzero(inside)
-            worst = 0.0
-            if len(members) > 1:
-                k = np.arange(len(members))
-                i, j = np.nonzero(k[:, None] < k)
-                d_dom = _region_distances(p, region, batch, members, i, j)
-                keep = d_dom > 0.0
-                pairs_checked += int(keep.sum())
-                ti, tj = targets[members[i[keep]]], targets[members[j[keep]]]
-                with np.errstate(over="ignore"):
-                    ratio = smap.target.dist[ti, tj] / d_dom[keep]
-                # as in a scalar loop, only a ratio above 0.0 moves the max
-                worst = float(ratio[ratio > 0.0].max(initial=0.0))
-            if worst > budget * (1.0 + EQ_SLACK):
-                rejections.append((region, worst, budget))
+            if seen > budget * (1.0 + EQ_SLACK):
+                rejections.append((region, seen, budget))
 
     required = [e for e in p.tree.half_edges if e not in unconstrained.marked]
-    if smap.region_energy is None:
-        energy_status, failures = "unchecked", ()
-    else:
-        missing = [e for e in required if e not in smap.region_energy]
-        failures = tuple(
-            e
-            for e in required
-            if e in smap.region_energy
-            and smap.region_energy[e] < (eta * lambda0) ** 2 * (1.0 - EQ_SLACK)
-        )
-        if failures:
-            energy_status = "failed"
-        elif missing:
-            energy_status = "unchecked"
-        else:
-            energy_status = "ok"
+    energy = {} if smap.region_energy is None else smap.region_energy
+    floor = (eta * lambda0) ** 2 * (1.0 - EQ_SLACK)
+    failures = tuple(e for e in required if e in energy and energy[e] < floor)
+    # no energies at all is "unchecked" even when no edge requires one
+    missing = smap.region_energy is None or any(e not in energy for e in required)
+    energy_status = "failed" if failures else "unchecked" if missing else "ok"
 
     return MembershipVerdict(
         membership=report,

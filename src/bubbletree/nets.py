@@ -275,9 +275,9 @@ class FiniteMetricSpace:
     in O(n^2) memory: about 4 ms at n = 128, 42 ms at n = 300, 0.25 s at
     n = 512 and 2.0 s at n = 1000 (best of 2-7 on a 2-vCPU x86-64 VM, numpy
     2.4), so spaces of a few hundred points build in well under a second.
-    bubbles.reduce, whose matrix of point distances is a metric by the proof
-    in its docstring, takes the private _certified path and skips all of
-    it.  labels carries one opaque payload per point.
+    bubbles.reduce and from_sphere, whose matrices are metrics by the
+    proofs in their docstrings, take the private _certified path and skip
+    all of it.  labels carries one opaque payload per point.
     """
 
     __slots__ = ("dist", "labels")
@@ -356,14 +356,26 @@ class FiniteMetricSpace:
     def from_sphere(cls, points: Sequence[ProjPoint]) -> "FiniteMetricSpace":
         """The space of sphere points (ProjPoints or (x, y) pairs, their
         norms in NORM_RANGE) under the sphere distance, its labels the
-        points: the matrix sphere_distances gives, row point first, through
-        the checked construction.  Each entry lies within 42u = 4.7e-15 of
-        the exact distance, near antipodes too, so the matrix breaks no
-        triangle inequality by more than 126u, far inside its 1e-9
-        tolerance.
+        points: the matrix sphere_distances gives, row point first, made
+        exactly symmetric and zeroed on the diagonal as the checked
+        construction makes it, and then trusted.
+
+        Certificate: each kernel entry lies in [0, pi], within 42u = 4.7e-15
+        of the exact distance, near antipodes too, so a diagonal entry is at
+        most 42u and an asymmetry at most 84u.  The mean with the transpose
+        rounds once more, by at most pi u, so each entry stays within 46u
+        and the matrix breaks no triangle inequality by more than 138u
+        (126u before the mean): every check of the checked construction
+        passes, far inside its 1e-9 tolerance.  That construction would
+        then take the mean again and zero the diagonal, which keeps every
+        bit of this exactly symmetric matrix, and the labels are one tuple
+        entry per point.
         """
         s = sphere_sample(points)
-        return cls(sphere_distances(s.xs[:, None], s.ys[:, None], s.xs, s.ys), labels=s.labels)
+        d = sphere_distances(s.xs[:, None], s.ys[:, None], s.xs, s.ys)
+        d = (d + d.T) / 2.0
+        np.fill_diagonal(d, 0.0)
+        return cls._certified(d, s.labels)
 
 
 def hausdorff_from_matrix(d: np.ndarray) -> float:

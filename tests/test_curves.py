@@ -190,7 +190,7 @@ def test_discriminant_chain_hand_formula():
     assert abs(fiber_discriminant(p) - expected) < 1e-12 * abs(expected)
 
 
-@pytest.mark.parametrize("depth", [4, 6, 8, 10, 12, 14, 16])
+@pytest.mark.parametrize("depth", [4, 6, 8, 10, 12, 14, 16, 24])
 def test_discriminant_bits_match_uncached_loop(depth):
     rng = random.Random(depth)
     tree = chain_tree(depth)
@@ -1214,6 +1214,84 @@ def test_check_map_membership_bits_on_chains(depth):
         got = ieee_rejections(verdict.lipschitz_rejections)
         assert got == ieee_rejections(rejections)
     assert rejections
+
+
+@pytest.mark.parametrize("depth", [4, 16])
+def test_check_map_membership_measures_in_two_kernel_calls(monkeypatch, depth):
+    # one sphere_distances call per component slot, however many regions
+    rng = random.Random(depth)
+    tree = chain_tree(depth)
+    c = default_params(tree)
+    p = random_member(tree, c, rng)
+    samples = [fiber_from_root(p, ProjPoint(cmath.rect(rng.random(), rng.uniform(0, 7)), 1.0))
+               for _ in range(16)]
+    for e in tree.full_edges:
+        big_r = -0.5 * math.log(abs(p.gamma_of(e)))
+        samples += [neck_param(p, e, rng.uniform(-big_r, big_r), rng.uniform(0, 7)) for _ in "ab"]
+    target = FiniteMetricSpace.from_sphere([q.at(tree.root_vertex) for q in samples])
+    smap = SampledMap(target, tuple((q, i) for i, q in enumerate(samples)))
+    lam = region_budgets(p, c, 0.5)
+    want = lipschitz_reference(p, smap, lam, 2.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return sphere_distances(*args)
+
+    monkeypatch.setattr(curves, "sphere_distances", counted)
+    verdict = check_map_membership(p, c, smap, range(len(samples)), 1.0, lam, 2.0, Marking())
+    assert len(calls) <= 2 and calls[0] == verdict.lipschitz_pairs == want[1]
+    assert ieee_rejections(verdict.lipschitz_rejections) == ieee_rejections(want[0])
+
+
+def test_check_map_membership_reads_the_budgets_in_region_order():
+    p, c, samples = check_path_cases()[2]
+    target = FiniteMetricSpace.from_sphere([q.at(p.tree.root_vertex) for q in samples])
+    smap = SampledMap(target, tuple((q, i) for i, q in enumerate(samples)))
+    regions = decomposition(p, c).regions
+    # every region with a budget rejects; the first without one is named
+    for gone in ([regions[3], regions[-1]], [regions[-1]]):
+        lam = {r: 1e-9 for r in regions if r not in gone}
+        with pytest.raises(InputError) as err:
+            check_map_membership(p, c, smap, range(len(samples)), 1.0, lam, 1.0, Marking())
+        assert str(err.value) == f"no Lipschitz budget for region {gone[0]}"
+
+
+def test_member_rescaled_charts_are_never_degenerate():
+    # check_map_membership refuses no degenerate chart: on a member none is
+    # [0 : 0] (see its docstring), boundary circles and infinity included
+    for p, c, samples in check_path_cases() + region_sample_cases():
+        z, rho, _ = decomposition(p, c).charts
+        _, _, bad = curves._chart_table(p.tree, z, rho, FiberBatch.of(p.tree, samples))
+        assert bad.shape == (len(samples), len(z) + len(p.tree.vertices))
+        assert not bad.any()
+
+
+def test_check_map_membership_on_a_degenerate_chart_is_a_membership_rejection():
+    # the only fibers with a [0 : 0] rescaled chart have a zero rho, so
+    # they fail membership and the Lipschitz pass never reads a chart
+    p, q = degenerate_chart_point()
+    c = default_params(p.tree)
+    neck = Region("neck", edge=1)
+    assert region_contains(p, neck, q)
+    smap = SampledMap(two_point_target(), ((q, 0), (q, 1)))
+    verdict = check_map_membership(p, c, smap, {0, 1}, 0.5, {neck: 1.0}, 1.0, Marking())
+    assert verdict.summary() == f"rejected: membership: {in_compact_subset(p, c).first_violation}"
+    assert "|rho[1,1]| = 0.0" in verdict.summary() and verdict.lipschitz_pairs == 0
+
+
+@pytest.mark.parametrize("member", [True, False], ids=["member", "non-member"])
+@pytest.mark.parametrize("index", [-1, 2, 1.5, "1", None])
+def test_check_map_membership_refuses_a_target_index_outside_the_target(member, index):
+    _, p = chain2_point(0.1 if member else 0.9, 0.05, 0.01)
+    c = default_params(p.tree)
+    assert in_compact_subset(p, c).ok is member
+    qs = [fiber_from_root(p, ProjPoint(x, 1.0)) for x in (0.3, 0.31, 0.4)]
+    smap = SampledMap(two_point_target(), ((qs[0], 0), (qs[1], index), (qs[2], 1)))
+    with pytest.raises(InputError, match=rf"^sample 1 maps to {index!r}, not a target index$"):
+        check_map_membership(
+            p, c, smap, {0, 1}, 0.5, region_budgets(p, c, 10.0) if member else {}, 1.0, Marking()
+        )
 
 
 def count_membership_checks(monkeypatch):

@@ -242,6 +242,38 @@ def test_from_sphere_accepts_the_near_antipodal_sweep():
     assert worst <= 1e-15
 
 
+def certified_cases():
+    """Point lists for from_sphere's certificate: the near-antipodal triples
+    of the sweep, duplicate and antipodal points, and one point."""
+    a = ProjPoint(0.3 - 0.2j, 1.0)
+    antipode = ProjPoint(1.0, -(0.3 - 0.2j).conjugate())
+    cases = [[ProjPoint.from_affine(z) for z in trip]
+             for trip in near_antipodal_triples(random.Random(2031), 1_000)]
+    cases += [[a, a], [a, ProjPoint(2.0 * a.x, 2.0 * a.y), a], [a, antipode],
+              [ProjPoint(1.0, 0.0), ProjPoint(0.0, 1.0), a, antipode], [a]]
+    return cases
+
+
+def test_from_sphere_certificate_is_what_the_checked_construction_keeps():
+    # the trusted matrix passes every check of the checked construction,
+    # which keeps its bytes
+    for pts in certified_cases():
+        space = FiniteMetricSpace.from_sphere(pts)
+        checked = FiniteMetricSpace(space.dist, labels=space.labels)
+        assert checked.dist.tobytes() == space.dist.tobytes()
+        assert checked.labels == space.labels == tuple(pts)
+        assert not space.dist.flags.writeable
+
+
+def test_from_sphere_skips_the_cubic_check(monkeypatch):
+    def refuse(self, dist, labels=None):
+        raise AssertionError("the checked construction ran")
+
+    monkeypatch.setattr(FiniteMetricSpace, "__init__", refuse)
+    space = FiniteMetricSpace.from_sphere(gaussian_sphere_points(random.Random(3), 40))
+    assert space.n == 40 and space.dist[3, 7] == space.dist[7, 3] > 0.0
+
+
 def test_from_sphere_accepts_near_antipodal_points_of_the_sphere_metric():
     # z and w are within 4.3e-8 of antipodal and c lies 2.1e-7 from w: the
     # exact distances pass every triangle inequality with 2.5e-8 to spare,

@@ -245,6 +245,7 @@ CERTIFIED_CALLERS = {
     "bubbles.reduce": "the FiniteMetricSpace of a standard configuration's moduli matrix",
     "curves.FiberBatch.__getitem__": "the FiberPoint of a batch row, normalized when built",
     "curves._complete": "the FiberPoint of coordinates that _normal built, each once",
+    "nets.FiniteMetricSpace.from_sphere": "the metric space of sphere points under the kernel's distances",
     "nets._normal": "the ProjPoint of a normalized pair of complex slots",
     "nets.greedy_net": "the Net that the farthest-point traversal stops at",
     "nets.minimal_net": "the Net whose balls the exact search found to cover",
