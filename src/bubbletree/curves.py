@@ -138,6 +138,11 @@ class ModuliPoint:
     def rho(self, v: int, e: int) -> complex:
         return self.zr[(v, e)][1]
 
+    def disc(self, v: int, e: int) -> tuple[complex, complex]:
+        """(z, rho) of the disc of the incident pair (v, e): the unit disc
+        (0, 1) at v = e+, else zr[(v, e)]."""
+        return (0j, 1 + 0j) if self.tree.e_plus[e] == v else self.zr[(v, e)]
+
     def gamma_of(self, e: int) -> complex:
         return self.gamma[e]
 
@@ -728,33 +733,22 @@ def split_fiber(p: ModuliPoint) -> SplitFiber:
 # ---------------------------------------------------------------------------
 
 
-def _phi_component(p: ModuliPoint, q: FiberPoint, u: int, e: int) -> ProjPoint:
-    """Disc-rescaled chart at (u, e), e a child edge of u."""
-    a = q.at(u)
-    num = a.x - p.z(u, e) * a.y
-    den = p.rho(u, e) * a.y
-    if num == 0 and den == 0:
-        raise VerificationError(f"rescaled chart at ({u}, {e}) is degenerate")
-    return _normal(num, den)
-
-
 def embed(p: ModuliPoint, q: FiberPoint) -> dict[tuple[int, int], ProjPoint]:
     """Embed a fiber point into the product of spheres over incident pairs.
 
-    At (v, e) with v = e+ the component is the plain chart value at v; at
-    (u, e) with e a child edge of u it is the disc-rescaled value.  The
-    plain components alone already separate points, so the embedding is
-    injective fiberwise.
+    The component at (v, e) is the chart of the disc of that pair
+    (ModuliPoint.disc): the plain chart value at v when v = e+, whose disc
+    is the unit disc, and the disc-rescaled value when e is a child edge of
+    v.  It is row 0 of the chart table of q (_checked_charts), so component
+    k is chart column k and circle k of the decomposition.  The plain
+    components alone already separate points, so the embedding is
+    injective fiberwise.  A point off the fiber, or a degenerate rescaled
+    chart, raises VerificationError.
     """
     _require_on_fiber(p, q)
-    t = p.tree
-    out = {}
-    for v, e in t.incident_pairs():
-        if t.e_plus[e] == v:
-            out[(v, e)] = q.at(v)
-        else:
-            out[(v, e)] = _phi_component(p, q, v, e)
-    return out
+    pairs = p.tree.incident_pairs()
+    x, y = _checked_charts(p, (q,), range(len(pairs)))
+    return dict(zip(pairs, map(ProjPoint, x[0].tolist(), y[0].tolist())))
 
 
 def embedded_distance(p: ModuliPoint, q1: FiberPoint, q2: FiberPoint) -> float:
@@ -806,9 +800,12 @@ class Region:
 class ThickThinDecomposition:
     """Boundary circles and region descriptors of a member fiber.
 
-    circles maps each incident pair (v, e) to (center, radius) in the chart
-    of v: the unit circle when v = e+, or the disc boundary around z_{v,e}
-    of radius |rho_{v,e}| when e is a child edge of v.
+    circles maps each incident pair (v, e), in incident_pairs order, to
+    the (center, radius) of its disc (ModuliPoint.disc) in the chart of v:
+    the unit circle when v = e+, or the disc boundary around z_{v,e} of
+    radius |rho_{v,e}| when e is a child edge of v.  Circle k, column k of
+    a chart table (_chart_table) and component k of embed are one incident
+    pair, and so are the region table's columns 2k and 2k + 1.
 
     table is the region table both classify forms read.  The k-th circle
     gives two verdicts on a point's chart value at v: column 2k, inside its
@@ -837,13 +834,13 @@ class ThickThinDecomposition:
 
     @functools.cached_property
     def charts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(z, rho, columns): the disc data of every child pair (_discs),
-        for a chart table (_chart_table), and per region r the table
-        columns (_chart_keys) of the one or two components that
+        """(z, rho, columns): the disc of every incident pair (_discs), for
+        a chart table (_chart_table), and per region r the table columns,
+        that is the circles, of the one or two components that
         region_distance compares on regions[r] (_charts), the one column
         twice when there is one."""
         t = self.point.tree
-        col = {key: k for k, key in enumerate(_chart_keys(t))}
+        col = {pair: k for k, pair in enumerate(self.circles)}
         ends = (_charts(t, r) for r in self.regions)
         return (*_discs(self.point), np.array([[col[ks[0]], col[ks[-1]]] for ks in ends]))
 
@@ -979,9 +976,9 @@ def _region_terms(t: RootedTree, region: Region):
 
 
 def _circle(p: ModuliPoint, v: int, e: int) -> tuple[complex, float]:
-    if p.tree.e_plus[e] == v:
-        return 0.0 + 0.0j, 1.0
-    return p.z(v, e), abs(p.rho(v, e))
+    """Center and radius of the boundary circle of the disc of (v, e)."""
+    z, rho = p.disc(v, e)
+    return z, abs(rho)
 
 
 def region_contains(p: ModuliPoint, region: Region, q: FiberPoint) -> bool:
@@ -1019,39 +1016,46 @@ def classify(
     return decomposition(p, c).classify(q)
 
 
-def _chart_keys(t: RootedTree) -> tuple:
-    """The columns of a chart table: every vertex, then every child pair."""
-    return (*t.vertices, *t.coordinate_pairs())
-
-
 def _charts(t: RootedTree, region: Region) -> tuple:
-    """The charts region_distance compares on region, in order, as chart
-    table keys: the thick region's vertex; per endpoint u of an edge e, u
-    for the plain chart at e+ and (u, e) for the disc-rescaled one at e-."""
+    """The incident pairs whose charts region_distance compares on region,
+    in order: (v, its parent edge) for the thick region of v, whose disc is
+    the unit disc, and (u, e) per endpoint u of the edge e of a neck or an
+    end."""
     if region.kind == "thick":
-        return (region.vertex,)
-    e = region.edge
-    return tuple(u if t.e_plus[e] == u else (u, e) for u in t.boundary[e])
+        return ((region.vertex, t.parent_edge[region.vertex]),)
+    return tuple((u, region.edge) for u in t.boundary[region.edge])
 
 
 def _discs(p: ModuliPoint) -> np.ndarray:
-    """z and rho of every child pair, in coordinate_pairs order."""
-    return np.array([p.zr[k] for k in p.tree.coordinate_pairs()], complex).reshape(-1, 2).T
+    """z and rho of the disc of every incident pair (ModuliPoint.disc), in
+    incident_pairs order."""
+    return np.array([p.disc(*k) for k in p.tree.incident_pairs()], complex).reshape(-1, 2).T
 
 
 def _chart_table(t: RootedTree, z: np.ndarray, rho: np.ndarray, batch: FiberBatch):
-    """Every row's chart at each key of _chart_keys: the plain chart at a
-    vertex, and at a child pair with disc data z and rho (_discs) the
-    disc-rescaled chart _normalize(x - z y, rho y) of the plain chart [x :
-    y] at its vertex.  Returns complex (N, keys) arrays x and y, and where
-    a rescaled chart is [0 : 0], which the arrays hold as [0 : 1]."""
-    at = np.searchsorted(t.vertices, [v for v, _ in t.coordinate_pairs()])
+    """Every row's chart at each incident pair (v, e) with disc data z and
+    rho (_discs): _normalize(x - z y, rho y) of the plain chart [x : y] at
+    v, which the unit disc of v = e+ keeps as it is, signs of zero aside.
+    Returns complex (N, pairs) arrays x and y, and where a chart is [0 : 0],
+    which the arrays hold as [0 : 1]; a plain column never is, since [x : y]
+    is a nonzero ProjPoint."""
+    at = np.searchsorted(t.vertices, [v for v, _ in t.incident_pairs()])
     x, y = batch.xs[:, at], batch.ys[:, at]
     num, den = x - _cmul(z, y), _cmul(rho, y)
     bad = (num == 0) & (den == 0)
-    rx, ry = _normalize(num, np.where(bad, 1.0, den))
-    flat = np.zeros(batch.xs.shape, bool)
-    return np.hstack([batch.xs, rx]), np.hstack([batch.ys, ry]), np.hstack([flat, bad])
+    return (*_normalize(num, np.where(bad, 1.0, den)), bad)
+
+
+def _checked_charts(p: ModuliPoint, points: Sequence[FiberPoint], cols):
+    """The chart table x and y of the given points (_chart_table), after a
+    VerificationError naming the first of the columns cols whose chart is
+    degenerate at some point."""
+    t = p.tree
+    x, y, bad = _chart_table(t, *_discs(p), FiberBatch.of(t, points))
+    k = _first_false(~bad[:, cols].any(axis=0))
+    if k is not None:
+        raise VerificationError(f"rescaled chart at {t.incident_pairs()[cols[k]]} is degenerate")
+    return x, y
 
 
 def _chart_distances(x: np.ndarray, y: np.ndarray, slots, i, j) -> np.ndarray:
@@ -1074,13 +1078,9 @@ def region_distance(
     for q in (q1, q2):
         if not region_contains(p, region, q):
             raise InputError(f"point outside region {region}")
-    t = p.tree
-    x, y, bad = _chart_table(t, *_discs(p), FiberBatch.of(t, (q1, q2)))
-    keys = _chart_keys(t)
-    cols = [keys.index(k) for k in _charts(t, region)]
-    for col in cols:
-        if bad[:, col].any():
-            raise VerificationError(f"rescaled chart at {keys[col]} is degenerate")
+    pairs = p.tree.incident_pairs()
+    cols = [pairs.index(pair) for pair in _charts(p.tree, region)]
+    x, y = _checked_charts(p, (q1, q2), cols)
     return float(_chart_distances(x, y, cols, [0], [1])[0])
 
 
@@ -1097,25 +1097,32 @@ def neck_param(p: ModuliPoint, e: int, s: float, t_angle: float) -> FiberPoint:
     delta e^{i theta0} e^{s + i t}, where 2 theta0 = arg gamma_e; their
     product is exactly gamma_e, so the pair lies on the fiber.
     """
-    t = p.tree
-    if e not in t.full_edges:
-        raise InputError(f"edge {e} is not full")
-    g = p.gamma_of(e)
-    mod = abs(g)
-    if not 0.0 < mod < 1.0:
-        raise InputError("need 0 < |gamma_e| < 1 for neck coordinates")
-    big_r = -0.5 * math.log(mod)
-    # written so that NaN fails it too
-    if not abs(s) <= big_r * (1.0 + EQ_SLACK):
-        raise InputError(f"|s| = {abs(s)} exceeds the neck half-length {big_r}")
+    g = _neck_gamma(p, e, s)
     if not math.isfinite(t_angle):
         raise InputError(f"the neck angle t must be finite, got {t_angle}")
-    delta_phase = math.sqrt(mod) * cmath.exp(0.5j * cmath.phase(g))
+    delta_phase = math.sqrt(abs(g)) * cmath.exp(0.5j * cmath.phase(g))
     z_u = delta_phase * cmath.exp(-(s + 1j * t_angle))
     z_v = delta_phase * cmath.exp(s + 1j * t_angle)
-    u, v = t.e_minus[e], t.e_plus[e]
+    u, v = p.tree.e_minus[e], p.tree.e_plus[e]
     coords = {u: _normal(p.z(u, e) + p.rho(u, e) * z_u, 1 + 0j), v: _normal(1 + 0j, z_v)}
     return _complete(p, coords, u)
+
+
+def _neck_gamma(p: ModuliPoint, e: int, s: float | None) -> complex:
+    """gamma_e of a full edge e, else InputError.  Given a neck position s,
+    also InputError unless 0 < |gamma_e| < 1 and |s| is at most the neck
+    half-length R = -log|gamma_e| / 2 within EQ_SLACK, which NaN is not."""
+    if e not in p.tree.full_edges:
+        raise InputError(f"edge {e} is not full")
+    g = p.gamma_of(e)
+    if s is not None:
+        if not 0.0 < abs(g) < 1.0:
+            raise InputError("need 0 < |gamma_e| < 1 for neck coordinates")
+        big_r = -0.5 * math.log(abs(g))
+        # written so that NaN fails it too
+        if not abs(s) <= big_r * (1.0 + EQ_SLACK):
+            raise InputError(f"|s| = {abs(s)} exceeds the neck half-length {big_r}")
+    return g
 
 
 def round_flat_area_ratio(z: complex) -> float:
@@ -1133,20 +1140,22 @@ def neck_area_factor(p: ModuliPoint, e: int, s: float) -> float:
     """Flat area form pulled back through the neck cylinder chart at s.
 
     The two local chart values of neck_param contribute |z_u|^2 + |z'_v|^2
-    = |gamma_e| (e^{2s} + e^{-2s}) per unit cylinder area.
+    = |gamma_e| (e^{2s} + e^{-2s}) per unit cylinder area.  Each term is
+    taken as exp(+-2s + log|gamma_e|), whose exponent is at most 2 R
+    EQ_SLACK on the neck |s| <= R (1 + EQ_SLACK), so neither overflows even
+    where e^{2R} = 1/|gamma_e| does.  s and e are checked as in neck_param.
     """
-    mod = abs(p.gamma_of(e))
-    if not 0.0 < mod < 1.0:
-        raise InputError("need 0 < |gamma_e| < 1 for neck coordinates")
-    return mod * (math.exp(2.0 * s) + math.exp(-2.0 * s))
+    log_mod = math.log(abs(_neck_gamma(p, e, s)))
+    return math.exp(2.0 * s + log_mod) + math.exp(-2.0 * s + log_mod)
 
 
 def neck_chart_values(
     p: ModuliPoint, e: int, q: FiberPoint
 ) -> tuple[complex, complex]:
-    """The two local chart values (z_u, z'_v) of a point of the neck of e."""
-    t = p.tree
-    u, v = t.e_minus[e], t.e_plus[e]
+    """The two local chart values (z_u, z'_v) of a point of the neck of e.
+    An edge that is not full raises InputError."""
+    _neck_gamma(p, e, None)
+    u, v = p.tree.e_minus[e], p.tree.e_plus[e]
     a = q.at(u)
     if a.y == 0:
         raise InputError("point leaves the parent chart of the neck")
@@ -1516,21 +1525,19 @@ def stabilize_four_marked(
 def _anchor_starts(p: ModuliPoint):
     """Three circle-anchored starts per incident pair.
 
-    For each (v, e) the three unit-circle anchors are pulled back through
-    the chart at that pair; the fiber points through them sit on the
-    boundary circles of the decomposition.  Returns the (pair, anchor index)
-    label of every start and, in the same order, its vertex and chart
-    coordinates [x : y] there, as _fiber_batch takes them.
+    For each (v, e) the three unit-circle anchors [a : b] are pulled back
+    through the chart of the disc (z, rho) of that pair (ModuliPoint.disc)
+    to [rho a + z b : b] at v, which the unit disc of v = e+ keeps as they
+    are; the fiber points through them sit on the boundary circles of the
+    decomposition.  Returns the (pair, anchor index) label of every start
+    and, in the same order, its vertex and chart coordinates [x : y] there,
+    as _fiber_batch takes them.
     """
-    t = p.tree
     labels, src, plain = [], [], []
-    for v, e in t.incident_pairs():
+    for v, e in p.tree.incident_pairs():
+        z, rho = p.disc(v, e)
         for k, target in enumerate(UNIT_TARGETS):
-            if t.e_plus[e] == v:
-                plain.append((target.x, target.y))
-            else:
-                x = target.x * p.rho(v, e) + p.z(v, e) * target.y
-                plain.append((x, target.y))
+            plain.append((target.x * rho + z * target.y, target.y))
             labels.append(((v, e), k))
             src.append(v)
     x, y = np.array(plain, dtype=complex).T
@@ -1797,8 +1804,9 @@ def check_map_membership(
     sphere_distance by bits: every form calls the kernel
     nets.sphere_distances.
 
-    No rescaled chart of a member is [0 : 0], so unlike region_distance
-    this check refuses none.  A normalized chart value [x : y] has y = 1,
+    No chart of a member is [0 : 0], so unlike region_distance this check
+    refuses none.  A plain column is the nonzero ProjPoint of the sample
+    at v.  At a child pair a normalized chart value [x : y] has y = 1,
     where rho y = rho and membership gives |rho| >= alpha (1 - 1e-12) > 0,
     or x = 1 and |y| <= 1, where membership gives |z| <= theta (1 + 1e-12)
     <= 1/6 + 1e-12, so x - z y has real part above 4/5.

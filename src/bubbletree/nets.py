@@ -462,6 +462,15 @@ class Net:
         return float(near.max())
 
 
+def _is_index(i, n: int) -> bool:
+    """Whether i is an integer in [0, n), as operator.index reads it; a
+    float, None or a bool is not."""
+    try:
+        return not isinstance(i, bool) and 0 <= operator.index(i) < n
+    except TypeError:
+        return False
+
+
 def _net_indices(indices, n: int) -> tuple:
     """indices as distinct ints in [0, n), at least one, else InputError."""
     try:
@@ -472,7 +481,7 @@ def _net_indices(indices, n: int) -> tuple:
         raise InputError(f"a net needs at least one index into its n = {n} points")
     seen = set()
     for k in ks:
-        if not 0 <= k < n or k in seen:
+        if not _is_index(k, n) or k in seen:
             what = "repeats" if k in seen else "is outside [0, n)"
             raise InputError(f"net index {k} {what} for n = {n}")
         seen.add(k)
@@ -722,8 +731,11 @@ def graph_hausdorff(
 
     Graph points (z, f(z)) are compared under max(d_Z, d_W).  Two empty
     graphs are at distance 0; an empty graph is infinitely far from a
-    nonempty one.
+    nonempty one.  A fiber point or value that is not an index into its
+    space raises InputError naming the member.
     """
+    for name, m in (("member a", a), ("member b", b)):
+        _require_indices(name, m, space_z, space_w)
     if not a.fiber or not b.fiber:
         return 0.0 if a.fiber == b.fiber else math.inf
     d = np.maximum(
@@ -740,7 +752,11 @@ def mapspace_distance(
     a: FiberMap,
     b: FiberMap,
 ) -> float:
-    """Distance max(d_T, graph Hausdorff) between two family members."""
+    """Distance max(d_T, graph Hausdorff) between two family members.  A
+    base, fiber or value entry that is not an index into its space raises
+    InputError naming the member."""
+    for name, m in (("member a", a), ("member b", b)):
+        _require_indices(name, m, space_t, space_z, space_w)
     return max(float(space_t.dist[a.t, b.t]), graph_hausdorff(space_z, space_w, a, b))
 
 
@@ -761,6 +777,18 @@ class MapSpaceCover:
     net_t: Net
     net_z: Net
     net_w: Net
+
+
+def _require_indices(name: str, m: FiberMap, *spaces: FiniteMetricSpace) -> None:
+    """InputError naming the member and its first entry that is not an
+    index into its space (_is_index): with three spaces the base index t
+    into the first; then every fiber point into the next, and every value
+    into the last."""
+    entries = (("base", (m.t,)), ("fiber", m.fiber), ("value", m.values))[-len(spaces):]
+    for (what, ids), space in zip(entries, spaces):
+        for i in ids:
+            if not _is_index(i, space.n):
+                raise InputError(f"{name}: {what} index {i!r} out of range [0, {space.n})")
 
 
 def _require_lipschitz(space_z, space_w, members, lam):
@@ -795,7 +823,8 @@ def mapspace_cover(
     requires a fiber point within gamma / lam of b whose image is within
     gamma of c.  Every member lands in at least one cell, cells have
     diameter < 4 delta in the max(d_T, graph-Hausdorff) metric, and the
-    number of candidate cells is |A| (1 + |C|)^|B|.
+    number of candidate cells is |A| (1 + |C|)^|B|.  A member entry that
+    is not an index into its space raises InputError naming the member.
 
     Certificate: every member matches a cell without a check.  gamma
     exceeds the covering distances of A and C, the largest over rows of the
@@ -809,12 +838,7 @@ def mapspace_cover(
     require_scale("delta", delta)
     members = list(family)
     for k, m in enumerate(members):
-        if not 0 <= m.t < space_t.n:
-            raise InputError(f"member {k}: base index {m.t} out of range")
-        if any(not 0 <= z < space_z.n for z in m.fiber):
-            raise InputError(f"member {k}: fiber index out of range")
-        if any(not 0 <= w < space_w.n for w in m.values):
-            raise InputError(f"member {k}: value index out of range")
+        _require_indices(f"member {k}", m, space_t, space_z, space_w)
     _require_lipschitz(space_z, space_w, members, lam)
 
     net_a = minimal_net(space_t, delta)

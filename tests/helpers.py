@@ -28,7 +28,6 @@ from bubbletree.curves import (
     _fiber_through,
     _leq,
     _polyline_length,
-    _phi_component,
     _require_on_fiber,
     four_point_value,
     split_fiber,
@@ -38,6 +37,7 @@ from bubbletree.nets import (
     FiberMap,
     FiniteMetricSpace,
     ProjPoint,
+    _normal,
     fibonacci_sphere_points,
     sphere_coords,
     sphere_distance,
@@ -1202,6 +1202,27 @@ def classify_reference(p, q):
     return tuple(r for r in regions if region_contains_reference(p, r, q))
 
 
+def phi_component(p, q, u, e):
+    """The disc-rescaled chart [x - z y : rho y] at (u, e), e a child edge
+    of u, from the coordinate [x : y] of q at u in scalar arithmetic."""
+    a = q.at(u)
+    num = a.x - p.z(u, e) * a.y
+    den = p.rho(u, e) * a.y
+    if num == 0 and den == 0:
+        raise VerificationError(f"rescaled chart at ({u}, {e}) is degenerate")
+    return _normal(num, den)
+
+
+def embed_reference(p, q):
+    """embed by a branch per incident pair: the plain coordinate q.at(v) at
+    v = e+, phi_component at a child pair."""
+    t = p.tree
+    return {
+        (v, e): q.at(v) if t.e_plus[e] == v else phi_component(p, q, v, e)
+        for v, e in t.incident_pairs()
+    }
+
+
 def region_distance_reference(p, region, q1, q2):
     t = p.tree
     if region.kind == "thick":
@@ -1213,7 +1234,7 @@ def region_distance_reference(p, region, q1, q2):
         if t.e_plus[e] == u:
             vals.append(sphere_distance(q1.at(u), q2.at(u)))
         else:
-            a, b = _phi_component(p, q1, u, e), _phi_component(p, q2, u, e)
+            a, b = phi_component(p, q1, u, e), phi_component(p, q2, u, e)
             vals.append(sphere_distance(a, b))
     return max(vals)
 

@@ -477,9 +477,9 @@ REJECTED = {
     "cover-base-index": (
         [*COVER, "@cover-base-index"], None, 3, "member 0: base index 1 out of range"),
     "cover-fiber-index": (
-        [*COVER, "@cover-fiber-index"], None, 3, "member 0: fiber index out of range"),
+        [*COVER, "@cover-fiber-index"], None, 3, "member 0: fiber index 2 out of range"),
     "cover-value-index": (
-        [*COVER, "@cover-value-index"], None, 3, "member 0: value index out of range"),
+        [*COVER, "@cover-value-index"], None, 3, "member 0: value index 2 out of range"),
     "pipeline-not-object": (
         [*PIPELINE, "@list"], None, 3, "pipeline config must be a JSON object"),
     "pipeline-no-bubble": (

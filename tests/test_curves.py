@@ -56,6 +56,7 @@ from bubbletree.nets import (
     FiniteMetricSpace,
     ProjPoint,
     _normal,
+    sphere_coords,
     sphere_distance,
     sphere_distances,
 )
@@ -76,6 +77,7 @@ from helpers import (
     classify_reference,
     decorate_reference,
     default_params,
+    embed_reference,
     fiber_discriminant_reference,
     flat_standard,
     in_compact_subset_reference,
@@ -1263,8 +1265,41 @@ def test_member_rescaled_charts_are_never_degenerate():
     for p, c, samples in check_path_cases() + region_sample_cases():
         z, rho, _ = decomposition(p, c).charts
         _, _, bad = curves._chart_table(p.tree, z, rho, FiberBatch.of(p.tree, samples))
-        assert bad.shape == (len(samples), len(z) + len(p.tree.vertices))
+        assert bad.shape == (len(samples), len(p.tree.incident_pairs()))
         assert not bad.any()
+
+
+def test_embed_equals_the_scalar_oracle():
+    # embed reads one chart table row; embed_reference branches per pair
+    # in scalar arithmetic.  The components agree by value (a plain one may
+    # come back with another sign of a zero slot), and the distances of
+    # every pair of samples, from either form, agree by bits
+    for p, c, samples in check_path_cases() + region_sample_cases():
+        got = [embed(p, q) for q in samples]
+        ref = [embed_reference(p, q) for q in samples]
+        assert got == ref
+        i, j = np.triu_indices(len(samples), 1)
+        bits = []
+        for form in (got, ref):
+            x, y = (a.reshape(len(samples), -1) for a in sphere_coords(
+                [pt for row in form for pt in row.values()]))
+            d = sphere_distances(x[i].ravel(), y[i].ravel(), x[j].ravel(), y[j].ravel())
+            bits.append(d.tobytes())
+        assert bits[0] == bits[1]
+
+
+def test_the_disc_of_each_parent_edge_is_the_unit_disc():
+    # circle k, chart column k and embedding component k are the k-th
+    # incident pair, whose disc is the unit disc exactly at (v, parent edge)
+    for p, c, samples in check_path_cases() + region_sample_cases():
+        t = p.tree
+        for v in t.vertices:
+            z, rho = p.disc(v, t.parent_edge[v])
+            parts = [a.hex() for a in (z.real, z.imag, rho.real, rho.imag)]
+            assert parts == ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
+        assert all(p.disc(*pair) == p.zr[pair] for pair in t.coordinate_pairs())
+        order = list(t.incident_pairs())
+        assert list(decomposition(p, c).circles) == order == list(embed(p, samples[0]))
 
 
 def test_check_map_membership_on_a_degenerate_chart_is_a_membership_rejection():
@@ -1541,6 +1576,42 @@ def test_neck_area_factor_rejects_nodal_edge():
     _, p0 = chain2_point(0.0, 0.05, 0.01)
     with pytest.raises(InputError, match="gamma"):
         neck_area_factor(p0, 1, 0.0)
+
+
+def test_neck_area_factor_is_finite_at_the_ends_of_the_longest_neck():
+    # |gamma| = 1e-310 passes membership, and e^{2s} overflows at s = R =
+    # 356.9; the area form |gamma| e^{2R} + |gamma| e^{-2R} is 1 there
+    t, p = chain2_point(1e-310, 0.05, 0.01)
+    assert in_compact_subset(p, default_params(t)).ok
+    big_r = -0.5 * math.log(1e-310)
+    assert big_r > 356.9
+    for s in (-big_r, big_r):
+        assert neck_area_factor(p, 1, s) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "e, s, message",
+    [
+        (999, 0.0, "^edge 999 is not full$"),
+        (0, 0.0, "^edge 0 is not full$"),
+        (1, math.nan, r"^\|s\| = nan exceeds the neck half-length"),
+        (1, 3.0, r"^\|s\| = 3.0 exceeds the neck half-length"),
+    ],
+)
+def test_neck_area_factor_refuses_what_neck_param_refuses(e, s, message):
+    _, p = chain2_point(0.012, 0.05, 0.01)
+    with pytest.raises(InputError, match=message):
+        neck_area_factor(p, e, s)
+    with pytest.raises(InputError, match=message):
+        neck_param(p, e, s, 0.0)
+
+
+@pytest.mark.parametrize("e", [999, 0])
+def test_neck_chart_values_refuses_an_edge_that_is_not_full(e):
+    _, p = chain2_point(0.012, 0.05, 0.01)
+    q = fiber_from_root(p, ProjPoint(0.3, 1.0))
+    with pytest.raises(InputError, match=f"^edge {e} is not full$"):
+        neck_chart_values(p, e, q)
 
 
 # ---------------------------------------------------------------------------

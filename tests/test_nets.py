@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import mpmath
@@ -1158,6 +1159,34 @@ def test_graph_hausdorff_matches_bruteforce_oracle():
         d = mapspace_distance(space_t, space_z, space_w, a_t, b_t)
         assert type(d) is float
         assert d == max(space_t.dist[a_t.t, b_t.t], got)
+
+
+@pytest.mark.parametrize("index", [-1, 3, 0.5, None], ids=["-1", "n", "0.5", "None"])
+@pytest.mark.parametrize("entry", ["base", "fiber", "value"])
+def test_map_space_functions_name_a_member_entry_that_is_not_an_index(entry, index):
+    # on 3-point spaces -1 read the last point, n and None raised bare
+    # IndexError or TypeError, and mapspace_cover's range test passed 0.5
+    space = grid_space([0.0, 1.0, 2.0])
+    good = FiberMap(t=0, fiber=(0,), values=(0,))
+    fields = {"t": 0, "fiber": (0,), "values": (0,)}
+    key = {"base": "t", "fiber": "fiber", "value": "values"}[entry]
+    fields[key] = index if entry == "base" else (index,)
+    bad = FiberMap(**fields)
+    message = rf"^member b: {entry} index {re.escape(repr(index))} out of range \[0, 3\)$"
+    with pytest.raises(InputError, match=message):
+        mapspace_distance(space, space, space, good, bad)
+    if entry != "base":
+        with pytest.raises(InputError, match=message):
+            graph_hausdorff(space, space, good, bad)
+    with pytest.raises(InputError, match=message.replace("member b", "member 1")):
+        mapspace_cover(space, space, space, [good, bad], lam=1.0, delta=0.4)
+
+
+def test_mapspace_distance_does_not_wrap_a_negative_fiber_index():
+    space = grid_space([0.0, 1.0, 2.0])
+    a, b = FiberMap(t=0, fiber=(-1,), values=(0,)), FiberMap(t=0, fiber=(2,), values=(0,))
+    with pytest.raises(InputError, match=r"^member a: fiber index -1 out of range"):
+        mapspace_distance(space, space, space, a, b)
 
 
 # ---------------------------------------------------------------------------
